@@ -19,7 +19,7 @@ from .matrix_io import (
     write_fvecs,
     write_txt,
 )
-from .network import NetworkParams, ObjectiveConfig, forward, jacobian, objective, gradients
+from .network import NetworkParams, ObjectiveConfig, forward, jacobian, objective
 
 __all__ = [
     "FormatError",
@@ -29,7 +29,6 @@ __all__ = [
     "apply_normalizer",
     "fit_normalizer",
     "forward",
-    "gradients",
     "jacobian",
     "objective",
     "read_bvecs",

@@ -1,30 +1,26 @@
-"""Finite-difference validation of every analytic gradient path.
+"""Finite-difference validation of the objective's analytic gradient.
 
-Used by the gradcheck CLI command and the test suite. Reported errors
-are max over parameters of |analytic - fd| / max(1, |fd|).
+Used by the gradcheck CLI command and the test suite. Each term of a
+method's objective is checked on its own, then the total. Reported
+errors are max over parameters of |analytic - fd| / max(1, |fd|).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from . import variants as var
 from .network import (
-    GradientSet,
     NetworkParams,
     ObjectiveConfig,
-    _binary_term,
-    _contractive_term,
-    _jacobian_term,
-    _recon_term,
+    _terms,
     fd_gradient,
     forward_batch,
-    gradients,
     objective,
     pack_gradient,
     pack_params,
     unpack_params,
 )
+from .variants import VariantConfig
 
 
 def random_instance(D: int, d: int, n: int, seed: int):
@@ -49,9 +45,11 @@ def _rel_error(analytic: np.ndarray, fd: np.ndarray) -> float:
     return float(np.max(np.abs(analytic - fd) / np.maximum(1.0, np.abs(fd))))
 
 
-def _check(value_fn, grad_fn, p: NetworkParams, h: float) -> float:
-    analytic = pack_gradient(grad_fn(p))
-    fd = fd_gradient(lambda th: value_fn(unpack_params(th, p)), pack_params(p), h)
+def _check(value_and_grad, p: NetworkParams, h: float) -> float:
+    """value_and_grad(params) -> (value, GradientSet)."""
+    analytic = pack_gradient(value_and_grad(p)[1])
+    fd = fd_gradient(lambda th: value_and_grad(unpack_params(th, p))[0],
+                     pack_params(p), h)
     return _rel_error(analytic, fd)
 
 
@@ -64,69 +62,22 @@ def check_gradients(kind: str, D: int = 8, d: int = 4, n: int = 5,
     The Jacobian-term weight is not 1, so a weight applied to the value
     but not to the gradient (or the reverse) shows up.
     """
+    method = VariantConfig(kind=kind, alpha=alpha, corruption_t=corruption_t,
+                           lambda_c=lambda_c)
+    if not method.trained:
+        raise ValueError(f"no gradients to check for variant {kind!r}")
     p, batch, projs = random_instance(D, d, n, seed)
     cfg = ObjectiveConfig(alpha=alpha, epsilon=epsilon, jacobian_weight=0.5)
-    rng = np.random.default_rng(seed + 1)
-
-    def with_fw(term_fn):
-        # each term helper needs the forward activations of its input
-        def value(q):
-            Y, Z = forward_batch(q, batch)
-            return term_fn(q, Y, Z)[0]
-
-        def grad(q):
-            Y, Z = forward_batch(q, batch)
-            return term_fn(q, Y, Z)[1]
-
-        return value, grad
+    inputs = dict(
+        tangents=projs if method.needs_tangents else None,
+        lambda_c=method.contraction,
+        corrupted=method.corrupt(batch, np.random.default_rng(seed + 1)),  # frozen mask
+    )
+    Xin, terms = _terms(batch, cfg=cfg, **inputs)
 
     errors: dict[str, float] = {}
-
-    if kind == "auto-jacobin":
-        errors["recon"] = _check(*with_fw(
-            lambda q, Y, Z: _recon_term(q, batch, batch, Y, Z)), p, h)
-        errors["jacobian"] = _check(*with_fw(
-            lambda q, Y, Z: _jacobian_term(q, batch, Y, Z, projs,
-                                           cfg.jacobian_weight)), p, h)
-        errors["binary"] = _check(*with_fw(
-            lambda q, Y, Z: _binary_term(q, batch, Y, alpha, epsilon, n)), p, h)
-        errors["total"] = _check(
-            lambda q: objective(q, batch, projs, cfg)[0],
-            lambda q: gradients(q, batch, projs, cfg), p, h)
-    elif kind == "autobin":
-        errors["recon"] = _check(*with_fw(
-            lambda q, Y, Z: _recon_term(q, batch, batch, Y, Z)), p, h)
-        errors["binary"] = _check(*with_fw(
-            lambda q, Y, Z: _binary_term(q, batch, Y, alpha, epsilon, n)), p, h)
-        errors["total"] = _check(
-            lambda q: var.autobin_objective(q, batch, cfg)[0],
-            lambda q: var.autobin_gradients(q, batch, cfg), p, h)
-    elif kind == "dautobin":
-        corrupted = var.corrupt_mask(batch, corruption_t, rng)  # frozen mask
-        errors["recon"] = _check(
-            lambda q: _recon_term(q, corrupted, batch,
-                                  *forward_batch(q, corrupted))[0],
-            lambda q: _recon_term(q, corrupted, batch,
-                                  *forward_batch(q, corrupted))[1], p, h)
-        errors["binary"] = _check(
-            lambda q: _binary_term(q, corrupted, forward_batch(q, corrupted)[0],
-                                   alpha, epsilon, n)[0],
-            lambda q: _binary_term(q, corrupted, forward_batch(q, corrupted)[0],
-                                   alpha, epsilon, n)[1], p, h)
-        errors["total"] = _check(
-            lambda q: var.dautobin_objective(q, batch, corrupted, cfg)[0],
-            lambda q: var.dautobin_gradients(q, batch, corrupted, cfg), p, h)
-    elif kind == "cautobin":
-        errors["recon"] = _check(*with_fw(
-            lambda q, Y, Z: _recon_term(q, batch, batch, Y, Z)), p, h)
-        errors["contractive"] = _check(*with_fw(
-            lambda q, Y, Z: _contractive_term(q, batch, Y, lambda_c)), p, h)
-        errors["binary"] = _check(*with_fw(
-            lambda q, Y, Z: _binary_term(q, batch, Y, alpha, epsilon, n)), p, h)
-        errors["total"] = _check(
-            lambda q: var.cautobin_objective(q, batch, cfg, lambda_c)[0],
-            lambda q: var.cautobin_gradients(q, batch, cfg, lambda_c), p, h)
-    else:
-        raise ValueError(f"no gradients to check for variant {kind!r}")
-
+    for name, term in terms:
+        errors[name] = _check(lambda q: term(q, *forward_batch(q, Xin)), p, h)
+    errors["total"] = _check(
+        lambda q: objective(q, batch, cfg=cfg, **inputs)[::2], p, h)
     return errors

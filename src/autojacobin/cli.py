@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -75,9 +74,8 @@ def _train_model(X_raw: np.ndarray, args):
     nz = matrix_io.fit_normalizer(X_raw)
     Xn = matrix_io.apply_normalizer(nz, X_raw)
     method = VariantConfig(kind=args.method, alpha=args.alpha,
-                           corruption_t=args.corrupt_t, lambda_c=args.lambda_c,
-                           seed=args.seed)
-    if method.kind == "lsh":
+                           corruption_t=args.corrupt_t, lambda_c=args.lambda_c)
+    if not method.trained:
         params = lsh_generate(Xn.shape[0], args.bits, args.seed, scale=nz.scale)
         return params, None
     tangents = None
@@ -87,7 +85,7 @@ def _train_model(X_raw: np.ndarray, args):
             raise SystemExit(f"tangent estimation needs N >= D+d = {D + args.bits} "
                              f"points, got {N}")
         tangents = estimate_all_tangents(Xn, args.bits)
-    cfg = TrainConfig(bits=args.bits, alpha=args.alpha, epsilon=args.epsilon,
+    cfg = TrainConfig(bits=args.bits, epsilon=args.epsilon,
                       epochs=args.epochs, batch_size=min(args.batch, Xn.shape[1]),
                       total_iterations=args.iterations, seed=args.seed,
                       method=method)
@@ -194,10 +192,9 @@ def cmd_toy(args) -> int:
     nz = matrix_io.fit_normalizer(X_raw)
     Xn = matrix_io.apply_normalizer(nz, X_raw)
     tangents = estimate_all_tangents(Xn, 3)
-    cfg = TrainConfig(bits=3, alpha=args.alpha, epochs=args.epochs,
+    cfg = TrainConfig(bits=3, epochs=args.epochs,
                       batch_size=min(args.batch, args.points), seed=args.seed,
-                      method=VariantConfig(kind="auto-jacobin", alpha=args.alpha,
-                                           seed=args.seed))
+                      method=VariantConfig(kind="auto-jacobin", alpha=args.alpha))
     p0 = init_params(Xn, 3, np.random.default_rng(args.seed))
     p0.scale = nz.scale
     params, report = train(Xn, tangents, cfg)
@@ -380,9 +377,6 @@ def main(argv=None) -> int:
     ap = build_parser()
     argv = _apply_config(ap, argv)
     args = ap.parse_args(argv)
-    threads = os.environ.get("AJB_THREADS")
-    if threads:
-        os.environ.setdefault("OMP_NUM_THREADS", threads)
     return args.func(args)
 
 

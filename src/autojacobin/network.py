@@ -1,5 +1,5 @@
 """Three-layer tanh auto-encoder: forward pass, analytic input-output
-Jacobian, the composite objective, and analytic gradients.
+Jacobian, and the composite objective with its analytic gradient.
 
 The objective over a batch of n columns is
 
@@ -8,6 +8,14 @@ The objective over a batch of n columns is
 where J_i is the input-output Jacobian at x_i, A_i = T_i T_i' the tangent
 projector, and S(M) = sum_jk sqrt(M_jk^2 + eps) smooths the entrywise
 1-norm. Jacobian orientation: J(i, j) = d z_j / d x_i.
+
+The comparison models are the same objective with the middle term
+changed: AutoBin drops it, CAutoBin puts the contractive term
+lambda_c sum_i ||d y_i / d x_i||_F^2 in its place, and DAutoBin drops it
+and feeds the network a corrupted copy of the batch while still
+reconstructing the clean one. objective() builds the terms from its
+arguments and returns value, parts and gradient from one forward pass;
+variants.VariantConfig says which arguments each method passes.
 
 The Jacobian-term weight w follows from the noise-removing map g that
 the auto-encoder f stands in for. Near the manifold, g is taken to first
@@ -72,8 +80,6 @@ class ObjectiveConfig:
     alpha: float = 0.1
     epsilon: float = 1e-4
     jacobian_weight: float = 1.0  # w, the region variance (module docstring)
-    # target diagonal of Y Y'; None means the batch size of the call
-    batch_target: int | None = None
 
     def __post_init__(self):
         if self.epsilon <= 0:
@@ -107,7 +113,7 @@ class GradientSet:
 @dataclass
 class ObjectiveParts:
     recon: float
-    jacobian: float
+    jacobian: float  # the middle term: Jacobian, contractive, or 0.0 if none
     binary: float
 
     @property
@@ -213,35 +219,56 @@ def _contractive_term(p, Xin, Y, lam):
     return value, g
 
 
-def objective(p: NetworkParams, batch: np.ndarray, tangents, cfg: ObjectiveConfig):
-    """Full objective on a batch; tangents is one D x D projector per column."""
+def _terms(batch, tangents, cfg: ObjectiveConfig, lambda_c, corrupted):
+    """(network input, [(name, term)]) in accumulation order: recon, the
+    middle term if any, binary. term(p, Y, Z) -> (value, GradientSet)
+    takes the forward activations of the network input.
+    """
     n = batch.shape[1]
-    if len(tangents) != n:
-        raise ValueError(f"{len(tangents)} projectors for {n} points")
-    Y, Z = forward_batch(p, batch)
-    recon, _ = _recon_term(p, batch, batch, Y, Z)
-    jac, _ = _jacobian_term(p, batch, Y, Z, tangents, cfg.jacobian_weight)
-    n_target = cfg.batch_target if cfg.batch_target is not None else n
-    binary, _ = _binary_term(p, batch, Y, cfg.alpha, cfg.epsilon, n_target)
-    parts = ObjectiveParts(recon=recon, jacobian=jac, binary=binary)
-    return parts.total, parts
+    Xin = batch
+    if corrupted is not None:
+        if corrupted.shape != batch.shape:
+            raise ValueError("clean/corrupted batch shape mismatch")
+        Xin = corrupted
+    if tangents is not None and lambda_c is not None:
+        raise ValueError("give tangents or lambda_c, not both: each is a middle term")
+    terms = [("recon", lambda p, Y, Z: _recon_term(p, Xin, batch, Y, Z))]
+    if tangents is not None:
+        if len(tangents) != n:
+            raise ValueError(f"{len(tangents)} projectors for {n} points")
+        terms.append(("jacobian", lambda p, Y, Z: _jacobian_term(
+            p, Xin, Y, Z, tangents, cfg.jacobian_weight)))
+    if lambda_c is not None:
+        terms.append(("contractive", lambda p, Y, Z: _contractive_term(
+            p, Xin, Y, lambda_c)))
+    terms.append(("binary", lambda p, Y, Z: _binary_term(
+        p, Xin, Y, cfg.alpha, cfg.epsilon, n)))
+    return Xin, terms
 
 
-def gradients(p: NetworkParams, batch: np.ndarray, tangents, cfg: ObjectiveConfig) -> GradientSet:
-    """Analytic gradient of objective() w.r.t. all four parameter blocks."""
-    n = batch.shape[1]
-    if len(tangents) != n:
-        raise ValueError(f"{len(tangents)} projectors for {n} points")
-    Y, Z = forward_batch(p, batch)
+def objective(p: NetworkParams, batch: np.ndarray, tangents, cfg: ObjectiveConfig,
+              lambda_c: float | None = None, corrupted: np.ndarray | None = None):
+    """(total, parts, gradient) of the objective on a batch, from one
+    forward pass.
+
+    tangents holds one D x D projector per column and adds the Jacobian
+    term; lambda_c adds the contractive term instead; None leaves the
+    middle term out. corrupted, when given, is the network input and
+    batch stays the reconstruction target. The gradient is a GradientSet
+    over all four parameter blocks.
+    """
+    Xin, terms = _terms(batch, tangents, cfg, lambda_c, corrupted)
+    Y, Z = forward_batch(p, Xin)
     g = GradientSet.zeros(p)
-    _, gr = _recon_term(p, batch, batch, Y, Z)
-    g += gr
-    _, gj = _jacobian_term(p, batch, Y, Z, tangents, cfg.jacobian_weight)
-    g += gj
-    n_target = cfg.batch_target if cfg.batch_target is not None else n
-    _, gb = _binary_term(p, batch, Y, cfg.alpha, cfg.epsilon, n_target)
-    g += gb
-    return g
+    values = []
+    for _, term in terms:
+        value, gt = term(p, Y, Z)
+        values.append(value)
+        g += gt
+    recon, *middle, binary = values
+    parts = ObjectiveParts(recon=recon, jacobian=middle[0] if middle else 0.0,
+                           binary=binary)
+    return parts.total, parts, g
 
 
 # --- parameter vector packing and finite-difference checking ---
@@ -281,6 +308,6 @@ def grad_check(p: NetworkParams, batch: np.ndarray, tangents, cfg: ObjectiveConf
     def value(theta):
         return objective(unpack_params(theta, p), batch, tangents, cfg)[0]
 
-    analytic = pack_gradient(gradients(p, batch, tangents, cfg))
+    analytic = pack_gradient(objective(p, batch, tangents, cfg)[2])
     fd = fd_gradient(value, pack_params(p), h)
     return float(np.max(np.abs(analytic - fd) / np.maximum(1.0, np.abs(fd))))

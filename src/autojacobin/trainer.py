@@ -43,8 +43,6 @@ from . import variants as var
 from .network import (
     NetworkParams,
     ObjectiveConfig,
-    ObjectiveParts,
-    gradients,
     objective,
     pack_gradient,
     pack_params,
@@ -64,7 +62,6 @@ class LineSearchError(RuntimeError):
 @dataclass
 class TrainConfig:
     bits: int
-    alpha: float = 0.1
     epsilon: float = 1e-4
     epochs: int = 5
     batch_size: int = 1000
@@ -117,6 +114,8 @@ def init_params(train: np.ndarray, d: int, seed) -> NetworkParams:
     """
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     D, N = train.shape
+    if d > D:
+        raise ValueError(f"bits d={d} exceeds dimension D={D}")
     if N <= d:
         raise ValueError(f"need more than d={d} training points, got {N}")
     mu = train.mean(axis=1)
@@ -125,12 +124,10 @@ def init_params(train: np.ndarray, d: int, seed) -> NetworkParams:
     evals, evecs = np.linalg.eigh(cov)
     order = np.argsort(evals, kind="stable")[::-1]
     evals, evecs = evals[order], evecs[:, order]
-    if d > D or evals[min(d, D) - 1] <= 1e-12 * max(evals[0], 1e-300):
+    if evals[d - 1] <= 1e-12 * max(evals[0], 1e-300):
         warnings.warn("training data rank below bit count; PCA basis padded "
                       "with an orthonormal complement", stacklevel=2)
     P = evecs[:, :d].T  # (d, D); eigh guarantees orthonormal rows
-    if d > D:
-        raise ValueError(f"bits d={d} exceeds dimension D={D}")
     M = rng.standard_normal((d, d))
     Q, R = np.linalg.qr(M)
     Q = Q * np.sign(np.diag(R))
@@ -244,46 +241,23 @@ def _interpolate(lo, hi, phi_lo, dphi_lo, phi_hi):
     return min(max(a, inner_lo), inner_hi)
 
 
-def _batch_eval(p_template, cfg: TrainConfig, ocfg: ObjectiveConfig, batch,
-                projs, corrupted):
-    """(objective closure over theta, parts function, gradient function,
-    last) for one mini-batch. The closure keeps its most recent
-    evaluation in last = [theta, value, gradient], so an accepted trial
-    point need not be evaluated twice.
+def _batch_eval(p_template, ocfg: ObjectiveConfig, method: var.VariantConfig,
+                batch, projs, corrupted):
+    """(f, last) for one mini-batch: f(theta) -> (value, packed gradient),
+    with last = [theta, value, gradient, parts] of its most recent call,
+    so an accepted trial point need not be evaluated twice.
     """
-    kind = cfg.method.kind
-
-    def parts_at(p) -> ObjectiveParts:
-        if kind == "auto-jacobin":
-            return objective(p, batch, projs, ocfg)[1]
-        if kind == "autobin":
-            return var.autobin_objective(p, batch, ocfg)[1]
-        if kind == "dautobin":
-            return var.dautobin_objective(p, batch, corrupted, ocfg)[1]
-        if kind == "cautobin":
-            return var.cautobin_objective(p, batch, ocfg, cfg.method.lambda_c)[1]
-        raise ValueError(f"variant {kind!r} is not trained by gradient descent")
-
-    def grad_at(p):
-        if kind == "auto-jacobin":
-            return gradients(p, batch, projs, ocfg)
-        if kind == "autobin":
-            return var.autobin_gradients(p, batch, ocfg)
-        if kind == "dautobin":
-            return var.dautobin_gradients(p, batch, corrupted, ocfg)
-        if kind == "cautobin":
-            return var.cautobin_gradients(p, batch, ocfg, cfg.method.lambda_c)
-        raise ValueError(f"variant {kind!r} is not trained by gradient descent")
-
     last = []
 
     def f(theta):
-        p = unpack_params(theta, p_template)
-        value, grad = parts_at(p).total, pack_gradient(grad_at(p))
-        last[:] = [theta, value, grad]
+        value, parts, grad = objective(
+            unpack_params(theta, p_template), batch, projs, ocfg,
+            lambda_c=method.contraction, corrupted=corrupted)
+        grad = pack_gradient(grad)
+        last[:] = [theta, value, grad, parts]
         return value, grad
 
-    return f, parts_at, grad_at, last
+    return f, last
 
 
 def _lbfgs_direction(g: np.ndarray, pairs) -> np.ndarray:
@@ -337,6 +311,9 @@ def train(X_train: np.ndarray, tangents, cfg: TrainConfig):
         if tangents is None or len(tangents) != N:
             raise ValueError("auto-jacobin needs one tangent basis or projector "
                              "per point")
+    if not cfg.method.trained:
+        raise ValueError(f"variant {cfg.method.kind!r} is not trained by "
+                         "gradient descent")
     rng = np.random.default_rng(cfg.seed)
     params = init_params(X_train, cfg.bits, rng)
     report = TrainReport()
@@ -357,21 +334,17 @@ def train(X_train: np.ndarray, tangents, cfg: TrainConfig):
         perm = rng.permutation(N)
         Xs = X_train[:, perm]
         projs_s = projs[perm] if projs is not None else None
-        if cfg.method.kind == "dautobin":
-            Xc = var.corrupt_mask(Xs, cfg.method.corruption_t, rng)
-        else:
-            Xc = None
+        Xc = cfg.method.corrupt(Xs, rng)
         for j in range(m):
             lo, hi = bounds[j], bounds[j + 1]
             batch = Xs[:, lo:hi]
             bprojs = projs_s[lo:hi] if projs_s is not None else None
             bcorr = Xc[:, lo:hi] if Xc is not None else None
-            f, parts_at, grad_at, last = _batch_eval(
-                params, cfg, ocfg, batch, bprojs, bcorr)
+            f, last = _batch_eval(params, ocfg, cfg.method, batch, bprojs, bcorr)
 
-            parts = parts_at(params)
             theta = pack_params(params)
-            g = pack_gradient(grad_at(params))
+            _, g = f(theta)
+            parts = last[3]
 
             direction = _lbfgs_direction(g, pairs) if pairs else None
             if direction is not None and not float(g @ direction) < 0.0:
@@ -437,8 +410,9 @@ def train(X_train: np.ndarray, tangents, cfg: TrainConfig):
                 stop = True
                 break
         # full-set cost once per epoch, for convergence plots
-        parts_full = _batch_eval(params, cfg, ocfg, Xs, projs_s, Xc)[1]
-        report.epoch_costs.append((epoch + 1, parts_full(params).total))
+        full = objective(params, Xs, projs_s, ocfg,
+                         lambda_c=cfg.method.contraction, corrupted=Xc)[0]
+        report.epoch_costs.append((epoch + 1, full))
         if stop:
             break
 

@@ -1,5 +1,11 @@
-"""Comparison models sharing the same trainer: AutoBin (no Jacobian term),
-DAutoBin (denoising), CAutoBin (contractive), and the LSH baseline.
+"""The trained methods and the LSH baseline.
+
+Every gradient-trained method minimises network.objective; VariantConfig
+maps a method to that function's optional inputs. Auto-JacoBin passes
+tangent projectors (the Jacobian term), AutoBin passes none, CAutoBin
+passes lambda_c (the contractive term), and DAutoBin passes a copy of
+the input corrupted by corrupt_mask. LSH is a random projection and is
+not trained.
 """
 
 from __future__ import annotations
@@ -8,22 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .network import (
-    GradientSet,
-    NetworkParams,
-    ObjectiveConfig,
-    ObjectiveParts,
-    _binary_term,
-    _contractive_term,
-    _recon_term,
-    forward_batch,
-)
+from .network import NetworkParams
 
 KINDS = ("auto-jacobin", "autobin", "dautobin", "cautobin", "lsh")
-
-# search grids reported alongside the variants; other values permitted
-CORRUPTION_GRID = (0.01, 0.05, 0.1, 0.2)
-WEIGHT_GRID = (0.01, 0.1, 1.0, 10.0)
 
 
 @dataclass
@@ -32,7 +25,6 @@ class VariantConfig:
     alpha: float = 0.1
     corruption_t: float = 0.1  # dautobin only
     lambda_c: float = 0.01     # cautobin only
-    seed: int = 0
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -43,33 +35,26 @@ class VariantConfig:
             raise ValueError("lambda_c must be >= 0")
 
     @property
+    def trained(self) -> bool:
+        """Whether the method is trained by minimising network.objective."""
+        return self.kind != "lsh"
+
+    @property
     def needs_tangents(self) -> bool:
+        """Whether the objective takes tangent projectors (Jacobian term)."""
         return self.kind == "auto-jacobin"
 
+    @property
+    def contraction(self) -> float | None:
+        """The objective's lambda_c: the contractive weight, or None."""
+        return self.lambda_c if self.kind == "cautobin" else None
 
-def _n_target(cfg: ObjectiveConfig, n: int) -> int:
-    return cfg.batch_target if cfg.batch_target is not None else n
-
-
-def autobin_objective(p: NetworkParams, batch: np.ndarray, cfg: ObjectiveConfig):
-    """Objective without the Jacobian term: recon + binary constraint."""
-    Y, Z = forward_batch(p, batch)
-    recon, _ = _recon_term(p, batch, batch, Y, Z)
-    binary, _ = _binary_term(p, batch, Y, cfg.alpha, cfg.epsilon,
-                             _n_target(cfg, batch.shape[1]))
-    parts = ObjectiveParts(recon=recon, jacobian=0.0, binary=binary)
-    return parts.total, parts
-
-
-def autobin_gradients(p: NetworkParams, batch: np.ndarray, cfg: ObjectiveConfig) -> GradientSet:
-    Y, Z = forward_batch(p, batch)
-    g = GradientSet.zeros(p)
-    _, gr = _recon_term(p, batch, batch, Y, Z)
-    g += gr
-    _, gb = _binary_term(p, batch, Y, cfg.alpha, cfg.epsilon,
-                         _n_target(cfg, batch.shape[1]))
-    g += gb
-    return g
+    def corrupt(self, X: np.ndarray, rng: np.random.Generator) -> np.ndarray | None:
+        """The objective's corrupted input for the columns X, or None
+        (drawing nothing from rng) for a method without corruption."""
+        if self.kind != "dautobin":
+            return None
+        return corrupt_mask(X, self.corruption_t, rng)
 
 
 def corrupt_mask(x: np.ndarray, t: float, rng: np.random.Generator) -> np.ndarray:
@@ -78,63 +63,6 @@ def corrupt_mask(x: np.ndarray, t: float, rng: np.random.Generator) -> np.ndarra
         raise ValueError("t must lie in [0, 1]")
     r = rng.uniform(0.0, 1.0, size=x.shape)
     return np.where(r <= t, 0.0, x)
-
-
-def dautobin_objective(p: NetworkParams, clean_batch: np.ndarray,
-                       corrupted_batch: np.ndarray, cfg: ObjectiveConfig):
-    """Denoising objective: reconstruct clean x from corrupted input.
-
-    The binary term uses hidden codes of the corrupted input (the only
-    input the network sees).
-    """
-    if clean_batch.shape != corrupted_batch.shape:
-        raise ValueError("clean/corrupted batch shape mismatch")
-    Y, Z = forward_batch(p, corrupted_batch)
-    recon, _ = _recon_term(p, corrupted_batch, clean_batch, Y, Z)
-    binary, _ = _binary_term(p, corrupted_batch, Y, cfg.alpha, cfg.epsilon,
-                             _n_target(cfg, clean_batch.shape[1]))
-    parts = ObjectiveParts(recon=recon, jacobian=0.0, binary=binary)
-    return parts.total, parts
-
-
-def dautobin_gradients(p: NetworkParams, clean_batch: np.ndarray,
-                       corrupted_batch: np.ndarray, cfg: ObjectiveConfig) -> GradientSet:
-    if clean_batch.shape != corrupted_batch.shape:
-        raise ValueError("clean/corrupted batch shape mismatch")
-    Y, Z = forward_batch(p, corrupted_batch)
-    g = GradientSet.zeros(p)
-    _, gr = _recon_term(p, corrupted_batch, clean_batch, Y, Z)
-    g += gr
-    _, gb = _binary_term(p, corrupted_batch, Y, cfg.alpha, cfg.epsilon,
-                         _n_target(cfg, clean_batch.shape[1]))
-    g += gb
-    return g
-
-
-def cautobin_objective(p: NetworkParams, batch: np.ndarray, cfg: ObjectiveConfig,
-                       lambda_c: float):
-    """Contractive objective: adds lambda_c * ||d y / d x||_F^2 per point."""
-    Y, Z = forward_batch(p, batch)
-    recon, _ = _recon_term(p, batch, batch, Y, Z)
-    contract, _ = _contractive_term(p, batch, Y, lambda_c)
-    binary, _ = _binary_term(p, batch, Y, cfg.alpha, cfg.epsilon,
-                             _n_target(cfg, batch.shape[1]))
-    parts = ObjectiveParts(recon=recon, jacobian=contract, binary=binary)
-    return parts.total, parts
-
-
-def cautobin_gradients(p: NetworkParams, batch: np.ndarray, cfg: ObjectiveConfig,
-                       lambda_c: float) -> GradientSet:
-    Y, Z = forward_batch(p, batch)
-    g = GradientSet.zeros(p)
-    _, gr = _recon_term(p, batch, batch, Y, Z)
-    g += gr
-    _, gc = _contractive_term(p, batch, Y, lambda_c)
-    g += gc
-    _, gb = _binary_term(p, batch, Y, cfg.alpha, cfg.epsilon,
-                         _n_target(cfg, batch.shape[1]))
-    g += gb
-    return g
 
 
 def lsh_generate(D: int, d: int, seed: int, scale: float = 1.0) -> NetworkParams:

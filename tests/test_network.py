@@ -8,7 +8,6 @@ from autojacobin.network import (
     forward,
     forward_batch,
     grad_check,
-    gradients,
     jacobian,
     objective,
     pack_gradient,
@@ -95,7 +94,7 @@ def test_jacobian_matches_finite_differences():
 
 def test_objective_alpha_zero_drops_binary():
     p, batch, projs = random_instance(5, 3, 4, seed=4)
-    total, parts = objective(p, batch, projs, ObjectiveConfig(alpha=0.0))
+    total, parts, _ = objective(p, batch, projs, ObjectiveConfig(alpha=0.0))
     assert parts.binary == 0.0
     assert total == pytest.approx(parts.recon + parts.jacobian)
 
@@ -104,7 +103,7 @@ def test_objective_closed_form_at_zero():
     d, D, alpha, eps = 3, 4, 0.1, 1e-4
     p = _zero_params(D, d)
     batch = np.zeros((D, 1))
-    total, parts = objective(p, batch, [np.zeros((D, D))],
+    total, parts, _ = objective(p, batch, [np.zeros((D, D))],
                              ObjectiveConfig(alpha=alpha, epsilon=eps))
     assert parts.recon == 0.0 and parts.jacobian == 0.0
     expect = alpha * (d * np.sqrt(1 + eps) + d * (d - 1) * np.sqrt(eps))
@@ -114,7 +113,7 @@ def test_objective_closed_form_at_zero():
 def test_objective_matches_naive_loop():
     p, batch, projs = random_instance(6, 3, 5, seed=5)
     cfg = ObjectiveConfig(alpha=0.1, epsilon=1e-4)
-    total, _ = objective(p, batch, projs, cfg)
+    total, _, _ = objective(p, batch, projs, cfg)
 
     # independent scalar-loop reference
     ref = 0.0
@@ -138,7 +137,7 @@ def test_jacobian_weight_scales_term_and_gradient():
     assert parts[0.0].jacobian == 0.0
     assert parts[0.25].jacobian == pytest.approx(0.25 * parts[1.0].jacobian, rel=1e-12)
     assert parts[0.25].recon == parts[1.0].recon
-    g = {w: pack_gradient(gradients(p, batch, projs, ObjectiveConfig(jacobian_weight=w)))
+    g = {w: pack_gradient(objective(p, batch, projs, ObjectiveConfig(jacobian_weight=w))[2])
          for w in (0.0, 0.25, 1.0)}
     np.testing.assert_allclose(g[0.25] - g[0.0], 0.25 * (g[1.0] - g[0.0]),
                                rtol=1e-10, atol=1e-12)
@@ -149,7 +148,7 @@ def test_jacobian_weight_scales_term_and_gradient():
 def test_objective_parts_nonnegative_and_sum():
     for seed in range(4):
         p, batch, projs = random_instance(5, 4, 6, seed=seed)
-        total, parts = objective(p, batch, projs, ObjectiveConfig())
+        total, parts, _ = objective(p, batch, projs, ObjectiveConfig())
         assert parts.recon >= 0 and parts.jacobian >= 0 and parts.binary >= 0
         assert total == parts.recon + parts.jacobian + parts.binary
 
@@ -158,8 +157,6 @@ def test_objective_projector_count_mismatch():
     p, batch, projs = random_instance(4, 2, 3, seed=6)
     with pytest.raises(ValueError):
         objective(p, batch, projs[:-1], ObjectiveConfig())
-    with pytest.raises(ValueError):
-        gradients(p, batch, projs[:-1], ObjectiveConfig())
 
 
 def test_smoothed_norm_bounds():
@@ -191,7 +188,7 @@ def test_grad_check_detects_perturbation():
     cfg = ObjectiveConfig()
 
     theta = pack_params(p)
-    analytic = pack_gradient(gradients(p, batch, projs, cfg))
+    analytic = pack_gradient(objective(p, batch, projs, cfg)[2])
     broken = analytic.copy()
     broken[0] += 1e-3
     from autojacobin.network import fd_gradient
@@ -218,15 +215,6 @@ def test_pack_unpack_round_trip():
     np.testing.assert_array_equal(q.b1, p.b1)
     np.testing.assert_array_equal(q.b2, p.b2)
     assert q.scale == p.scale
-
-
-def test_batch_target_overrides_n():
-    p, batch, projs = random_instance(4, 2, 3, seed=12)
-    t5 = objective(p, batch, projs, ObjectiveConfig(batch_target=5))[1].binary
-    t3 = objective(p, batch, projs, ObjectiveConfig(batch_target=3))[1].binary
-    default = objective(p, batch, projs, ObjectiveConfig())[1].binary
-    assert t3 == pytest.approx(default, rel=1e-12)
-    assert t5 != pytest.approx(t3)
 
 
 def test_objective_config_validation():

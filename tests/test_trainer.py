@@ -1,7 +1,10 @@
+import sys
+import warnings
+
 import numpy as np
 import pytest
 
-from autojacobin import synth, tangent, matrix_io
+from autojacobin import network, synth, tangent, matrix_io
 from autojacobin.network import ObjectiveConfig, objective, pack_params
 from autojacobin.trainer import (
     LineSearchError,
@@ -64,6 +67,16 @@ def test_init_params_low_rank_warns():
     X[0] = np.linspace(0, 1, 50)
     with pytest.warns(UserWarning):
         init_params(X, 3, 0)
+
+
+def test_init_params_rejects_more_bits_than_dimensions():
+    # d > D is an error, raised before any rank warning
+    rng = np.random.default_rng(4)
+    X = rng.standard_normal((4, 50))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError):
+            init_params(X, 5, 0)
 
 
 def test_wolfe_on_quadratic():
@@ -172,13 +185,13 @@ def test_train_zero_epochs_returns_init():
 def test_train_cost_decreases_on_toy():
     Xn, projs = _toy_setup()
     cfg = TrainConfig(bits=3, epochs=5, batch_size=20, total_iterations=50, seed=0,
-                      method=VariantConfig(kind="auto-jacobin", seed=0))
+                      method=VariantConfig(kind="auto-jacobin"))
     p, report = train(Xn, projs, cfg)
     assert len(report.cost_trace) == 50
     p0 = init_params(Xn, 3, np.random.default_rng(0))
     ocfg = ObjectiveConfig(alpha=0.1, epsilon=1e-4)
-    f0, _ = objective(p0, Xn, projs, ocfg)
-    f1, _ = objective(p, Xn, projs, ocfg)
+    f0, _, _ = objective(p0, Xn, projs, ocfg)
+    f1, _, _ = objective(p, Xn, projs, ocfg)
     assert f1 < f0
 
 
@@ -214,7 +227,7 @@ def test_train_reaches_autobin_minimum_on_toy():
     X = synth.simplex_points(1000, rng)
     Xn = matrix_io.apply_normalizer(matrix_io.fit_normalizer(X), X)
     cfg = TrainConfig(bits=3, epochs=300, batch_size=1000, seed=0,
-                      method=VariantConfig(kind="autobin", seed=0))
+                      method=VariantConfig(kind="autobin"))
     _, report = train(Xn, None, cfg)
     assert len(report.cost_trace) <= 300
     assert report.epoch_costs[-1][1] < 100.0
@@ -234,7 +247,7 @@ def test_full_batch_run_stops_once_no_step_lowers_the_cost():
     X = synth.simplex_points(30, rng)
     Xn = matrix_io.apply_normalizer(matrix_io.fit_normalizer(X), X)
     cfg = TrainConfig(bits=3, epochs=400, batch_size=30, seed=0,
-                      method=VariantConfig(kind="autobin", seed=0))
+                      method=VariantConfig(kind="autobin"))
     _, report = train(Xn, None, cfg)
     n = len(report.cost_trace)
     assert n < 400
@@ -244,7 +257,7 @@ def test_full_batch_run_stops_once_no_step_lowers_the_cost():
     assert len(full) <= 5
     # mini-batches differ from one iteration to the next: no early stop
     cfg_mb = TrainConfig(bits=3, epochs=60, batch_size=15, seed=0,
-                         method=VariantConfig(kind="autobin", seed=0))
+                         method=VariantConfig(kind="autobin"))
     assert len(train(Xn, None, cfg_mb)[1].cost_trace) == 120
 
 
@@ -258,7 +271,7 @@ def test_train_weights_jacobian_term_by_region_variance():
     bases = tangent.estimate_all_tangents(Xn, 3)
     projs = [tangent.projector(t) for t in bases]
     cfg = TrainConfig(bits=3, epochs=1, batch_size=80, seed=3,
-                      method=VariantConfig(kind="auto-jacobin", seed=3))
+                      method=VariantConfig(kind="auto-jacobin"))
     w = tangent.region_variance(bases)
     row_b = train(Xn, bases, cfg)[1].cost_trace[0]
     row_p = train(Xn, projs, cfg)[1].cost_trace[0]
@@ -274,10 +287,37 @@ def test_train_variants_run():
     Xn, _ = _toy_setup(seed=2, n=120)
     for kind in ("autobin", "dautobin", "cautobin"):
         cfg = TrainConfig(bits=3, epochs=2, batch_size=60, seed=2,
-                          method=VariantConfig(kind=kind, seed=2))
+                          method=VariantConfig(kind=kind))
         p, report = train(Xn, None, cfg)
         assert len(report.cost_trace) == 4
         assert np.all(np.isfinite(p.w1))
+
+
+@pytest.mark.parametrize("kind", ["auto-jacobin", "dautobin"])
+def test_train_runs_one_forward_pass_per_evaluation(monkeypatch, kind):
+    # value and gradient come from one pass: one per iteration start, per
+    # line-search evaluation, per accepted point not already evaluated,
+    # and per epoch cost
+    Xn, projs = _toy_setup(seed=3, n=120)
+    calls = []
+    forward_batch = network.forward_batch
+
+    def counting(p, X):
+        calls.append(X.shape[1])
+        return forward_batch(p, X)
+
+    # every module that bound the function by name
+    for name, mod in list(sys.modules.items()):
+        if (name.startswith("autojacobin")
+                and getattr(mod, "forward_batch", None) is forward_batch):
+            monkeypatch.setattr(mod, "forward_batch", counting)
+    cfg = TrainConfig(bits=3, epochs=3, batch_size=40, seed=3,
+                      method=VariantConfig(kind=kind))
+    _, report = train(Xn, projs if kind == "auto-jacobin" else None, cfg)
+    evals = sum(r.evals for r in report.cost_trace)
+    iterations = len(report.cost_trace)
+    assert iterations == 9 and evals > iterations
+    assert len(calls) <= evals + 2 * iterations + len(report.epoch_costs)
 
 
 def test_train_batch_size_validation():

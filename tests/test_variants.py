@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from autojacobin import variants as var
 from autojacobin.checks import check_gradients, random_instance
 from autojacobin.network import ObjectiveConfig, objective
 from autojacobin.variants import VariantConfig, corrupt_mask, lsh_generate
@@ -21,14 +20,14 @@ def test_variant_config_validation():
 def test_autobin_is_jacobin_minus_jacobian_part():
     p, batch, projs = random_instance(6, 3, 5, seed=0)
     cfg = ObjectiveConfig(alpha=0.1, epsilon=1e-4)
-    full, parts = objective(p, batch, projs, cfg)
-    auto, _ = var.autobin_objective(p, batch, cfg)
+    full, parts, _ = objective(p, batch, projs, cfg)
+    auto = objective(p, batch, None, cfg)[0]
     assert auto == pytest.approx(full - parts.jacobian, rel=1e-12)
 
 
 def test_autobin_alpha_zero_is_plain_autoencoder():
     p, batch, _ = random_instance(5, 3, 4, seed=1)
-    total, parts = var.autobin_objective(p, batch, ObjectiveConfig(alpha=0.0))
+    total, parts, _ = objective(p, batch, None, ObjectiveConfig(alpha=0.0))
     from autojacobin.network import forward_batch
     _, Z = forward_batch(p, batch)
     assert total == pytest.approx(float(np.sum((batch - Z) ** 2)), rel=1e-12)
@@ -55,8 +54,8 @@ def test_corrupt_mask_fraction():
 def test_dautobin_t0_equals_autobin():
     p, batch, _ = random_instance(5, 3, 6, seed=4)
     cfg = ObjectiveConfig(alpha=0.1)
-    a, _ = var.autobin_objective(p, batch, cfg)
-    d, _ = var.dautobin_objective(p, batch, batch.copy(), cfg)
+    a = objective(p, batch, None, cfg)[0]
+    d = objective(p, batch, None, cfg, corrupted=batch.copy())[0]
     assert d == pytest.approx(a, rel=1e-12)
 
 
@@ -67,22 +66,28 @@ def test_dautobin_fully_corrupted_zero_params():
     batch = rng.standard_normal((D, n))
     p = NetworkParams(w1=np.zeros((d, D)), w2=np.zeros((D, d)),
                       b1=np.zeros(d), b2=np.zeros(D))
-    total, parts = var.dautobin_objective(p, batch, np.zeros_like(batch),
-                                          ObjectiveConfig(alpha=0.0))
+    total, parts, _ = objective(p, batch, None, ObjectiveConfig(alpha=0.0),
+                                corrupted=np.zeros_like(batch))
     assert parts.recon == pytest.approx(float(np.sum(batch ** 2)), rel=1e-12)
 
 
 def test_dautobin_shape_mismatch():
     p, batch, _ = random_instance(4, 2, 3, seed=6)
     with pytest.raises(ValueError):
-        var.dautobin_objective(p, batch, batch[:, :-1], ObjectiveConfig())
+        objective(p, batch, None, ObjectiveConfig(), corrupted=batch[:, :-1])
+
+
+def test_objective_rejects_two_middle_terms():
+    p, batch, projs = random_instance(4, 2, 3, seed=9)
+    with pytest.raises(ValueError):
+        objective(p, batch, projs, ObjectiveConfig(), lambda_c=0.01)
 
 
 def test_cautobin_lambda_zero_equals_autobin():
     p, batch, _ = random_instance(5, 3, 4, seed=7)
     cfg = ObjectiveConfig(alpha=0.1)
-    a, _ = var.autobin_objective(p, batch, cfg)
-    c, _ = var.cautobin_objective(p, batch, cfg, 0.0)
+    a = objective(p, batch, None, cfg)[0]
+    c = objective(p, batch, None, cfg, lambda_c=0.0)[0]
     assert c == pytest.approx(a, rel=1e-12)
 
 
@@ -90,7 +95,7 @@ def test_cautobin_contractive_value():
     # ||d y / d x||_F^2 summed over the batch, against an explicit loop
     p, batch, _ = random_instance(4, 3, 5, seed=8)
     lam = 0.01
-    _, parts = var.cautobin_objective(p, batch, ObjectiveConfig(alpha=0.0), lam)
+    _, parts, _ = objective(p, batch, None, ObjectiveConfig(alpha=0.0), lambda_c=lam)
     from autojacobin.network import forward_batch
     Y, _ = forward_batch(p, batch)
     ref = 0.0
