@@ -106,8 +106,13 @@ def cmd_train(args) -> int:
     if report is not None:
         first = report.cost_trace[0].total if report.cost_trace else float("nan")
         last = report.cost_trace[-1].total if report.cost_trace else float("nan")
-        print(f"trained {args.method}: {len(report.cost_trace)} iterations, "
-              f"batch cost {first:.6g} -> {last:.6g}, {report.wall_time:.1f}s")
+        line = (f"trained {args.method}: {len(report.cost_trace)} iterations, "
+                f"batch cost {first:.6g} -> {last:.6g}, {report.wall_time:.1f}s")
+        if report.tangent_ranks:
+            r = report.tangent_ranks
+            line += (f"; tangent rank min/mean/max {min(r)}/{np.mean(r):.1f}/{max(r)}, "
+                     f"Jacobian weight {report.jacobian_weight:.3g}")
+        print(line)
     else:
         print(f"generated {args.method} projection model")
     return 0

@@ -96,6 +96,9 @@ class TrainReport:
     cost_trace: list[TraceRow] = field(default_factory=list)
     epoch_costs: list[tuple[int, float]] = field(default_factory=list)
     wall_time: float = 0.0
+    # set when the Jacobian term is trained; ranks only from TangentBasis input
+    jacobian_weight: float | None = None
+    tangent_ranks: list[int] = field(default_factory=list)
 
 
 def write_trace_csv(path, report: TrainReport) -> None:
@@ -321,6 +324,8 @@ def train(X_train: np.ndarray, tangents, cfg: TrainConfig):
     projs, weight = None, ObjectiveConfig().jacobian_weight
     if cfg.method.needs_tangents:
         projs, weight = _tangent_targets(tangents, D)
+        report.jacobian_weight = weight
+        report.tangent_ranks = [t.rank for t in tangents if isinstance(t, TangentBasis)]
     ocfg = ObjectiveConfig(alpha=cfg.method.alpha, epsilon=cfg.epsilon,
                            jacobian_weight=weight)
     m = N // cfg.batch_size  # trailing remainder joins the last batch

@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from autojacobin import matrix_io
+from autojacobin import matrix_io, tangent
 from autojacobin.cli import main
 
 pytestmark = pytest.mark.filterwarnings(
@@ -60,6 +60,27 @@ def test_train_encode_eval_pipeline(tmp_path):
     summary = (out_dir / "m_recall.csv").read_text().strip().splitlines()
     assert summary[0] == "k,m_recall"
     assert len(summary) == 3
+
+
+def test_train_summary_reports_tangent_ranks_and_weight(tmp_path, capsys):
+    base_path, _ = _write_data(tmp_path, "t.fvecs", n=80, seed=7)
+    assert main(["train", "--input", str(base_path), "--bits", "4",
+                 "--epochs", "1", "--batch", "80", "--iterations", "2",
+                 "--out", str(tmp_path / "t.ajb")]) == 0
+    line = capsys.readouterr().out.strip().splitlines()[-1]
+    Xn = matrix_io.read_fvecs(base_path)
+    Xn = matrix_io.apply_normalizer(matrix_io.fit_normalizer(Xn), Xn)
+    bases = tangent.estimate_all_tangents(Xn, 4)
+    ranks = [t.rank for t in bases]
+    assert line.startswith("trained auto-jacobin: ")
+    assert line.endswith(
+        f"; tangent rank min/mean/max {min(ranks)}/{np.mean(ranks):.1f}/{max(ranks)}, "
+        f"Jacobian weight {tangent.region_variance(bases):.3g}")
+    capsys.readouterr()
+    main(["train", "--input", str(base_path), "--bits", "4", "--method", "autobin",
+          "--epochs", "1", "--batch", "80", "--iterations", "2",
+          "--out", str(tmp_path / "a.ajb")])
+    assert "tangent rank" not in capsys.readouterr().out
 
 
 def test_train_lsh_and_variant_methods(tmp_path):

@@ -5,7 +5,6 @@ from autojacobin import tangent
 from autojacobin.tangent import (
     ProjectionOracle,
     estimate_all_tangents,
-    estimate_tangent,
     knn_bruteforce,
     oracle_jacobian_fd,
     oracle_project,
@@ -50,14 +49,14 @@ def test_estimate_tangent_plane():
     rng = np.random.default_rng(1)
     X = np.zeros((3, 40))
     X[:2] = rng.standard_normal((2, 40))
-    t = estimate_tangent(X, 0, 2)
+    t = estimate_all_tangents(X, 2)[0]
     assert t.rank == 2
     np.testing.assert_allclose(projector(t), np.diag([1.0, 1.0, 0.0]), atol=1e-8)
 
 
 def test_estimate_tangent_degenerate():
     X = np.ones((3, 10))
-    t = estimate_tangent(X, 4, 2)
+    t = estimate_all_tangents(X, 2)[4]
     assert t.degenerate and t.rank == 0
     np.testing.assert_array_equal(projector(t), np.zeros((3, 3)))
 
@@ -71,7 +70,7 @@ def test_estimate_tangent_sphere_orthogonal_to_radius():
         v = m + 1e-2 * rng.standard_normal(3)
         pts.append(v / np.linalg.norm(v))
     X = np.stack(pts, axis=1)
-    t = estimate_tangent(X, 0, 2)
+    t = estimate_all_tangents(X, 2)[0]
     assert t.rank == 2
     # basis directions nearly orthogonal to m
     assert np.max(np.abs(m @ t.basis)) < 1e-2
@@ -96,8 +95,127 @@ def test_tangent_variance_is_neighborhood_variance():
 
 
 def test_estimate_tangent_needs_enough_points():
-    with pytest.raises(ValueError):
-        estimate_tangent(np.zeros((4, 5)), 0, 2)
+    with pytest.raises(ValueError, match="N >= D\\+d = 6"):
+        estimate_all_tangents(np.zeros((4, 5)), 2)
+    with pytest.raises(ValueError, match="d >= 1"):
+        estimate_all_tangents(np.zeros((4, 5)), 0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_estimate_rejects_non_finite_before_any_distance_work(bad, monkeypatch):
+    def no_distances(*args):
+        raise AssertionError("distance work started")
+
+    monkeypatch.setattr(tangent, "_knn_blocks", no_distances)
+    X = np.random.default_rng(7).standard_normal((4, 40))
+    X[2, 17] = bad
+    with pytest.raises(ValueError, match="1 non-finite"):
+        estimate_all_tangents(X, 2)
+
+
+def test_estimate_rejects_norms_that_overflow():
+    X = np.random.default_rng(7).standard_normal((4, 40))
+    X[0, 3] = 1e200
+    with pytest.raises(ValueError, match="overflow"):
+        estimate_all_tangents(X, 2)
+
+
+def _blocked_knn(X, k):
+    return np.vstack([nbr for _, nbr in tangent._knn_blocks(X, k)])
+
+
+def _assert_knn_matches_bruteforce(X, k):
+    got = _blocked_knn(X, k)
+    assert got.shape == (X.shape[1], k)
+    for i in range(X.shape[1]):
+        np.testing.assert_array_equal(got[i], knn_bruteforce(X, i, k), err_msg=f"point {i}")
+
+
+def _planted_ties(rng, D, N, k):
+    """Rounded data where copies of point 4's k-th neighbor, at lower and
+    higher indices, tie with it at the k-th boundary."""
+    X = np.round(rng.standard_normal((D, N)), 1)
+    j = knn_bruteforce(X, 4, k)[k - 1]
+    X[:, [1, N // 2, N - 1]] = X[:, [j]]
+    return X
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_blocked_knn_matches_bruteforce_with_planted_boundary_ties(seed):
+    rng = np.random.default_rng(seed)
+    D, N = 6, 90
+    k = D + 3
+    X = _planted_ties(rng, D, N, k)
+    order = knn_bruteforce(X, 4, N)
+    dist = tangent._sq_dist(X, 4, order)
+    assert dist[k - 1] == dist[k]  # the k-th boundary is tied
+    _assert_knn_matches_bruteforce(X, k)
+
+
+def test_blocked_knn_matches_bruteforce_on_rounded_data():
+    X = np.round(np.random.default_rng(0).standard_normal((16, 300)), 1)
+    for k in (17, 40):
+        _assert_knn_matches_bruteforce(X, k)
+
+
+def test_blocked_knn_matches_bruteforce_far_from_origin():
+    # |x|^2 ~ 8e6 against distances ~ 2e-5: the GEMM form cancels about 12 digits
+    rng = np.random.default_rng(1)
+    X = 1e3 + 1e-3 * rng.standard_normal((8, 120))
+    _assert_knn_matches_bruteforce(X, 12)
+    _assert_knn_matches_bruteforce(np.round(X, 6), 12)
+
+
+def test_blocked_knn_ragged_last_block(monkeypatch):
+    monkeypatch.setattr(tangent, "_BLOCK", 7)
+    X = np.round(np.random.default_rng(2).standard_normal((5, 53)), 1)
+    blocks = list(tangent._knn_blocks(X, 8))
+    assert [lo for lo, _ in blocks] == list(range(0, 53, 7))
+    assert blocks[-1][1].shape == (53 % 7, 8)
+    _assert_knn_matches_bruteforce(X, 8)
+
+
+@pytest.mark.parametrize("k", [1, 2, 37])
+def test_blocked_knn_extreme_k(k):
+    X = np.round(np.random.default_rng(3).standard_normal((4, 37)), 1)
+    X[:, 10] = X[:, 20]  # a duplicate point: k = 1 still returns self first
+    _assert_knn_matches_bruteforce(X, k)
+
+
+def _per_point_tangent(X, i, d):
+    """The one-point-at-a-time local PCA that the blocked path replaced."""
+    D = X.shape[0]
+    order = knn_bruteforce(X, i, D + d)
+    variance = float(np.mean(X[:, order[:D + 1]].var(axis=1)))
+    nbrs = X[:, order]
+    centered = nbrs - nbrs.mean(axis=1, keepdims=True)
+    evals, evecs = np.linalg.eigh(centered @ centered.T / (D + d))
+    evals = np.maximum(evals[::-1], 0.0)
+    if evals.sum() <= 0.0:
+        return np.zeros((D, 0)), variance
+    r = min(int(np.searchsorted(np.cumsum(evals) / evals.sum(),
+                                tangent.ENERGY_FRACTION) + 1), d)
+    return evecs[:, ::-1][:, :r], variance
+
+
+@pytest.mark.parametrize("layout", ["C", "F"])
+def test_batched_pca_equals_per_point_pca_bit_for_bit(layout, monkeypatch):
+    monkeypatch.setattr(tangent, "_BLOCK", 16)
+    rng = np.random.default_rng(4)
+    X = rng.standard_normal((6, 70)) * np.linspace(1.0, 1e-3, 6)[:, None]
+    X[:, 50:] = 0.25  # 20 equal points: degenerate neighborhoods
+    X = np.asfortranarray(X) if layout == "F" else X
+    for i, t in enumerate(estimate_all_tangents(X, 3)):
+        basis, variance = _per_point_tangent(X, i, 3)
+        assert t.point_index == i
+        assert t.degenerate == (basis.shape[1] == 0)
+        assert t.variance == variance
+        np.testing.assert_array_equal(t.basis, basis)
+
+
+def test_blocked_knn_all_points_equal():
+    X = np.ones((3, 10))
+    np.testing.assert_array_equal(_blocked_knn(X, 5), np.tile(np.arange(5), (10, 1)))
 
 
 def test_basis_orthonormal_and_projector_idempotent():
