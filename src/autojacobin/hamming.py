@@ -1,5 +1,5 @@
-"""Binary encoding, packed Hamming retrieval, Euclidean ground truth,
-reranking, and recall metrics.
+"""Binary encoding, packed Hamming retrieval, Euclidean ground truth
+(from neighbors.knn), and recall metrics.
 
 Codes are bit-packed LSB-first: bit j of a point lives in byte j//8 at
 bit position j%8; a set bit means +1. All ties (equal Hamming or
@@ -12,6 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+
+from .neighbors import knn
 
 _POPCOUNT = np.array([bin(v).count("1") for v in range(256)], dtype=np.uint8)
 
@@ -70,30 +72,7 @@ def hamming_topk(base: BinaryCodes, q: np.ndarray, i: int) -> np.ndarray:
 
 def euclid_topk(base: np.ndarray, q: np.ndarray, k: int) -> np.ndarray:
     """Exact k nearest base columns to q; ties by ascending index."""
-    N = base.shape[1]
-    if not 1 <= k <= N:
-        raise ValueError(f"k={k} out of range for N={N}")
-    diff = base - np.asarray(q)[:, None]
-    d = np.einsum("dj,dj->j", diff, diff)
-    return np.argsort(d, kind="stable")[:k]
-
-
-def rerank(base: np.ndarray, candidates: np.ndarray, q: np.ndarray, k: int) -> np.ndarray:
-    """The k candidates nearest to q in Euclidean distance, best first."""
-    candidates = np.asarray(candidates)
-    if k > candidates.size:
-        raise ValueError(f"k={k} exceeds {candidates.size} candidates")
-    diff = base[:, candidates] - np.asarray(q)[:, None]
-    d = np.einsum("dj,dj->j", diff, diff)
-    return candidates[np.argsort(d, kind="stable")[:k]]
-
-
-def recall_at(TE: np.ndarray, TH_i: np.ndarray) -> float:
-    """|TE intersect TH_i| / |TE|."""
-    TE = np.asarray(TE)
-    if TE.size == 0:
-        raise ValueError("empty ground-truth row")
-    return len(np.intersect1d(TE, TH_i)) / TE.size
+    return knn(base, np.asarray(q)[:, None], k)[0]
 
 
 @dataclass
@@ -140,5 +119,4 @@ def m_recall(curve: RecallCurve) -> float:
 
 def build_groundtruth(base: np.ndarray, queries: np.ndarray, k: int) -> np.ndarray:
     """(Q, k) true Euclidean nearest base indices per query column."""
-    return np.stack([euclid_topk(base, queries[:, j], k)
-                     for j in range(queries.shape[1])]).astype(np.uint32)
+    return knn(base, queries, k).astype(np.uint32)

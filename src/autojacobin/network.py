@@ -179,7 +179,7 @@ def _jacobian_term(p, Xin, Y, Z, projectors, weight):
     total = GradientSet.zeros(p)
     for lo in range(0, n, _JAC_CHUNK):
         hi = min(lo + _JAC_CHUNK, n)
-        A3 = np.stack([np.asarray(projectors[i]) for i in range(lo, hi)])
+        A3 = np.asarray(projectors[lo:hi])
         Xc = Xin[:, lo:hi]
         Yc, Zc = Y[:, lo:hi], Z[:, lo:hi]
         At = (1.0 - Yc * Yc).T  # (c, d)

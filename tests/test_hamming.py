@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from autojacobin import hamming
+from autojacobin import hamming, neighbors
 from autojacobin.hamming import (
     BinaryCodes,
     build_groundtruth,
@@ -10,9 +10,7 @@ from autojacobin.hamming import (
     hamming_topk,
     m_recall,
     pack_bits,
-    recall_at,
     recall_curve,
-    rerank,
     unpack_bits,
 )
 from autojacobin.network import NetworkParams
@@ -140,28 +138,6 @@ def test_euclid_topk_self_first_and_oracle():
                                   np.argsort(d, kind="stable")[:40])
 
 
-def test_rerank_subset_and_degenerate():
-    rng = np.random.default_rng(7)
-    base = rng.standard_normal((8, 100))
-    q = rng.standard_normal(8)
-    cands = rng.choice(100, size=30, replace=False)
-    out = rerank(base, cands, q, 10)
-    assert set(out) <= set(cands)
-    # candidates = everything reduces to euclid_topk
-    np.testing.assert_array_equal(rerank(base, np.arange(100), q, 5),
-                                  euclid_topk(base, q, 5))
-    with pytest.raises(ValueError):
-        rerank(base, cands, q, 31)
-
-
-def test_recall_at_basics():
-    assert recall_at(np.array([1, 2]), np.array([2, 1, 5])) == 1.0
-    assert recall_at(np.array([1, 2]), np.array([3, 4])) == 0.0
-    assert recall_at(np.array([1, 2, 3, 4]), np.array([2, 4])) == 0.5
-    with pytest.raises(ValueError):
-        recall_at(np.array([]), np.array([1]))
-
-
 def test_recall_curve_perfect_codes():
     # base codes equal to the query's code ordering by Euclidean rank:
     # one query whose Hamming order equals the true order
@@ -217,3 +193,31 @@ def test_build_groundtruth_rows_sorted_by_distance():
         d = np.sum((base[:, gt[j]] - queries[:, [j]]) ** 2, axis=0)
         assert np.all(np.diff(d) >= -1e-12)
         assert len(set(gt[j].tolist())) == 6
+
+
+@pytest.mark.parametrize("where", ["base", "queries"])
+def test_retrieval_rejects_non_finite_before_any_distance_work(where, monkeypatch):
+    def no_distances(*args):
+        raise AssertionError("distance work started")
+
+    monkeypatch.setattr(neighbors, "_knn_block", no_distances)
+    rng = np.random.default_rng(0)
+    base = rng.standard_normal((4, 50))
+    queries = rng.standard_normal((4, 6))
+    (base if where == "base" else queries)[1, 3] = np.nan
+    with pytest.raises(ValueError, match=f"{where} has 1 non-finite"):
+        build_groundtruth(base, queries, 5)
+    with pytest.raises(ValueError, match=f"{where} has 1 non-finite"):
+        euclid_topk(base, queries[:, 3], 5)
+
+
+def test_retrieval_rejects_norms_that_overflow_and_mismatched_dimensions():
+    rng = np.random.default_rng(0)
+    base = rng.standard_normal((4, 50))
+    base[2, 7] = 1e200
+    with pytest.raises(ValueError, match="overflow"):
+        build_groundtruth(base, rng.standard_normal((4, 6)), 5)
+    with pytest.raises(ValueError, match="overflow"):
+        euclid_topk(base, rng.standard_normal(4), 5)
+    with pytest.raises(ValueError, match="queries have 3 dimensions, base 4"):
+        build_groundtruth(rng.standard_normal((4, 50)), rng.standard_normal((3, 6)), 5)

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from autojacobin import tangent
+from autojacobin import neighbors, tangent
+from autojacobin.neighbors import knn, knn_bruteforce
 from autojacobin.tangent import (
     ProjectionOracle,
     estimate_all_tangents,
-    knn_bruteforce,
     oracle_jacobian_fd,
     oracle_project,
     oracle_tangent_projector,
@@ -16,13 +16,13 @@ from autojacobin.tangent import (
 
 def test_knn_collinear():
     X = np.array([[0.0, 1.0, 3.0]])
-    np.testing.assert_array_equal(knn_bruteforce(X, 0, 2), [0, 1])
+    np.testing.assert_array_equal(knn_bruteforce(X, X[:, 0], 2), [0, 1])
 
 
 def test_knn_duplicates_self_first():
     X = np.zeros((2, 4))
-    assert knn_bruteforce(X, 2, 1)[0] == 0  # all tied, ascending index wins
-    order = knn_bruteforce(X, 2, 4)
+    assert knn_bruteforce(X, X[:, 2], 1)[0] == 0  # all tied, ascending index wins
+    order = knn_bruteforce(X, X[:, 2], 4)
     np.testing.assert_array_equal(order, [0, 1, 2, 3])
 
 
@@ -33,15 +33,15 @@ def test_knn_matches_full_sort_oracle():
         d = np.sum((X - X[:, [i]]) ** 2, axis=0)
         full = np.argsort(d, kind="stable")
         for k in (1, 5, 50):
-            np.testing.assert_array_equal(knn_bruteforce(X, i, k), full[:k])
+            np.testing.assert_array_equal(knn_bruteforce(X, X[:, i], k), full[:k])
 
 
 def test_knn_bad_k():
     X = np.zeros((2, 3))
     with pytest.raises(ValueError):
-        knn_bruteforce(X, 0, 4)
+        knn_bruteforce(X, X[:, 0], 4)
     with pytest.raises(ValueError):
-        knn_bruteforce(X, 0, 0)
+        knn_bruteforce(X, X[:, 0], 0)
 
 
 def test_estimate_tangent_plane():
@@ -81,7 +81,7 @@ def test_tangent_variance_is_neighborhood_variance():
     X = rng.standard_normal((4, 40))
     tbs = estimate_all_tangents(X, 2)
     for i in (0, 17, 39):
-        nbrs = X[:, knn_bruteforce(X, i, 5)]  # the D+1 nearest points
+        nbrs = X[:, knn_bruteforce(X, X[:, i], 5)]  # the D+1 nearest points
         expect = float(np.mean(nbrs.var(axis=1)))  # per-coordinate variance
         assert tbs[i].variance == pytest.approx(expect, rel=1e-12)
     assert region_variance(tbs) == pytest.approx(
@@ -106,7 +106,7 @@ def test_estimate_rejects_non_finite_before_any_distance_work(bad, monkeypatch):
     def no_distances(*args):
         raise AssertionError("distance work started")
 
-    monkeypatch.setattr(tangent, "_knn_blocks", no_distances)
+    monkeypatch.setattr(neighbors, "_knn_block", no_distances)
     X = np.random.default_rng(7).standard_normal((4, 40))
     X[2, 17] = bad
     with pytest.raises(ValueError, match="1 non-finite"):
@@ -120,22 +120,20 @@ def test_estimate_rejects_norms_that_overflow():
         estimate_all_tangents(X, 2)
 
 
-def _blocked_knn(X, k):
-    return np.vstack([nbr for _, nbr in tangent._knn_blocks(X, k)])
-
-
-def _assert_knn_matches_bruteforce(X, k):
-    got = _blocked_knn(X, k)
-    assert got.shape == (X.shape[1], k)
-    for i in range(X.shape[1]):
-        np.testing.assert_array_equal(got[i], knn_bruteforce(X, i, k), err_msg=f"point {i}")
+def _assert_knn_matches_bruteforce(X, k, queries=None):
+    queries = X if queries is None else queries
+    got = knn(X, queries, k)
+    assert got.shape == (queries.shape[1], k)
+    for i in range(queries.shape[1]):
+        np.testing.assert_array_equal(got[i], knn_bruteforce(X, queries[:, i], k),
+                                      err_msg=f"query {i}")
 
 
 def _planted_ties(rng, D, N, k):
     """Rounded data where copies of point 4's k-th neighbor, at lower and
     higher indices, tie with it at the k-th boundary."""
     X = np.round(rng.standard_normal((D, N)), 1)
-    j = knn_bruteforce(X, 4, k)[k - 1]
+    j = knn_bruteforce(X, X[:, 4], k)[k - 1]
     X[:, [1, N // 2, N - 1]] = X[:, [j]]
     return X
 
@@ -146,8 +144,8 @@ def test_blocked_knn_matches_bruteforce_with_planted_boundary_ties(seed):
     D, N = 6, 90
     k = D + 3
     X = _planted_ties(rng, D, N, k)
-    order = knn_bruteforce(X, 4, N)
-    dist = tangent._sq_dist(X, 4, order)
+    order = knn_bruteforce(X, X[:, 4], N)
+    dist = neighbors._sq_dist(X, X[:, 4], order)
     assert dist[k - 1] == dist[k]  # the k-th boundary is tied
     _assert_knn_matches_bruteforce(X, k)
 
@@ -166,13 +164,25 @@ def test_blocked_knn_matches_bruteforce_far_from_origin():
     _assert_knn_matches_bruteforce(np.round(X, 6), 12)
 
 
+def _spy_blocks(monkeypatch):
+    """Record the number of queries in each block knn computes."""
+    sizes = []
+    block = neighbors._knn_block
+
+    def spy(base, sq, queries, *args):
+        sizes.append(queries.shape[1])
+        return block(base, sq, queries, *args)
+
+    monkeypatch.setattr(neighbors, "_knn_block", spy)
+    return sizes
+
+
 def test_blocked_knn_ragged_last_block(monkeypatch):
-    monkeypatch.setattr(tangent, "_BLOCK", 7)
+    monkeypatch.setattr(neighbors, "_BLOCK", 7)
+    sizes = _spy_blocks(monkeypatch)
     X = np.round(np.random.default_rng(2).standard_normal((5, 53)), 1)
-    blocks = list(tangent._knn_blocks(X, 8))
-    assert [lo for lo, _ in blocks] == list(range(0, 53, 7))
-    assert blocks[-1][1].shape == (53 % 7, 8)
     _assert_knn_matches_bruteforce(X, 8)
+    assert sizes == [7] * (53 // 7) + [53 % 7]
 
 
 @pytest.mark.parametrize("k", [1, 2, 37])
@@ -182,10 +192,73 @@ def test_blocked_knn_extreme_k(k):
     _assert_knn_matches_bruteforce(X, k)
 
 
+# queries that are not the base, as in ground truth
+
+
+def _planted_query_ties(rng, D, N, k):
+    """Rounded base and queries where copies of query 0's k-th nearest base
+    point, at lower and higher indices, tie with it at the k-th boundary."""
+    base = np.round(rng.standard_normal((D, N)), 1)
+    queries = np.round(rng.standard_normal((D, 9)), 1)
+    j = knn_bruteforce(base, queries[:, 0], k)[k - 1]
+    base[:, [1, N // 2, N - 1]] = base[:, [j]]
+    return base, queries
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_knn_queries_match_bruteforce_with_planted_boundary_ties(seed):
+    rng = np.random.default_rng(seed)
+    k = 7
+    base, queries = _planted_query_ties(rng, 6, 90, k)
+    dist = neighbors._sq_dist(base, queries[:, 0], knn_bruteforce(base, queries[:, 0], 90))
+    assert dist[k - 1] == dist[k]  # the k-th boundary is tied
+    _assert_knn_matches_bruteforce(base, k, queries)
+
+
+def test_knn_queries_match_bruteforce_far_from_origin():
+    rng = np.random.default_rng(5)
+    base = 1e3 + 1e-3 * rng.standard_normal((8, 120))
+    queries = 1e3 + 1e-3 * rng.standard_normal((8, 30))
+    _assert_knn_matches_bruteforce(base, 12, queries)
+    _assert_knn_matches_bruteforce(np.round(base, 6), 12, np.round(queries, 6))
+
+
+@pytest.mark.parametrize("k", [1, 41])
+def test_knn_queries_extreme_k(k):
+    rng = np.random.default_rng(6)
+    base = np.round(rng.standard_normal((4, 41)), 1)
+    base[:, 30] = base[:, 12]
+    queries = np.round(rng.standard_normal((4, 11)), 1)
+    queries[:, 5] = base[:, 30]  # its nearest points tie at distance 0
+    _assert_knn_matches_bruteforce(base, k, queries)
+    assert knn(base, queries, k)[5, 0] == 12
+
+
+def test_knn_queries_ragged_last_block_from_byte_budget(monkeypatch):
+    N = 50
+    monkeypatch.setattr(neighbors, "_BLOCK_BYTES", 6 * 8 * N)  # 6 queries per block
+    sizes = _spy_blocks(monkeypatch)
+    rng = np.random.default_rng(7)
+    base = np.round(rng.standard_normal((5, N)), 1)
+    queries = np.round(rng.standard_normal((5, 27)), 1)
+    _assert_knn_matches_bruteforce(base, 8, queries)
+    assert sizes == [6, 6, 6, 6, 3]
+
+
+def test_knn_block_rows_follow_byte_budget(monkeypatch):
+    # 64 queries per block at most, and 2 MiB of distances: 8 rows at N = 30k
+    sizes = _spy_blocks(monkeypatch)
+    rng = np.random.default_rng(8)
+    for N, Q in ((2000, 70), (30000, 20)):
+        base = rng.standard_normal((2, N))
+        knn(base, rng.standard_normal((2, Q)), 1)
+    assert sizes == [64, 6, 8, 8, 4]
+
+
 def _per_point_tangent(X, i, d):
     """The one-point-at-a-time local PCA that the blocked path replaced."""
     D = X.shape[0]
-    order = knn_bruteforce(X, i, D + d)
+    order = knn_bruteforce(X, X[:, i], D + d)
     variance = float(np.mean(X[:, order[:D + 1]].var(axis=1)))
     nbrs = X[:, order]
     centered = nbrs - nbrs.mean(axis=1, keepdims=True)
@@ -213,9 +286,22 @@ def test_batched_pca_equals_per_point_pca_bit_for_bit(layout, monkeypatch):
         np.testing.assert_array_equal(t.basis, basis)
 
 
+def test_equal_points_are_degenerate_whatever_their_value():
+    # the mean of 21 copies of a random column does not round back to it
+    X = np.random.default_rng(0).standard_normal((6, 70))
+    X[:, 50:] = X[:, [0]]
+    tbs = estimate_all_tangents(X, 3)
+    equal = [0] + list(range(50, 70))
+    for i, t in enumerate(tbs):
+        assert t.degenerate == (i in equal), f"point {i}"
+    for i in equal:
+        assert tbs[i].rank == 0 and tbs[i].variance == 0.0
+        np.testing.assert_array_equal(projector(tbs[i]), np.zeros((6, 6)))
+
+
 def test_blocked_knn_all_points_equal():
     X = np.ones((3, 10))
-    np.testing.assert_array_equal(_blocked_knn(X, 5), np.tile(np.arange(5), (10, 1)))
+    np.testing.assert_array_equal(knn(X, X, 5), np.tile(np.arange(5), (10, 1)))
 
 
 def test_basis_orthonormal_and_projector_idempotent():
