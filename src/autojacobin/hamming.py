@@ -2,20 +2,27 @@
 (from neighbors.knn), and recall metrics.
 
 Codes are bit-packed LSB-first: bit j of a point lives in byte j//8 at
-bit position j%8; a set bit means +1. All ties (equal Hamming or
-Euclidean distance) break by ascending index so results are
-reproducible.
+bit position j%8; a set bit means +1, and the padding bits after the
+last code bit are zero. All ties (equal Hamming or Euclidean distance)
+break by ascending index so results are reproducible.
+
+A Hamming scan XORs each base code with the query a machine word at a
+time (the widest unsigned word that divides the code's byte count) and
+counts the set bits with np.bitwise_count. Distances come back in the
+narrowest unsigned type that holds the bit count: uint8 up to 255 bits,
+uint16 up to 65535. Ranks are a stable argsort of those distances, which
+numpy runs as a radix sort on 8- and 16-bit keys, so equal distances
+keep ascending index order.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .neighbors import knn
-
-_POPCOUNT = np.array([bin(v).count("1") for v in range(256)], dtype=np.uint8)
 
 
 @dataclass
@@ -26,19 +33,29 @@ class BinaryCodes:
 
     def __post_init__(self):
         nbytes = (self.bits + 7) // 8
+        if self.packed.dtype != np.uint8:
+            raise ValueError(f"packed dtype {self.packed.dtype}, expected uint8")
         if self.packed.shape != (self.count, nbytes):
             raise ValueError(f"packed shape {self.packed.shape}, expected "
                              f"({self.count}, {nbytes})")
+        padded = _padded(self.packed, self.bits)
+        if padded.size:
+            raise ValueError(f"point {padded[0]} has padding bits set "
+                             f"after bit {self.bits}")
+        self.packed = np.ascontiguousarray(self.packed)
+
+
+def _padded(packed: np.ndarray, bits: int) -> np.ndarray:
+    """Indices of the rows with a bit set after bit `bits` ([0] if a
+    single row has one)."""
+    if bits % 8 == 0:
+        return np.empty(0, dtype=np.intp)
+    return np.flatnonzero(packed[..., -1] >> (bits % 8))
 
 
 def pack_bits(signs: np.ndarray) -> np.ndarray:
     """Pack a boolean (N, d) sign matrix (True = +1) LSB-first per byte."""
     return np.packbits(signs.astype(np.uint8), axis=1, bitorder="little")
-
-
-def unpack_bits(packed: np.ndarray, bits: int) -> np.ndarray:
-    """Inverse of pack_bits; returns a boolean (N, bits) matrix."""
-    return np.unpackbits(packed, axis=1, bitorder="little")[:, :bits].astype(bool)
 
 
 def encode(p, X: np.ndarray, use_bias: bool = False) -> BinaryCodes:
@@ -56,10 +73,27 @@ def encode(p, X: np.ndarray, use_bias: bool = False) -> BinaryCodes:
     return BinaryCodes(bits=p.w1.shape[0], count=X.shape[1], packed=pack_bits(signs))
 
 
+def _words(packed: np.ndarray) -> np.ndarray:
+    """Packed rows viewed as the widest unsigned words that divide them."""
+    return packed.view(f"u{math.gcd(packed.shape[-1], 8)}")
+
+
 def hamming_distances(base: BinaryCodes, q: np.ndarray) -> np.ndarray:
-    """Hamming distance from one packed query row to every base code."""
-    xor = np.bitwise_xor(base.packed, q[None, :])
-    return _POPCOUNT[xor].sum(axis=1).astype(np.int64)
+    """Hamming distance from one packed query row to every base code.
+
+    uint8 up to 255 bits, uint16 up to 65535, uint32 above.
+    """
+    q = np.asarray(q)
+    if q.dtype != np.uint8 or q.shape != base.packed.shape[1:]:
+        raise ValueError(f"query is {q.dtype} {q.shape}, expected uint8 "
+                         f"{base.packed.shape[1:]}")
+    if _padded(q, base.bits).size:
+        raise ValueError(f"query has padding bits set after bit {base.bits}")
+    words, qwords = _words(base.packed), _words(np.ascontiguousarray(q))
+    dist = np.zeros(base.count, dtype=np.min_scalar_type(base.bits))
+    for c in range(words.shape[1]):  # column by column: sum(axis=1) is slow
+        dist += np.bitwise_count(words[:, c] ^ qwords[c])
+    return dist
 
 
 def hamming_topk(base: BinaryCodes, q: np.ndarray, i: int) -> np.ndarray:
@@ -98,15 +132,18 @@ def recall_curve(gt: np.ndarray, base_codes: BinaryCodes, query_codes: BinaryCod
         raise ValueError(f"K={K} exceeds base size {base_codes.count}")
     gt = np.asarray(gt)
     Q, k = gt.shape
-    hits = np.zeros(K)
+    # rank[i] is point i's Hamming rank if below K, else K; only the first
+    # K of each query's order are written, and reset after use
+    rank = np.full(base_codes.count, K)
+    first = np.arange(K)
+    gt_rank = np.empty((Q, k), dtype=rank.dtype)
     for j in range(Q):
         order = np.argsort(hamming_distances(base_codes, query_codes.packed[j]),
-                           kind="stable")
-        rank = np.empty(base_codes.count, dtype=np.int64)
-        rank[order] = np.arange(base_codes.count)
-        pos = rank[gt[j]]
-        pos = pos[pos < K]
-        hits += np.cumsum(np.bincount(pos, minlength=K))
+                           kind="stable")[:K]
+        rank[order] = first
+        gt_rank[j] = rank[gt[j]]
+        rank[order] = K
+    hits = np.cumsum(np.bincount(gt_rank[gt_rank < K], minlength=K))
     return RecallCurve(values=hits / (Q * k), k=k, K=K)
 
 

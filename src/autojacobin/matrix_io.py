@@ -9,9 +9,8 @@ order maps to column order. Formats:
   .ajb:  magic "AJBN", uint32 version=1, uint32 D, uint32 d, float64 scale,
          row-major float64 LE blocks W1 (d x D), W2 (D x d), b1 (d), b2 (D)
   .ajbc: magic "AJBC", uint32 bits, uint64 N, per point ceil(bits/8) bytes,
-         bit j at byte j//8 position j%8 (LSB-first), 1 means +1
-  .ajbt: magic "AJBT", uint32 D, uint32 d, uint32 N, per point uint32 r
-         followed by D x r float64 column-major basis
+         bit j at byte j//8 position j%8 (LSB-first), 1 means +1, padding
+         bits after bit `bits` zero
   .ajbg: magic "AJBG", uint32 k, uint32 Q, per query k uint32 indices
 """
 
@@ -40,41 +39,62 @@ def _check_matrix(X: np.ndarray) -> np.ndarray:
     return X
 
 
-def _read_records(path, payload_dtype, payload_itemsize):
-    raw = open(path, "rb").read()
-    if not raw:
+def _read_records(path, payload_dtype):
+    """Parse a file of [int32 dim][dim payload values] records in one pass.
+
+    The file is read once and reshaped to one row per record; the headers
+    are checked together and the payloads, viewed in place, are widened
+    into the (D, N) float64 result. A file that does not split into equal
+    records is walked record by record to name its first fault.
+    """
+    raw = np.fromfile(path, dtype=np.uint8)
+    if not raw.size:
         return np.zeros((0, 0))
-    columns = []
+    dim = int(raw[:4].view("<i4")[0]) if raw.size >= 4 else 0
+    record = 4 + dim * payload_dtype.itemsize
+    if dim <= 0 or raw.size % record:
+        raise _first_fault(path, raw, payload_dtype.itemsize)
+    records = raw.reshape(-1, record)
+    if np.any(records[:, :4].view("<i4") != dim):
+        raise _first_fault(path, raw, payload_dtype.itemsize)
+    X = np.empty((dim, records.shape[0]))
+    X[...] = records[:, 4:].view(payload_dtype).T
+    return _check_matrix(X)
+
+
+def _first_fault(path, raw, payload_itemsize) -> FormatError:
+    """The error for the first record of raw that breaks the layout.
+
+    Only called on a file that is not whole records of one dimension, so
+    the walk always stops at a fault.
+    """
     dim = None
     off = 0
-    while off < len(raw):
+    while True:
         if off + 4 > len(raw):
-            raise FormatError(f"{path}: truncated dimension header at byte {off}")
+            return FormatError(f"{path}: truncated dimension header at byte {off}")
         (d,) = struct.unpack_from("<i", raw, off)
         if d <= 0:
-            raise FormatError(f"{path}: non-positive record dim {d}")
+            return FormatError(f"{path}: non-positive record dim {d}")
         if dim is None:
             dim = d
         elif d != dim:
-            raise FormatError(f"{path}: inconsistent dims {dim} vs {d}")
+            return FormatError(f"{path}: inconsistent dims {dim} vs {d}")
         off += 4
         nbytes = d * payload_itemsize
         if off + nbytes > len(raw):
-            raise FormatError(f"{path}: truncated record payload at byte {off}")
-        columns.append(np.frombuffer(raw, dtype=payload_dtype, count=d, offset=off))
+            return FormatError(f"{path}: truncated record payload at byte {off}")
         off += nbytes
-    X = np.stack(columns, axis=1).astype(np.float64)
-    return _check_matrix(X)
 
 
 def read_fvecs(path) -> np.ndarray:
     """Read an fvecs file into a (D, N) float64 matrix."""
-    return _read_records(path, np.dtype("<f4"), 4)
+    return _read_records(path, np.dtype("<f4"))
 
 
 def read_bvecs(path) -> np.ndarray:
     """Read a bvecs file; bytes are widened to float64 in [0, 255]."""
-    return _read_records(path, np.uint8, 1)
+    return _read_records(path, np.dtype(np.uint8))
 
 
 def write_fvecs(path, X: np.ndarray) -> None:
@@ -220,40 +240,10 @@ def read_codes(path):
     if len(raw) != expect:
         raise FormatError(f"{path}: codes size {len(raw)}, expected {expect}")
     packed = np.frombuffer(raw, dtype=np.uint8, offset=16).copy().reshape(count, nbytes)
-    return BinaryCodes(bits=bits, count=count, packed=packed)
-
-
-# --- tangent cache (.ajbt) ---
-
-_AJBT_MAGIC = b"AJBT"
-
-
-def write_tangents(path, D: int, d: int, bases) -> None:
-    with open(path, "wb") as f:
-        f.write(_AJBT_MAGIC)
-        f.write(struct.pack("<III", D, d, len(bases)))
-        for T in bases:
-            r = 0 if T.size == 0 else T.shape[1]
-            f.write(struct.pack("<I", r))
-            f.write(np.asfortranarray(T.reshape(D, r), dtype="<f8").tobytes(order="F"))
-
-
-def read_tangents(path):
-    raw = open(path, "rb").read()
-    if raw[:4] != _AJBT_MAGIC:
-        raise FormatError(f"{path}: bad tangent magic {raw[:4]!r}")
-    D, d, N = struct.unpack_from("<III", raw, 4)
-    off = 16
-    bases = []
-    for _ in range(N):
-        (r,) = struct.unpack_from("<I", raw, off)
-        off += 4
-        a = np.frombuffer(raw, dtype="<f8", count=D * r, offset=off).copy()
-        off += 8 * D * r
-        bases.append(a.reshape((D, r), order="F"))
-    if off != len(raw):
-        raise FormatError(f"{path}: trailing bytes in tangent cache")
-    return D, d, bases
+    try:
+        return BinaryCodes(bits=bits, count=count, packed=packed)
+    except ValueError as e:  # set padding bits would count as distance
+        raise FormatError(f"{path}: {e}") from None
 
 
 # --- ground truth (.ajbg) ---

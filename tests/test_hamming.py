@@ -7,13 +7,18 @@ from autojacobin.hamming import (
     build_groundtruth,
     encode,
     euclid_topk,
+    hamming_distances,
     hamming_topk,
     m_recall,
     pack_bits,
     recall_curve,
-    unpack_bits,
 )
 from autojacobin.network import NetworkParams
+
+
+def unpack_bits(packed, bits):
+    """Inverse of pack_bits: a boolean (N, bits) matrix."""
+    return np.unpackbits(packed, axis=1, bitorder="little")[:, :bits].astype(bool)
 
 
 def _random_codes(rng, n, bits):
@@ -36,6 +41,17 @@ def test_pack_unpack_round_trip():
 def test_packed_shape_validated():
     with pytest.raises(ValueError):
         BinaryCodes(bits=9, count=4, packed=np.zeros((4, 1), dtype=np.uint8))
+
+
+def test_packed_must_be_uint8_with_zero_padding():
+    with pytest.raises(ValueError, match="dtype int64, expected uint8"):
+        BinaryCodes(bits=64, count=3, packed=np.zeros((3, 8), dtype=np.int64))
+    packed = np.zeros((4, 2), dtype=np.uint8)
+    packed[2, 1] = 0b1000_0000  # bit 15 of an 11-bit code
+    with pytest.raises(ValueError, match="point 2 has padding bits set after bit 11"):
+        BinaryCodes(bits=11, count=4, packed=packed)
+    packed[2, 1] = 0b0000_0100  # bit 10: a code bit
+    BinaryCodes(bits=11, count=4, packed=packed)
 
 
 def test_encode_identity_projection():
@@ -121,6 +137,89 @@ def test_hamming_topk_matches_naive_oracle_with_ties():
         full = np.argsort(d, kind="stable")
         for i in (1, 10, 100):
             np.testing.assert_array_equal(hamming_topk(codes, q, i), full[:i])
+
+
+def _reference_recall_curve(gt, base_codes, query_codes, K):
+    """Mean Recall@1..K from a full stable argsort per query, as recall_curve
+    computed it with the lookup-table popcount (int64 distances)."""
+    Q, k = gt.shape
+    hits = np.zeros(K)
+    for j in range(Q):
+        order = np.argsort(_naive_hamming(base_codes.packed, query_codes.packed[j],
+                                          base_codes.bits), kind="stable")
+        rank = np.empty(base_codes.count, dtype=np.int64)
+        rank[order] = np.arange(base_codes.count)
+        pos = rank[gt[j]]
+        pos = pos[pos < K]
+        hits += np.cumsum(np.bincount(pos, minlength=K))
+    return hits / (Q * k)
+
+
+def _planted_ties(rng, n, bits, n_query):
+    """Random base and query codes with duplicate base rows, queries equal
+    to a duplicated row, and one base row that is a query's complement."""
+    base = rng.integers(0, 2, size=(n, bits)).astype(bool)
+    base[10:30] = base[3]           # 21 codes at distance 0 from query 0
+    base[40:45] = base[50]
+    queries = rng.integers(0, 2, size=(n_query, bits)).astype(bool)
+    queries[0] = base[3]
+    queries[1] = base[50]
+    base[60] = ~queries[2]          # distance `bits`: the uint16 path at 300
+    return (BinaryCodes(bits=bits, count=n, packed=pack_bits(base)),
+            BinaryCodes(bits=bits, count=n_query, packed=pack_bits(queries)))
+
+
+RANKING_BITS = (1, 7, 11, 32, 37, 64, 72, 128, 300)
+
+
+@pytest.mark.parametrize("bits", RANKING_BITS)
+def test_hamming_distances_match_unpacked_oracle(bits):
+    rng = np.random.default_rng(bits)
+    base, queries = _planted_ties(rng, 120, bits, 6)
+    for j in range(queries.count):
+        d = hamming_distances(base, queries.packed[j])
+        assert d.dtype == (np.uint8 if bits <= 255 else np.uint16)
+        assert d.shape == (base.count,)
+        np.testing.assert_array_equal(
+            d, _naive_hamming(base.packed, queries.packed[j], bits))
+    assert hamming_distances(base, queries.packed[2])[60] == bits
+
+
+@pytest.mark.parametrize("bits", RANKING_BITS)
+def test_hamming_topk_matches_full_stable_argsort(bits):
+    rng = np.random.default_rng(100 + bits)
+    n = 120
+    base, queries = _planted_ties(rng, n, bits, 6)
+    for j in range(queries.count):
+        q = queries.packed[j]
+        full = np.argsort(_naive_hamming(base.packed, q, bits), kind="stable")
+        for i in (1, 2, 15, 25, n - 1, n):
+            np.testing.assert_array_equal(hamming_topk(base, q, i), full[:i])
+
+
+@pytest.mark.parametrize("bits", RANKING_BITS)
+def test_recall_curve_matches_reference(bits):
+    rng = np.random.default_rng(200 + bits)
+    n, n_query, k = 120, 6, 7
+    base, queries = _planted_ties(rng, n, bits, n_query)
+    gt = np.stack([rng.permutation(n)[:k] for _ in range(n_query)])
+    gt[0, :3] = [29, 3, 10]   # tied at distance 0 from query 0
+    gt = gt.astype(np.uint32)
+    for K in (1, 20, n):
+        curve = recall_curve(gt, base, queries, K)
+        np.testing.assert_array_equal(curve.values,
+                                      _reference_recall_curve(gt, base, queries, K))
+    assert curve.values[-1] == 1.0
+
+
+def test_query_row_must_match_codes():
+    codes, _ = _random_codes(np.random.default_rng(12), 5, 11)
+    with pytest.raises(ValueError, match="expected uint8"):
+        hamming_distances(codes, codes.packed[0].astype(np.int64))
+    with pytest.raises(ValueError, match="expected uint8"):
+        hamming_topk(codes, codes.packed[0, :1], 1)
+    with pytest.raises(ValueError, match="padding bits"):
+        hamming_topk(codes, codes.packed[0] | np.array([0, 0x80], np.uint8), 1)
 
 
 def test_euclid_topk_line():

@@ -45,6 +45,45 @@ def test_read_fvecs_nonpositive_dim(tmp_path):
         matrix_io.read_fvecs(p)
 
 
+def _parse_records(path, payload_format, itemsize):
+    """(D, N) float64 from an fvecs/bvecs file, one record at a time."""
+    raw = path.read_bytes()
+    columns, off = [], 0
+    while off < len(raw):
+        (d,) = struct.unpack_from("<i", raw, off)
+        columns.append(struct.unpack_from(f"<{d}{payload_format}", raw, off + 4))
+        off += 4 + d * itemsize
+    return np.array(columns, dtype=np.float64).T
+
+
+@pytest.mark.parametrize("D,N", [(1, 1), (3, 1), (1, 7), (5, 12), (64, 300)])
+def test_readers_match_record_by_record_parse(tmp_path, D, N):
+    rng = np.random.default_rng(D * 1000 + N)
+    f, b = tmp_path / "a.fvecs", tmp_path / "a.bvecs"
+    matrix_io.write_fvecs(f, rng.standard_normal((D, N)))
+    matrix_io.write_bvecs(b, rng.integers(0, 256, size=(D, N)).astype(float))
+    for X, ref in ((matrix_io.read_fvecs(f), _parse_records(f, "f", 4)),
+                   (matrix_io.read_bvecs(b), _parse_records(b, "B", 1))):
+        assert X.dtype == np.float64 and X.flags.c_contiguous
+        assert X.shape == (D, N)
+        np.testing.assert_array_equal(X, ref)
+
+
+@pytest.mark.parametrize("header,message", [(5, "inconsistent dims 2 vs 5"),
+                                            (0, "non-positive record dim 0")])
+@pytest.mark.parametrize("reader,payload", [(matrix_io.read_fvecs, "<ff"),
+                                            (matrix_io.read_bvecs, "<BB")])
+def test_read_whole_records_with_one_bad_header(tmp_path, reader, payload,
+                                                header, message):
+    # three records of equal length: only the header check can see the fault
+    p = tmp_path / "bad.vecs"
+    p.write_bytes(struct.pack("<i", 2) + struct.pack(payload, 1, 2)
+                  + struct.pack("<i", 2) + struct.pack(payload, 3, 4)
+                  + struct.pack("<i", header) + struct.pack(payload, 5, 6))
+    with pytest.raises(FormatError, match=message):
+        reader(p)
+
+
 def test_read_bvecs_values(tmp_path):
     p = tmp_path / "a.bvecs"
     p.write_bytes(struct.pack("<i", 4) + bytes([0x00, 0x7F, 0xFF, 0x01]))
@@ -159,20 +198,20 @@ def test_codes_round_trip(tmp_path):
     np.testing.assert_array_equal(back.packed, packed)
 
 
-def test_tangent_cache_round_trip(tmp_path):
-    rng = np.random.default_rng(11)
-    D = 5
-    bases = []
-    for r in (0, 1, 3):
-        Q, _ = np.linalg.qr(rng.standard_normal((D, max(r, 1))))
-        bases.append(Q[:, :r])
-    path = tmp_path / "t.ajbt"
-    matrix_io.write_tangents(path, D, 3, bases)
-    D2, d2, back = matrix_io.read_tangents(path)
-    assert (D2, d2) == (5, 3)
-    assert len(back) == 3
-    for T, B in zip(bases, back):
-        np.testing.assert_array_equal(T, B)
+def test_read_codes_rejects_set_padding_bits(tmp_path):
+    from autojacobin.hamming import BinaryCodes, hamming_topk
+    bits, n = 11, 4
+    packed = np.packbits(np.random.default_rng(13).integers(0, 2, size=(n, bits))
+                         .astype(np.uint8), axis=1, bitorder="little")
+    packed[2] = packed[0]
+    path = tmp_path / "c.ajbc"
+    matrix_io.write_codes(path, BinaryCodes(bits=bits, count=n, packed=packed))
+    assert list(hamming_topk(matrix_io.read_codes(path), packed[0], 2)) == [0, 2]
+    raw = bytearray(path.read_bytes())
+    raw[16 + 2 * 2 + 1] |= 0b1111_1000  # point 2's five padding bits
+    path.write_bytes(bytes(raw))
+    with pytest.raises(FormatError, match="point 2 has padding bits set"):
+        matrix_io.read_codes(path)
 
 
 def test_groundtruth_round_trip(tmp_path):
