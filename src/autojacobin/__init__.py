@@ -19,7 +19,7 @@ from .matrix_io import (
     write_fvecs,
     write_txt,
 )
-from .network import NetworkParams, ObjectiveConfig, forward, jacobian, objective
+from .network import NetworkParams, ObjectiveConfig, objective
 
 __all__ = [
     "FormatError",
@@ -28,8 +28,6 @@ __all__ = [
     "ObjectiveConfig",
     "apply_normalizer",
     "fit_normalizer",
-    "forward",
-    "jacobian",
     "objective",
     "read_bvecs",
     "read_fvecs",

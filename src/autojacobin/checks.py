@@ -13,7 +13,6 @@ from .network import (
     NetworkParams,
     ObjectiveConfig,
     _terms,
-    fd_gradient,
     forward_batch,
     objective,
     pack_gradient,
@@ -41,8 +40,14 @@ def random_instance(D: int, d: int, n: int, seed: int):
     return p, batch, projs
 
 
-def _rel_error(analytic: np.ndarray, fd: np.ndarray) -> float:
-    return float(np.max(np.abs(analytic - fd) / np.maximum(1.0, np.abs(fd))))
+def fd_gradient(f, theta: np.ndarray, h: float) -> np.ndarray:
+    """Central finite-difference gradient of a scalar function of theta."""
+    g = np.empty_like(theta)
+    for i in range(theta.size):
+        e = np.zeros_like(theta)
+        e[i] = h
+        g[i] = (f(theta + e) - f(theta - e)) / (2.0 * h)
+    return g
 
 
 def _check(value_and_grad, p: NetworkParams, h: float) -> float:
@@ -50,7 +55,7 @@ def _check(value_and_grad, p: NetworkParams, h: float) -> float:
     analytic = pack_gradient(value_and_grad(p)[1])
     fd = fd_gradient(lambda th: value_and_grad(unpack_params(th, p))[0],
                      pack_params(p), h)
-    return _rel_error(analytic, fd)
+    return float(np.max(np.abs(analytic - fd) / np.maximum(1.0, np.abs(fd))))
 
 
 def check_gradients(kind: str, D: int = 8, d: int = 4, n: int = 5,

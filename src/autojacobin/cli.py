@@ -131,8 +131,8 @@ def cmd_encode(args) -> int:
 def _cached_groundtruth(base_path, base: np.ndarray, queries: np.ndarray,
                         k: int) -> np.ndarray:
     h = hashlib.sha256()
-    h.update(base.tobytes())
-    h.update(queries.tobytes())
+    h.update(np.ascontiguousarray(base))  # the bytes of tobytes(), uncopied
+    h.update(np.ascontiguousarray(queries))
     h.update(str(k).encode())
     cache = Path(str(base_path) + f".{h.hexdigest()[:12]}.k{k}.ajbg")
     if cache.exists():

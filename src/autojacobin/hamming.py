@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .matrix_io import _check_matrix
 from .neighbors import knn
 
 
@@ -61,9 +62,10 @@ def pack_bits(signs: np.ndarray) -> np.ndarray:
 def encode(p, X: np.ndarray, use_bias: bool = False) -> BinaryCodes:
     """Binary codes sign(W1 X), bit set iff the projection is >= 0.
 
-    X must already be normalized with p.scale. With use_bias the
-    threshold is W1 x + b1 instead of the bias-free projection.
+    X must already be normalized with p.scale and finite. With use_bias
+    the threshold is W1 x + b1 instead of the bias-free projection.
     """
+    X = _check_matrix(X)
     if X.shape[0] != p.w1.shape[1]:
         raise ValueError(f"dim mismatch: data {X.shape[0]}, model {p.w1.shape[1]}")
     proj = p.w1 @ X

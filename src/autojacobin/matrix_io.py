@@ -34,8 +34,9 @@ def _check_matrix(X: np.ndarray) -> np.ndarray:
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2:
         raise ValueError(f"expected 2-D matrix, got ndim={X.ndim}")
-    if X.size and not np.all(np.isfinite(X)):
-        raise ValueError("matrix contains non-finite entries")
+    if not np.isfinite(X).all():
+        bad = np.count_nonzero(~np.isfinite(X))
+        raise ValueError(f"matrix has {bad} non-finite entries (NaN or inf)")
     return X
 
 
@@ -97,24 +98,24 @@ def read_bvecs(path) -> np.ndarray:
     return _read_records(path, np.dtype(np.uint8))
 
 
+def _write_records(path, D: int, payload: np.ndarray) -> None:
+    """Write [int32 D][D payload values] records, one per row of payload."""
+    rec = np.empty(len(payload), dtype=[("dim", "<i4"), ("v", payload.dtype, (D,))])
+    rec["dim"] = D
+    rec["v"] = payload
+    rec.tofile(path)
+
+
 def write_fvecs(path, X: np.ndarray) -> None:
     X = _check_matrix(X)
-    D, N = X.shape
-    with open(path, "wb") as f:
-        for j in range(N):
-            f.write(struct.pack("<i", D))
-            f.write(X[:, j].astype("<f4").tobytes())
+    _write_records(path, X.shape[0], X.T.astype("<f4"))
 
 
 def write_bvecs(path, X: np.ndarray) -> None:
     X = _check_matrix(X)
     if X.size and (X.min() < 0 or X.max() > 255):
         raise ValueError("bvecs entries must lie in [0, 255]")
-    D, N = X.shape
-    with open(path, "wb") as f:
-        for j in range(N):
-            f.write(struct.pack("<i", D))
-            f.write(np.rint(X[:, j]).astype(np.uint8).tobytes())
+    _write_records(path, X.shape[0], np.rint(X.T).astype(np.uint8))
 
 
 def read_txt(path) -> np.ndarray:

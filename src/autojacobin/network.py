@@ -1,5 +1,5 @@
-"""Three-layer tanh auto-encoder: forward pass, analytic input-output
-Jacobian, and the composite objective with its analytic gradient.
+"""Three-layer tanh auto-encoder: batch forward pass and the composite
+objective with its analytic gradient.
 
 The objective over a batch of n columns is
 
@@ -7,7 +7,21 @@ The objective over a batch of n columns is
 
 where J_i is the input-output Jacobian at x_i, A_i = T_i T_i' the tangent
 projector, and S(M) = sum_jk sqrt(M_jk^2 + eps) smooths the entrywise
-1-norm. Jacobian orientation: J(i, j) = d z_j / d x_i.
+1-norm. Jacobian orientation: J(i, j) = d z_j / d x_i, so with
+a = 1 - y_i^2 and c = 1 - z_i^2, J_i = W1' diag(a) W2' diag(c).
+
+The target comes from its factor T_i (D x r) alone; no D x D matrix is
+formed. Expanding the square,
+
+    ||J - T T'||_F^2 = a'(W1 W1' o W2' diag(c^2) W2) a
+                       - 2 sum_k a_k sum_r (W1 T)_kr (W2' diag(c) T)_kr
+                       + ||T'T||_F^2,
+
+with o the entrywise product, so value and gradient (by the chain rule
+through these products) need only d x d and d x r matrices per point.
+The last term makes the identity exact for any factor: zero columns
+change neither T T' nor T'T, so ragged ranks are zero-padded to one
+width, and a projector P is its own factor, since P P' = P.
 
 The comparison models are the same objective with the middle term
 changed: AutoBin drops it, CAutoBin puts the contractive term
@@ -27,18 +41,16 @@ with zero mean and covariance s^2 I. To first order in e,
 so w = s^2, the per-coordinate variance of that region. The first-order
 model is fitted on small neighborhoods, so w is taken at that scale:
 the mean per-coordinate variance of the D+1 nearest points of each
-training point (tangent.region_variance). D+1 points are the fewest that
-span a D-dimensional neighborhood, and they are the common prefix of
-every tangent-fit neighborhood (D+d points), so w does not depend on
-the code length. That is about 7e-5 on the normalized 2-D simplex toy
-and 2.9e-3 on a D=64 curved manifold of 2000 points. A unit weight would
-describe a region wider than the normalized data itself (norms at most
-0.8). The trainer takes w from the tangent bases it is given;
-ObjectiveConfig.jacobian_weight defaults to 1, the unscaled term, for
-callers that hold projectors but no neighborhoods.
+training point (tangent.region_variance says why D+1). That is about
+7e-5 on the normalized 2-D simplex toy and 2.9e-3 on a D=64 curved
+manifold of 2000 points. A unit weight would describe a region wider
+than the normalized data itself (norms at most 0.8). The trainer takes
+w from the tangent bases it is given; ObjectiveConfig.jacobian_weight
+defaults to 1, the unscaled term, for callers that hold projectors but
+no neighborhoods.
 
 Gradient correctness is defined by agreement with central finite
-differences of the objective (see grad_check).
+differences of the objective (see checks).
 """
 
 from __future__ import annotations
@@ -67,12 +79,6 @@ class NetworkParams:
     def copy(self) -> "NetworkParams":
         return NetworkParams(self.w1.copy(), self.w2.copy(), self.b1.copy(),
                              self.b2.copy(), self.scale)
-
-
-@dataclass
-class ForwardCache:
-    y: np.ndarray  # hidden activation
-    z: np.ndarray  # output activation
 
 
 @dataclass
@@ -121,30 +127,11 @@ class ObjectiveParts:
         return self.recon + self.jacobian + self.binary
 
 
-def forward(p: NetworkParams, x: np.ndarray) -> ForwardCache:
-    """y = tanh(W1 x + b1), z = tanh(W2 y + b2) for a single column."""
-    x = np.asarray(x, dtype=np.float64)
-    if not np.all(np.isfinite(x)):
-        raise ValueError("non-finite input")
-    y = np.tanh(p.w1 @ x + p.b1)
-    z = np.tanh(p.w2 @ y + p.b2)
-    return ForwardCache(y=y, z=z)
-
-
 def forward_batch(p: NetworkParams, X: np.ndarray):
     """(Y, Z) for a (D, n) batch; Y is (d, n), Z is (D, n)."""
     Y = np.tanh(p.w1 @ X + p.b1[:, None])
     Z = np.tanh(p.w2 @ Y + p.b2[:, None])
     return Y, Z
-
-
-def jacobian(p: NetworkParams, x: np.ndarray) -> np.ndarray:
-    """Input-output Jacobian, J(i, j) = d z_j / d x_i."""
-    c = forward(p, x)
-    a = 1.0 - c.y**2
-    cz = 1.0 - c.z**2
-    # J = W1' (W2' . (1-y^2)(1-z^2)')
-    return p.w1.T @ (p.w2.T * np.outer(a, cz))
 
 
 # --- per-term values and gradients (batch layout: X is (D, n)) ---
@@ -170,39 +157,52 @@ def _binary_term(p, Xin, Y, alpha, eps, n_target):
     return value, g
 
 
-_JAC_CHUNK = 256  # bounds the (n, D, D) work arrays
+_JAC_CHUNK = 256  # bounds the (n, D, d) and (n, D, r) work arrays
 
 
-def _jacobian_term(p, Xin, Y, Z, projectors, weight):
+def _jacobian_term(p, Xin, Y, Z, factors, weight):
+    """w sum_n ||J_n - T_n T_n'||_F^2 and its gradient from the (n, D, r)
+    factors T_n, by the identity in the module docstring: no D x D array.
+    """
     n = Xin.shape[1]
+    G = p.w1 @ p.w1.T  # (d, d)
     value = 0.0
     total = GradientSet.zeros(p)
     for lo in range(0, n, _JAC_CHUNK):
         hi = min(lo + _JAC_CHUNK, n)
-        A3 = np.asarray(projectors[lo:hi])
-        Xc = Xin[:, lo:hi]
-        Yc, Zc = Y[:, lo:hi], Z[:, lo:hi]
+        T = np.asarray(factors[lo:hi])  # (c, D, r)
+        Xc, Yc, Zc = Xin[:, lo:hi], Y[:, lo:hi], Z[:, lo:hi]
         At = (1.0 - Yc * Yc).T  # (c, d)
         Ct = (1.0 - Zc * Zc).T  # (c, D)
-        K = np.einsum("ki,nk,jk->nij", p.w1, At, p.w2, optimize=True)
-        J = K * Ct[:, None, :]
-        R = 2.0 * weight * (J - A3)
-        value += weight * float(np.sum((J - A3) ** 2))
-        P = R * Ct[:, None, :]
-        dw1 = np.einsum("nk,jk,nij->ki", At, p.w2, P, optimize=True)
-        dw2 = np.einsum("nji,kj,nk->ik", P, p.w1, At, optimize=True)
-        # chain through a = 1 - y^2
-        gu = -2.0 * Yc.T * At * np.einsum("ki,nij,jk->nk", p.w1, P, p.w2, optimize=True)
-        dw1 += gu.T @ Xc.T
-        db1 = gu.sum(axis=0)
-        # chain through c = 1 - z^2
-        gv = -2.0 * Zc.T * Ct * np.sum(R * K, axis=1)  # (c, D)
-        dw2 += gv.T @ Yc.T
-        db2 = gv.sum(axis=0)
-        du2 = (p.w2.T @ gv.T) * At.T
-        dw1 += du2 @ Xc.T
-        db1 = db1 + du2.sum(axis=1)
-        total += GradientSet(dw1, dw2, db1, db2)
+        C2 = Ct * Ct
+        # ||J||^2 = a'(G o H)a with H = W2' diag(c^2) W2; F = W2 diag(a)
+        F = p.w2 * At[:, None, :]  # (c, D, d)
+        FG = F @ G
+        WFG = p.w2 * FG
+        h = np.einsum("nj,njk->nk", C2, WFG)  # (G o H) a
+        # tr(J' T T') = sum_k a_k q_k with q = rowsums of (W1 T) o (W2' diag(c) T)
+        CT = Ct[:, :, None] * T
+        M = p.w1 @ T  # (c, d, r)
+        N = p.w2.T @ CT
+        q = np.einsum("nkr,nkr->nk", M, N)
+        TtT = np.swapaxes(T, 1, 2) @ T
+        value += weight * float(np.sum(At * (h - 2.0 * q)) + np.sum(TtT * TtT))
+        s = 2.0 * weight
+        AM, AN = At[:, :, None] * M, At[:, :, None] * N
+        Fr = F.reshape(-1, F.shape[2])
+        dw1 = s * ((Fr.T @ (C2.reshape(-1, 1) * Fr)) @ p.w1
+                   - np.tensordot(AN, T, axes=([0, 2], [0, 2])))
+        dw2 = s * (np.einsum("nj,njk,nk->jk", C2, FG, At)
+                   - np.tensordot(CT, AM, axes=([0, 2], [0, 2])))
+        ga = s * (h - q)  # d/da
+        gc = s * (Ct * np.einsum("njk,nk->nj", WFG, At)
+                  - np.einsum("njr,njr->nj", T, p.w2 @ AM))  # d/dc
+        # chain through c = 1 - z^2 into v = W2 y + b2, then through
+        # a = 1 - y^2 and y into u = W1 x + b1
+        gv = -2.0 * Zc * (Ct * gc).T  # (D, c)
+        gu = (p.w2.T @ gv - 2.0 * Yc * ga.T) * At.T  # (d, c)
+        total += GradientSet(dw1 + gu @ Xc.T, dw2 + gv @ Yc.T,
+                             gu.sum(axis=1), gv.sum(axis=1))
     return value, total
 
 
@@ -235,7 +235,7 @@ def _terms(batch, tangents, cfg: ObjectiveConfig, lambda_c, corrupted):
     terms = [("recon", lambda p, Y, Z: _recon_term(p, Xin, batch, Y, Z))]
     if tangents is not None:
         if len(tangents) != n:
-            raise ValueError(f"{len(tangents)} projectors for {n} points")
+            raise ValueError(f"{len(tangents)} tangent factors for {n} points")
         terms.append(("jacobian", lambda p, Y, Z: _jacobian_term(
             p, Xin, Y, Z, tangents, cfg.jacobian_weight)))
     if lambda_c is not None:
@@ -251,11 +251,13 @@ def objective(p: NetworkParams, batch: np.ndarray, tangents, cfg: ObjectiveConfi
     """(total, parts, gradient) of the objective on a batch, from one
     forward pass.
 
-    tangents holds one D x D projector per column and adds the Jacobian
-    term; lambda_c adds the contractive term instead; None leaves the
-    middle term out. corrupted, when given, is the network input and
-    batch stays the reconstruction target. The gradient is a GradientSet
-    over all four parameter blocks.
+    tangents holds one D x r tangent factor T per column, as an (n, D, r)
+    array or a sequence of equal-shape arrays, and adds the Jacobian term
+    with target T T' (a D x D projector is its own factor); lambda_c adds
+    the contractive term instead; None leaves the middle term out.
+    corrupted, when given, is the network input and batch stays the
+    reconstruction target. The gradient is a GradientSet over all four
+    parameter blocks.
     """
     Xin, terms = _terms(batch, tangents, cfg, lambda_c, corrupted)
     Y, Z = forward_batch(p, Xin)
@@ -271,7 +273,7 @@ def objective(p: NetworkParams, batch: np.ndarray, tangents, cfg: ObjectiveConfi
     return parts.total, parts, g
 
 
-# --- parameter vector packing and finite-difference checking ---
+# --- parameter vector packing ---
 
 
 def pack_params(p: NetworkParams) -> np.ndarray:
@@ -290,24 +292,3 @@ def unpack_params(theta: np.ndarray, template: NetworkParams) -> NetworkParams:
 
 def pack_gradient(g: GradientSet) -> np.ndarray:
     return np.concatenate([g.dw1.ravel(), g.dw2.ravel(), g.db1, g.db2])
-
-
-def fd_gradient(f, theta: np.ndarray, h: float) -> np.ndarray:
-    """Central finite-difference gradient of a scalar function of theta."""
-    g = np.empty_like(theta)
-    for i in range(theta.size):
-        e = np.zeros_like(theta)
-        e[i] = h
-        g[i] = (f(theta + e) - f(theta - e)) / (2.0 * h)
-    return g
-
-
-def grad_check(p: NetworkParams, batch: np.ndarray, tangents, cfg: ObjectiveConfig,
-               h: float = 1e-6) -> float:
-    """Max relative error |analytic - fd| / max(1, |fd|) over all parameters."""
-    def value(theta):
-        return objective(unpack_params(theta, p), batch, tangents, cfg)[0]
-
-    analytic = pack_gradient(objective(p, batch, tangents, cfg)[2])
-    fd = fd_gradient(value, pack_params(p), h)
-    return float(np.max(np.abs(analytic - fd) / np.maximum(1.0, np.abs(fd))))

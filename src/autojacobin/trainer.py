@@ -19,11 +19,12 @@ on the tanh saturation: on the 1000-point toy, AutoBin ends near cost
 283 after 300 full-batch steepest-descent iterations, against 38-50
 (three seeds) from this search.
 
-The Jacobian term is weighted by the region variance of the tangent
-bases passed to train (see the network module). On the toy simplex at
-that weight this search saturates the hidden layer (mean |y| 0.99 or
-more); steepest descent stopped at 0.17-0.33, and at unit weight the
-objective's minimum keeps it near 0.4.
+The Jacobian term reads the tangent bases passed to train as one
+zero-padded (N, D, r) stack of factors, never as D x D projectors, and
+is weighted by their region variance (see the network module). On the
+toy simplex at that weight this search saturates the hidden layer (mean
+|y| 0.99 or more); steepest descent stopped at 0.17-0.33, and at unit
+weight the objective's minimum keeps it near 0.4.
 
 One seeded RNG stream drives everything, consumed in a fixed order:
 the init rotation first, then per epoch the shuffle permutation and
@@ -48,7 +49,8 @@ from .network import (
     pack_params,
     unpack_params,
 )
-from .tangent import TangentBasis, projector, region_variance
+from .matrix_io import _check_matrix
+from .tangent import TangentBasis, region_variance
 
 
 LBFGS_MEMORY = 10  # curvature pairs kept by the L-BFGS direction
@@ -283,17 +285,18 @@ def _lbfgs_direction(g: np.ndarray, pairs) -> np.ndarray:
 
 
 def _tangent_targets(tangents, D: int):
-    """Stacked (N, D, D) tangent projectors and the Jacobian-term weight.
+    """(N, D, r) tangent factors and the Jacobian-term weight.
 
-    TangentBasis entries carry their neighborhoods, which give the
-    weight (tangent.region_variance); plain projectors carry none and
-    get ObjectiveConfig's unit weight.
+    TangentBasis bases are zero-padded to the largest rank (at least 1);
+    their neighborhoods give the weight (tangent.region_variance). Plain
+    arrays, such as D x D projectors, carry none: they are stacked as
+    they are, at ObjectiveConfig's unit weight.
     """
     if len(tangents) and isinstance(tangents[0], TangentBasis):
-        projs = np.empty((len(tangents), D, D))
+        factors = np.zeros((len(tangents), D, max(1, max(t.rank for t in tangents))))
         for i, t in enumerate(tangents):
-            projs[i] = projector(t)
-        return projs, region_variance(tangents)
+            factors[i, :, :t.rank] = t.basis
+        return factors, region_variance(tangents)
     return np.stack(tangents), ObjectiveConfig().jacobian_weight
 
 
@@ -302,17 +305,19 @@ def train(X_train: np.ndarray, tangents, cfg: TrainConfig):
 
     tangents holds one entry per training point, either TangentBasis
     objects from tangent.estimate_all_tangents (the Jacobian term is then
-    weighted by their region variance) or D x D projectors (unit weight);
-    None for variants without the Jacobian term. Data must already be
-    normalized; the caller sets params.scale afterwards.
+    weighted by their region variance) or equal-shape D x r factors such
+    as D x D projectors (unit weight); None for variants without the
+    Jacobian term. Data must already be normalized and finite; the
+    caller sets params.scale afterwards.
     """
     t_start = time.perf_counter()
+    X_train = _check_matrix(X_train)
     D, N = X_train.shape
     if cfg.batch_size > N:
         raise ValueError(f"batch_size {cfg.batch_size} exceeds N={N}")
     if cfg.method.needs_tangents:
         if tangents is None or len(tangents) != N:
-            raise ValueError("auto-jacobin needs one tangent basis or projector "
+            raise ValueError("auto-jacobin needs one tangent basis or factor "
                              "per point")
     if not cfg.method.trained:
         raise ValueError(f"variant {cfg.method.kind!r} is not trained by "

@@ -2,7 +2,7 @@
 
 Every gradient-trained method minimises network.objective; VariantConfig
 maps a method to that function's optional inputs. Auto-JacoBin passes
-tangent projectors (the Jacobian term), AutoBin passes none, CAutoBin
+tangent bases (the Jacobian term), AutoBin passes none, CAutoBin
 passes lambda_c (the contractive term), and DAutoBin passes a copy of
 the input corrupted by corrupt_mask. LSH is a random projection and is
 not trained.
@@ -41,7 +41,7 @@ class VariantConfig:
 
     @property
     def needs_tangents(self) -> bool:
-        """Whether the objective takes tangent projectors (Jacobian term)."""
+        """Whether the objective takes tangent bases (Jacobian term)."""
         return self.kind == "auto-jacobin"
 
     @property

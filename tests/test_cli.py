@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from autojacobin import matrix_io, tangent
-from autojacobin.cli import main
+from autojacobin.cli import _cached_groundtruth, main
 
 pytestmark = pytest.mark.filterwarnings(
     "ignore:training data rank below bit count")
@@ -81,6 +81,17 @@ def test_train_summary_reports_tangent_ranks_and_weight(tmp_path, capsys):
           "--epochs", "1", "--batch", "80", "--iterations", "2",
           "--out", str(tmp_path / "a.ajb")])
     assert "tangent rank" not in capsys.readouterr().out
+
+
+def test_groundtruth_cache_name_is_pinned(tmp_path):
+    # the name hashes the C-order bytes of base and queries whatever their
+    # layout (read_txt returns F order), so existing .ajbg caches stay valid
+    base = np.asfortranarray(np.arange(24, dtype=float).reshape(6, 4) / 8.0)
+    queries = np.arange(12, dtype=float).reshape(6, 2)[:, ::-1]
+    gt = _cached_groundtruth(tmp_path / "base.txt", base, queries, 2)
+    cache = tmp_path / "base.txt.7b68be9781ef.k2.ajbg"
+    assert cache.exists()
+    np.testing.assert_array_equal(matrix_io.read_groundtruth(cache), gt)
 
 
 def test_train_lsh_and_variant_methods(tmp_path):

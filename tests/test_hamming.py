@@ -97,6 +97,16 @@ def test_encode_dim_mismatch():
         encode(p, np.zeros((4, 2)))
 
 
+def test_encode_rejects_non_finite_input():
+    # a NaN column used to get a silent code (every bit 0)
+    p = _params_with_w1(np.random.default_rng(5).standard_normal((8, 3)))
+    X = np.zeros((3, 4))
+    X[1, 2] = np.nan
+    X[0, 0] = np.inf
+    with pytest.raises(ValueError, match="2 non-finite"):
+        encode(p, X)
+
+
 def _naive_hamming(packed_base, q, bits):
     ref = []
     bbits = np.unpackbits(packed_base, axis=1, bitorder="little")[:, :bits]

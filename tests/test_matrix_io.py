@@ -108,6 +108,21 @@ def test_fvecs_round_trip_byte_exact(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
+@pytest.mark.parametrize("D, N", [(1, 1), (3, 0), (5, 7), (64, 30)])
+def test_writers_match_struct_packed_records(tmp_path, D, N):
+    rng = np.random.default_rng(D + N)
+    X = np.asfortranarray(100.0 * rng.standard_normal((D, N)))
+    B = np.clip(rng.integers(0, 256, (D, N)) + rng.uniform(-0.49, 0.49, (D, N)), 0, 255)
+    B[0, :N // 2] = 2.5  # rounds half to even
+    cases = ((matrix_io.write_fvecs, X, "f", X),
+             (matrix_io.write_bvecs, B, "B", np.rint(B).astype(int)))
+    for writer, M, fmt, values in cases:
+        p = tmp_path / f"w.{fmt}"
+        writer(p, M)
+        ref = b"".join(struct.pack(f"<i{D}{fmt}", D, *values[:, j]) for j in range(N))
+        assert p.read_bytes() == ref
+
+
 def test_txt_round_trip(tmp_path):
     rng = np.random.default_rng(5)
     X = rng.standard_normal((4, 9))

@@ -1,19 +1,19 @@
 import numpy as np
 import pytest
 
-from autojacobin.checks import random_instance
+from autojacobin import matrix_io, synth, tangent
+from autojacobin.checks import check_gradients, fd_gradient, random_instance
 from autojacobin.network import (
     NetworkParams,
     ObjectiveConfig,
-    forward,
+    _jacobian_term,
     forward_batch,
-    grad_check,
-    jacobian,
     objective,
     pack_gradient,
     pack_params,
     unpack_params,
 )
+from autojacobin.trainer import _tangent_targets, init_params
 
 
 def _zero_params(D, d):
@@ -21,23 +21,38 @@ def _zero_params(D, d):
                          b1=np.zeros(d), b2=np.zeros(D))
 
 
+def _forward(p, x):
+    """(y, z) of one point: forward_batch on one column."""
+    Y, Z = forward_batch(p, np.asarray(x, dtype=np.float64)[:, None])
+    return Y[:, 0], Z[:, 0]
+
+
+def _jacobian(p, x):
+    """Dense input-output Jacobian of one point, J(i, j) = d z_j / d x_i."""
+    y, z = _forward(p, x)
+    return p.w1.T @ (p.w2.T * np.outer(1.0 - y**2, 1.0 - z**2))
+
+
+def _fd_error(p, batch, tangents, cfg, h=1e-6):
+    """Max |analytic - fd| / max(1, |fd|) of the objective's gradient."""
+    analytic = pack_gradient(objective(p, batch, tangents, cfg)[2])
+    fd = fd_gradient(lambda t: objective(unpack_params(t, p), batch, tangents, cfg)[0],
+                     pack_params(p), h)
+    return float(np.max(np.abs(analytic - fd) / np.maximum(1.0, np.abs(fd))))
+
+
 def test_forward_zero_params():
-    c = forward(_zero_params(3, 2), np.array([0.4, -0.1, 2.0]))
-    np.testing.assert_array_equal(c.y, np.zeros(2))
-    np.testing.assert_array_equal(c.z, np.zeros(3))
+    y, z = _forward(_zero_params(3, 2), [0.4, -0.1, 2.0])
+    np.testing.assert_array_equal(y, np.zeros(2))
+    np.testing.assert_array_equal(z, np.zeros(3))
 
 
 def test_forward_scalar_chain():
     p = NetworkParams(w1=np.array([[1.0]]), w2=np.array([[1.0]]),
                       b1=np.zeros(1), b2=np.zeros(1))
-    c = forward(p, np.array([0.5]))
-    assert c.y[0] == pytest.approx(np.tanh(0.5), abs=1e-12)
-    assert c.z[0] == pytest.approx(np.tanh(np.tanh(0.5)), abs=1e-12)
-
-
-def test_forward_rejects_nonfinite():
-    with pytest.raises(ValueError):
-        forward(_zero_params(2, 2), np.array([np.nan, 0.0]))
+    y, z = _forward(p, [0.5])
+    assert y[0] == pytest.approx(np.tanh(0.5), abs=1e-12)
+    assert z[0] == pytest.approx(np.tanh(np.tanh(0.5)), abs=1e-12)
 
 
 def test_forward_linearizes_at_small_weights():
@@ -47,23 +62,23 @@ def test_forward_linearizes_at_small_weights():
                       w2=c * rng.standard_normal((4, 3)),
                       b1=np.zeros(3), b2=np.zeros(4))
     x = rng.standard_normal(4)
-    z = forward(p, x).z
+    z = _forward(p, x)[1]
     np.testing.assert_allclose(z, p.w2 @ (p.w1 @ x), atol=1e-10)
 
 
 def test_forward_batch_matches_single():
-    rng = np.random.default_rng(1)
+    # each column of a batch is computed as if it were alone
     p, batch, _ = random_instance(5, 3, 7, seed=1)
     Y, Z = forward_batch(p, batch)
     for j in range(7):
-        c = forward(p, batch[:, j])
-        np.testing.assert_allclose(Y[:, j], c.y, atol=1e-14)
-        np.testing.assert_allclose(Z[:, j], c.z, atol=1e-14)
+        y, z = _forward(p, batch[:, j])
+        np.testing.assert_allclose(Y[:, j], y, atol=1e-14)
+        np.testing.assert_allclose(Z[:, j], z, atol=1e-14)
     assert np.all(np.abs(Y) < 1) and np.all(np.abs(Z) < 1)
 
 
 def test_jacobian_zero_params():
-    J = jacobian(_zero_params(4, 2), np.zeros(4))
+    J = _jacobian(_zero_params(4, 2), np.zeros(4))
     np.testing.assert_array_equal(J, np.zeros((4, 4)))
 
 
@@ -74,7 +89,7 @@ def test_jacobian_linear_regime():
                       w2=c * rng.standard_normal((5, 3)),
                       b1=np.zeros(3), b2=np.zeros(5))
     x = 0.05 * rng.standard_normal(5)  # keep tanh curvature negligible
-    J = jacobian(p, x)
+    J = _jacobian(p, x)
     ref = (p.w2 @ p.w1).T
     assert np.max(np.abs(J - ref)) / np.max(np.abs(ref)) < 1e-10
 
@@ -82,13 +97,13 @@ def test_jacobian_linear_regime():
 def test_jacobian_matches_finite_differences():
     p, batch, _ = random_instance(6, 3, 1, seed=3)
     x = batch[:, 0]
-    J = jacobian(p, x)
+    J = _jacobian(p, x)
     h = 1e-6
     fd = np.empty((6, 6))
     for i in range(6):
         e = np.zeros(6)
         e[i] = h
-        fd[i] = (forward(p, x + e).z - forward(p, x - e).z) / (2 * h)
+        fd[i] = (_forward(p, x + e)[1] - _forward(p, x - e)[1]) / (2 * h)
     assert np.max(np.abs(J - fd)) < 1e-7
 
 
@@ -119,15 +134,102 @@ def test_objective_matches_naive_loop():
     ref = 0.0
     Ys = []
     for j in range(5):
-        c = forward(p, batch[:, j])
-        Ys.append(c.y)
-        ref += float(np.sum((batch[:, j] - c.z) ** 2))
-        ref += float(np.sum((jacobian(p, batch[:, j]) - projs[j]) ** 2))
+        y, z = _forward(p, batch[:, j])
+        Ys.append(y)
+        ref += float(np.sum((batch[:, j] - z) ** 2))
+        ref += float(np.sum((_jacobian(p, batch[:, j]) - projs[j]) ** 2))
     Y = np.stack(Ys, axis=1)
     S = Y @ Y.T - 5 * np.eye(3)
     for a in S.ravel():
         ref += cfg.alpha * np.sqrt(a * a + cfg.epsilon)
     assert total == pytest.approx(ref, rel=1e-10)
+
+
+def _dense_jacobian_term(p, Xin, Y, Z, targets, weight):
+    """w sum_n ||J_n - A_n||_F^2 and its gradient on stacked D x D targets
+    A_n, by dense einsums over (n, D, D) arrays: the reference for the
+    factored network._jacobian_term."""
+    value = 0.0
+    total = [np.zeros_like(p.w1), np.zeros_like(p.w2), np.zeros_like(p.b1),
+             np.zeros_like(p.b2)]
+    for lo in range(0, Xin.shape[1], 256):
+        A3 = targets[lo:lo + 256]
+        Xc, Yc, Zc = Xin[:, lo:lo + 256], Y[:, lo:lo + 256], Z[:, lo:lo + 256]
+        At, Ct = (1.0 - Yc * Yc).T, (1.0 - Zc * Zc).T
+        K = np.einsum("ki,nk,jk->nij", p.w1, At, p.w2, optimize=True)
+        J = K * Ct[:, None, :]
+        R = 2.0 * weight * (J - A3)
+        value += weight * float(np.sum((J - A3) ** 2))
+        P = R * Ct[:, None, :]
+        dw1 = np.einsum("nk,jk,nij->ki", At, p.w2, P, optimize=True)
+        dw2 = np.einsum("nji,kj,nk->ik", P, p.w1, At, optimize=True)
+        gu = -2.0 * Yc.T * At * np.einsum("ki,nij,jk->nk", p.w1, P, p.w2, optimize=True)
+        gv = -2.0 * Zc.T * Ct * np.sum(R * K, axis=1)
+        du2 = (p.w2.T @ gv.T) * At.T
+        for i, g in enumerate((dw1 + gu.T @ Xc.T + du2 @ Xc.T, dw2 + gv.T @ Yc.T,
+                               gu.sum(axis=0) + du2.sum(axis=1), gv.sum(axis=0))):
+            total[i] += g
+    return value, np.concatenate([g.ravel() for g in total])
+
+
+def _assert_factored_matches_dense(p, X, factors, targets, weight):
+    Y, Z = forward_batch(p, X)
+    value, g = _jacobian_term(p, X, Y, Z, factors, weight)
+    ref_value, ref_g = _dense_jacobian_term(p, X, Y, Z, targets, weight)
+    assert value == pytest.approx(ref_value, rel=1e-12)
+    np.testing.assert_allclose(pack_gradient(g), ref_g, rtol=1e-12,
+                               atol=1e-12 * np.max(np.abs(ref_g)))
+
+
+def _ragged_bases(D, ranks, seed):
+    rng = np.random.default_rng(seed)
+    return [tangent.TangentBasis(point_index=i, variance=0.01 * (i + 1),
+                                 basis=np.linalg.qr(rng.standard_normal((D, r)))[0])
+            for i, r in enumerate(ranks)]
+
+
+@pytest.mark.filterwarnings("ignore:training data rank below bit count")
+def test_factored_jacobian_term_matches_dense_on_proxy_tangents():
+    X, _ = synth.curved_manifold(2000, 8, 64, np.random.default_rng(7), noise=0.01)
+    Xn = matrix_io.apply_normalizer(matrix_io.fit_normalizer(X), X)
+    bases = tangent.estimate_all_tangents(Xn, 32)
+    factors, weight = _tangent_targets(bases, 64)
+    assert factors.shape == (2000, 64, max(t.rank for t in bases))
+    p = init_params(Xn, 32, 7)
+    rng = np.random.default_rng(8)
+    p.w2 = p.w2 + 0.1 * rng.standard_normal(p.w2.shape)  # W2 != W1'
+    p.b1 = p.b1 + 0.1 * rng.standard_normal(p.b1.shape)
+    targets = np.stack([tangent.projector(t) for t in bases])
+    _assert_factored_matches_dense(p, Xn, factors, targets, weight)
+
+
+def test_factored_jacobian_term_takes_projectors_as_their_own_factors():
+    for seed in range(3):
+        p, batch, projs = random_instance(8, 4, 300, seed=seed)  # crosses a chunk
+        _assert_factored_matches_dense(p, batch, np.stack(projs), np.stack(projs), 0.5)
+
+
+def test_factored_jacobian_term_matches_dense_on_zero_padded_ragged_ranks():
+    ranks = [0, 1, 3, 5, 2, 0, 4, 5, 1]
+    bases = _ragged_bases(12, ranks, seed=12)
+    factors, weight = _tangent_targets(bases, 12)
+    assert factors.shape == (9, 12, 5) and weight == pytest.approx(0.05)
+    np.testing.assert_array_equal(factors[0], 0.0)  # rank 0: zero target
+    p, batch, _ = random_instance(12, 5, 9, seed=13)
+    targets = np.stack([tangent.projector(t) for t in bases])
+    _assert_factored_matches_dense(p, batch, factors, targets, weight)
+    # all ranks 0: one zero column each
+    zeros, _ = _tangent_targets(_ragged_bases(12, [0] * 9, seed=14), 12)
+    assert zeros.shape == (9, 12, 1)
+    _assert_factored_matches_dense(p, batch, zeros, np.zeros((9, 12, 12)), 1.0)
+
+
+def test_fd_gradient_on_zero_padded_bases():
+    factors, _ = _tangent_targets(_ragged_bases(8, [0, 2, 3, 1, 3], seed=15), 8)
+    assert factors.shape[2] < 8
+    for seed in range(5):
+        p, batch, _ = random_instance(8, 4, 5, seed=seed)
+        assert _fd_error(p, batch, factors, ObjectiveConfig(jacobian_weight=0.5)) < 1e-6
 
 
 def test_jacobian_weight_scales_term_and_gradient():
@@ -180,7 +282,8 @@ def test_frobenius_gap_transpose_invariant_for_symmetric_target():
 
 def test_grad_check_passes_on_correct_gradients():
     p, batch, projs = random_instance(8, 4, 5, seed=9)
-    assert grad_check(p, batch, projs, ObjectiveConfig(), h=1e-6) < 1e-6
+    assert _fd_error(p, batch, projs, ObjectiveConfig()) < 1e-6
+    assert max(check_gradients("auto-jacobin", seed=9).values()) < 1e-6
 
 
 def test_grad_check_detects_perturbation():
@@ -191,7 +294,6 @@ def test_grad_check_detects_perturbation():
     analytic = pack_gradient(objective(p, batch, projs, cfg)[2])
     broken = analytic.copy()
     broken[0] += 1e-3
-    from autojacobin.network import fd_gradient
     fd = fd_gradient(lambda t: objective(unpack_params(t, p), batch, projs, cfg)[0],
                      theta, 1e-6)
     err = np.max(np.abs(broken - fd) / np.maximum(1.0, np.abs(fd)))
@@ -203,8 +305,7 @@ def test_grad_check_zero_network_finite():
     p = _zero_params(D, d)
     batch = np.zeros((D, n))
     projs = [np.zeros((D, D))] * n
-    err = grad_check(p, batch, projs, ObjectiveConfig(), h=1e-6)
-    assert np.isfinite(err)
+    assert np.isfinite(_fd_error(p, batch, projs, ObjectiveConfig()))
 
 
 def test_pack_unpack_round_trip():

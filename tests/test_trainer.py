@@ -336,6 +336,39 @@ def test_train_requires_tangents_for_jacobian_method():
         train(Xn, None, TrainConfig(bits=3, epochs=1, batch_size=30))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_train_rejects_non_finite_input(bad):
+    Xn, _ = _toy_setup(n=60)
+    Xn[1, 5] = bad
+    Xn[2, 7] = -np.inf
+    cfg = TrainConfig(bits=2, epochs=1, batch_size=60, method=VariantConfig(kind="autobin"))
+    with pytest.raises(ValueError, match="2 non-finite"):
+        train(Xn, None, cfg)
+
+
+@pytest.mark.filterwarnings("ignore:training data rank below bit count")
+def test_train_from_bases_forms_no_projector(monkeypatch):
+    # the Jacobian term reads the (D, r) bases; no D x D projector is built
+    rng = np.random.default_rng(4)
+    X = synth.simplex_points(90, rng)
+    Xn = matrix_io.apply_normalizer(matrix_io.fit_normalizer(X), X)
+    bases = tangent.estimate_all_tangents(Xn, 3)
+    projector = tangent.projector
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("tangent.projector called during training")
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("autojacobin") and getattr(mod, "projector", None) is projector:
+            monkeypatch.setattr(mod, "projector", refuse)
+    cfg = TrainConfig(bits=3, epochs=2, batch_size=45, seed=4,
+                      method=VariantConfig(kind="auto-jacobin"))
+    params, report = train(Xn, bases, cfg)
+    assert len(report.cost_trace) == 4 and report.jacobian_weight > 0.0
+    assert all(np.isfinite(r.jacobian) and r.jacobian > 0.0 for r in report.cost_trace)
+    assert np.all(np.isfinite(params.w1))
+
+
 def test_every_point_in_exactly_one_batch_per_epoch():
     # shuffle partition property, recovered from a tiny instrumented run
     rng = np.random.default_rng(5)
