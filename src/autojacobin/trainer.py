@@ -6,18 +6,22 @@ Wright, Numerical Optimization, Alg. 7.4) with the bracketing
 strong-Wolfe search of their Alg. 3.5, whose zoom phase picks trial
 steps by safeguarded quadratic interpolation (their Alg. 3.6); that
 takes 8-13% fewer evaluations than bisection on a D=64 manifold of 2000
-points. A curvature pair comes from the gradient at the accepted point
-on the same mini-batch; pairs persist across batches and epochs. When
-the direction is not a descent direction, or the search along it does
-not lower the batch cost, the memory is cleared and the iteration
-retries along -g. A step without sufficient decrease is never taken,
-so a batch objective never rises. When the batch is the whole
-(uncorrupted) training set and not even -g lowers the cost, the next
-iteration would repeat the same search from the same point, so training
-stops there. The search is quasi-Newton because steepest descent stalls
-on the tanh saturation: on the 1000-point toy, AutoBin ends near cost
-283 after 300 full-batch steepest-descent iterations, against 38-50
-(three seeds) from this search.
+points. The search returns the value and gradient at the point it
+accepts, so no point is evaluated twice. A curvature pair comes from
+that gradient, on the same mini-batch; pairs persist across batches and
+epochs. When the direction is not a descent direction, or the search
+along it does not lower the batch cost, the memory is cleared and the
+iteration searches along -g. A search along -g that finds no finite
+value raises LineSearchError at once: the objective is deterministic,
+so another search would fail the same way. A step without sufficient
+decrease is never taken, so a batch objective never rises. When the
+batch is the whole (uncorrupted) training set and not even -g lowers
+the cost, the next iteration would repeat the same search from the
+same point, so training stops there. The search is quasi-Newton
+because steepest descent stalls on the tanh saturation: on the
+1000-point toy, AutoBin ends near cost 283 after 300 full-batch
+steepest-descent iterations, against 38-50 (three seeds) from this
+search.
 
 The Jacobian term reads the tangent bases passed to train as one
 zero-padded (N, D, r) stack of factors, never as D x D projectors, and
@@ -25,6 +29,12 @@ is weighted by their region variance (see the network module). On the
 toy simplex at that weight this search saturates the hidden layer (mean
 |y| 0.99 or more); steepest descent stopped at 0.17-0.33, and at unit
 weight the objective's minimum keeps it near 0.4.
+
+An epoch's cost is the sum of its accepted batch costs. With one batch
+that is the full-set cost at the epoch's end; with mini-batches it is
+the running cost the optimizer saw, not a full-set cost (the binary
+term is per batch). Each batch gathers its own rows of the tangent
+factor stack, so the stack is never copied whole.
 
 One seeded RNG stream drives everything, consumed in a fixed order:
 the init rotation first, then per epoch the shuffle permutation and
@@ -58,7 +68,12 @@ _EPS = np.finfo(float).eps
 
 
 class LineSearchError(RuntimeError):
-    """No finite objective value found along the search direction."""
+    """No finite objective value found along the search direction; evals
+    counts the objective evaluations the search made."""
+
+    def __init__(self, message: str, evals: int):
+        super().__init__(message)
+        self.evals = evals
 
 
 @dataclass
@@ -70,13 +85,8 @@ class TrainConfig:
     total_iterations: int | None = None  # optional cap across epochs
     seed: int = 0
     method: var.VariantConfig = field(default_factory=var.VariantConfig)
-    wolfe_c1: float = 1e-4
-    wolfe_c2: float = 0.9
-    wolfe_max_evals: int = 20
 
     def __post_init__(self):
-        if not 0 < self.wolfe_c1 < self.wolfe_c2 < 1:
-            raise ValueError("need 0 < c1 < c2 < 1")
         if self.epochs < 0 or self.batch_size < 1 or self.bits < 1:
             raise ValueError("epochs, batch_size and bits must be positive")
 
@@ -147,67 +157,64 @@ def wolfe_step(theta: np.ndarray, g: np.ndarray, f, c1: float = 1e-4,
                initial_step: float = 1.0, direction: np.ndarray | None = None):
     """Strong-Wolfe step length along a descent direction (default -g).
 
-    f maps a parameter vector to (value, gradient); g is the gradient at
-    theta. Returns (step, evals, fallback); fallback means the budget ran
-    out: the step is then the best trial with sufficient decrease, or 0.0
-    (stay at theta) when no trial decreased the value enough. Raises
-    LineSearchError when no trial had a finite value.
+    f maps a parameter vector to (value, gradient, ...), further items
+    ignored; g is the gradient at theta. Returns (step, evals, fallback,
+    value, gradient), the last two at theta + step * direction (f0 and g
+    for step 0.0). fallback means the budget ran out: the step is then the
+    best trial with sufficient decrease, or 0.0 (stay at theta) when no
+    trial decreased the value enough. Raises LineSearchError, carrying the
+    evaluation count, when no trial had a finite value.
     """
     d = -g if direction is None else direction
+    evals = 0
+    if f0 is None:
+        f0 = f(theta)[0]
+        evals = 1
+    phi0 = float(f0)
     derphi0 = float(g @ d)
     if derphi0 == 0.0:
-        return 0.0, 0, False
+        return 0.0, evals, False, phi0, g
     if not np.isfinite(derphi0):
-        raise LineSearchError("non-finite directional derivative")
+        raise LineSearchError("non-finite directional derivative", evals)
     if derphi0 > 0.0:
         raise ValueError("search direction is not a descent direction")
-    evals = 0
+    if not np.isfinite(phi0):
+        raise LineSearchError("objective non-finite at the current point", evals)
 
     def phi(a):
         nonlocal evals
         evals += 1
-        val, grad = f(theta + a * d)
-        return float(val), float(grad @ d)
+        val, grad = f(theta + a * d)[:2]
+        return float(val), float(grad @ d), grad
 
-    if f0 is None:
-        val0, _ = f(theta)
-        phi0 = float(val0)
-        evals += 1
-    else:
-        phi0 = float(f0)
-    if not np.isfinite(phi0):
-        raise LineSearchError("objective non-finite at the current point")
-
-    best_suff = None  # largest-decrease step satisfying sufficient decrease
-    best_suff_val = np.inf
+    best = None  # (step, value, gradient) of the largest sufficient decrease
     any_finite = False
 
-    def note(a, v):
-        nonlocal best_suff, best_suff_val, any_finite
+    def note(a, v, grad):
+        nonlocal best, any_finite
         if not np.isfinite(v):
             return
         any_finite = True
-        if v <= phi0 + c1 * a * derphi0 and v < best_suff_val:
-            best_suff, best_suff_val = a, v
+        if v <= phi0 + c1 * a * derphi0 and (best is None or v < best[1]):
+            best = (a, v, grad)
 
     def bail():
-        if best_suff is not None:
-            return best_suff, evals, True
+        if best is not None:
+            return best[0], evals, True, best[1], best[2]
         if any_finite:
-            return 0.0, evals, True
-        raise LineSearchError("no finite objective value along the direction")
+            return 0.0, evals, True, phi0, g
+        raise LineSearchError("no finite objective value along the direction", evals)
 
     def zoom(lo, hi, phi_lo, dphi_lo, phi_hi):
-        nonlocal evals
         while evals < max_evals:
             a = _interpolate(lo, hi, phi_lo, dphi_lo, phi_hi)
-            v, dv = phi(a)
-            note(a, v)
+            v, dv, grad = phi(a)
+            note(a, v, grad)
             if not np.isfinite(v) or v > phi0 + c1 * a * derphi0 or v >= phi_lo:
                 hi, phi_hi = a, v
             else:
                 if abs(dv) <= -c2 * derphi0:
-                    return a, evals, False
+                    return a, evals, False, v, grad
                 if dv * (hi - lo) >= 0:
                     hi, phi_hi = lo, phi_lo
                 lo, phi_lo, dphi_lo = a, v, dv
@@ -217,12 +224,12 @@ def wolfe_step(theta: np.ndarray, g: np.ndarray, f, c1: float = 1e-4,
     a = initial_step
     first = True
     while evals < max_evals:
-        v, dv = phi(a)
-        note(a, v)
+        v, dv, grad = phi(a)
+        note(a, v, grad)
         if not np.isfinite(v) or v > phi0 + c1 * a * derphi0 or (not first and v >= phi_prev):
             return zoom(a_prev, a, phi_prev, dphi_prev, v)
         if abs(dv) <= -c2 * derphi0:
-            return a, evals, False
+            return a, evals, False, v, grad
         if dv >= 0:
             return zoom(a, a_prev, v, dv, phi_prev)
         a_prev, phi_prev, dphi_prev = a, v, dv
@@ -246,23 +253,17 @@ def _interpolate(lo, hi, phi_lo, dphi_lo, phi_hi):
     return min(max(a, inner_lo), inner_hi)
 
 
-def _batch_eval(p_template, ocfg: ObjectiveConfig, method: var.VariantConfig,
-                batch, projs, corrupted):
-    """(f, last) for one mini-batch: f(theta) -> (value, packed gradient),
-    with last = [theta, value, gradient, parts] of its most recent call,
-    so an accepted trial point need not be evaluated twice.
-    """
-    last = []
+def _batch_objective(p_template, ocfg: ObjectiveConfig, method: var.VariantConfig,
+                     batch, projs, corrupted):
+    """f(theta) -> (value, packed gradient, parts) on one mini-batch."""
 
     def f(theta):
         value, parts, grad = objective(
             unpack_params(theta, p_template), batch, projs, ocfg,
             lambda_c=method.contraction, corrupted=corrupted)
-        grad = pack_gradient(grad)
-        last[:] = [theta, value, grad, parts]
-        return value, grad
+        return value, pack_gradient(grad), parts
 
-    return f, last
+    return f
 
 
 def _lbfgs_direction(g: np.ndarray, pairs) -> np.ndarray:
@@ -308,7 +309,10 @@ def train(X_train: np.ndarray, tangents, cfg: TrainConfig):
     weighted by their region variance) or equal-shape D x r factors such
     as D x D projectors (unit weight); None for variants without the
     Jacobian term. Data must already be normalized and finite; the
-    caller sets params.scale afterwards.
+    caller sets params.scale afterwards. Each line search returns the
+    value and gradient at its accepted point; an epoch's cost is the sum
+    of those batch values, and a LineSearchError along -g is not retried
+    (see the module docstring).
     """
     t_start = time.perf_counter()
     X_train = _check_matrix(X_train)
@@ -343,18 +347,17 @@ def train(X_train: np.ndarray, tangents, cfg: TrainConfig):
     for epoch in range(cfg.epochs):
         perm = rng.permutation(N)
         Xs = X_train[:, perm]
-        projs_s = projs[perm] if projs is not None else None
         Xc = cfg.method.corrupt(Xs, rng)
+        epoch_cost = 0.0
         for j in range(m):
             lo, hi = bounds[j], bounds[j + 1]
-            batch = Xs[:, lo:hi]
-            bprojs = projs_s[lo:hi] if projs_s is not None else None
-            bcorr = Xc[:, lo:hi] if Xc is not None else None
-            f, last = _batch_eval(params, ocfg, cfg.method, batch, bprojs, bcorr)
+            f = _batch_objective(
+                params, ocfg, cfg.method, Xs[:, lo:hi],
+                projs[perm[lo:hi]] if projs is not None else None,
+                Xc[:, lo:hi] if Xc is not None else None)
 
             theta = pack_params(params)
-            _, g = f(theta)
-            parts = last[3]
+            _, g, parts = f(theta)
 
             direction = _lbfgs_direction(g, pairs) if pairs else None
             if direction is not None and not float(g @ direction) < 0.0:
@@ -365,29 +368,17 @@ def train(X_train: np.ndarray, tangents, cfg: TrainConfig):
             # cheap); a quasi-Newton step starts at 1
             sd_step = min(max(2.0 * prev_step, 1e-12), 1.0)
             init_step = sd_step if direction is None else 1.0
-            evals, retries = 0, 0
+            evals = 0
             while True:
                 try:
-                    step, e, fallback = wolfe_step(
-                        theta, g, f, cfg.wolfe_c1, cfg.wolfe_c2,
-                        cfg.wolfe_max_evals, f0=parts.total,
-                        initial_step=init_step, direction=direction)
-                    evals += e
-                except LineSearchError:
+                    step, e, fallback, f_new, g_new = wolfe_step(
+                        theta, g, f, f0=parts.total, initial_step=init_step,
+                        direction=direction)
+                except LineSearchError as err:
                     if direction is None:
-                        retries += 1
-                        if retries == 4:
-                            raise
-                        init_step *= 0.5  # no finite value along -g
-                        continue
-                    step, fallback = 0.0, True
-                f_new, g_new = parts.total, g
-                if step > 0.0:
-                    theta_new = theta + step * (-g if direction is None else direction)
-                    if last and np.array_equal(last[0], theta_new):
-                        f_new, g_new = last[1], last[2]
-                    else:
-                        f_new, g_new = f(theta_new)
+                        raise
+                    step, e, fallback, f_new, g_new = 0.0, err.evals, True, parts.total, g
+                evals += e
                 if direction is None or f_new < parts.total:
                     break
                 # no decrease along the quasi-Newton direction: keep
@@ -395,12 +386,14 @@ def train(X_train: np.ndarray, tangents, cfg: TrainConfig):
                 pairs.clear()
                 direction, init_step = None, sd_step
             converged = not f_new < parts.total  # not even along -g
+            epoch_cost += f_new
 
             if step > 0.0:
                 if direction is None:
                     prev_step = step
                 # curvature pair from the gradient at the accepted point,
                 # on this same mini-batch
+                theta_new = theta + step * (-g if direction is None else direction)
                 s, y = theta_new - theta, g_new - g
                 sy = float(s @ y)
                 if sy > _EPS * float(y @ y):
@@ -419,10 +412,7 @@ def train(X_train: np.ndarray, tangents, cfg: TrainConfig):
                 # whole set, reordered) from the same point
                 stop = True
                 break
-        # full-set cost once per epoch, for convergence plots
-        full = objective(params, Xs, projs_s, ocfg,
-                         lambda_c=cfg.method.contraction, corrupted=Xc)[0]
-        report.epoch_costs.append((epoch + 1, full))
+        report.epoch_costs.append((epoch + 1, epoch_cost))
         if stop:
             break
 

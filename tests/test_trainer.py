@@ -1,10 +1,12 @@
+import inspect
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
-from autojacobin import network, synth, tangent, matrix_io
+from autojacobin import network, synth, tangent, matrix_io, trainer
 from autojacobin.network import ObjectiveConfig, objective, pack_params
 from autojacobin.trainer import (
     LineSearchError,
@@ -85,9 +87,11 @@ def test_wolfe_on_quadratic():
         return 0.5 * float(t @ t), t
 
     theta = np.array([1.0, 0.0])
-    step, evals, fallback = wolfe_step(theta, theta.copy(), f)
+    step, evals, fallback, value, grad = wolfe_step(theta, theta.copy(), f)
     assert not fallback
     val = 0.5 * float(np.sum((theta - step * theta) ** 2))
+    assert value == val
+    np.testing.assert_array_equal(grad, theta - step * theta)
     g0 = float(theta @ theta)
     assert val <= 0.5 * g0 - 1e-4 * step * g0  # sufficient decrease
 
@@ -99,26 +103,44 @@ def test_wolfe_conditions_hold_on_convex_1d():
 
     theta = np.array([1.0])
     f0, g0 = f(theta)
-    step, evals, fallback = wolfe_step(theta, g0, f, c1=1e-4, c2=0.9)
+    step, evals, fallback, value, grad = wolfe_step(theta, g0, f, c1=1e-4, c2=0.9)
     assert not fallback and step > 0
     v, g = f(theta - step * g0)
+    assert value == v and grad.tobytes() == g.tobytes()
     gg = float(g0 @ g0)
     assert v <= f0 - 1e-4 * step * gg
     assert abs(float(g @ g0)) <= 0.9 * gg
 
 
 def test_wolfe_zero_gradient_is_noop():
-    step, evals, fallback = wolfe_step(np.ones(3), np.zeros(3),
-                                       lambda t: (0.0, np.zeros(3)))
-    assert step == 0.0 and not fallback
+    g = np.zeros(3)
+    step, evals, fallback, value, grad = wolfe_step(
+        np.ones(3), g, lambda t: (0.0, np.zeros(3)), f0=2.0)
+    assert step == 0.0 and not fallback and evals == 0
+    assert value == 2.0 and grad is g
 
 
 def test_wolfe_nonfinite_everywhere_raises():
     def f(t):
         return np.inf, np.ones(1)
 
-    with pytest.raises(LineSearchError):
+    with pytest.raises(LineSearchError) as err:
         wolfe_step(np.zeros(1), np.ones(1), f, f0=1.0)
+    assert err.value.evals == 20  # the error carries its evaluation count
+
+
+def test_wolfe_fallback_returns_value_and_gradient_of_its_best_trial():
+    # phi(a) = -a up to a = 4 and NaN beyond: the slope never flattens, the
+    # bracket ends at [4, 8] and every later trial is NaN, so the best
+    # sufficient decrease (a = 4) is not the last trial
+    def f(t):
+        a = -t[0]
+        return (-a if a <= 4.0 else np.nan), np.array([1.0, a])
+
+    step, evals, fallback, value, grad = wolfe_step(
+        np.zeros(2), np.array([1.0, 0.0]), f, f0=0.0)
+    assert (step, evals, fallback, value) == (4.0, 20, True, -4.0)
+    np.testing.assert_array_equal(grad, [1.0, 4.0])
 
 
 def test_lbfgs_direction_matches_dense_bfgs():
@@ -150,9 +172,9 @@ def test_wolfe_along_newton_direction_takes_unit_step():
 
     theta = np.array([1.0, 1.0])
     g = A @ theta
-    step, evals, fallback = wolfe_step(theta, g, f,
-                                       direction=-np.linalg.solve(A, g))
-    assert step == 1.0 and evals == 2 and not fallback
+    step, evals, fallback, value, _ = wolfe_step(theta, g, f,
+                                                 direction=-np.linalg.solve(A, g))
+    assert step == 1.0 and evals == 2 and not fallback and value == 0.0
 
 
 def test_wolfe_rejects_ascent_direction():
@@ -169,8 +191,10 @@ def test_wolfe_without_sufficient_decrease_stays_put():
     def f(t):
         return 1.0 + float(np.abs(t - 1.0).sum()), np.ones(1)
 
-    step, evals, fallback = wolfe_step(np.ones(1), np.ones(1), f, f0=1.0)
+    g = np.ones(1)
+    step, evals, fallback, value, grad = wolfe_step(np.ones(1), g, f, f0=1.0)
     assert step == 0.0 and fallback and evals == 20
+    assert value == 1.0 and grad is g  # the point it stays at: (f0, g)
 
 
 def test_train_zero_epochs_returns_init():
@@ -252,8 +276,8 @@ def test_full_batch_run_stops_once_no_step_lowers_the_cost():
     n = len(report.cost_trace)
     assert n < 400
     assert len(report.epoch_costs) == n  # the last epoch is still costed
-    full = [r.iteration for r in report.cost_trace
-            if r.evals >= cfg.wolfe_max_evals]
+    max_evals = inspect.signature(wolfe_step).parameters["max_evals"].default
+    full = [r.iteration for r in report.cost_trace if r.evals >= max_evals]
     assert len(full) <= 5
     # mini-batches differ from one iteration to the next: no early stop
     cfg_mb = TrainConfig(bits=3, epochs=60, batch_size=15, seed=0,
@@ -293,11 +317,15 @@ def test_train_variants_run():
         assert np.all(np.isfinite(p.w1))
 
 
-@pytest.mark.parametrize("kind", ["auto-jacobin", "dautobin"])
-def test_train_runs_one_forward_pass_per_evaluation(monkeypatch, kind):
-    # value and gradient come from one pass: one per iteration start, per
-    # line-search evaluation, per accepted point not already evaluated,
-    # and per epoch cost
+@pytest.mark.parametrize("kind,batch_size", [
+    pytest.param("auto-jacobin", 40, id="auto-jacobin"),
+    pytest.param("dautobin", 40, id="dautobin"),
+    pytest.param("autobin", 120, id="autobin-full-batch"),
+])
+def test_train_runs_one_forward_pass_per_evaluation(monkeypatch, kind, batch_size):
+    # value and gradient come from one pass: one per iteration start and
+    # one per line-search evaluation; the search returns its accepted
+    # point, and no epoch runs a pass of its own
     Xn, projs = _toy_setup(seed=3, n=120)
     calls = []
     forward_batch = network.forward_batch
@@ -311,13 +339,119 @@ def test_train_runs_one_forward_pass_per_evaluation(monkeypatch, kind):
         if (name.startswith("autojacobin")
                 and getattr(mod, "forward_batch", None) is forward_batch):
             monkeypatch.setattr(mod, "forward_batch", counting)
-    cfg = TrainConfig(bits=3, epochs=3, batch_size=40, seed=3,
+    cfg = TrainConfig(bits=3, epochs=3, batch_size=batch_size, seed=3,
                       method=VariantConfig(kind=kind))
     _, report = train(Xn, projs if kind == "auto-jacobin" else None, cfg)
     evals = sum(r.evals for r in report.cost_trace)
     iterations = len(report.cost_trace)
-    assert iterations == 9 and evals > iterations
-    assert len(calls) <= evals + 2 * iterations + len(report.epoch_costs)
+    assert iterations == 3 * (120 // batch_size) and evals > iterations
+    assert len(calls) == evals + iterations
+
+
+def test_train_objective_finite_only_at_start_raises_after_one_search(monkeypatch):
+    # f is deterministic, so a failed search along -g is not repeated
+    Xn, _ = _toy_setup(seed=3, n=60)
+    calls = []
+    objective_ = trainer.objective
+
+    def finite_once(*args, **kwargs):
+        calls.append(1)
+        total, parts, grad = objective_(*args, **kwargs)
+        return (total if len(calls) == 1 else np.nan), parts, grad
+
+    monkeypatch.setattr(trainer, "objective", finite_once)
+    cfg = TrainConfig(bits=3, epochs=1, batch_size=60, method=VariantConfig(kind="autobin"))
+    with pytest.raises(LineSearchError) as err:
+        train(Xn, None, cfg)
+    assert len(calls) == 1 + 20 and err.value.evals == 20
+
+
+def test_train_counts_evaluations_of_a_failed_quasi_newton_search(monkeypatch):
+    # a quasi-Newton search that finds no finite value still spent its
+    # evaluations; the iteration's trace row counts them with the -g search
+    Xn, _ = _toy_setup(seed=3, n=60)
+    searches = []
+    wolfe = trainer.wolfe_step
+
+    def failing_qn(theta, g, f, **kwargs):
+        if kwargs.get("direction") is not None:
+            searches.append(None)
+            raise LineSearchError("no finite objective value", 20)
+        result = wolfe(theta, g, f, **kwargs)
+        searches.append(result[1])
+        return result
+
+    monkeypatch.setattr(trainer, "wolfe_step", failing_qn)
+    cfg = TrainConfig(bits=3, epochs=3, batch_size=60, method=VariantConfig(kind="autobin"))
+    _, report = train(Xn, None, cfg)
+    assert None in searches  # None: a failed quasi-Newton search
+    expected, row = [], 0  # every iteration ends with a search along -g
+    for e in searches:
+        row += 20 if e is None else e
+        if e is not None:
+            expected.append(row)
+            row = 0
+    assert [r.evals for r in report.cost_trace] == expected
+
+
+@pytest.mark.filterwarnings("ignore:training data rank below bit count")
+def test_full_batch_epoch_costs_are_the_full_set_cost_at_epoch_end():
+    Xn, projs = _toy_setup(seed=1, n=120)
+    ocfg = ObjectiveConfig(alpha=0.1, epsilon=1e-4)
+    method = VariantConfig(kind="auto-jacobin")
+    costs = train(Xn, projs, TrainConfig(bits=3, epochs=3, batch_size=120, seed=1,
+                                         method=method))[1].epoch_costs
+    assert [e for e, _ in costs] == [1, 2, 3]
+    for epochs, (_, cost) in enumerate(costs, start=1):
+        # the same seed replays the same first epochs
+        p, _ = train(Xn, projs, TrainConfig(bits=3, epochs=epochs, batch_size=120,
+                                            seed=1, method=method))
+        assert cost == pytest.approx(objective(p, Xn, projs, ocfg)[0], rel=1e-12)
+
+
+def test_mini_batch_epoch_costs_sum_the_accepted_batch_costs(monkeypatch):
+    # each iteration's last search returns the point it accepts
+    Xn, projs = _toy_setup(seed=2, n=120)
+    accepted = {}  # one entry per iteration, keyed by its start point
+    wolfe = trainer.wolfe_step
+
+    def recording(theta, g, f, **kwargs):
+        result = wolfe(theta, g, f, **kwargs)
+        accepted[theta.tobytes()] = result[3]
+        return result
+
+    monkeypatch.setattr(trainer, "wolfe_step", recording)
+    cfg = TrainConfig(bits=3, epochs=2, batch_size=40, seed=2,
+                      method=VariantConfig(kind="auto-jacobin"))
+    _, report = train(Xn, projs, cfg)
+    values = list(accepted.values())
+    assert len(values) == len(report.cost_trace) == 6
+    for epoch, cost in report.epoch_costs:
+        assert cost == pytest.approx(sum(values[3 * epoch - 3:3 * epoch]), rel=1e-12)
+
+
+def test_train_holds_one_copy_of_the_tangent_factors():
+    # batches gather their rows of the (N, D, r) stack, so a second copy
+    # of it never exists; that copy alone would take the peak to 2x. The
+    # rest is the batch's rows (0.25x), the shuffled data (1/r) and the
+    # Jacobian term's work arrays: 1.64x on numpy 2.4, 2.78x with a
+    # whole-stack copy per epoch
+    rng = np.random.default_rng(6)
+    N, D, r = 8000, 16, 8
+    X = rng.standard_normal((D, N))
+    Q = np.linalg.qr(rng.standard_normal((N, D, r)))[0]
+    bases = [tangent.TangentBasis(point_index=i, basis=Q[i], variance=0.01)
+             for i in range(N)]
+    cfg = TrainConfig(bits=4, epochs=1, batch_size=N // 4, seed=6,
+                      total_iterations=2, method=VariantConfig(kind="auto-jacobin"))
+    tracemalloc.start()
+    try:
+        train(X, bases, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    stack = N * D * r * 8
+    assert peak < 2.0 * stack, (peak, stack)
 
 
 def test_train_batch_size_validation():
@@ -326,8 +460,6 @@ def test_train_batch_size_validation():
         train(Xn, projs, TrainConfig(bits=3, epochs=1, batch_size=51))
     with pytest.raises(ValueError):
         TrainConfig(bits=3, epochs=1, batch_size=0)
-    with pytest.raises(ValueError):
-        TrainConfig(bits=3, wolfe_c1=0.5, wolfe_c2=0.1)
 
 
 def test_train_requires_tangents_for_jacobian_method():
