@@ -20,7 +20,7 @@ from . import __version__, hamming, matrix_io, synth, svgplot
 from .checks import check_gradients
 from .network import forward_batch
 from .tangent import estimate_all_tangents
-from .trainer import TrainConfig, init_params, train, write_trace_csv
+from .trainer import LineSearchError, TrainConfig, init_params, train, write_trace_csv
 from .variants import VariantConfig, lsh_generate
 
 GRADCHECK_TOLERANCE = 1e-5
@@ -78,18 +78,22 @@ def _train_model(X_raw: np.ndarray, args):
     if not method.trained:
         params = lsh_generate(Xn.shape[0], args.bits, args.seed, scale=nz.scale)
         return params, None
-    tangents = None
     if method.needs_tangents:
         D, N = Xn.shape
         if N < D + args.bits:
             raise SystemExit(f"tangent estimation needs N >= D+d = {D + args.bits} "
                              f"points, got {N}")
-        tangents = estimate_all_tangents(Xn, args.bits)
     cfg = TrainConfig(bits=args.bits, epsilon=args.epsilon,
                       epochs=args.epochs, batch_size=min(args.batch, Xn.shape[1]),
                       total_iterations=args.iterations, seed=args.seed,
                       method=method)
-    params, report = train(Xn, tangents, cfg)
+    try:
+        # passed, not kept: train holds the only reference to the tangents
+        params, report = train(Xn, estimate_all_tangents(Xn, args.bits)
+                               if method.needs_tangents else None, cfg)
+    except LineSearchError as err:
+        err.params.scale = nz.scale
+        raise
     params.scale = nz.scale
     return params, report
 
@@ -98,7 +102,15 @@ def cmd_train(args) -> int:
     X_raw = read_matrix(args.input)
     if X_raw.size == 0:
         raise SystemExit(f"empty input {args.input}")
-    params, report = _train_model(X_raw, args)
+    try:
+        params, report = _train_model(X_raw, args)
+    except LineSearchError as err:
+        matrix_io.write_model(args.out, err.params)
+        write_manifest(args.out, "train", _flags(args))
+        print(f"training stopped early at iteration {err.iteration}: {err}; "
+              f"wrote the parameters accepted before it to {args.out}",
+              file=sys.stderr)
+        return 1
     matrix_io.write_model(args.out, params)
     if report is not None and args.trace:
         write_trace_csv(args.trace, report)

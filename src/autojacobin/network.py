@@ -21,7 +21,10 @@ with o the entrywise product, so value and gradient (by the chain rule
 through these products) need only d x d and d x r matrices per point.
 The last term makes the identity exact for any factor: zero columns
 change neither T T' nor T'T, so ragged ranks are zero-padded to one
-width, and a projector P is its own factor, since P P' = P.
+width, and a projector P is its own factor, since P P' = P. The term is
+computed in chunks of 64 points on a thread pool (see the parallel
+module), and the chunks' values and gradients are summed in chunk
+order, so the objective has the same bits at any worker count.
 
 The comparison models are the same objective with the middle term
 changed: AutoBin drops it, CAutoBin puts the contractive term
@@ -58,6 +61,8 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
+
+from . import parallel
 
 
 @dataclass
@@ -157,52 +162,69 @@ def _binary_term(p, Xin, Y, alpha, eps, n_target):
     return value, g
 
 
-_JAC_CHUNK = 256  # bounds the (n, D, d) and (n, D, r) work arrays
+# points per chunk, whatever the worker count: a chunk's (c, D, d) and
+# (c, D, r) work arrays stay in cache, and W workers hold W chunks
+_JAC_CHUNK = 64
+
+
+def _jacobian_chunk(p, G, Xc, Yc, Zc, T, weight):
+    """(value, GradientSet) of the Jacobian term over one chunk of points
+    with (c, D, r) factors T; G = W1 W1'."""
+    At = (1.0 - Yc * Yc).T  # (c, d)
+    Ct = (1.0 - Zc * Zc).T  # (c, D)
+    C2 = Ct * Ct
+    # ||J||^2 = a'(G o H)a with H = W2' diag(c^2) W2; F = W2 diag(a)
+    F = p.w2 * At[:, None, :]  # (c, D, d)
+    FG = F @ G
+    WFG = p.w2 * FG
+    h = np.einsum("nj,njk->nk", C2, WFG)  # (G o H) a
+    # tr(J' T T') = sum_k a_k q_k with q = rowsums of (W1 T) o (W2' diag(c) T)
+    CT = Ct[:, :, None] * T
+    M = p.w1 @ T  # (c, d, r)
+    N = p.w2.T @ CT
+    q = np.einsum("nkr,nkr->nk", M, N)
+    TtT = np.swapaxes(T, 1, 2) @ T
+    value = weight * float(np.sum(At * (h - 2.0 * q)) + np.sum(TtT * TtT))
+    s = 2.0 * weight
+    AM, AN = At[:, :, None] * M, At[:, :, None] * N
+    Fr = F.reshape(-1, F.shape[2])
+    dw1 = s * ((Fr.T @ (C2.reshape(-1, 1) * Fr)) @ p.w1
+               - np.tensordot(AN, T, axes=([0, 2], [0, 2])))
+    dw2 = s * (np.einsum("nj,njk,nk->jk", C2, FG, At)
+               - np.tensordot(CT, AM, axes=([0, 2], [0, 2])))
+    ga = s * (h - q)  # d/da
+    gc = s * (Ct * np.einsum("njk,nk->nj", WFG, At)
+              - np.einsum("njr,njr->nj", T, p.w2 @ AM))  # d/dc
+    # chain through c = 1 - z^2 into v = W2 y + b2, then through
+    # a = 1 - y^2 and y into u = W1 x + b1
+    gv = -2.0 * Zc * (Ct * gc).T  # (D, c)
+    gu = (p.w2.T @ gv - 2.0 * Yc * ga.T) * At.T  # (d, c)
+    return value, GradientSet(dw1 + gu @ Xc.T, dw2 + gv @ Yc.T,
+                              gu.sum(axis=1), gv.sum(axis=1))
 
 
 def _jacobian_term(p, Xin, Y, Z, factors, weight):
     """w sum_n ||J_n - T_n T_n'||_F^2 and its gradient from the (n, D, r)
     factors T_n, by the identity in the module docstring: no D x D array.
+
+    Chunks of _JAC_CHUNK points run on a thread pool (see the parallel
+    module) and are summed in chunk order, so value and gradient have
+    the same bits at any worker count.
     """
     n = Xin.shape[1]
     G = p.w1 @ p.w1.T  # (d, d)
+
+    def chunk(lo):
+        hi = lo + _JAC_CHUNK
+        return _jacobian_chunk(p, G, Xin[:, lo:hi], Y[:, lo:hi], Z[:, lo:hi],
+                               np.asarray(factors[lo:hi]), weight)
+
     value = 0.0
     total = GradientSet.zeros(p)
-    for lo in range(0, n, _JAC_CHUNK):
-        hi = min(lo + _JAC_CHUNK, n)
-        T = np.asarray(factors[lo:hi])  # (c, D, r)
-        Xc, Yc, Zc = Xin[:, lo:hi], Y[:, lo:hi], Z[:, lo:hi]
-        At = (1.0 - Yc * Yc).T  # (c, d)
-        Ct = (1.0 - Zc * Zc).T  # (c, D)
-        C2 = Ct * Ct
-        # ||J||^2 = a'(G o H)a with H = W2' diag(c^2) W2; F = W2 diag(a)
-        F = p.w2 * At[:, None, :]  # (c, D, d)
-        FG = F @ G
-        WFG = p.w2 * FG
-        h = np.einsum("nj,njk->nk", C2, WFG)  # (G o H) a
-        # tr(J' T T') = sum_k a_k q_k with q = rowsums of (W1 T) o (W2' diag(c) T)
-        CT = Ct[:, :, None] * T
-        M = p.w1 @ T  # (c, d, r)
-        N = p.w2.T @ CT
-        q = np.einsum("nkr,nkr->nk", M, N)
-        TtT = np.swapaxes(T, 1, 2) @ T
-        value += weight * float(np.sum(At * (h - 2.0 * q)) + np.sum(TtT * TtT))
-        s = 2.0 * weight
-        AM, AN = At[:, :, None] * M, At[:, :, None] * N
-        Fr = F.reshape(-1, F.shape[2])
-        dw1 = s * ((Fr.T @ (C2.reshape(-1, 1) * Fr)) @ p.w1
-                   - np.tensordot(AN, T, axes=([0, 2], [0, 2])))
-        dw2 = s * (np.einsum("nj,njk,nk->jk", C2, FG, At)
-                   - np.tensordot(CT, AM, axes=([0, 2], [0, 2])))
-        ga = s * (h - q)  # d/da
-        gc = s * (Ct * np.einsum("njk,nk->nj", WFG, At)
-                  - np.einsum("njr,njr->nj", T, p.w2 @ AM))  # d/dc
-        # chain through c = 1 - z^2 into v = W2 y + b2, then through
-        # a = 1 - y^2 and y into u = W1 x + b1
-        gv = -2.0 * Zc * (Ct * gc).T  # (D, c)
-        gu = (p.w2.T @ gv - 2.0 * Yc * ga.T) * At.T  # (d, c)
-        total += GradientSet(dw1 + gu @ Xc.T, dw2 + gv @ Yc.T,
-                             gu.sum(axis=1), gv.sum(axis=1))
+    for v, g in parallel.ordered_map(chunk, range(0, n, _JAC_CHUNK),
+                                     8 * _JAC_CHUNK * p.w2.size):
+        value += v
+        total += g
     return value, total
 
 

@@ -1,0 +1,69 @@
+"""The thread pool of the blocked numpy loops, and its size.
+
+Local PCA (tangent) and the Jacobian term (network) split their work into
+fixed-size blocks that do not depend on each other, run them here, and
+combine the results in block order, so their output has the same bits at
+any worker count. numpy releases the interpreter lock inside the
+products and the `eigh` that dominate a block. The pool lives for one
+call; there is no setting of the program's own (see workers()).
+"""
+
+from __future__ import annotations
+
+import os
+from concurrent.futures import ThreadPoolExecutor
+
+
+# the least work per block for which threads pay: see workers()
+_MIN_BLOCK_BYTES = 1 << 18
+
+
+def workers(tasks: int, block_bytes: int) -> int:
+    """Threads for `tasks` independent blocks whose largest work array
+    takes block_bytes: the CPUs in this process's affinity mask
+    (os.cpu_count() where the platform has none) over the threads BLAS
+    runs each product on, at most one per block and at least one.
+
+    BLAS threads and these workers would otherwise contend for the same
+    cores: on a 2-core box with 2 OpenBLAS threads, two workers took
+    1.5-2x as long as one. One worker, too, below _MIN_BLOCK_BYTES: a
+    small block's numpy calls are too short for the time they spend
+    outside the interpreter lock to repay the hand-offs between threads.
+    On that box the Jacobian term ran 1.1-1.3x slower on two threads at
+    D x d <= 256 and 1.1-1.6x faster at D x d >= 512, where its
+    (64, D, d) arrays reach 256 KiB.
+    """
+    if block_bytes < _MIN_BLOCK_BYTES:
+        return 1
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:
+        cpus = os.cpu_count() or 1
+    return max(1, min(cpus // _blas_threads(cpus), tasks))
+
+
+def _blas_threads(cpus: int) -> int:
+    """Threads per BLAS call, from the variables BLAS reads when numpy
+    loads; every CPU, OpenBLAS's default, when none is set."""
+    for var in ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS"):
+        value = os.environ.get(var, "")
+        if value.isdigit() and int(value) > 0:
+            return int(value)
+    return cpus
+
+
+def ordered_map(fn, starts, block_bytes: int):
+    """Yield fn(s) for each s in starts, in order; block_bytes as in
+    workers().
+
+    The calls run on a pool of workers(len(starts), block_bytes) threads
+    that lives for the length of the iteration; with one worker they run
+    on the calling thread and no pool starts. Each result is read as it
+    is yielded, so an error raised in a worker is raised here.
+    """
+    n = workers(len(starts), block_bytes)
+    if n == 1:
+        yield from map(fn, starts)
+        return
+    with ThreadPoolExecutor(n) as pool:
+        yield from pool.map(fn, starts)

@@ -3,7 +3,11 @@
 Tangent bases come from local PCA on the k = D+d nearest neighbors of
 each training point (self included), from neighbors.knn. The PCAs of a
 block of points take one np.linalg.eigh call on their stacked
-covariances.
+covariances. Blocks run on a thread pool (see the parallel module), and
+each writes its own rows of one zero-padded (N, D, r) stack of bases, the
+TangentSet that training reads, so no second copy of the bases is made
+and the result has the same bits at any worker count. The kNN before
+them stays serial: its per-row re-rank runs in the interpreter.
 
 The projection oracles (affine subspace, unit sphere) have closed-form
 closest-point maps and are used to check numerically that the Jacobian
@@ -13,14 +17,18 @@ T T'.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import parallel
 from .neighbors import knn
 
 ENERGY_FRACTION = 0.98
-_BLOCK = 64  # points per local-PCA block: bounds the (b, D, k) arrays
+# points per local-PCA block; each worker holds one block's (b, D, k)
+# neighborhoods and (b, D, D) covariances, so W workers hold W blocks
+_BLOCK = 64
 
 
 @dataclass
@@ -36,14 +44,44 @@ class TangentBasis:
         return 0 if self.basis.size == 0 else self.basis.shape[1]
 
 
-def _pca_block(X: np.ndarray, lo: int, nbr: np.ndarray, d: int) -> list[TangentBasis]:
-    """Local-PCA bases for the points lo, lo+1, ... with neighborhoods nbr.
+@dataclass(eq=False)
+class TangentSet(Sequence):
+    """The tangent bases of N points as one zero-padded stack.
 
-    Keeps min(r98, d) principal directions, where r98 is the smallest
-    rank capturing at least 98% of the local variance. A neighborhood is
-    degenerate, with rank 0 and variance 0, when all its points equal the
-    first: their mean need not round back to them, so the covariance
-    alone cannot tell.
+    factors[i, :, :ranks[i]] is point i's orthonormal basis and the rest
+    of factors[i] is zero, so factors is the (N, D, r) stack of factors
+    the Jacobian term reads, with r = max(1, largest rank). Item i is a
+    TangentBasis whose basis is a view into factors.
+    """
+
+    factors: np.ndarray  # (N, D, r)
+    ranks: np.ndarray  # (N,) int
+    variance: np.ndarray  # (N,), as TangentBasis.variance
+    degenerate: np.ndarray  # (N,) bool
+
+    def __len__(self) -> int:
+        return len(self.ranks)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(len(self))[i]]
+        i = range(len(self))[i]  # IndexError past either end ends iteration
+        return TangentBasis(point_index=i, basis=self.factors[i, :, :self.ranks[i]],
+                            degenerate=bool(self.degenerate[i]),
+                            variance=float(self.variance[i]))
+
+
+def _pca_block(X: np.ndarray, nbr: np.ndarray, d: int):
+    """(bases, ranks, variance, degenerate) of the local PCAs of b points
+    with neighborhoods nbr (b, k).
+
+    bases is (b, D, min(d, D)): the leading ranks[j] columns of bases[j]
+    are point j's principal directions, by decreasing variance, and the
+    rest are zero. A point keeps min(r98, d) directions, where r98 is the
+    smallest rank capturing at least 98% of the local variance. A
+    neighborhood is degenerate, with rank 0 and variance 0, when all its
+    points equal the first: their mean need not round back to them, so
+    the covariance alone cannot tell.
     """
     D = X.shape[0]
     b, k = nbr.shape
@@ -63,13 +101,12 @@ def _pca_block(X: np.ndarray, lo: int, nbr: np.ndarray, d: int) -> list[TangentB
     share = np.cumsum(evals[live], axis=1) / total[live, None]
     r = np.zeros(b, dtype=int)
     r[live] = np.minimum((share < ENERGY_FRACTION).sum(axis=1) + 1, d)
-    return [TangentBasis(point_index=lo + j,
-                         basis=np.ascontiguousarray(evecs[j, :, ::-1][:, :r[j]]),
-                         degenerate=bool(degenerate[j]), variance=float(variance[j]))
-            for j in range(b)]
+    top = evecs[:, :, ::-1][:, :, :d]
+    bases = np.where(np.arange(top.shape[2]) < r[:, None, None], top, 0.0)
+    return bases, r, variance, degenerate
 
 
-def estimate_all_tangents(X: np.ndarray, d: int) -> list[TangentBasis]:
+def estimate_all_tangents(X: np.ndarray, d: int) -> TangentSet:
     """Local-PCA tangent basis at every column of X (D x N) from its D+d
     nearest neighbors; see the module docstring."""
     X = np.asarray(X, dtype=np.float64)
@@ -79,13 +116,26 @@ def estimate_all_tangents(X: np.ndarray, d: int) -> list[TangentBasis]:
     if N < D + d:
         raise ValueError(f"need N >= D+d = {D + d} points, got {N}")
     nbr = knn(X, X, D + d)
-    tangents = []
-    for lo in range(0, N, _BLOCK):
-        tangents.extend(_pca_block(X, lo, nbr[lo:lo + _BLOCK], d))
-    return tangents
+    factors = np.empty((N, D, min(d, D)))
+    ranks = np.empty(N, dtype=int)
+    variance = np.empty(N)
+    degenerate = np.empty(N, dtype=bool)
+
+    def block(lo):
+        hi = lo + _BLOCK
+        (factors[lo:hi], ranks[lo:hi], variance[lo:hi],
+         degenerate[lo:hi]) = _pca_block(X, nbr[lo:hi], d)
+
+    for _ in parallel.ordered_map(block, range(0, N, _BLOCK),
+                                   8 * _BLOCK * D * (D + d)):
+        pass
+    width = max(1, int(ranks.max()))
+    if width < factors.shape[2]:
+        factors = np.ascontiguousarray(factors[:, :, :width])
+    return TangentSet(factors, ranks, variance, degenerate)
 
 
-def region_variance(tangents: list[TangentBasis]) -> float:
+def region_variance(tangents: Sequence[TangentBasis]) -> float:
     """Mean per-coordinate variance of the D+1 nearest points of each
     training point: the weight of the Jacobian term (see the network
     module).
@@ -97,6 +147,8 @@ def region_variance(tangents: list[TangentBasis]) -> float:
     """
     if not tangents:
         raise ValueError("no tangents")
+    if isinstance(tangents, TangentSet):
+        return float(np.mean(tangents.variance))
     return float(np.mean([t.variance for t in tangents]))
 
 

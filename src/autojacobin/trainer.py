@@ -60,7 +60,7 @@ from .network import (
     unpack_params,
 )
 from .matrix_io import _check_matrix
-from .tangent import TangentBasis, region_variance
+from .tangent import TangentBasis, TangentSet, region_variance
 
 
 LBFGS_MEMORY = 10  # curvature pairs kept by the L-BFGS direction
@@ -69,11 +69,15 @@ _EPS = np.finfo(float).eps
 
 class LineSearchError(RuntimeError):
     """No finite objective value found along the search direction; evals
-    counts the objective evaluations the search made."""
+    counts the objective evaluations the search made. When it ends
+    train, params holds the last accepted parameters and iteration the
+    number of the iteration whose search failed."""
 
     def __init__(self, message: str, evals: int):
         super().__init__(message)
         self.evals = evals
+        self.params: NetworkParams | None = None
+        self.iteration: int | None = None
 
 
 @dataclass
@@ -288,11 +292,14 @@ def _lbfgs_direction(g: np.ndarray, pairs) -> np.ndarray:
 def _tangent_targets(tangents, D: int):
     """(N, D, r) tangent factors and the Jacobian-term weight.
 
-    TangentBasis bases are zero-padded to the largest rank (at least 1);
-    their neighborhoods give the weight (tangent.region_variance). Plain
+    A TangentSet already is that stack and is used as it is. Other
+    TangentBasis bases are zero-padded to the largest rank (at least 1).
+    Their neighborhoods give the weight (tangent.region_variance). Plain
     arrays, such as D x D projectors, carry none: they are stacked as
     they are, at ObjectiveConfig's unit weight.
     """
+    if isinstance(tangents, TangentSet):
+        return tangents.factors, region_variance(tangents)
     if len(tangents) and isinstance(tangents[0], TangentBasis):
         factors = np.zeros((len(tangents), D, max(1, max(t.rank for t in tangents))))
         for i, t in enumerate(tangents):
@@ -312,7 +319,9 @@ def train(X_train: np.ndarray, tangents, cfg: TrainConfig):
     caller sets params.scale afterwards. Each line search returns the
     value and gradient at its accepted point; an epoch's cost is the sum
     of those batch values, and a LineSearchError along -g is not retried
-    (see the module docstring).
+    (see the module docstring): it ends training carrying the last
+    accepted parameters and the failed iteration. train keeps no
+    reference to tangents once it has their (N, D, r) stack.
     """
     t_start = time.perf_counter()
     X_train = _check_matrix(X_train)
@@ -334,7 +343,9 @@ def train(X_train: np.ndarray, tangents, cfg: TrainConfig):
     if cfg.method.needs_tangents:
         projs, weight = _tangent_targets(tangents, D)
         report.jacobian_weight = weight
-        report.tangent_ranks = [t.rank for t in tangents if isinstance(t, TangentBasis)]
+        report.tangent_ranks = (tangents.ranks.tolist() if isinstance(tangents, TangentSet)
+                                else [t.rank for t in tangents if isinstance(t, TangentBasis)])
+    del tangents  # the stack is all training reads; let a list of bases go
     ocfg = ObjectiveConfig(alpha=cfg.method.alpha, epsilon=cfg.epsilon,
                            jacobian_weight=weight)
     m = N // cfg.batch_size  # trailing remainder joins the last batch
@@ -376,6 +387,7 @@ def train(X_train: np.ndarray, tangents, cfg: TrainConfig):
                         direction=direction)
                 except LineSearchError as err:
                     if direction is None:
+                        err.params, err.iteration = params, iteration + 1
                         raise
                     step, e, fallback, f_new, g_new = 0.0, err.evals, True, parts.total, g
                 evals += e

@@ -1,12 +1,14 @@
 import json
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from autojacobin import matrix_io, tangent
-from autojacobin.cli import _cached_groundtruth, main
+from autojacobin import matrix_io, tangent, trainer
+from autojacobin.cli import _cached_groundtruth, _train_model, build_parser, main
+from autojacobin.network import GradientSet
 
 pytestmark = pytest.mark.filterwarnings(
     "ignore:training data rank below bit count")
@@ -81,6 +83,61 @@ def test_train_summary_reports_tangent_ranks_and_weight(tmp_path, capsys):
           "--epochs", "1", "--batch", "80", "--iterations", "2",
           "--out", str(tmp_path / "a.ajb")])
     assert "tangent rank" not in capsys.readouterr().out
+
+
+def test_train_holds_the_tangent_bases_once():
+    # the bases are estimated into the (N, D, r) stack that training
+    # reads, and no list of them is kept beside it; with one, the peak
+    # passed 2x the bases. The rest is the batches' rows of the stack
+    # (0.25x), the normalized and shuffled data and the kNN's indices
+    N, D, bits = 8000, 16, 8
+    X = np.random.default_rng(8).standard_normal((D, N))
+    args = build_parser().parse_args([
+        "train", "--input", "x.fvecs", "--out", "x.ajb", "--bits", str(bits),
+        "--batch", str(N // 4), "--epochs", "1", "--iterations", "2"])
+    tracemalloc.start()
+    try:
+        _, report = _train_model(X, args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    bases = 8 * D * sum(report.tangent_ranks)
+    assert bases == 8 * D * bits * N  # every rank at the cap
+    assert peak < 2.0 * bases, (peak, bases)
+
+
+def test_train_saves_the_accepted_parameters_when_the_search_fails(
+        tmp_path, monkeypatch, capsys):
+    base_path, _ = _write_data(tmp_path, "f.fvecs", n=120, seed=9)
+    argv = ["train", "--input", str(base_path), "--bits", "4", "--epochs", "3",
+            "--batch", "60", "--seed", "2"]
+    objective, calls = trainer.objective, []
+
+    def counting(*args, **kwargs):
+        calls.append(None)
+        return objective(*args, **kwargs)
+
+    monkeypatch.setattr(trainer, "objective", counting)
+    ref = tmp_path / "ref.ajb"
+    assert main(argv + ["--iterations", "3", "--out", str(ref)]) == 0
+    finite = len(calls)  # the evaluations of three iterations
+
+    def non_finite_after_three_iterations(*args, **kwargs):
+        calls.append(None)
+        total, parts, g = objective(*args, **kwargs)
+        if len(calls) <= finite:
+            return total, parts, g
+        return np.nan, parts, GradientSet(g.dw1 * np.nan, g.dw2, g.db1, g.db2)
+
+    monkeypatch.setattr(trainer, "objective", non_finite_after_three_iterations)
+    calls.clear()
+    capsys.readouterr()
+    out = tmp_path / "m.ajb"
+    assert main(argv + ["--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "training stopped early at iteration 4: non-finite directional derivative" in err
+    assert out.read_bytes() == ref.read_bytes()  # the parameters after iteration 3
+    assert json.loads((tmp_path / "m.ajb.manifest.json").read_text())["command"] == "train"
 
 
 def test_groundtruth_cache_name_is_pinned(tmp_path):

@@ -4,8 +4,11 @@ import pytest
 from autojacobin import matrix_io, synth, tangent
 from autojacobin.checks import check_gradients, fd_gradient, random_instance
 from autojacobin.network import (
+    _JAC_CHUNK,
+    GradientSet,
     NetworkParams,
     ObjectiveConfig,
+    _jacobian_chunk,
     _jacobian_term,
     forward_batch,
     objective,
@@ -230,6 +233,43 @@ def test_fd_gradient_on_zero_padded_bases():
     for seed in range(5):
         p, batch, _ = random_instance(8, 4, 5, seed=seed)
         assert _fd_error(p, batch, factors, ObjectiveConfig(jacobian_weight=0.5)) < 1e-6
+
+
+def _gradient_blocks(g):
+    return [g.dw1, g.dw2, g.db1, g.db2]
+
+
+@pytest.mark.parametrize("workers", [1, 5])
+@pytest.mark.parametrize("kind", ["projectors", "ragged"])
+def test_objective_has_the_same_bits_at_any_worker_count(workers, kind, with_workers):
+    n = 300  # 5 chunks, the last one short
+    p, batch, projs = random_instance(8, 4, n, seed=16)
+    if kind == "projectors":
+        factors = np.stack(projs)
+    else:
+        ranks = np.random.default_rng(17).integers(0, 5, size=n)
+        factors, _ = _tangent_targets(_ragged_bases(8, ranks, seed=18), 8)
+    cfg = ObjectiveConfig(jacobian_weight=0.5)
+    # the reference: a plain loop over the chunks, summed in order
+    Y, Z = forward_batch(p, batch)
+    G = p.w1 @ p.w1.T
+    ref_value, ref_g = 0.0, GradientSet.zeros(p)
+    for lo in range(0, n, _JAC_CHUNK):
+        hi = lo + _JAC_CHUNK
+        v, g = _jacobian_chunk(p, G, batch[:, lo:hi], Y[:, lo:hi], Z[:, lo:hi],
+                               factors[lo:hi], 0.5)
+        ref_value += v
+        ref_g += g
+    value, g = with_workers(workers, lambda: _jacobian_term(p, batch, Y, Z, factors, 0.5))
+    assert value == ref_value
+    for got, want in zip(_gradient_blocks(g), _gradient_blocks(ref_g)):
+        assert got.tobytes() == want.tobytes()
+    total, parts, grad = with_workers(workers, lambda: objective(p, batch, factors, cfg))
+    assert parts.jacobian == ref_value
+    total1, _, grad1 = with_workers(1, lambda: objective(p, batch, factors, cfg))
+    assert total == total1
+    for got, want in zip(_gradient_blocks(grad), _gradient_blocks(grad1)):
+        assert got.tobytes() == want.tobytes()
 
 
 def test_jacobian_weight_scales_term_and_gradient():

@@ -1,0 +1,40 @@
+import os
+
+import pytest
+
+from autojacobin import parallel
+
+BIG = parallel._MIN_BLOCK_BYTES  # blocks large enough for threads
+
+
+@pytest.fixture
+def four_cpus(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+    for var in ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS"):
+        monkeypatch.delenv(var, raising=False)
+    return monkeypatch
+
+
+def test_workers_share_the_cpus_with_blas_threads(four_cpus):
+    assert parallel.workers(100, BIG) == 1  # no variable: BLAS takes every CPU
+    four_cpus.setenv("OMP_NUM_THREADS", "1")
+    assert parallel.workers(100, BIG) == 4
+    assert parallel.workers(3, BIG) == 3  # at most one per block
+    assert parallel.workers(0, BIG) == 1
+    four_cpus.setenv("OPENBLAS_NUM_THREADS", "2")  # read before OMP_NUM_THREADS
+    assert parallel.workers(100, BIG) == 2
+    four_cpus.setenv("OPENBLAS_NUM_THREADS", "8")
+    assert parallel.workers(100, BIG) == 1
+
+
+def test_small_blocks_run_on_the_calling_thread(four_cpus):
+    four_cpus.setenv("OMP_NUM_THREADS", "1")
+    assert parallel.workers(100, BIG - 1) == 1
+    assert list(parallel.ordered_map(lambda s: s * s, range(5), BIG - 1)) == \
+        [0, 1, 4, 9, 16]
+
+
+def test_ordered_map_keeps_block_order_on_a_pool(four_cpus):
+    four_cpus.setenv("OMP_NUM_THREADS", "1")
+    assert list(parallel.ordered_map(lambda s: s * s, range(50), BIG)) == \
+        [s * s for s in range(50)]

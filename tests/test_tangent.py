@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -284,6 +286,64 @@ def test_batched_pca_equals_per_point_pca_bit_for_bit(layout, monkeypatch):
         assert t.degenerate == (basis.shape[1] == 0)
         assert t.variance == variance
         np.testing.assert_array_equal(t.basis, basis)
+
+
+def _serial_tangents(X, d):
+    """(factors, ranks, variance, degenerate) from a plain loop over the
+    local-PCA blocks, with the factors cut to the largest rank (at least 1)."""
+    D = X.shape[0]
+    nbr = knn(X, X, D + d)
+    blocks = [tangent._pca_block(X, nbr[lo:lo + tangent._BLOCK], d)
+              for lo in range(0, X.shape[1], tangent._BLOCK)]
+    factors, ranks, variance, degenerate = (np.concatenate(a) for a in zip(*blocks))
+    return factors[:, :, :max(1, ranks.max())], ranks, variance, degenerate
+
+
+@pytest.mark.parametrize("workers", [1, 5])
+def test_tangents_have_the_same_bits_at_any_worker_count(workers, with_workers,
+                                                          monkeypatch):
+    monkeypatch.setattr(tangent, "_BLOCK", 16)
+    rng = np.random.default_rng(8)
+    X = rng.standard_normal((6, 300)) * np.linspace(1.0, 1e-3, 6)[:, None]
+    X[:, 250:] = X[:, [3]]  # equal points: degenerate neighborhoods
+    ts = with_workers(workers, lambda: estimate_all_tangents(X, 3))
+    ref = _serial_tangents(X, 3)
+    assert ts.degenerate.sum() == 51
+    for got, want in zip((ts.factors, ts.ranks, ts.variance, ts.degenerate), ref):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
+def test_tangent_set_stack_holds_each_basis_zero_padded():
+    rng = np.random.default_rng(9)
+    X = rng.standard_normal((5, 60)) * np.array([1.0, 1.0, 1e-3, 1e-3, 1e-3])[:, None]
+    X[:, 40:] = 0.5  # rank 0 points
+    ts = estimate_all_tangents(X, 4)
+    assert len(ts) == 60 and ts.factors.shape == (60, 5, max(ts.ranks))
+    assert [t.rank for t in ts] == ts.ranks.tolist()
+    assert 0 in ts.ranks and max(ts.ranks) < 4  # ragged, cut below d
+    for i, t in enumerate(ts):
+        assert t.point_index == i and t.basis.base is ts.factors  # a view
+        np.testing.assert_array_equal(ts.factors[i, :, t.rank:], 0.0)
+    assert ts[-1].point_index == 59 and [t.point_index for t in ts[57:]] == [57, 58, 59]
+    with pytest.raises(IndexError):
+        ts[60]
+
+
+def test_an_error_in_a_pca_block_reaches_the_caller(with_workers, monkeypatch):
+    eigh = np.linalg.eigh
+    calls = itertools.count(1)
+
+    def fail_second(a):  # one call per block: the second block to run fails
+        if next(calls) == 2:
+            raise np.linalg.LinAlgError("eigh failed in the second block")
+        return eigh(a)
+
+    monkeypatch.setattr(np.linalg, "eigh", fail_second)
+    monkeypatch.setattr(tangent, "_BLOCK", 16)
+    X = np.random.default_rng(10).standard_normal((4, 100))
+    with pytest.raises(np.linalg.LinAlgError, match="second block"):
+        with_workers(2, lambda: estimate_all_tangents(X, 2))
 
 
 def test_equal_points_are_degenerate_whatever_their_value():
