@@ -159,6 +159,8 @@ def cmd_eval(args) -> int:
     base_raw = read_matrix(args.base)
     query_raw = read_matrix(args.query)
     K = args.max_retrieve
+    if K < 1:
+        raise SystemExit(f"--max-retrieve K={K} must be at least 1")
     if K > base_raw.shape[1]:
         raise SystemExit(f"K={K} exceeds base size {base_raw.shape[1]}")
     base_codes = hamming.encode(params, base_raw * params.scale,
@@ -295,6 +297,8 @@ def _apply_config(parser, argv):
     if "--config" not in argv:
         return argv
     i = argv.index("--config")
+    if i + 1 == len(argv):
+        parser.error("argument --config: expected the path of a key=value config file")
     path = argv[i + 1]
     defaults = {}
     with open(path) as f:

@@ -130,6 +130,8 @@ def recall_curve(gt: np.ndarray, base_codes: BinaryCodes, query_codes: BinaryCod
     argsort per query: Recall@i counts ground-truth members whose
     Hamming rank is below i.
     """
+    if K < 1:
+        raise ValueError(f"K={K} must be at least 1")
     if K > base_codes.count:
         raise ValueError(f"K={K} exceeds base size {base_codes.count}")
     gt = np.asarray(gt)

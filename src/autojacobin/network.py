@@ -217,7 +217,7 @@ def _jacobian_term(p, Xin, Y, Z, factors, weight):
     def chunk(lo):
         hi = lo + _JAC_CHUNK
         return _jacobian_chunk(p, G, Xin[:, lo:hi], Y[:, lo:hi], Z[:, lo:hi],
-                               np.asarray(factors[lo:hi]), weight)
+                               factors[lo:hi], weight)
 
     value = 0.0
     total = GradientSet.zeros(p)
@@ -256,6 +256,7 @@ def _terms(batch, tangents, cfg: ObjectiveConfig, lambda_c, corrupted):
         raise ValueError("give tangents or lambda_c, not both: each is a middle term")
     terms = [("recon", lambda p, Y, Z: _recon_term(p, Xin, batch, Y, Z))]
     if tangents is not None:
+        tangents = np.asarray(tangents)
         if len(tangents) != n:
             raise ValueError(f"{len(tangents)} tangent factors for {n} points")
         terms.append(("jacobian", lambda p, Y, Z: _jacobian_term(
@@ -273,10 +274,10 @@ def objective(p: NetworkParams, batch: np.ndarray, tangents, cfg: ObjectiveConfi
     """(total, parts, gradient) of the objective on a batch, from one
     forward pass.
 
-    tangents holds one D x r tangent factor T per column, as an (n, D, r)
-    array or a sequence of equal-shape arrays, and adds the Jacobian term
-    with target T T' (a D x D projector is its own factor); lambda_c adds
-    the contractive term instead; None leaves the middle term out.
+    tangents holds one D x r tangent factor T per column, as one
+    array-like of shape (n, D, r) such as a list of D x D projectors (each
+    its own factor), and adds the Jacobian term with target T T';
+    lambda_c adds the contractive term instead; None leaves it out.
     corrupted, when given, is the network input and batch stays the
     reconstruction target. The gradient is a GradientSet over all four
     parameter blocks.

@@ -135,7 +135,7 @@ def estimate_all_tangents(X: np.ndarray, d: int) -> TangentSet:
     return TangentSet(factors, ranks, variance, degenerate)
 
 
-def region_variance(tangents: Sequence[TangentBasis]) -> float:
+def region_variance(tangents: TangentSet) -> float:
     """Mean per-coordinate variance of the D+1 nearest points of each
     training point: the weight of the Jacobian term (see the network
     module).
@@ -145,17 +145,12 @@ def region_variance(tangents: Sequence[TangentBasis]) -> float:
     (D+d points), so the weight does not depend on the code length d.
     A degenerate neighborhood (all points equal) counts as variance 0.
     """
-    if not tangents:
-        raise ValueError("no tangents")
-    if isinstance(tangents, TangentSet):
-        return float(np.mean(tangents.variance))
-    return float(np.mean([t.variance for t in tangents]))
+    return float(np.mean(tangents.variance))
 
 
-def projector(T: TangentBasis | np.ndarray) -> np.ndarray:
+def projector(T: TangentBasis) -> np.ndarray:
     """Orthogonal projector T T' onto the tangent space (D x D)."""
-    B = T.basis if isinstance(T, TangentBasis) else np.asarray(T)
-    return B @ B.T
+    return T.basis @ T.basis.T
 
 
 @dataclass

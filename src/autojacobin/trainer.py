@@ -23,12 +23,15 @@ because steepest descent stalls on the tanh saturation: on the
 steepest-descent iterations, against 38-50 (three seeds) from this
 search.
 
-The Jacobian term reads the tangent bases passed to train as one
-zero-padded (N, D, r) stack of factors, never as D x D projectors, and
-is weighted by their region variance (see the network module). On the
-toy simplex at that weight this search saturates the hidden layer (mean
-|y| 0.99 or more); steepest descent stopped at 0.17-0.33, and at unit
-weight the objective's minimum keeps it near 0.4.
+train takes the tangents in one of two forms. A tangent.TangentSet is
+read as its zero-padded (N, D, r) stack of bases, never as D x D
+projectors, and the Jacobian term is weighted by its region variance
+(see the network module). Any other array-like of N equal-shape D x r
+factors, such as D x D projectors, is taken as one array at unit
+weight. On the toy simplex at the region-variance weight this search
+saturates the hidden layer (mean |y| 0.99 or more); steepest descent
+stopped at 0.17-0.33, and at unit weight the objective's minimum keeps
+it near 0.4.
 
 An epoch's cost is the sum of its accepted batch costs. With one batch
 that is the full-set cost at the epoch's end; with mini-batches it is
@@ -60,10 +63,13 @@ from .network import (
     unpack_params,
 )
 from .matrix_io import _check_matrix
-from .tangent import TangentBasis, TangentSet, region_variance
+from .tangent import TangentSet, region_variance
 
 
 LBFGS_MEMORY = 10  # curvature pairs kept by the L-BFGS direction
+WOLFE_C1 = 1e-4  # sufficient-decrease constant of the strong-Wolfe search
+WOLFE_C2 = 0.9  # its curvature constant
+WOLFE_MAX_EVALS = 20  # objective evaluations one search may make
 _EPS = np.finfo(float).eps
 
 
@@ -93,6 +99,9 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs < 0 or self.batch_size < 1 or self.bits < 1:
             raise ValueError("epochs, batch_size and bits must be positive")
+        if self.total_iterations is not None and self.total_iterations < 1:
+            raise ValueError(f"total_iterations must be at least 1, got "
+                             f"{self.total_iterations}")
 
 
 @dataclass
@@ -112,7 +121,7 @@ class TrainReport:
     cost_trace: list[TraceRow] = field(default_factory=list)
     epoch_costs: list[tuple[int, float]] = field(default_factory=list)
     wall_time: float = 0.0
-    # set when the Jacobian term is trained; ranks only from TangentBasis input
+    # set when the Jacobian term is trained; ranks only from a TangentSet
     jacobian_weight: float | None = None
     tangent_ranks: list[int] = field(default_factory=list)
 
@@ -156,18 +165,18 @@ def init_params(train: np.ndarray, d: int, seed) -> NetworkParams:
     return NetworkParams(w1=w1, w2=w1.T.copy(), b1=-w1 @ mu, b2=mu.copy())
 
 
-def wolfe_step(theta: np.ndarray, g: np.ndarray, f, c1: float = 1e-4,
-               c2: float = 0.9, max_evals: int = 20, f0: float | None = None,
+def wolfe_step(theta: np.ndarray, g: np.ndarray, f, f0: float | None = None,
                initial_step: float = 1.0, direction: np.ndarray | None = None):
     """Strong-Wolfe step length along a descent direction (default -g).
 
     f maps a parameter vector to (value, gradient, ...), further items
     ignored; g is the gradient at theta. Returns (step, evals, fallback,
     value, gradient), the last two at theta + step * direction (f0 and g
-    for step 0.0). fallback means the budget ran out: the step is then the
-    best trial with sufficient decrease, or 0.0 (stay at theta) when no
-    trial decreased the value enough. Raises LineSearchError, carrying the
-    evaluation count, when no trial had a finite value.
+    for step 0.0). fallback means the budget of WOLFE_MAX_EVALS ran out:
+    the step is then the best trial with sufficient decrease, or 0.0
+    (stay at theta) when no trial decreased the value enough. Raises
+    LineSearchError, carrying the evaluation count, when no trial had a
+    finite value.
     """
     d = -g if direction is None else direction
     evals = 0
@@ -199,7 +208,7 @@ def wolfe_step(theta: np.ndarray, g: np.ndarray, f, c1: float = 1e-4,
         if not np.isfinite(v):
             return
         any_finite = True
-        if v <= phi0 + c1 * a * derphi0 and (best is None or v < best[1]):
+        if v <= phi0 + WOLFE_C1 * a * derphi0 and (best is None or v < best[1]):
             best = (a, v, grad)
 
     def bail():
@@ -210,14 +219,14 @@ def wolfe_step(theta: np.ndarray, g: np.ndarray, f, c1: float = 1e-4,
         raise LineSearchError("no finite objective value along the direction", evals)
 
     def zoom(lo, hi, phi_lo, dphi_lo, phi_hi):
-        while evals < max_evals:
+        while evals < WOLFE_MAX_EVALS:
             a = _interpolate(lo, hi, phi_lo, dphi_lo, phi_hi)
             v, dv, grad = phi(a)
             note(a, v, grad)
-            if not np.isfinite(v) or v > phi0 + c1 * a * derphi0 or v >= phi_lo:
+            if not np.isfinite(v) or v > phi0 + WOLFE_C1 * a * derphi0 or v >= phi_lo:
                 hi, phi_hi = a, v
             else:
-                if abs(dv) <= -c2 * derphi0:
+                if abs(dv) <= -WOLFE_C2 * derphi0:
                     return a, evals, False, v, grad
                 if dv * (hi - lo) >= 0:
                     hi, phi_hi = lo, phi_lo
@@ -227,12 +236,12 @@ def wolfe_step(theta: np.ndarray, g: np.ndarray, f, c1: float = 1e-4,
     a_prev, phi_prev, dphi_prev = 0.0, phi0, derphi0
     a = initial_step
     first = True
-    while evals < max_evals:
+    while evals < WOLFE_MAX_EVALS:
         v, dv, grad = phi(a)
         note(a, v, grad)
-        if not np.isfinite(v) or v > phi0 + c1 * a * derphi0 or (not first and v >= phi_prev):
+        if not np.isfinite(v) or v > phi0 + WOLFE_C1 * a * derphi0 or (not first and v >= phi_prev):
             return zoom(a_prev, a, phi_prev, dphi_prev, v)
-        if abs(dv) <= -c2 * derphi0:
+        if abs(dv) <= -WOLFE_C2 * derphi0:
             return a, evals, False, v, grad
         if dv >= 0:
             return zoom(a, a_prev, v, dv, phi_prev)
@@ -289,49 +298,27 @@ def _lbfgs_direction(g: np.ndarray, pairs) -> np.ndarray:
     return -q
 
 
-def _tangent_targets(tangents, D: int):
-    """(N, D, r) tangent factors and the Jacobian-term weight.
-
-    A TangentSet already is that stack and is used as it is. Other
-    TangentBasis bases are zero-padded to the largest rank (at least 1).
-    Their neighborhoods give the weight (tangent.region_variance). Plain
-    arrays, such as D x D projectors, carry none: they are stacked as
-    they are, at ObjectiveConfig's unit weight.
-    """
-    if isinstance(tangents, TangentSet):
-        return tangents.factors, region_variance(tangents)
-    if len(tangents) and isinstance(tangents[0], TangentBasis):
-        factors = np.zeros((len(tangents), D, max(1, max(t.rank for t in tangents))))
-        for i, t in enumerate(tangents):
-            factors[i, :, :t.rank] = t.basis
-        return factors, region_variance(tangents)
-    return np.stack(tangents), ObjectiveConfig().jacobian_weight
-
-
 def train(X_train: np.ndarray, tangents, cfg: TrainConfig):
     """Mini-batch L-BFGS with strong-Wolfe steps; returns (params, report).
 
-    tangents holds one entry per training point, either TangentBasis
-    objects from tangent.estimate_all_tangents (the Jacobian term is then
-    weighted by their region variance) or equal-shape D x r factors such
-    as D x D projectors (unit weight); None for variants without the
-    Jacobian term. Data must already be normalized and finite; the
-    caller sets params.scale afterwards. Each line search returns the
-    value and gradient at its accepted point; an epoch's cost is the sum
-    of those batch values, and a LineSearchError along -g is not retried
-    (see the module docstring): it ends training carrying the last
-    accepted parameters and the failed iteration. train keeps no
-    reference to tangents once it has their (N, D, r) stack.
+    tangents is either the TangentSet of tangent.estimate_all_tangents,
+    whose (N, D, r) stack of factors the Jacobian term reads as it is,
+    weighted by its region variance, or an array-like of N equal-shape
+    D x r factors, such as D x D projectors, taken as one array at unit
+    weight; None for variants without the Jacobian term. Anything else,
+    or factors of another shape, raises ValueError. Data must already be
+    normalized and finite; the caller sets params.scale afterwards. Each
+    line search returns the value and gradient at its accepted point; an
+    epoch's cost is the sum of those batch values, and a LineSearchError
+    along -g is not retried (see the module docstring): it ends training
+    carrying the last accepted parameters and the failed iteration. train
+    keeps no reference to tangents once it has their (N, D, r) stack.
     """
     t_start = time.perf_counter()
     X_train = _check_matrix(X_train)
     D, N = X_train.shape
     if cfg.batch_size > N:
         raise ValueError(f"batch_size {cfg.batch_size} exceeds N={N}")
-    if cfg.method.needs_tangents:
-        if tangents is None or len(tangents) != N:
-            raise ValueError("auto-jacobin needs one tangent basis or factor "
-                             "per point")
     if not cfg.method.trained:
         raise ValueError(f"variant {cfg.method.kind!r} is not trained by "
                          "gradient descent")
@@ -341,11 +328,15 @@ def train(X_train: np.ndarray, tangents, cfg: TrainConfig):
 
     projs, weight = None, ObjectiveConfig().jacobian_weight
     if cfg.method.needs_tangents:
-        projs, weight = _tangent_targets(tangents, D)
+        if isinstance(tangents, TangentSet):
+            weight, report.tangent_ranks = region_variance(tangents), tangents.ranks.tolist()
+            tangents = tangents.factors
+        projs = np.asarray(tangents)
+        if projs.ndim != 3 or projs.shape[:2] != (N, D):
+            raise ValueError(f"auto-jacobin needs a TangentSet or tangent factors "
+                             f"of shape (N, D, r) = ({N}, {D}, r), got {projs.shape}")
         report.jacobian_weight = weight
-        report.tangent_ranks = (tangents.ranks.tolist() if isinstance(tangents, TangentSet)
-                                else [t.rank for t in tangents if isinstance(t, TangentBasis)])
-    del tangents  # the stack is all training reads; let a list of bases go
+    del tangents  # the stack is all training reads
     ocfg = ObjectiveConfig(alpha=cfg.method.alpha, epsilon=cfg.epsilon,
                            jacobian_weight=weight)
     m = N // cfg.batch_size  # trailing remainder joins the last batch

@@ -172,6 +172,37 @@ def test_eval_rejects_oversized_k(tmp_path):
               "--out-dir", str(tmp_path / "e")])
 
 
+@pytest.mark.parametrize("K", ["0", "-3"])
+def test_eval_rejects_max_retrieve_below_one(tmp_path, K):
+    base_path, _ = _write_data(tmp_path, "c.fvecs", n=50, seed=5)
+    model = tmp_path / "m.ajb"
+    main(["train", "--input", str(base_path), "--bits", "4", "--method", "lsh",
+          "--out", str(model)])
+    with pytest.raises(SystemExit, match=f"--max-retrieve K={K} must be at least 1"):
+        main(["eval", "--model", str(model), "--base", str(base_path),
+              "--query", str(base_path), "--max-retrieve", K,
+              "--out-dir", str(tmp_path / "e")])
+
+
+@pytest.mark.parametrize("n", ["0", "-3"])
+def test_train_rejects_fewer_than_one_iteration(tmp_path, n):
+    base_path, _ = _write_data(tmp_path, "i.fvecs", n=60, seed=3)
+    model = tmp_path / "m.ajb"
+    with pytest.raises(ValueError, match=f"total_iterations must be at least 1, got {n}"):
+        main(["train", "--input", str(base_path), "--bits", "4", "--method", "autobin",
+              "--batch", "60", "--iterations", n, "--out", str(model)])
+    assert not model.exists()
+
+
+def test_trailing_config_is_a_usage_error(capsys):
+    for argv in (["--config"], ["train", "--config"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "--config: expected the path of a key=value config file" in \
+            capsys.readouterr().err
+
+
 def test_gradcheck_exit_codes(capsys):
     assert main(["gradcheck"]) == 0
     out = capsys.readouterr().out

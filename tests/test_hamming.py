@@ -284,6 +284,13 @@ def test_recall_curve_k_exceeds_base():
         recall_curve(np.zeros((1, 2), dtype=np.uint32), codes, codes, 11)
 
 
+@pytest.mark.parametrize("K", [0, -3])
+def test_recall_curve_rejects_k_below_one(K):
+    codes, _ = _random_codes(np.random.default_rng(10), 10, 8)
+    with pytest.raises(ValueError, match=f"K={K} must be at least 1"):
+        recall_curve(np.zeros((1, 2), dtype=np.uint32), codes, codes, K)
+
+
 def test_m_recall_constant_and_linear():
     c = hamming.RecallCurve(values=np.full(10, 0.37), k=1, K=10)
     assert m_recall(c) == pytest.approx(0.37)

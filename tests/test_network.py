@@ -16,7 +16,7 @@ from autojacobin.network import (
     pack_params,
     unpack_params,
 )
-from autojacobin.trainer import _tangent_targets, init_params
+from autojacobin.trainer import init_params
 
 
 def _zero_params(D, d):
@@ -185,10 +185,14 @@ def _assert_factored_matches_dense(p, X, factors, targets, weight):
 
 
 def _ragged_bases(D, ranks, seed):
+    """A TangentSet of random orthonormal bases of the given ranks."""
     rng = np.random.default_rng(seed)
-    return [tangent.TangentBasis(point_index=i, variance=0.01 * (i + 1),
-                                 basis=np.linalg.qr(rng.standard_normal((D, r)))[0])
-            for i, r in enumerate(ranks)]
+    ranks = np.asarray(ranks, dtype=int)
+    factors = np.zeros((len(ranks), D, max(1, ranks.max())))
+    for i, r in enumerate(ranks):
+        factors[i, :, :r] = np.linalg.qr(rng.standard_normal((D, r)))[0]
+    return tangent.TangentSet(factors, ranks, 0.01 * np.arange(1, len(ranks) + 1),
+                              np.zeros(len(ranks), dtype=bool))
 
 
 @pytest.mark.filterwarnings("ignore:training data rank below bit count")
@@ -196,7 +200,7 @@ def test_factored_jacobian_term_matches_dense_on_proxy_tangents():
     X, _ = synth.curved_manifold(2000, 8, 64, np.random.default_rng(7), noise=0.01)
     Xn = matrix_io.apply_normalizer(matrix_io.fit_normalizer(X), X)
     bases = tangent.estimate_all_tangents(Xn, 32)
-    factors, weight = _tangent_targets(bases, 64)
+    factors, weight = bases.factors, tangent.region_variance(bases)
     assert factors.shape == (2000, 64, max(t.rank for t in bases))
     p = init_params(Xn, 32, 7)
     rng = np.random.default_rng(8)
@@ -215,20 +219,20 @@ def test_factored_jacobian_term_takes_projectors_as_their_own_factors():
 def test_factored_jacobian_term_matches_dense_on_zero_padded_ragged_ranks():
     ranks = [0, 1, 3, 5, 2, 0, 4, 5, 1]
     bases = _ragged_bases(12, ranks, seed=12)
-    factors, weight = _tangent_targets(bases, 12)
+    factors, weight = bases.factors, tangent.region_variance(bases)
     assert factors.shape == (9, 12, 5) and weight == pytest.approx(0.05)
     np.testing.assert_array_equal(factors[0], 0.0)  # rank 0: zero target
     p, batch, _ = random_instance(12, 5, 9, seed=13)
     targets = np.stack([tangent.projector(t) for t in bases])
     _assert_factored_matches_dense(p, batch, factors, targets, weight)
     # all ranks 0: one zero column each
-    zeros, _ = _tangent_targets(_ragged_bases(12, [0] * 9, seed=14), 12)
+    zeros = _ragged_bases(12, [0] * 9, seed=14).factors
     assert zeros.shape == (9, 12, 1)
     _assert_factored_matches_dense(p, batch, zeros, np.zeros((9, 12, 12)), 1.0)
 
 
 def test_fd_gradient_on_zero_padded_bases():
-    factors, _ = _tangent_targets(_ragged_bases(8, [0, 2, 3, 1, 3], seed=15), 8)
+    factors = _ragged_bases(8, [0, 2, 3, 1, 3], seed=15).factors
     assert factors.shape[2] < 8
     for seed in range(5):
         p, batch, _ = random_instance(8, 4, 5, seed=seed)
@@ -248,7 +252,7 @@ def test_objective_has_the_same_bits_at_any_worker_count(workers, kind, with_wor
         factors = np.stack(projs)
     else:
         ranks = np.random.default_rng(17).integers(0, 5, size=n)
-        factors, _ = _tangent_targets(_ragged_bases(8, ranks, seed=18), 8)
+        factors = _ragged_bases(8, ranks, seed=18).factors
     cfg = ObjectiveConfig(jacobian_weight=0.5)
     # the reference: a plain loop over the chunks, summed in order
     Y, Z = forward_batch(p, batch)

@@ -92,8 +92,6 @@ def test_tangent_variance_is_neighborhood_variance():
     for d in (1, 4):
         assert [t.variance for t in estimate_all_tangents(X, d)] == \
             [t.variance for t in tbs]
-    with pytest.raises(ValueError):
-        region_variance([])
 
 
 def test_estimate_tangent_needs_enough_points():

@@ -1,4 +1,3 @@
-import inspect
 import sys
 import tracemalloc
 import warnings
@@ -103,7 +102,7 @@ def test_wolfe_conditions_hold_on_convex_1d():
 
     theta = np.array([1.0])
     f0, g0 = f(theta)
-    step, evals, fallback, value, grad = wolfe_step(theta, g0, f, c1=1e-4, c2=0.9)
+    step, evals, fallback, value, grad = wolfe_step(theta, g0, f)
     assert not fallback and step > 0
     v, g = f(theta - step * g0)
     assert value == v and grad.tobytes() == g.tobytes()
@@ -276,8 +275,7 @@ def test_full_batch_run_stops_once_no_step_lowers_the_cost():
     n = len(report.cost_trace)
     assert n < 400
     assert len(report.epoch_costs) == n  # the last epoch is still costed
-    max_evals = inspect.signature(wolfe_step).parameters["max_evals"].default
-    full = [r.iteration for r in report.cost_trace if r.evals >= max_evals]
+    full = [r.iteration for r in report.cost_trace if r.evals >= trainer.WOLFE_MAX_EVALS]
     assert len(full) <= 5
     # mini-batches differ from one iteration to the next: no early stop
     cfg_mb = TrainConfig(bits=3, epochs=60, batch_size=15, seed=0,
@@ -431,17 +429,16 @@ def test_mini_batch_epoch_costs_sum_the_accepted_batch_costs(monkeypatch):
 
 
 def test_train_holds_one_copy_of_the_tangent_factors():
-    # batches gather their rows of the (N, D, r) stack, so a second copy
-    # of it never exists; that copy alone would take the peak to 2x. The
-    # rest is the batch's rows (0.25x), the shuffled data (1/r) and the
-    # Jacobian term's work arrays: 1.64x on numpy 2.4, 2.78x with a
-    # whole-stack copy per epoch
+    # train reads the TangentSet's (N, D, r) stack as it is and batches
+    # gather their rows of it, so no copy of it is made; one would take
+    # the traced peak past 1x. The rest is the batch's rows (0.25x), the
+    # shuffled data (1/r) and the Jacobian term's work arrays: 0.64x on
+    # numpy 2.4, 1.64x with one whole-stack copy
     rng = np.random.default_rng(6)
     N, D, r = 8000, 16, 8
     X = rng.standard_normal((D, N))
     Q = np.linalg.qr(rng.standard_normal((N, D, r)))[0]
-    bases = [tangent.TangentBasis(point_index=i, basis=Q[i], variance=0.01)
-             for i in range(N)]
+    bases = tangent.TangentSet(Q, np.full(N, r), np.full(N, 0.01), np.zeros(N, dtype=bool))
     cfg = TrainConfig(bits=4, epochs=1, batch_size=N // 4, seed=6,
                       total_iterations=2, method=VariantConfig(kind="auto-jacobin"))
     tracemalloc.start()
@@ -451,7 +448,7 @@ def test_train_holds_one_copy_of_the_tangent_factors():
     finally:
         tracemalloc.stop()
     stack = N * D * r * 8
-    assert peak < 2.0 * stack, (peak, stack)
+    assert peak < 1.0 * stack, (peak, stack)
 
 
 def test_train_batch_size_validation():
@@ -466,6 +463,17 @@ def test_train_requires_tangents_for_jacobian_method():
     Xn, _ = _toy_setup(n=60)
     with pytest.raises(ValueError):
         train(Xn, None, TrainConfig(bits=3, epochs=1, batch_size=30))
+
+
+@pytest.mark.filterwarnings("ignore:training data rank below bit count")
+def test_train_takes_a_tangent_set_or_one_factor_array_only():
+    # a list of TangentBasis, factors of another D, or too few factors
+    Xn, projs = _toy_setup(n=60)
+    bases = tangent.estimate_all_tangents(Xn, 3)
+    cfg = TrainConfig(bits=3, epochs=1, batch_size=60)
+    for bad in (list(bases), [np.eye(4)] * 60, projs[:59]):
+        with pytest.raises(ValueError, match=r"shape \(N, D, r\) = \(60, 3, r\)"):
+            train(Xn, bad, cfg)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
