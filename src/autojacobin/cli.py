@@ -284,6 +284,20 @@ def _coerce(value: str):
     return value
 
 
+def _int_at_least(low: int):
+    """argparse type: an int of at least low; anything else is a usage
+    error (exit 2) that names the flag."""
+
+    def parse(text):
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type in "invalid int value"
+    return parse
+
+
 def _iter_parsers(parser):
     yield parser
     for action in parser._actions:
@@ -293,7 +307,9 @@ def _iter_parsers(parser):
 
 
 def _apply_config(parser, argv):
-    """Optional key=value config file; command-line flags override it."""
+    """Optional key=value config file; command-line flags override it. A
+    value for a flag with a type stays a string, so argparse converts and
+    checks it as it does the flag's own value."""
     if "--config" not in argv:
         return argv
     i = argv.index("--config")
@@ -307,10 +323,10 @@ def _apply_config(parser, argv):
             if not line or line.startswith("#"):
                 continue
             key, _, value = line.partition("=")
-            defaults[key.strip().replace("-", "_")] = _coerce(value.strip())
+            defaults[key.strip().replace("-", "_")] = value.strip()
     for p in _iter_parsers(parser):
-        known = {a.dest for a in p._actions}
-        mine = {k: v for k, v in defaults.items() if k in known}
+        mine = {a.dest: defaults[a.dest] if a.type else _coerce(defaults[a.dest])
+                for a in p._actions if a.dest in defaults}
         if mine:
             p.set_defaults(**mine)
             for a in p._actions:
@@ -331,14 +347,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="train a hashing model")
     p.add_argument("--input", required=True)
-    p.add_argument("--bits", type=int, required=True)
+    p.add_argument("--bits", type=_int_at_least(1), required=True)
     p.add_argument("--method", default="auto-jacobin",
                    choices=["auto-jacobin", "autobin", "dautobin", "cautobin", "lsh"])
     p.add_argument("--alpha", type=float, default=0.1)
     p.add_argument("--epsilon", type=float, default=1e-4)
-    p.add_argument("--epochs", type=int, default=5)
-    p.add_argument("--batch", type=int, default=1000)
-    p.add_argument("--iterations", type=int, default=None,
+    p.add_argument("--epochs", type=_int_at_least(0), default=5)
+    p.add_argument("--batch", type=_int_at_least(1), default=1000)
+    p.add_argument("--iterations", type=_int_at_least(1), default=None,
                    help="optional cap on total iterations")
     p.add_argument("--corrupt-t", type=float, default=0.1)
     p.add_argument("--lambda-c", type=float, default=0.01)

@@ -17,13 +17,35 @@ formed. Expanding the square,
                        - 2 sum_k a_k sum_r (W1 T)_kr (W2' diag(c) T)_kr
                        + ||T'T||_F^2,
 
-with o the entrywise product, so value and gradient (by the chain rule
-through these products) need only d x d and d x r matrices per point.
-The last term makes the identity exact for any factor: zero columns
-change neither T T' nor T'T, so ragged ranks are zero-padded to one
-width, and a projector P is its own factor, since P P' = P. The term is
-computed in chunks of 64 points on a thread pool (see the parallel
-module), and the chunks' values and gradients are summed in chunk
+with o the entrywise product. The last term makes the identity exact
+for any factor: zero columns change neither T T' nor T'T, so ragged
+ranks are zero-padded to one width, and a projector P is its own factor,
+since P P' = P. It does not depend on the parameters, so the trainer
+computes it once per training set (gram_norms).
+
+The first term needs neither J nor a D x d product per point, as with
+the contractive penalty of Rifai et al. (Contractive Auto-Encoders, ICML
+2011). Let W2_j be the j-th row of W2, (x) the Kronecker product, and
+G = W1 W1'. Then H = W2' diag(c^2) W2, read as a row of d^2 entries, is
+
+    H = sum_j c_j^2 (W2_j (x) W2_j),    a'(G o H)a = sum_kl (a (x) a)_kl G_kl H_kl.
+
+Over a chunk of m points, C^2 holds their rows c^2 (m x D) and A2
+their rows a (x) a (m x d^2). The D x d^2 rows W2_j (x) W2_j are built
+once per evaluation. Then H = C^2 (W2 (x) W2) for the whole chunk, and
+each gradient is one more product of these rows:
+
+    dW1 = 2 [sum_n (A2 o H)_n] W1                  (the sum read as d x d),
+    dW2_jk = 2 sum_l [C^2' (A2 o G)]_j,kl W2_jl,
+    dc_j = 2 c_j [(A2 o G)(W2 (x) W2)']_j           (per point).
+
+The cross term's products W1 T and W2' diag(c) T, and their gradient
+contractions, run on the chunk's factors transposed to (m r, D) rows,
+so no array of (m, D, d) is formed. The term is computed in chunks of
+64 points on a thread pool (see the parallel module). The trainer
+passes the whole (N, D, r) stack and a batch's row indices (FactorRows),
+and each chunk gathers only its own rows, so no batch-sized copy of the
+factors is made. The chunks' values and gradients are summed in chunk
 order, so the objective has the same bits at any worker count.
 
 The comparison models are the same objective with the middle term
@@ -59,6 +81,7 @@ differences of the objective (see checks).
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -162,67 +185,111 @@ def _binary_term(p, Xin, Y, alpha, eps, n_target):
     return value, g
 
 
-# points per chunk, whatever the worker count: a chunk's (c, D, d) and
-# (c, D, r) work arrays stay in cache, and W workers hold W chunks
+# points per chunk, whatever the worker count: a chunk's (m, d^2) and
+# (m r, D) work arrays stay in cache, and W workers hold W chunks
 _JAC_CHUNK = 64
 
 
-def _jacobian_chunk(p, G, Xc, Yc, Zc, T, weight):
+class FactorRows(NamedTuple):
+    """The tangent factors of a batch, read in place: column n's factor
+    is stack[rows[n]] of an (N, D, r) stack, and gram holds ||T'T||_F^2
+    of every factor in the stack (see gram_norms)."""
+    stack: np.ndarray
+    rows: np.ndarray
+    gram: np.ndarray
+
+
+def gram_norms(stack: np.ndarray) -> np.ndarray:
+    """||T'T||_F^2 of each factor of an (N, D, r) stack, _JAC_CHUNK
+    factors at a time, so no (N, r, r) array is formed."""
+    out = np.empty(len(stack))
+    for lo in range(0, len(stack), _JAC_CHUNK):
+        T = stack[lo:lo + _JAC_CHUNK]
+        TtT = np.swapaxes(T, 1, 2) @ T
+        out[lo:lo + _JAC_CHUNK] = np.sum(TtT * TtT, axis=(1, 2))
+    return out
+
+
+def _factor_rows(tangents) -> FactorRows:
+    """tangents as it is if FactorRows, else one array-like of n factors
+    read as rows 0..n-1 of itself."""
+    if isinstance(tangents, FactorRows):
+        return tangents
+    stack = np.asarray(tangents)
+    return FactorRows(stack, np.arange(len(stack)), gram_norms(stack))
+
+
+def _kron_rows(p):
+    """(G, W2 (x) W2) of one evaluation, shared by its chunks: G = W1 W1'
+    and the (D, d^2) rows W2_j (x) W2_j of W2's rows W2_j."""
+    return p.w1 @ p.w1.T, (p.w2[:, :, None] * p.w2[:, None, :]).reshape(p.dims, -1)
+
+
+def _jacobian_chunk(p, kron, Xc, Yc, Zc, t: FactorRows, weight):
     """(value, GradientSet) of the Jacobian term over one chunk of points
-    with (c, D, r) factors T; G = W1 W1'."""
-    At = (1.0 - Yc * Yc).T  # (c, d)
-    Ct = (1.0 - Zc * Zc).T  # (c, D)
+    whose factors are t.stack[t.rows]; kron is _kron_rows(p). Each
+    product is one GEMM over the chunk (module docstring)."""
+    G, WW = kron
+    At = (1.0 - Yc * Yc).T  # (m, d)
+    Ct = (1.0 - Zc * Zc).T  # (m, D)
     C2 = Ct * Ct
-    # ||J||^2 = a'(G o H)a with H = W2' diag(c^2) W2; F = W2 diag(a)
-    F = p.w2 * At[:, None, :]  # (c, D, d)
-    FG = F @ G
-    WFG = p.w2 * FG
-    h = np.einsum("nj,njk->nk", C2, WFG)  # (G o H) a
-    # tr(J' T T') = sum_k a_k q_k with q = rowsums of (W1 T) o (W2' diag(c) T)
-    CT = Ct[:, :, None] * T
-    M = p.w1 @ T  # (c, d, r)
-    N = p.w2.T @ CT
-    q = np.einsum("nkr,nkr->nk", M, N)
-    TtT = np.swapaxes(T, 1, 2) @ T
-    value = weight * float(np.sum(At * (h - 2.0 * q)) + np.sum(TtT * TtT))
+    m, d = At.shape
+    D = Ct.shape[1]
+    # ||J||^2 = a'(G o H)a on (m, d^2) rows: H = C^2 (W2 (x) W2), a (x) a
+    AA = (At[:, :, None] * At[:, None, :]).reshape(m, -1)
+    AG = AA * G.ravel()
+    H = C2 @ WW
+    h = ((H * G.ravel()).reshape(m, d, d) @ At[:, :, None])[:, :, 0]  # (G o H) a
+    # tr(J' T T') = sum_k a_k q_k with q = rowsums of (W1 T) o (W2' diag(c) T),
+    # on the chunk's factors gathered as (m, r, D): (m r, D) rows Tr of T_n'
+    T = t.stack[t.rows].transpose(0, 2, 1).copy()
+    Tr = T.reshape(-1, D)
+    CT = (T * Ct[:, None, :]).reshape(-1, D)
+    M = (Tr @ p.w1.T).reshape(m, -1, d)  # rows of (W1 T)'
+    N = (CT @ p.w2).reshape(m, -1, d)  # rows of (W2' diag(c) T)'
+    q = np.einsum("nrk,nrk->nk", M, N)
+    value = weight * (float(np.sum(At * (h - 2.0 * q))) + float(np.sum(t.gram[t.rows])))
     s = 2.0 * weight
-    AM, AN = At[:, :, None] * M, At[:, :, None] * N
-    Fr = F.reshape(-1, F.shape[2])
-    dw1 = s * ((Fr.T @ (C2.reshape(-1, 1) * Fr)) @ p.w1
-               - np.tensordot(AN, T, axes=([0, 2], [0, 2])))
-    dw2 = s * (np.einsum("nj,njk,nk->jk", C2, FG, At)
-               - np.tensordot(CT, AM, axes=([0, 2], [0, 2])))
+    AM = (M * At[:, None, :]).reshape(-1, d)
+    AN = (N * At[:, None, :]).reshape(-1, d)
+    dw1 = s * (np.einsum("nk,nk->k", AA, H).reshape(d, d) @ p.w1 - AN.T @ Tr)
+    PG = (C2.T @ AG).reshape(D, d, d)  # sum_n c_j^2 (a (x) a) o G
+    dw2 = s * ((PG @ p.w2[:, :, None])[:, :, 0] - CT.T @ AM)
     ga = s * (h - q)  # d/da
-    gc = s * (Ct * np.einsum("njk,nk->nj", WFG, At)
-              - np.einsum("njr,njr->nj", T, p.w2 @ AM))  # d/dc
+    gc = s * (Ct * (AG @ WW.T)
+              - np.einsum("nrj,nrj->nj", (AM @ p.w2.T).reshape(m, -1, D), T))  # d/dc
     # chain through c = 1 - z^2 into v = W2 y + b2, then through
     # a = 1 - y^2 and y into u = W1 x + b1
-    gv = -2.0 * Zc * (Ct * gc).T  # (D, c)
-    gu = (p.w2.T @ gv - 2.0 * Yc * ga.T) * At.T  # (d, c)
+    gv = -2.0 * Zc * (Ct * gc).T  # (D, m)
+    gu = (p.w2.T @ gv - 2.0 * Yc * ga.T) * At.T  # (d, m)
     return value, GradientSet(dw1 + gu @ Xc.T, dw2 + gv @ Yc.T,
                               gu.sum(axis=1), gv.sum(axis=1))
 
 
-def _jacobian_term(p, Xin, Y, Z, factors, weight):
-    """w sum_n ||J_n - T_n T_n'||_F^2 and its gradient from the (n, D, r)
-    factors T_n, by the identity in the module docstring: no D x D array.
+def _jacobian_term(p, Xin, Y, Z, tangents, weight):
+    """w sum_n ||J_n - T_n T_n'||_F^2 and its gradient from the factors
+    T_n, FactorRows or an (n, D, r) array-like, by the identities in the
+    module docstring: no D x D array and no (n, D, d) array.
 
-    Chunks of _JAC_CHUNK points run on a thread pool (see the parallel
-    module) and are summed in chunk order, so value and gradient have
-    the same bits at any worker count.
+    Chunks of _JAC_CHUNK points, each gathering its own rows of the
+    stack, run on a thread pool (see the parallel module) and are summed
+    in chunk order, so value and gradient have the same bits at any
+    worker count.
     """
+    t = _factor_rows(tangents)
     n = Xin.shape[1]
-    G = p.w1 @ p.w1.T  # (d, d)
+    kron = _kron_rows(p)
 
     def chunk(lo):
         hi = lo + _JAC_CHUNK
-        return _jacobian_chunk(p, G, Xin[:, lo:hi], Y[:, lo:hi], Z[:, lo:hi],
-                               factors[lo:hi], weight)
+        return _jacobian_chunk(p, kron, Xin[:, lo:hi], Y[:, lo:hi], Z[:, lo:hi],
+                               t._replace(rows=t.rows[lo:hi]), weight)
 
     value = 0.0
     total = GradientSet.zeros(p)
-    for v, g in parallel.ordered_map(chunk, range(0, n, _JAC_CHUNK),
-                                     8 * _JAC_CHUNK * p.w2.size):
+    # a chunk's largest work arrays, (m, d^2) and (m r, D)
+    block_bytes = 8 * _JAC_CHUNK * max(p.bits ** 2, p.dims * t.stack.shape[2])
+    for v, g in parallel.ordered_map(chunk, range(0, n, _JAC_CHUNK), block_bytes):
         value += v
         total += g
     return value, total
@@ -256,9 +323,9 @@ def _terms(batch, tangents, cfg: ObjectiveConfig, lambda_c, corrupted):
         raise ValueError("give tangents or lambda_c, not both: each is a middle term")
     terms = [("recon", lambda p, Y, Z: _recon_term(p, Xin, batch, Y, Z))]
     if tangents is not None:
-        tangents = np.asarray(tangents)
-        if len(tangents) != n:
-            raise ValueError(f"{len(tangents)} tangent factors for {n} points")
+        tangents = _factor_rows(tangents)
+        if len(tangents.rows) != n:
+            raise ValueError(f"{len(tangents.rows)} tangent factors for {n} points")
         terms.append(("jacobian", lambda p, Y, Z: _jacobian_term(
             p, Xin, Y, Z, tangents, cfg.jacobian_weight)))
     if lambda_c is not None:
@@ -276,7 +343,8 @@ def objective(p: NetworkParams, batch: np.ndarray, tangents, cfg: ObjectiveConfi
 
     tangents holds one D x r tangent factor T per column, as one
     array-like of shape (n, D, r) such as a list of D x D projectors (each
-    its own factor), and adds the Jacobian term with target T T';
+    its own factor) or as FactorRows, n rows of a larger stack read in
+    place, and adds the Jacobian term with target T T';
     lambda_c adds the contractive term instead; None leaves it out.
     corrupted, when given, is the network input and batch stays the
     reconstruction target. The gradient is a GradientSet over all four

@@ -36,8 +36,11 @@ it near 0.4.
 An epoch's cost is the sum of its accepted batch costs. With one batch
 that is the full-set cost at the epoch's end; with mini-batches it is
 the running cost the optimizer saw, not a full-set cost (the binary
-term is per batch). Each batch gathers its own rows of the tangent
-factor stack, so the stack is never copied whole.
+term is per batch). A batch passes the whole tangent factor stack and
+its row indices (network.FactorRows), with ||T'T||_F^2 of every factor
+computed once per training set; each 64-point chunk of the Jacobian
+term gathers its own rows, so no part of the stack larger than a chunk
+is ever copied.
 
 One seeded RNG stream drives everything, consumed in a fixed order:
 the init rotation first, then per epoch the shuffle permutation and
@@ -55,8 +58,10 @@ import numpy as np
 
 from . import variants as var
 from .network import (
+    FactorRows,
     NetworkParams,
     ObjectiveConfig,
+    gram_norms,
     objective,
     pack_gradient,
     pack_params,
@@ -267,12 +272,12 @@ def _interpolate(lo, hi, phi_lo, dphi_lo, phi_hi):
 
 
 def _batch_objective(p_template, ocfg: ObjectiveConfig, method: var.VariantConfig,
-                     batch, projs, corrupted):
+                     batch, tangents, corrupted):
     """f(theta) -> (value, packed gradient, parts) on one mini-batch."""
 
     def f(theta):
         value, parts, grad = objective(
-            unpack_params(theta, p_template), batch, projs, ocfg,
+            unpack_params(theta, p_template), batch, tangents, ocfg,
             lambda_c=method.contraction, corrupted=corrupted)
         return value, pack_gradient(grad), parts
 
@@ -306,7 +311,8 @@ def train(X_train: np.ndarray, tangents, cfg: TrainConfig):
     weighted by its region variance, or an array-like of N equal-shape
     D x r factors, such as D x D projectors, taken as one array at unit
     weight; None for variants without the Jacobian term. Anything else,
-    or factors of another shape, raises ValueError. Data must already be
+    and factors of another shape or of unequal shapes, raise a
+    ValueError that names (N, D, r). Data must already be
     normalized and finite; the caller sets params.scale afterwards. Each
     line search returns the value and gradient at its accepted point; an
     epoch's cost is the sum of those batch values, and a LineSearchError
@@ -326,15 +332,20 @@ def train(X_train: np.ndarray, tangents, cfg: TrainConfig):
     params = init_params(X_train, cfg.bits, rng)
     report = TrainReport()
 
-    projs, weight = None, ObjectiveConfig().jacobian_weight
+    stack, weight = None, ObjectiveConfig().jacobian_weight
     if cfg.method.needs_tangents:
         if isinstance(tangents, TangentSet):
             weight, report.tangent_ranks = region_variance(tangents), tangents.ranks.tolist()
             tangents = tangents.factors
-        projs = np.asarray(tangents)
-        if projs.ndim != 3 or projs.shape[:2] != (N, D):
+        try:
+            stack = np.asarray(tangents)
+            got = stack.shape
+        except ValueError:  # numpy's inhomogeneous-shape error
+            stack, got = None, "factors of unequal shapes"
+        if stack is None or stack.ndim != 3 or got[:2] != (N, D):
             raise ValueError(f"auto-jacobin needs a TangentSet or tangent factors "
-                             f"of shape (N, D, r) = ({N}, {D}, r), got {projs.shape}")
+                             f"of shape (N, D, r) = ({N}, {D}, r), got {got}")
+        gram = gram_norms(stack)  # constant over training
         report.jacobian_weight = weight
     del tangents  # the stack is all training reads
     ocfg = ObjectiveConfig(alpha=cfg.method.alpha, epsilon=cfg.epsilon,
@@ -355,7 +366,7 @@ def train(X_train: np.ndarray, tangents, cfg: TrainConfig):
             lo, hi = bounds[j], bounds[j + 1]
             f = _batch_objective(
                 params, ocfg, cfg.method, Xs[:, lo:hi],
-                projs[perm[lo:hi]] if projs is not None else None,
+                FactorRows(stack, perm[lo:hi], gram) if stack is not None else None,
                 Xc[:, lo:hi] if Xc is not None else None)
 
             theta = pack_params(params)

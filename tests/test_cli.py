@@ -185,13 +185,51 @@ def test_eval_rejects_max_retrieve_below_one(tmp_path, K):
 
 
 @pytest.mark.parametrize("n", ["0", "-3"])
-def test_train_rejects_fewer_than_one_iteration(tmp_path, n):
+def test_train_rejects_fewer_than_one_iteration(tmp_path, n, capsys):
     base_path, _ = _write_data(tmp_path, "i.fvecs", n=60, seed=3)
     model = tmp_path / "m.ajb"
-    with pytest.raises(ValueError, match=f"total_iterations must be at least 1, got {n}"):
+    with pytest.raises(SystemExit) as exc:
         main(["train", "--input", str(base_path), "--bits", "4", "--method", "autobin",
               "--batch", "60", "--iterations", n, "--out", str(model)])
+    assert exc.value.code == 2
+    assert f"argument --iterations: must be at least 1, got {n}" in capsys.readouterr().err
     assert not model.exists()
+
+
+@pytest.mark.parametrize("method", ["autobin", "lsh"])
+@pytest.mark.parametrize("flag, value, low", [
+    ("--bits", "0", 1), ("--batch", "0", 1), ("--epochs", "-1", 0),
+    ("--iterations", "0", 1)])
+def test_train_rejects_bad_numeric_flags_as_usage_errors(tmp_path, capsys, method,
+                                                          flag, value, low):
+    base_path, _ = _write_data(tmp_path, "u.fvecs", n=60, seed=3)
+    model = tmp_path / "m.ajb"
+    flags = {"--bits": "4", "--batch": "60", "--epochs": "1", "--iterations": "2",
+             flag: value}
+    with pytest.raises(SystemExit) as exc:
+        main(["train", "--input", str(base_path), "--method", method,
+              "--out", str(model)] + [x for pair in flags.items() for x in pair])
+    assert exc.value.code == 2
+    assert f"argument {flag}: must be at least {low}, got {value}" in \
+        capsys.readouterr().err
+    assert not model.exists()
+
+
+def test_config_values_are_checked_like_flags(tmp_path, capsys):
+    base_path, _ = _write_data(tmp_path, "c.fvecs", n=60, seed=3)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("bits=0\nmethod=lsh\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["--config", str(cfg), "train", "--input", str(base_path),
+              "--out", str(tmp_path / "m.ajb")])
+    assert exc.value.code == 2
+    assert "argument --bits: must be at least 1, got 0" in capsys.readouterr().err
+    cfg.write_text("bits=four\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["--config", str(cfg), "train", "--input", str(base_path),
+              "--out", str(tmp_path / "m.ajb")])
+    assert exc.value.code == 2
+    assert "argument --bits: invalid int value: 'four'" in capsys.readouterr().err
 
 
 def test_trailing_config_is_a_usage_error(capsys):

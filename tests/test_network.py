@@ -5,12 +5,15 @@ from autojacobin import matrix_io, synth, tangent
 from autojacobin.checks import check_gradients, fd_gradient, random_instance
 from autojacobin.network import (
     _JAC_CHUNK,
+    FactorRows,
     GradientSet,
     NetworkParams,
     ObjectiveConfig,
     _jacobian_chunk,
     _jacobian_term,
+    _kron_rows,
     forward_batch,
+    gram_norms,
     objective,
     pack_gradient,
     pack_params,
@@ -216,6 +219,34 @@ def test_factored_jacobian_term_takes_projectors_as_their_own_factors():
         _assert_factored_matches_dense(p, batch, np.stack(projs), np.stack(projs), 0.5)
 
 
+@pytest.mark.parametrize("D, d", [(6, 6), (7, 1)])  # d = D, and one bit
+def test_factored_jacobian_term_matches_dense_at_extreme_bit_counts(D, d):
+    p, batch, projs = random_instance(D, d, 70, seed=D + d)  # crosses a chunk
+    bases = _ragged_bases(D, np.random.default_rng(D).integers(0, D + 1, size=70),
+                          seed=D)
+    targets = np.stack([tangent.projector(t) for t in bases])
+    _assert_factored_matches_dense(p, batch, bases.factors, targets, 0.5)
+    _assert_factored_matches_dense(p, batch, np.stack(projs), np.stack(projs), 0.5)
+
+
+def test_objective_on_projectors_equals_the_rows_of_a_stack():
+    # the trainer's path: a batch's rows of the whole stack, with
+    # ||T'T||_F^2 computed once for the stack
+    p, X, projs = random_instance(8, 4, 200, seed=19)
+    stack = np.stack(projs)
+    rows = np.random.default_rng(20).permutation(200)[:130]
+    cfg = ObjectiveConfig(jacobian_weight=0.5)
+    total, parts, g = objective(p, X[:, rows], [projs[i] for i in rows], cfg)
+    total_r, parts_r, g_r = objective(p, X[:, rows],
+                                      FactorRows(stack, rows, gram_norms(stack)), cfg)
+    assert parts_r.jacobian == pytest.approx(parts.jacobian, rel=1e-13)
+    assert total_r == pytest.approx(total, rel=1e-13)
+    np.testing.assert_allclose(pack_gradient(g_r), pack_gradient(g), rtol=1e-13,
+                               atol=1e-13 * np.max(np.abs(pack_gradient(g))))
+    np.testing.assert_allclose(gram_norms(stack), [np.sum(P * P) for P in projs],
+                               rtol=1e-13)
+
+
 def test_factored_jacobian_term_matches_dense_on_zero_padded_ragged_ranks():
     ranks = [0, 1, 3, 5, 2, 0, 4, 5, 1]
     bases = _ragged_bases(12, ranks, seed=12)
@@ -256,12 +287,13 @@ def test_objective_has_the_same_bits_at_any_worker_count(workers, kind, with_wor
     cfg = ObjectiveConfig(jacobian_weight=0.5)
     # the reference: a plain loop over the chunks, summed in order
     Y, Z = forward_batch(p, batch)
-    G = p.w1 @ p.w1.T
+    kron = _kron_rows(p)
+    gram = gram_norms(factors)
     ref_value, ref_g = 0.0, GradientSet.zeros(p)
     for lo in range(0, n, _JAC_CHUNK):
         hi = lo + _JAC_CHUNK
-        v, g = _jacobian_chunk(p, G, batch[:, lo:hi], Y[:, lo:hi], Z[:, lo:hi],
-                               factors[lo:hi], 0.5)
+        v, g = _jacobian_chunk(p, kron, batch[:, lo:hi], Y[:, lo:hi], Z[:, lo:hi],
+                               FactorRows(factors, np.arange(lo, min(hi, n)), gram), 0.5)
         ref_value += v
         ref_g += g
     value, g = with_workers(workers, lambda: _jacobian_term(p, batch, Y, Z, factors, 0.5))

@@ -476,6 +476,37 @@ def test_train_takes_a_tangent_set_or_one_factor_array_only():
             train(Xn, bad, cfg)
 
 
+@pytest.mark.filterwarnings("ignore:training data rank below bit count")
+def test_train_names_the_shape_for_a_ragged_list_of_factors():
+    Xn, _ = _toy_setup(n=60)
+    ragged = [np.eye(3)[:, :1 + i % 2] for i in range(60)]  # (3, 1), (3, 2), ...
+    cfg = TrainConfig(bits=3, epochs=1, batch_size=60)
+    with pytest.raises(ValueError, match=r"shape \(N, D, r\) = \(60, 3, r\), "
+                                         "got factors of unequal shapes"):
+        train(Xn, ragged, cfg)
+
+
+def test_train_makes_no_batch_sized_copy_of_the_tangent_factors(with_workers):
+    # each 64-point chunk of the Jacobian term gathers its own rows of the
+    # stack, so no batch's (1000, 64, 32) gather of it, 16.4 MB, is made;
+    # with one, the traced peak above the inputs was 34 MB
+    rng = np.random.default_rng(9)
+    N, D, r, batch = 2000, 64, 32, 1000
+    X = 0.3 * rng.standard_normal((D, N))
+    Q = np.linalg.qr(rng.standard_normal((N, D, r)))[0]
+    bases = tangent.TangentSet(Q, np.full(N, r), np.full(N, 0.01), np.zeros(N, dtype=bool))
+    cfg = TrainConfig(bits=32, epochs=1, batch_size=batch, seed=9,
+                      total_iterations=2, method=VariantConfig(kind="auto-jacobin"))
+    tracemalloc.start()
+    try:
+        with_workers(1, lambda: train(X, bases, cfg))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    gather = batch * D * r * 8
+    assert peak < gather, (peak, gather)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_train_rejects_non_finite_input(bad):
     Xn, _ = _toy_setup(n=60)
