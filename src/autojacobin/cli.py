@@ -19,9 +19,8 @@ import numpy as np
 from . import __version__, hamming, matrix_io, synth, svgplot
 from .checks import check_gradients
 from .network import forward_batch
-from .tangent import estimate_all_tangents
-from .trainer import LineSearchError, TrainConfig, init_params, train, write_trace_csv
-from .variants import VariantConfig, lsh_generate
+from .trainer import LineSearchError, TrainConfig, fit, write_trace_csv
+from .variants import VariantConfig
 
 GRADCHECK_TOLERANCE = 1e-5
 
@@ -70,40 +69,21 @@ def cmd_convert(args) -> int:
     return 0
 
 
-def _train_model(X_raw: np.ndarray, args):
-    nz = matrix_io.fit_normalizer(X_raw)
-    Xn = matrix_io.apply_normalizer(nz, X_raw)
-    method = VariantConfig(kind=args.method, alpha=args.alpha,
-                           corruption_t=args.corrupt_t, lambda_c=args.lambda_c)
-    if not method.trained:
-        params = lsh_generate(Xn.shape[0], args.bits, args.seed, scale=nz.scale)
-        return params, None
-    if method.needs_tangents:
-        D, N = Xn.shape
-        if N < D + args.bits:
-            raise SystemExit(f"tangent estimation needs N >= D+d = {D + args.bits} "
-                             f"points, got {N}")
-    cfg = TrainConfig(bits=args.bits, epsilon=args.epsilon,
-                      epochs=args.epochs, batch_size=min(args.batch, Xn.shape[1]),
-                      total_iterations=args.iterations, seed=args.seed,
-                      method=method)
-    try:
-        # passed, not kept: train holds the only reference to the tangents
-        params, report = train(Xn, estimate_all_tangents(Xn, args.bits)
-                               if method.needs_tangents else None, cfg)
-    except LineSearchError as err:
-        err.params.scale = nz.scale
-        raise
-    params.scale = nz.scale
-    return params, report
-
-
 def cmd_train(args) -> int:
     X_raw = read_matrix(args.input)
     if X_raw.size == 0:
         raise SystemExit(f"empty input {args.input}")
+    method = VariantConfig(kind=args.method, alpha=args.alpha,
+                           corruption_t=args.corrupt_t, lambda_c=args.lambda_c)
+    D, N = X_raw.shape
+    if method.needs_tangents and N < D + args.bits:
+        raise SystemExit(f"tangent estimation needs N >= D+d = {D + args.bits} "
+                         f"points, got {N}")
+    cfg = TrainConfig(bits=args.bits, epsilon=args.epsilon, epochs=args.epochs,
+                      batch_size=args.batch, total_iterations=args.iterations,
+                      seed=args.seed, method=method)
     try:
-        params, report = _train_model(X_raw, args)
+        params, report = fit(X_raw, cfg)
     except LineSearchError as err:
         matrix_io.write_model(args.out, err.params)
         write_manifest(args.out, "train", _flags(args))
@@ -163,32 +143,30 @@ def cmd_eval(args) -> int:
         raise SystemExit(f"--max-retrieve K={K} must be at least 1")
     if K > base_raw.shape[1]:
         raise SystemExit(f"K={K} exceeds base size {base_raw.shape[1]}")
+    ks = [int(v) for v in args.k.split(",")]
+    if max(ks) > base_raw.shape[1]:
+        raise SystemExit(f"k={max(ks)} exceeds base size {base_raw.shape[1]}")
     base_codes = hamming.encode(params, base_raw * params.scale,
                                 use_bias=args.use_bias)
     query_codes = hamming.encode(params, query_raw * params.scale,
                                  use_bias=args.use_bias)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    ks = [int(v) for v in args.k.split(",")]
-    summary_rows = []
-    for k in ks:
-        gt = _cached_groundtruth(args.base, base_raw, query_raw, k)
-        curve = hamming.recall_curve(gt, base_codes, query_codes, K)
-        out = out_dir / f"recall_k{k}.csv"
-        with open(out, "w") as f:
-            f.write("i,recall\n")
-            for i, v in enumerate(curve.values, 1):
-                f.write(f"{i},{float(v)!r}\n")
-            f.write(f"m_recall,{float(curve.m_recall)!r}\n")
-        summary_rows.append((k, curve.m_recall))
+    # each k's ground truth is the k-prefix of the largest k's (exact kNN)
+    gt = _cached_groundtruth(args.base, base_raw, query_raw, max(ks))
     summary = out_dir / "m_recall.csv"
-    with open(summary, "w") as f:
-        f.write("k,m_recall\n")
-        for k, mr in summary_rows:
-            f.write(f"{k},{float(mr)!r}\n")
+    with open(summary, "w") as sf:
+        sf.write("k,m_recall\n")
+        for k in ks:
+            curve = hamming.recall_curve(gt[:, :k], base_codes, query_codes, K)
+            with open(out_dir / f"recall_k{k}.csv", "w") as f:
+                f.write("i,recall\n")
+                for i, v in enumerate(curve.values, 1):
+                    f.write(f"{i},{float(v)!r}\n")
+                f.write(f"m_recall,{float(curve.m_recall)!r}\n")
+            sf.write(f"{k},{float(curve.m_recall)!r}\n")
+            print(f"k={k}: m-Recall {curve.m_recall:.4f}")
     write_manifest(summary, "eval", _flags(args))
-    for k, mr in summary_rows:
-        print(f"k={k}: m-Recall {mr:.4f}")
     return 0
 
 
@@ -208,34 +186,24 @@ def cmd_toy(args) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    nz = matrix_io.fit_normalizer(X_raw)
-    Xn = matrix_io.apply_normalizer(nz, X_raw)
-    tangents = estimate_all_tangents(Xn, 3)
-    cfg = TrainConfig(bits=3, epochs=args.epochs,
-                      batch_size=min(args.batch, args.points), seed=args.seed,
+    cfg = TrainConfig(bits=3, epochs=args.epochs, batch_size=args.batch, seed=args.seed,
                       method=VariantConfig(kind="auto-jacobin", alpha=args.alpha))
-    p0 = init_params(Xn, 3, np.random.default_rng(args.seed))
-    p0.scale = nz.scale
-    params, report = train(Xn, tangents, cfg)
-    params.scale = nz.scale
+    params, report = fit(X_raw, cfg)
+    Xn = X_raw * params.scale
 
-    rows = []
-    for phase, p in (("init", p0), ("trained", params)):
-        codes = hamming.encode(p, Xn)
-        distinct = len({bytes(row) for row in codes.packed})
-        Y, _ = forward_batch(p, Xn)
-        rows.append((phase, distinct, float(np.mean(np.abs(Y)))))
     summary = out_dir / "toy_summary.csv"
     with open(summary, "w") as f:
         f.write("phase,distinct_codes,mean_abs_hidden\n")
-        for phase, distinct, mean_abs in rows:
-            f.write(f"{phase},{distinct},{float(mean_abs)!r}\n")
+        for phase, p in (("init", report.initial), ("trained", params)):
+            codes = hamming.encode(p, Xn)
+            distinct = len({bytes(row) for row in codes.packed})
+            mean_abs = float(np.mean(np.abs(forward_batch(p, Xn)[0])))
+            f.write(f"{phase},{distinct},{mean_abs!r}\n")
+            print(f"{phase}: {distinct} distinct codes, mean |y| = {mean_abs:.3f}")
     matrix_io.write_model(out_dir / "toy.ajb", params)
-    matrix_io.write_codes(out_dir / "toy.ajbc", hamming.encode(params, Xn))
+    matrix_io.write_codes(out_dir / "toy.ajbc", codes)  # the loop's last: trained
     write_trace_csv(out_dir / "toy_trace.csv", report)
     write_manifest(summary, "toy", _flags(args))
-    for phase, distinct, mean_abs in rows:
-        print(f"{phase}: {distinct} distinct codes, mean |y| = {mean_abs:.3f}")
     return 0
 
 
@@ -296,6 +264,17 @@ def _int_at_least(low: int):
 
     parse.__name__ = "int"  # argparse names the type in "invalid int value"
     return parse
+
+
+def _ks(text: str) -> str:
+    """argparse type of eval's --k: comma-separated ints of at least 1,
+    kept as the text the manifest records."""
+    for v in text.split(","):
+        _int_at_least(1)(v)
+    return text
+
+
+_ks.__name__ = "k list"  # argparse names the type in "invalid k list value"
 
 
 def _iter_parsers(parser):
@@ -374,26 +353,26 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--base", required=True)
     p.add_argument("--query", required=True)
-    p.add_argument("--k", default="1,5,10,50,100")
+    p.add_argument("--k", type=_ks, default="1,5,10,50,100")
     p.add_argument("--max-retrieve", type=int, default=10000)
     p.add_argument("--use-bias", action="store_true")
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("gradcheck", help="validate analytic gradients")
-    p.add_argument("--dims", type=int, default=8)
-    p.add_argument("--bits", type=int, default=4)
-    p.add_argument("--points", type=int, default=5)
+    p.add_argument("--dims", type=_int_at_least(1), default=8)
+    p.add_argument("--bits", type=_int_at_least(1), default=4)
+    p.add_argument("--points", type=_int_at_least(1), default=5)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--method", default="auto-jacobin",
                    choices=["auto-jacobin", "autobin", "dautobin", "cautobin"])
     p.set_defaults(func=cmd_gradcheck)
 
     p = sub.add_parser("toy", help="simplex warping experiment")
-    p.add_argument("--points", type=int, default=1000)
+    p.add_argument("--points", type=_int_at_least(6), default=1000)  # D+d
     p.add_argument("--alpha", type=float, default=0.1)
-    p.add_argument("--epochs", type=int, default=300)
-    p.add_argument("--batch", type=int, default=1000)
+    p.add_argument("--epochs", type=_int_at_least(0), default=300)
+    p.add_argument("--batch", type=_int_at_least(1), default=1000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=cmd_toy)

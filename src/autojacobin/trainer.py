@@ -45,6 +45,8 @@ is ever copied.
 One seeded RNG stream drives everything, consumed in a fixed order:
 the init rotation first, then per epoch the shuffle permutation and
 (for the denoising variant) the corruption draws.
+
+fit is the one path from raw data to a scaled model.
 """
 
 from __future__ import annotations
@@ -52,7 +54,7 @@ from __future__ import annotations
 import time
 import warnings
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -67,8 +69,8 @@ from .network import (
     pack_params,
     unpack_params,
 )
-from .matrix_io import _check_matrix
-from .tangent import TangentSet, region_variance
+from .matrix_io import _check_matrix, apply_normalizer, fit_normalizer
+from .tangent import TangentSet, estimate_all_tangents, region_variance
 
 
 LBFGS_MEMORY = 10  # curvature pairs kept by the L-BFGS direction
@@ -126,6 +128,7 @@ class TrainReport:
     cost_trace: list[TraceRow] = field(default_factory=list)
     epoch_costs: list[tuple[int, float]] = field(default_factory=list)
     wall_time: float = 0.0
+    initial: NetworkParams | None = None  # the untrained start, from init_params
     # set when the Jacobian term is trained; ranks only from a TangentSet
     jacobian_weight: float | None = None
     tangent_ranks: list[int] = field(default_factory=list)
@@ -313,7 +316,7 @@ def train(X_train: np.ndarray, tangents, cfg: TrainConfig):
     weight; None for variants without the Jacobian term. Anything else,
     and factors of another shape or of unequal shapes, raise a
     ValueError that names (N, D, r). Data must already be
-    normalized and finite; the caller sets params.scale afterwards. Each
+    normalized and finite; fit normalizes raw data and sets the scale. Each
     line search returns the value and gradient at its accepted point; an
     epoch's cost is the sum of those batch values, and a LineSearchError
     along -g is not retried (see the module docstring): it ends training
@@ -330,7 +333,7 @@ def train(X_train: np.ndarray, tangents, cfg: TrainConfig):
                          "gradient descent")
     rng = np.random.default_rng(cfg.seed)
     params = init_params(X_train, cfg.bits, rng)
-    report = TrainReport()
+    report = TrainReport(initial=params)
 
     stack, weight = None, ObjectiveConfig().jacobian_weight
     if cfg.method.needs_tangents:
@@ -431,4 +434,24 @@ def train(X_train: np.ndarray, tangents, cfg: TrainConfig):
             break
 
     report.wall_time = time.perf_counter() - t_start
+    return params, report
+
+
+def fit(X_raw: np.ndarray, cfg: TrainConfig):
+    """(params, report) from raw (D, N) data: normalize, then the LSH
+    projection (report None) or train, the batch clamped to N, on tangents
+    at cfg.bits; the scale is set on every NetworkParams that leaves."""
+    nz = fit_normalizer(X_raw)
+    if not cfg.method.trained:
+        return var.lsh_generate(X_raw.shape[0], cfg.bits, cfg.seed, scale=nz.scale), None
+    Xn = apply_normalizer(nz, X_raw)
+    cfg = replace(cfg, batch_size=min(cfg.batch_size, Xn.shape[1]))
+    try:
+        # passed, not kept: train holds the only reference to the tangents
+        params, report = train(Xn, estimate_all_tangents(Xn, cfg.bits)
+                               if cfg.method.needs_tangents else None, cfg)
+    except LineSearchError as err:
+        err.params.scale = nz.scale
+        raise
+    params.scale = report.initial.scale = nz.scale
     return params, report

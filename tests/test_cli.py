@@ -6,9 +6,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from autojacobin import matrix_io, tangent, trainer
-from autojacobin.cli import _cached_groundtruth, _train_model, build_parser, main
-from autojacobin.network import GradientSet
+from autojacobin import hamming, matrix_io, synth, tangent, trainer
+from autojacobin.cli import _cached_groundtruth, main
+from autojacobin.network import GradientSet, forward_batch
 
 pytestmark = pytest.mark.filterwarnings(
     "ignore:training data rank below bit count")
@@ -87,23 +87,24 @@ def test_train_summary_reports_tangent_ranks_and_weight(tmp_path, capsys):
 
 def test_train_holds_the_tangent_bases_once():
     # the bases are estimated into the (N, D, r) stack that training
-    # reads, and no list of them is kept beside it; with one, the peak
-    # passed 2x the bases. The rest is the batches' rows of the stack
-    # (0.25x), the normalized and shuffled data and the kNN's indices
+    # reads in place, and no list of them is kept beside it; with one, the
+    # peak passed 2x the bases. The rest is the normalized and the
+    # shuffled data (1/r each), the kNN's indices and block distances and
+    # the Jacobian term's 64-point chunk arrays: 1.45x on numpy 2.4. A
+    # batch-sized gather of the stack's rows (0.25x) would pass 1.6x
     N, D, bits = 8000, 16, 8
     X = np.random.default_rng(8).standard_normal((D, N))
-    args = build_parser().parse_args([
-        "train", "--input", "x.fvecs", "--out", "x.ajb", "--bits", str(bits),
-        "--batch", str(N // 4), "--epochs", "1", "--iterations", "2"])
+    cfg = trainer.TrainConfig(bits=bits, epochs=1, batch_size=N // 4,
+                              total_iterations=2)
     tracemalloc.start()
     try:
-        _, report = _train_model(X, args)
+        _, report = trainer.fit(X, cfg)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     bases = 8 * D * sum(report.tangent_ranks)
     assert bases == 8 * D * bits * N  # every rank at the cap
-    assert peak < 2.0 * bases, (peak, bases)
+    assert peak < 1.6 * bases, (peak, bases)
 
 
 def test_train_saves_the_accepted_parameters_when_the_search_fails(
@@ -215,6 +216,65 @@ def test_train_rejects_bad_numeric_flags_as_usage_errors(tmp_path, capsys, metho
     assert not model.exists()
 
 
+@pytest.mark.parametrize("argv, flag, value, low", [
+    (["toy", "--batch", "0"], "--batch", "0", 1),
+    (["toy", "--epochs", "-1"], "--epochs", "-1", 0),
+    (["toy", "--points", "3"], "--points", "3", 6),
+    (["toy", "--points", "0"], "--points", "0", 6),
+    (["gradcheck", "--bits", "0"], "--bits", "0", 1),
+    (["gradcheck", "--points", "0"], "--points", "0", 1),
+    (["gradcheck", "--dims", "0"], "--dims", "0", 1)])
+def test_toy_and_gradcheck_reject_bad_numeric_flags_as_usage_errors(
+        tmp_path, capsys, argv, flag, value, low):
+    out_dir = tmp_path / "toy"
+    if argv[0] == "toy":
+        argv = argv + ["--out-dir", str(out_dir)]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"argument {flag}: must be at least {low}, got {value}" in \
+        capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+def _lsh_eval_setup(tmp_path, n):
+    base_path, _ = _write_data(tmp_path, "k.fvecs", n=n, seed=5)
+    query_path, _ = _write_data(tmp_path, "kq.fvecs", n=12, seed=6)
+    model = tmp_path / "m.ajb"
+    main(["train", "--input", str(base_path), "--bits", "4", "--method", "lsh",
+          "--out", str(model)])
+    return ["eval", "--model", str(model), "--base", str(base_path),
+            "--query", str(query_path), "--max-retrieve", str(n)]
+
+
+@pytest.mark.parametrize("k", ["0", "a", "", "1,0", "5,-2", "1,,5"])
+def test_eval_rejects_bad_k_as_usage_error(tmp_path, capsys, k):
+    argv = _lsh_eval_setup(tmp_path, 60)
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--k", k, "--out-dir", str(tmp_path / "e")])
+    assert exc.value.code == 2
+    assert "argument --k: " in capsys.readouterr().err
+    assert not (tmp_path / "e").exists()
+
+
+def test_eval_rejects_k_above_the_base_size(tmp_path):
+    argv = _lsh_eval_setup(tmp_path, 60)
+    with pytest.raises(SystemExit, match="k=61 exceeds base size 60"):
+        main(argv + ["--k", "5,61", "--out-dir", str(tmp_path / "e")])
+
+
+def test_eval_builds_the_ground_truth_once_at_the_largest_k(tmp_path):
+    argv = _lsh_eval_setup(tmp_path, 150)
+    assert main(argv + ["--out-dir", str(tmp_path / "all")]) == 0
+    caches = list(tmp_path.glob("k.fvecs.*.ajbg"))
+    assert [c.name.rsplit(".", 2)[1] for c in caches] == ["k100"]
+    for k in (1, 5, 10, 50, 100):  # each from its own k's ground truth
+        assert main(argv + ["--k", str(k), "--out-dir", str(tmp_path / f"k{k}")]) == 0
+        name = f"recall_k{k}.csv"
+        assert (tmp_path / "all" / name).read_bytes() == \
+            (tmp_path / f"k{k}" / name).read_bytes()
+
+
 def test_config_values_are_checked_like_flags(tmp_path, capsys):
     base_path, _ = _write_data(tmp_path, "c.fvecs", n=60, seed=3)
     cfg = tmp_path / "run.cfg"
@@ -259,6 +319,20 @@ def test_toy_small_run(tmp_path):
     assert (out_dir / "toy.ajb").exists()
     assert matrix_io.read_codes(out_dir / "toy.ajbc").count == 120
     assert (out_dir / "toy_trace.csv").exists()
+
+
+def test_toy_init_row_is_the_untrained_start_of_training(tmp_path):
+    out_dir = tmp_path / "toy"
+    assert main(["toy", "--points", "120", "--epochs", "2", "--batch", "60",
+                 "--seed", "4", "--out-dir", str(out_dir)]) == 0
+    X = synth.simplex_points(120, np.random.default_rng(4))
+    Xn = matrix_io.apply_normalizer(matrix_io.fit_normalizer(X), X)
+    p0 = trainer.init_params(Xn, 3, 4)
+    codes = hamming.encode(p0, Xn)
+    distinct = len({bytes(row) for row in codes.packed})
+    mean_abs = float(np.mean(np.abs(forward_batch(p0, Xn)[0])))
+    init_row = (out_dir / "toy_summary.csv").read_text().splitlines()[1]
+    assert init_row == f"init,{distinct},{mean_abs!r}"
 
 
 def test_plot_from_recall_csv(tmp_path):
