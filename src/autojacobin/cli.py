@@ -152,13 +152,15 @@ def cmd_eval(args) -> int:
                                  use_bias=args.use_bias)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    # each k's ground truth is the k-prefix of the largest k's (exact kNN)
+    # each k's ground truth is the k-prefix of the largest k's (exact kNN),
+    # so one ranking of every query serves all ks
     gt = _cached_groundtruth(args.base, base_raw, query_raw, max(ks))
+    ranked = hamming.recall_curve(gt, base_codes, query_codes, K)
     summary = out_dir / "m_recall.csv"
     with open(summary, "w") as sf:
         sf.write("k,m_recall\n")
         for k in ks:
-            curve = hamming.recall_curve(gt[:, :k], base_codes, query_codes, K)
+            curve = ranked.prefix(k)
             with open(out_dir / f"recall_k{k}.csv", "w") as f:
                 f.write("i,recall\n")
                 for i, v in enumerate(curve.values, 1):

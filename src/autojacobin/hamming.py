@@ -18,7 +18,7 @@ keep ascending index order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -116,19 +116,33 @@ class RecallCurve:
     values: np.ndarray  # Recall@i for i = 1..K
     k: int
     K: int
+    # (Q, k) Hamming rank of each ground-truth neighbour, K if not below K
+    ranks: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     @property
     def m_recall(self) -> float:
         return m_recall(self)
+
+    def prefix(self, k: int) -> RecallCurve:
+        """The curve of each query's first k ground-truth neighbours."""
+        if not 1 <= k <= self.k:
+            raise ValueError(f"k={k} out of range for a curve of k={self.k}")
+        return _curve(self.ranks[:, :k], self.K)
+
+
+def _curve(gt_rank: np.ndarray, K: int) -> RecallCurve:
+    Q, k = gt_rank.shape
+    hits = np.cumsum(np.bincount(gt_rank[gt_rank < K], minlength=K))
+    return RecallCurve(values=hits / (Q * k), k=k, K=K, ranks=gt_rank)
 
 
 def recall_curve(gt: np.ndarray, base_codes: BinaryCodes, query_codes: BinaryCodes,
                  K: int) -> RecallCurve:
     """Mean Recall@i over queries for i = 1..K.
 
-    gt is (Q, k) true-neighbor indices. Computed from one stable Hamming
-    argsort per query: Recall@i counts ground-truth members whose
-    Hamming rank is below i.
+    gt is (Q, k) true-neighbor indices. Each query is ranked once, by
+    hamming_topk: Recall@i counts ground-truth members whose Hamming
+    rank is below i. prefix(k) reads a smaller k's curve from the ranks.
     """
     if K < 1:
         raise ValueError(f"K={K} must be at least 1")
@@ -142,13 +156,11 @@ def recall_curve(gt: np.ndarray, base_codes: BinaryCodes, query_codes: BinaryCod
     first = np.arange(K)
     gt_rank = np.empty((Q, k), dtype=rank.dtype)
     for j in range(Q):
-        order = np.argsort(hamming_distances(base_codes, query_codes.packed[j]),
-                           kind="stable")[:K]
+        order = hamming_topk(base_codes, query_codes.packed[j], K)
         rank[order] = first
         gt_rank[j] = rank[gt[j]]
         rank[order] = K
-    hits = np.cumsum(np.bincount(gt_rank[gt_rank < K], minlength=K))
-    return RecallCurve(values=hits / (Q * k), k=k, K=K)
+    return _curve(gt_rank, K)
 
 
 def m_recall(curve: RecallCurve) -> float:

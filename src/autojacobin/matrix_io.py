@@ -12,12 +12,20 @@ order maps to column order. Formats:
          bit j at byte j//8 position j%8 (LSB-first), 1 means +1, padding
          bits after bit `bits` zero
   .ajbg: magic "AJBG", uint32 k, uint32 Q, per query k uint32 indices
+
+Binary readers raise a FormatError naming the file for, in order: a
+foreign magic, a cut header, a version other than 1, zero bits, D, d or
+k, a size the header does not give, non-finite model values, set padding
+bits. Binary writes are atomic: a temporary file renamed over the target.
 """
 
 from __future__ import annotations
 
+import math
+import os
 import struct
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -123,20 +131,17 @@ def read_txt(path) -> np.ndarray:
     rows = []
     with open(path) as f:
         for lineno, line in enumerate(f, 1):
-            line = line.strip()
-            if not line:
-                continue
             try:
-                rows.append([float(tok) for tok in line.split()])
+                row = [float(tok) for tok in line.split()]
             except ValueError as e:
                 raise FormatError(f"{path}:{lineno}: {e}") from None
-    if not rows:
-        return np.zeros((0, 0))
-    dim = len(rows[0])
-    for lineno, r in enumerate(rows, 1):
-        if len(r) != dim:
-            raise FormatError(f"{path}: inconsistent dims {dim} vs {len(r)}")
-    return _check_matrix(np.array(rows).T)
+            if not row:
+                continue
+            if rows and len(row) != len(rows[0]):
+                raise FormatError(f"{path}:{lineno}: inconsistent dims "
+                                  f"{len(rows[0])} vs {len(row)}")
+            rows.append(row)
+    return _check_matrix(np.array(rows).T) if rows else np.zeros((0, 0))
 
 
 def write_txt(path, X: np.ndarray) -> None:
@@ -169,104 +174,80 @@ def apply_normalizer(nz: Normalizer, X: np.ndarray) -> np.ndarray:
     return _check_matrix(X) * nz.scale
 
 
-# --- model file (.ajb) ---
+# --- binary files: (magic, name, header format and fields, payload dtype) ---
+_AJB = b"AJBN", "model", "<IIId", ("version", "D", "d", "scale"), "<f8"
+_AJBC = b"AJBC", "codes", "<IQ", ("bits", "count"), np.uint8
+_AJBG = b"AJBG", "ground-truth", "<II", ("k", "Q"), "<u4"
 
-_AJB_MAGIC = b"AJBN"
-_AJB_VERSION = 1
+
+def _write_file(path, form, fields, *arrays) -> None:
+    magic, _, fmt, _, dtype = form
+    tmp = Path(path).with_name(f".{Path(path).name}.{os.urandom(4).hex()}.tmp")
+    try:
+        with open(tmp, "xb") as f:
+            f.write(magic + struct.pack(fmt, *fields))
+            f.writelines(np.asarray(a, dtype).tobytes() for a in arrays)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def _read_file(path, form, payload_shape):
+    """(header fields, payload of shape payload_shape(**header)), checked."""
+    magic, what, fmt, names, dtype = form
+    raw = Path(path).read_bytes()
+    end = 4 + struct.calcsize(fmt)
+    if raw[:4] != magic:
+        raise FormatError(f"{path}: bad {what} magic {raw[:4]!r}")
+    if len(raw) < end:
+        raise FormatError(f"{path}: {what} header cut at {len(raw)} of {end} bytes")
+    header = dict(zip(names, struct.unpack_from(fmt, raw, 4)))
+    if header.get("version", 1) != 1:
+        raise FormatError(f"{path}: unsupported {what} version {header['version']}")
+    for name in ("bits", "D", "d", "k"):
+        if header.get(name, 1) < 1:
+            raise FormatError(f"{path}: {what} header has {name} = 0, expected at least 1")
+    shape = payload_shape(**header)
+    expect = end + np.dtype(dtype).itemsize * math.prod(shape)
+    if len(raw) != expect:
+        raise FormatError(f"{path}: {what} size {len(raw)}, expected {expect}")
+    return tuple(header.values()), np.frombuffer(raw, dtype, offset=end).reshape(shape).copy()
 
 
 def write_model(path, params) -> None:
-    w1, w2, b1, b2 = params.w1, params.w2, params.b1, params.b2
-    d, D = w1.shape
-    with open(path, "wb") as f:
-        f.write(_AJB_MAGIC)
-        f.write(struct.pack("<II", _AJB_VERSION, D))
-        f.write(struct.pack("<I", d))
-        f.write(struct.pack("<d", params.scale))
-        f.write(np.ascontiguousarray(w1, dtype="<f8").tobytes())
-        f.write(np.ascontiguousarray(w2, dtype="<f8").tobytes())
-        f.write(np.asarray(b1, dtype="<f8").tobytes())
-        f.write(np.asarray(b2, dtype="<f8").tobytes())
+    d, D = params.w1.shape
+    _write_file(path, _AJB, (1, D, d, params.scale), params.w1, params.w2, params.b1, params.b2)
 
 
 def read_model(path):
     from .network import NetworkParams
 
-    raw = open(path, "rb").read()
-    if raw[:4] != _AJB_MAGIC:
-        raise FormatError(f"{path}: bad model magic {raw[:4]!r}")
-    version, D, d = struct.unpack_from("<III", raw, 4)
-    if version != _AJB_VERSION:
-        raise FormatError(f"{path}: unsupported model version {version}")
-    (scale,) = struct.unpack_from("<d", raw, 16)
-    off = 24
-    expect = off + 8 * (d * D + D * d + d + D)
-    if len(raw) != expect:
-        raise FormatError(f"{path}: model size {len(raw)}, expected {expect}")
-
-    def block(n, shape):
-        nonlocal off
-        a = np.frombuffer(raw, dtype="<f8", count=n, offset=off).copy()
-        off += 8 * n
-        return a.reshape(shape)
-
-    w1 = block(d * D, (d, D))
-    w2 = block(D * d, (D, d))
-    b1 = block(d, (d,))
-    b2 = block(D, (D,))
-    return NetworkParams(w1=w1, w2=w2, b1=b1, b2=b2, scale=scale)
-
-
-# --- codes file (.ajbc) ---
-
-_AJBC_MAGIC = b"AJBC"
+    (_, D, d, scale), flat = _read_file(path, _AJB, lambda D, d, **_: (2 * d * D + d + D,))
+    if not (np.isfinite(flat).all() and math.isfinite(scale)):
+        raise FormatError(f"{path}: model has non-finite weights or scale")
+    w1, w2, b1, b2 = np.split(flat, np.cumsum([d * D, D * d, d]))
+    return NetworkParams(w1.reshape(d, D), w2.reshape(D, d), b1, b2, scale)
 
 
 def write_codes(path, codes) -> None:
-    with open(path, "wb") as f:
-        f.write(_AJBC_MAGIC)
-        f.write(struct.pack("<IQ", codes.bits, codes.count))
-        f.write(codes.packed.tobytes())
+    _write_file(path, _AJBC, (codes.bits, codes.count), codes.packed)
 
 
 def read_codes(path):
     from .hamming import BinaryCodes
 
-    raw = open(path, "rb").read()
-    if raw[:4] != _AJBC_MAGIC:
-        raise FormatError(f"{path}: bad codes magic {raw[:4]!r}")
-    bits, count = struct.unpack_from("<IQ", raw, 4)
-    nbytes = (bits + 7) // 8
-    expect = 16 + count * nbytes
-    if len(raw) != expect:
-        raise FormatError(f"{path}: codes size {len(raw)}, expected {expect}")
-    packed = np.frombuffer(raw, dtype=np.uint8, offset=16).copy().reshape(count, nbytes)
+    (bits, count), packed = _read_file(path, _AJBC, lambda bits, count: (count, (bits + 7) // 8))
     try:
         return BinaryCodes(bits=bits, count=count, packed=packed)
     except ValueError as e:  # set padding bits would count as distance
         raise FormatError(f"{path}: {e}") from None
 
 
-# --- ground truth (.ajbg) ---
-
-_AJBG_MAGIC = b"AJBG"
-
-
 def write_groundtruth(path, gt: np.ndarray) -> None:
-    gt = np.asarray(gt, dtype=np.uint32)
-    Q, k = gt.shape
-    with open(path, "wb") as f:
-        f.write(_AJBG_MAGIC)
-        f.write(struct.pack("<II", k, Q))
-        f.write(np.ascontiguousarray(gt, dtype="<u4").tobytes())
+    Q, k = np.shape(gt)
+    _write_file(path, _AJBG, (k, Q), gt)
 
 
 def read_groundtruth(path) -> np.ndarray:
-    raw = open(path, "rb").read()
-    if raw[:4] != _AJBG_MAGIC:
-        raise FormatError(f"{path}: bad ground-truth magic {raw[:4]!r}")
-    k, Q = struct.unpack_from("<II", raw, 4)
-    expect = 12 + 4 * k * Q
-    if len(raw) != expect:
-        raise FormatError(f"{path}: ground-truth size {len(raw)}, expected {expect}")
-    return np.frombuffer(raw, dtype="<u4", offset=12).copy().reshape(Q, k)
+    return _read_file(path, _AJBG, lambda k, Q: (Q, k))[1]

@@ -86,9 +86,9 @@ def _pca_block(X: np.ndarray, nbr: np.ndarray, d: int):
     D = X.shape[0]
     b, k = nbr.shape
     Xt = X.T
-    # (b, D+1, D) whatever k is, so the variance does not depend on d
-    variance = Xt[nbr[:, :D + 1]].var(axis=1).mean(axis=1)
     nbrs = Xt[nbr]  # (b, k, D)
+    # the D+1 nearest whatever k is, so the variance does not depend on d
+    variance = nbrs[:, :D + 1].var(axis=1).mean(axis=1)
     degenerate = (nbrs == nbrs[:, :1]).all(axis=(1, 2))
     variance[degenerate] = 0.0
     nbrs -= nbrs.mean(axis=1, keepdims=True)

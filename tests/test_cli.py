@@ -275,6 +275,52 @@ def test_eval_builds_the_ground_truth_once_at_the_largest_k(tmp_path):
             (tmp_path / f"k{k}" / name).read_bytes()
 
 
+def test_eval_ranks_each_query_once_for_every_k(tmp_path, monkeypatch):
+    argv = _lsh_eval_setup(tmp_path, 150)
+    calls = []
+
+    def counting(base, q, i):
+        calls.append(i)
+        return topk(base, q, i)
+
+    topk = hamming.hamming_topk
+    monkeypatch.setattr(hamming, "hamming_topk", counting)
+    assert main(argv + ["--out-dir", str(tmp_path / "all")]) == 0
+    assert calls == [150] * 12  # 12 queries, ranked once to K
+    # each k's CSV as one recall_curve call on the k-prefix wrote it
+    p = matrix_io.read_model(tmp_path / "m.ajb")
+    base_codes, query_codes = (hamming.encode(p, matrix_io.read_fvecs(tmp_path / f) * p.scale)
+                               for f in ("k.fvecs", "kq.fvecs"))
+    (cache,) = tmp_path.glob("k.fvecs.*.k100.ajbg")
+    gt = matrix_io.read_groundtruth(cache)
+    for k in (1, 5, 10, 50, 100):
+        curve = hamming.recall_curve(gt[:, :k], base_codes, query_codes, 150)
+        rows = "".join(f"{i},{float(v)!r}\n" for i, v in enumerate(curve.values, 1))
+        expect = f"i,recall\n{rows}m_recall,{float(curve.m_recall)!r}\n"
+        assert (tmp_path / "all" / f"recall_k{k}.csv").read_text() == expect
+
+
+def test_interrupted_eval_leaves_no_cache_and_the_next_builds_it(tmp_path, monkeypatch):
+    argv = _lsh_eval_setup(tmp_path, 150)
+
+    def killed(src, dst):
+        raise KeyboardInterrupt  # after the bytes are written, before the rename
+
+    with monkeypatch.context() as m:
+        m.setattr(matrix_io.os, "replace", killed)
+        with pytest.raises(KeyboardInterrupt):
+            main(argv + ["--out-dir", str(tmp_path / "cut")])
+    assert [p.name for p in tmp_path.iterdir() if ".fvecs." in p.name] == []
+    builds = []
+    build = hamming.build_groundtruth
+    monkeypatch.setattr(hamming, "build_groundtruth",
+                        lambda *a: builds.append(a[2]) or build(*a))
+    assert main(argv + ["--out-dir", str(tmp_path / "e")]) == 0
+    assert builds == [100]
+    (cache,) = tmp_path.glob("k.fvecs.*.k100.ajbg")
+    assert matrix_io.read_groundtruth(cache).shape == (12, 100)
+
+
 def test_config_values_are_checked_like_flags(tmp_path, capsys):
     base_path, _ = _write_data(tmp_path, "c.fvecs", n=60, seed=3)
     cfg = tmp_path / "run.cfg"

@@ -222,6 +222,24 @@ def test_recall_curve_matches_reference(bits):
     assert curve.values[-1] == 1.0
 
 
+@pytest.mark.parametrize("bits", (1, 11, 64))
+def test_recall_curve_prefix_equals_the_curve_of_the_prefix(bits):
+    rng = np.random.default_rng(300 + bits)
+    n, n_query, k = 120, 6, 9
+    base, queries = _planted_ties(rng, n, bits, n_query)
+    gt = np.stack([rng.permutation(n)[:k] for _ in range(n_query)]).astype(np.uint32)
+    for K in (1, 20, n):
+        full = recall_curve(gt, base, queries, K)
+        for i in (1, 4, k):
+            prefix, direct = full.prefix(i), recall_curve(gt[:, :i], base, queries, K)
+            assert (prefix.k, prefix.K) == (i, K)
+            assert prefix.values.tobytes() == direct.values.tobytes()
+            np.testing.assert_array_equal(prefix.ranks, direct.ranks)
+    for i in (0, k + 1):
+        with pytest.raises(ValueError, match=f"k={i} out of range"):
+            full.prefix(i)
+
+
 def test_query_row_must_match_codes():
     codes, _ = _random_codes(np.random.default_rng(12), 5, 11)
     with pytest.raises(ValueError, match="expected uint8"):

@@ -134,7 +134,11 @@ def test_txt_round_trip(tmp_path):
 def test_txt_ragged_rows_rejected(tmp_path):
     p = tmp_path / "ragged.txt"
     p.write_text("1 2 3\n4 5\n")
-    with pytest.raises(FormatError):
+    with pytest.raises(FormatError, match=r"ragged.txt:2: inconsistent dims 3 vs 2"):
+        matrix_io.read_txt(p)
+    # the error names the file's line, blank lines included
+    p.write_text("1 2 3\n\n4 5\n")
+    with pytest.raises(FormatError, match=r"ragged.txt:3: inconsistent dims 3 vs 2"):
         matrix_io.read_txt(p)
 
 
@@ -235,3 +239,117 @@ def test_groundtruth_round_trip(tmp_path):
     path = tmp_path / "g.ajbg"
     matrix_io.write_groundtruth(path, gt)
     np.testing.assert_array_equal(matrix_io.read_groundtruth(path), gt)
+
+
+# --- the binary codec: each format's writer, reader, a tiny fixed input,
+# its bytes packed by hand, and the name its errors give the format ---
+
+def _tiny_model():
+    return NetworkParams(w1=np.array([[1.5, -2.0]]), w2=np.array([[0.25], [3.0]]),
+                         b1=np.array([0.5]), b2=np.array([-1.0, 2.0]), scale=0.125)
+
+
+def _tiny_codes():
+    from autojacobin.hamming import BinaryCodes
+    return BinaryCodes(bits=11, count=2,
+                       packed=np.array([[0xA5, 0x03], [0x00, 0x07]], dtype=np.uint8))
+
+
+_TINY_GT = np.array([[3, 1], [0, 2], [7, 5]], dtype=np.uint32)
+
+FORMATS = {
+    "model": (matrix_io.write_model, matrix_io.read_model, _tiny_model,
+              b"AJBN" + struct.pack("<IIId", 1, 2, 1, 0.125)
+              + struct.pack("<7d", 1.5, -2.0, 0.25, 3.0, 0.5, -1.0, 2.0)),
+    "codes": (matrix_io.write_codes, matrix_io.read_codes, _tiny_codes,
+              b"AJBC" + struct.pack("<IQ", 11, 2) + bytes([0xA5, 0x03, 0x00, 0x07])),
+    "ground-truth": (matrix_io.write_groundtruth, matrix_io.read_groundtruth,
+                     lambda: _TINY_GT,
+                     b"AJBG" + struct.pack("<II", 2, 3) + struct.pack("<6I", 3, 1, 0, 2, 7, 5)),
+}
+HEADER_END = {"model": 24, "codes": 16, "ground-truth": 12}
+
+
+@pytest.mark.parametrize("what", FORMATS)
+def test_writer_output_equals_hand_packed_bytes(tmp_path, what):
+    writer, reader, sample, golden = FORMATS[what]
+    path = tmp_path / "f.bin"
+    writer(path, sample())
+    assert path.read_bytes() == golden
+    assert [p.name for p in tmp_path.iterdir()] == ["f.bin"]  # no temporary left
+    back = reader(path)
+    writer(tmp_path / "g.bin", back)
+    assert (tmp_path / "g.bin").read_bytes() == golden
+
+
+@pytest.mark.parametrize("what", FORMATS)
+def test_header_cut_anywhere_is_a_format_error_naming_the_file(tmp_path, what):
+    _, reader, _, golden = FORMATS[what]
+    path = tmp_path / "cut.bin"
+    for n in range(4, HEADER_END[what]):
+        path.write_bytes(golden[:n])
+        with pytest.raises(FormatError, match=rf"cut.bin: {what} header cut at {n} of"):
+            reader(path)
+
+
+@pytest.mark.parametrize("what", FORMATS)
+def test_foreign_magic_and_wrong_size_are_format_errors(tmp_path, what):
+    _, reader, _, golden = FORMATS[what]
+    path = tmp_path / "bad.bin"
+    for raw, message in ((b"", f"bad {what} magic"), (b"AJB", f"bad {what} magic"),
+                         (b"XXXX" + golden[4:], f"bad {what} magic"),
+                         (golden + b"\0", f"{what} size {len(golden) + 1}, expected"),
+                         (golden[:-1], f"{what} size {len(golden) - 1}, expected")):
+        path.write_bytes(raw)
+        with pytest.raises(FormatError, match=f"bad.bin: {message}"):
+            reader(path)
+
+
+@pytest.mark.parametrize("raw,message", [
+    # each payload is the size the header gives, so only the header is at fault
+    (b"AJBN" + struct.pack("<IIId", 1, 0, 3, 1.0) + bytes(24), "model header has D = 0"),
+    (b"AJBN" + struct.pack("<IIId", 1, 3, 0, 1.0) + bytes(24), "model header has d = 0"),
+    (b"AJBN" + struct.pack("<IIId", 2, 1, 1, 1.0) + bytes(32), "unsupported model version 2"),
+    (b"AJBC" + struct.pack("<IQ", 0, 5), "codes header has bits = 0"),
+    (b"AJBG" + struct.pack("<II", 0, 4), "ground-truth header has k = 0"),
+], ids=["D0", "d0", "version2", "bits0", "k0"])
+def test_zero_sized_or_unknown_header_rejected(tmp_path, raw, message):
+    path = tmp_path / "h.bin"
+    path.write_bytes(raw)
+    reader = {b"AJBN": matrix_io.read_model, b"AJBC": matrix_io.read_codes,
+              b"AJBG": matrix_io.read_groundtruth}[raw[:4]]
+    with pytest.raises(FormatError, match=f"h.bin: {message}"):
+        reader(path)
+
+
+@pytest.mark.parametrize("field,value", [("w2", np.nan), ("scale", np.inf)])
+def test_read_model_rejects_non_finite_values(tmp_path, field, value):
+    p = _tiny_model()
+    if field == "scale":
+        p.scale = value
+    else:
+        getattr(p, field)[0, 0] = value
+    path = tmp_path / "nf.ajb"
+    matrix_io.write_model(path, p)
+    with pytest.raises(FormatError, match="nf.ajb: model has non-finite weights or scale"):
+        matrix_io.read_model(path)
+
+
+class _FailingPayload:
+    def __array__(self, dtype=None, copy=None):
+        raise OSError("disk full")
+
+
+def test_failed_write_leaves_the_destination_as_it_was(tmp_path):
+    codes = _tiny_codes()
+    codes.packed = _FailingPayload()  # fails after the header is written
+    new = tmp_path / "new.ajbc"
+    with pytest.raises(OSError, match="disk full"):
+        matrix_io.write_codes(new, codes)
+    assert list(tmp_path.iterdir()) == []
+    old = tmp_path / "old.ajbc"
+    old.write_bytes(b"old bytes")
+    with pytest.raises(OSError, match="disk full"):
+        matrix_io.write_codes(old, codes)
+    assert list(tmp_path.iterdir()) == [old]
+    assert old.read_bytes() == b"old bytes"
