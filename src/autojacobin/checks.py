@@ -15,7 +15,6 @@ from .network import (
     _terms,
     forward_batch,
     objective,
-    pack_gradient,
     pack_params,
     unpack_params,
 )
@@ -51,8 +50,8 @@ def fd_gradient(f, theta: np.ndarray, h: float) -> np.ndarray:
 
 
 def _check(value_and_grad, p: NetworkParams, h: float) -> float:
-    """value_and_grad(params) -> (value, GradientSet)."""
-    analytic = pack_gradient(value_and_grad(p)[1])
+    """value_and_grad(params) -> (value, gradient laid out like pack_params)."""
+    analytic = value_and_grad(p)[1]
     fd = fd_gradient(lambda th: value_and_grad(unpack_params(th, p))[0],
                      pack_params(p), h)
     return float(np.max(np.abs(analytic - fd) / np.maximum(1.0, np.abs(fd))))
@@ -80,9 +79,13 @@ def check_gradients(kind: str, D: int = 8, d: int = 4, n: int = 5,
     )
     Xin, terms = _terms(batch, cfg=cfg, **inputs)
 
+    def term_value_and_grad(term, q):
+        grad = np.zeros_like(pack_params(q))
+        return term(q, *forward_batch(q, Xin), grad), grad
+
     errors: dict[str, float] = {}
     for name, term in terms:
-        errors[name] = _check(lambda q: term(q, *forward_batch(q, Xin)), p, h)
+        errors[name] = _check(lambda q: term_value_and_grad(term, q), p, h)
     errors["total"] = _check(
         lambda q: objective(q, batch, cfg=cfg, **inputs)[::2], p, h)
     return errors

@@ -122,13 +122,24 @@ def cmd_encode(args) -> int:
 
 def _cached_groundtruth(base_path, base: np.ndarray, queries: np.ndarray,
                         k: int) -> np.ndarray:
+    """The k exact nearest neighbours of each query, read from a cache file
+    beside the base when it holds a (Q, k) table of base indices, else
+    built and written there, replacing a cut or foreign file."""
     h = hashlib.sha256()
     h.update(np.ascontiguousarray(base))  # the bytes of tobytes(), uncopied
     h.update(np.ascontiguousarray(queries))
     h.update(str(k).encode())
     cache = Path(str(base_path) + f".{h.hexdigest()[:12]}.k{k}.ajbg")
     if cache.exists():
-        return matrix_io.read_groundtruth(cache)
+        Q, N = queries.shape[1], base.shape[1]
+        try:
+            gt = matrix_io.read_groundtruth(cache)
+            if gt.shape != (Q, k) or not np.all(gt < N):
+                raise matrix_io.FormatError(
+                    f"{cache}: not a ({Q}, {k}) table of indices below {N}")
+            return gt
+        except matrix_io.FormatError as err:
+            print(f"rebuilding the ground-truth cache: {err}", file=sys.stderr)
     gt = hamming.build_groundtruth(base, queries, k)
     matrix_io.write_groundtruth(cache, gt)
     return gt
@@ -139,8 +150,6 @@ def cmd_eval(args) -> int:
     base_raw = read_matrix(args.base)
     query_raw = read_matrix(args.query)
     K = args.max_retrieve
-    if K < 1:
-        raise SystemExit(f"--max-retrieve K={K} must be at least 1")
     if K > base_raw.shape[1]:
         raise SystemExit(f"K={K} exceeds base size {base_raw.shape[1]}")
     ks = [int(v) for v in args.k.split(",")]
@@ -356,7 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--base", required=True)
     p.add_argument("--query", required=True)
     p.add_argument("--k", type=_ks, default="1,5,10,50,100")
-    p.add_argument("--max-retrieve", type=int, default=10000)
+    p.add_argument("--max-retrieve", type=_int_at_least(1), default=10000)
     p.add_argument("--use-bias", action="store_true")
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=cmd_eval)

@@ -46,7 +46,8 @@ so no array of (m, D, d) is formed. The term is computed in chunks of
 passes the whole (N, D, r) stack and a batch's row indices (FactorRows),
 and each chunk gathers only its own rows, so no batch-sized copy of the
 factors is made. The chunks' values and gradients are summed in chunk
-order, so the objective has the same bits at any worker count.
+order, so the objective has the same bits at any worker count. One
+converter, _factor_rows, reads and checks every form of the factors.
 
 The comparison models are the same objective with the middle term
 changed: AutoBin drops it, CAutoBin puts the contractive term
@@ -54,7 +55,9 @@ lambda_c sum_i ||d y_i / d x_i||_F^2 in its place, and DAutoBin drops it
 and feeds the network a corrupted copy of the batch while still
 reconstructing the clean one. objective() builds the terms from its
 arguments and returns value, parts and gradient from one forward pass;
-variants.VariantConfig says which arguments each method passes.
+variants.VariantConfig says which arguments each method passes. The
+gradient is one vector laid out like pack_params, and each term adds
+into views of only the blocks it reaches.
 
 The Jacobian-term weight w follows from the noise-removing map g that
 the auto-encoder f stands in for. Near the manifold, g is taken to first
@@ -125,26 +128,6 @@ class ObjectiveConfig:
 
 
 @dataclass
-class GradientSet:
-    dw1: np.ndarray
-    dw2: np.ndarray
-    db1: np.ndarray
-    db2: np.ndarray
-
-    @staticmethod
-    def zeros(p: NetworkParams) -> "GradientSet":
-        return GradientSet(np.zeros_like(p.w1), np.zeros_like(p.w2),
-                           np.zeros_like(p.b1), np.zeros_like(p.b2))
-
-    def __iadd__(self, other: "GradientSet") -> "GradientSet":
-        self.dw1 += other.dw1
-        self.dw2 += other.dw2
-        self.db1 += other.db1
-        self.db2 += other.db2
-        return self
-
-
-@dataclass
 class ObjectiveParts:
     recon: float
     jacobian: float  # the middle term: Jacobian, contractive, or 0.0 if none
@@ -165,24 +148,27 @@ def forward_batch(p: NetworkParams, X: np.ndarray):
 # --- per-term values and gradients (batch layout: X is (D, n)) ---
 
 
-def _recon_term(p, Xin, Xtarget, Y, Z):
+def _recon_term(p, Xin, Xtarget, Y, Z, grad):
     diff = Z - Xtarget
     value = float(np.sum(diff * diff))
     d2 = 2.0 * diff * (1.0 - Z * Z)
     d1 = (p.w2.T @ d2) * (1.0 - Y * Y)
-    return value, GradientSet(d1 @ Xin.T, d2 @ Y.T, d1.sum(axis=1), d2.sum(axis=1))
+    for g, dg in zip(_blocks(grad, p), (d1 @ Xin.T, d2 @ Y.T, d1.sum(axis=1),
+                                         d2.sum(axis=1))):
+        g += dg
+    return value
 
 
-def _binary_term(p, Xin, Y, alpha, eps, n_target):
+def _binary_term(p, Xin, Y, alpha, eps, n_target, grad):
     d = Y.shape[0]
     S = Y @ Y.T - n_target * np.eye(d)
     value = float(alpha * np.sum(np.sqrt(S * S + eps)))
     G = alpha * S / np.sqrt(S * S + eps)
     dU = (2.0 * G @ Y) * (1.0 - Y * Y)
-    g = GradientSet.zeros(p)
-    g.dw1 += dU @ Xin.T
-    g.db1 += dU.sum(axis=1)
-    return value, g
+    gw1, _, gb1, _ = _blocks(grad, p)
+    gw1 += dU @ Xin.T
+    gb1 += dU.sum(axis=1)
+    return value
 
 
 # points per chunk, whatever the worker count: a chunk's (m, d^2) and
@@ -210,13 +196,25 @@ def gram_norms(stack: np.ndarray) -> np.ndarray:
     return out
 
 
-def _factor_rows(tangents) -> FactorRows:
-    """tangents as it is if FactorRows, else one array-like of n factors
-    read as rows 0..n-1 of itself."""
+def _factor_rows(tangents, n: int, D: int) -> FactorRows:
+    """FactorRows of n rows of D x r factors as it is, else one array-like
+    of n equal-shape D x r factors as rows 0..n-1 of itself, with their
+    gram_norms computed once; any other shape, ragged factors included,
+    raises a ValueError naming (N, D, r)."""
+    if isinstance(tangents, FactorRows):
+        stack, got = tangents.stack, (len(tangents.rows),) + tangents.stack.shape[1:]
+    else:
+        try:
+            stack = np.asarray(tangents)
+            got = stack.shape
+        except ValueError:  # numpy's inhomogeneous-shape error
+            stack, got = None, "factors of unequal shapes"
+    if stack is None or stack.ndim != 3 or got[:2] != (n, D):
+        raise ValueError(f"the Jacobian term needs tangent factors of shape "
+                         f"(N, D, r) = ({n}, {D}, r), got {got}")
     if isinstance(tangents, FactorRows):
         return tangents
-    stack = np.asarray(tangents)
-    return FactorRows(stack, np.arange(len(stack)), gram_norms(stack))
+    return FactorRows(stack, np.arange(n), gram_norms(stack))
 
 
 def _kron_rows(p):
@@ -226,9 +224,9 @@ def _kron_rows(p):
 
 
 def _jacobian_chunk(p, kron, Xc, Yc, Zc, t: FactorRows, weight):
-    """(value, GradientSet) of the Jacobian term over one chunk of points
-    whose factors are t.stack[t.rows]; kron is _kron_rows(p). Each
-    product is one GEMM over the chunk (module docstring)."""
+    """(value, gradient in pack_params order) of the Jacobian term over one
+    chunk of points whose factors are t.stack[t.rows]; kron is
+    _kron_rows(p). Each product is one GEMM over the chunk (module docstring)."""
     G, WW = kron
     At = (1.0 - Yc * Yc).T  # (m, d)
     Ct = (1.0 - Zc * Zc).T  # (m, D)
@@ -262,21 +260,20 @@ def _jacobian_chunk(p, kron, Xc, Yc, Zc, t: FactorRows, weight):
     # a = 1 - y^2 and y into u = W1 x + b1
     gv = -2.0 * Zc * (Ct * gc).T  # (D, m)
     gu = (p.w2.T @ gv - 2.0 * Yc * ga.T) * At.T  # (d, m)
-    return value, GradientSet(dw1 + gu @ Xc.T, dw2 + gv @ Yc.T,
-                              gu.sum(axis=1), gv.sum(axis=1))
+    return value, np.concatenate([(dw1 + gu @ Xc.T).ravel(), (dw2 + gv @ Yc.T).ravel(),
+                                  gu.sum(axis=1), gv.sum(axis=1)])
 
 
-def _jacobian_term(p, Xin, Y, Z, tangents, weight):
-    """w sum_n ||J_n - T_n T_n'||_F^2 and its gradient from the factors
-    T_n, FactorRows or an (n, D, r) array-like, by the identities in the
-    module docstring: no D x D array and no (n, D, d) array.
+def _jacobian_term(p, Xin, Y, Z, t: FactorRows, weight, grad):
+    """w sum_n ||J_n - T_n T_n'||_F^2, with its gradient added into grad,
+    from the factors T_n of t by the identities in the module docstring:
+    no D x D array and no (n, D, d) array.
 
     Chunks of _JAC_CHUNK points, each gathering its own rows of the
     stack, run on a thread pool (see the parallel module) and are summed
-    in chunk order, so value and gradient have the same bits at any
-    worker count.
+    in chunk order, then added into grad once, so value and gradient
+    have the same bits at any worker count.
     """
-    t = _factor_rows(tangents)
     n = Xin.shape[1]
     kron = _kron_rows(p)
 
@@ -286,34 +283,35 @@ def _jacobian_term(p, Xin, Y, Z, tangents, weight):
                                t._replace(rows=t.rows[lo:hi]), weight)
 
     value = 0.0
-    total = GradientSet.zeros(p)
+    total = np.zeros_like(grad)
     # a chunk's largest work arrays, (m, d^2) and (m r, D)
     block_bytes = 8 * _JAC_CHUNK * max(p.bits ** 2, p.dims * t.stack.shape[2])
     for v, g in parallel.ordered_map(chunk, range(0, n, _JAC_CHUNK), block_bytes):
         value += v
         total += g
-    return value, total
+    grad += total
+    return value
 
 
-def _contractive_term(p, Xin, Y, lam):
+def _contractive_term(p, Xin, Y, lam, grad):
     At = (1.0 - Y * Y).T  # (n, d)
     s = np.sum(p.w1 * p.w1, axis=1)  # hidden-row norms squared
     value = float(lam * np.sum(At * At * s[None, :]))
     dw1 = 2.0 * lam * np.sum(At * At, axis=0)[:, None] * p.w1
     gu = -4.0 * lam * At * At * Y.T * s[None, :]
     dw1 += gu.T @ Xin.T
-    g = GradientSet.zeros(p)
-    g.dw1 += dw1
-    g.db1 += gu.sum(axis=0)
-    return value, g
+    gw1, _, gb1, _ = _blocks(grad, p)
+    gw1 += dw1
+    gb1 += gu.sum(axis=0)
+    return value
 
 
 def _terms(batch, tangents, cfg: ObjectiveConfig, lambda_c, corrupted):
     """(network input, [(name, term)]) in accumulation order: recon, the
-    middle term if any, binary. term(p, Y, Z) -> (value, GradientSet)
-    takes the forward activations of the network input.
+    middle term if any, binary. term(p, Y, Z, grad) -> value takes the
+    forward activations of the network input and adds into grad.
     """
-    n = batch.shape[1]
+    D, n = batch.shape
     Xin = batch
     if corrupted is not None:
         if corrupted.shape != batch.shape:
@@ -321,47 +319,40 @@ def _terms(batch, tangents, cfg: ObjectiveConfig, lambda_c, corrupted):
         Xin = corrupted
     if tangents is not None and lambda_c is not None:
         raise ValueError("give tangents or lambda_c, not both: each is a middle term")
-    terms = [("recon", lambda p, Y, Z: _recon_term(p, Xin, batch, Y, Z))]
+    terms = [("recon", lambda p, Y, Z, g: _recon_term(p, Xin, batch, Y, Z, g))]
     if tangents is not None:
-        tangents = _factor_rows(tangents)
-        if len(tangents.rows) != n:
-            raise ValueError(f"{len(tangents.rows)} tangent factors for {n} points")
-        terms.append(("jacobian", lambda p, Y, Z: _jacobian_term(
-            p, Xin, Y, Z, tangents, cfg.jacobian_weight)))
+        rows = _factor_rows(tangents, n, D)
+        terms.append(("jacobian", lambda p, Y, Z, g: _jacobian_term(
+            p, Xin, Y, Z, rows, cfg.jacobian_weight, g)))
     if lambda_c is not None:
-        terms.append(("contractive", lambda p, Y, Z: _contractive_term(
-            p, Xin, Y, lambda_c)))
-    terms.append(("binary", lambda p, Y, Z: _binary_term(
-        p, Xin, Y, cfg.alpha, cfg.epsilon, n)))
+        terms.append(("contractive", lambda p, Y, Z, g: _contractive_term(
+            p, Xin, Y, lambda_c, g)))
+    terms.append(("binary", lambda p, Y, Z, g: _binary_term(
+        p, Xin, Y, cfg.alpha, cfg.epsilon, n, g)))
     return Xin, terms
 
 
 def objective(p: NetworkParams, batch: np.ndarray, tangents, cfg: ObjectiveConfig,
               lambda_c: float | None = None, corrupted: np.ndarray | None = None):
-    """(total, parts, gradient) of the objective on a batch, from one
-    forward pass.
+    """(total, parts, grad) of the objective on a batch, from one forward
+    pass; grad is one float64 vector laid out like pack_params(p), and
+    each term adds its gradient into views of it.
 
     tangents holds one D x r tangent factor T per column, as one
     array-like of shape (n, D, r) such as a list of D x D projectors (each
     its own factor) or as FactorRows, n rows of a larger stack read in
-    place, and adds the Jacobian term with target T T';
-    lambda_c adds the contractive term instead; None leaves it out.
-    corrupted, when given, is the network input and batch stays the
-    reconstruction target. The gradient is a GradientSet over all four
-    parameter blocks.
+    place, and adds the Jacobian term with target T T' (any other shape
+    raises a ValueError naming (N, D, r)); lambda_c adds the contractive
+    term instead; None leaves it out. corrupted, when given, is the
+    network input and batch stays the reconstruction target.
     """
     Xin, terms = _terms(batch, tangents, cfg, lambda_c, corrupted)
     Y, Z = forward_batch(p, Xin)
-    g = GradientSet.zeros(p)
-    values = []
-    for _, term in terms:
-        value, gt = term(p, Y, Z)
-        values.append(value)
-        g += gt
-    recon, *middle, binary = values
+    grad = np.zeros(2 * p.w1.size + p.bits + p.dims)
+    recon, *middle, binary = [term(p, Y, Z, grad) for _, term in terms]
     parts = ObjectiveParts(recon=recon, jacobian=middle[0] if middle else 0.0,
                            binary=binary)
-    return parts.total, parts, g
+    return parts.total, parts, grad
 
 
 # --- parameter vector packing ---
@@ -371,15 +362,14 @@ def pack_params(p: NetworkParams) -> np.ndarray:
     return np.concatenate([p.w1.ravel(), p.w2.ravel(), p.b1, p.b2])
 
 
+def _blocks(theta: np.ndarray, p: NetworkParams):
+    """(w1, w2, b1, b2) views of a vector laid out like pack_params(p)."""
+    d, D = p.w1.shape
+    a, b = d * D, 2 * d * D
+    return (theta[:a].reshape(d, D), theta[a:b].reshape(D, d), theta[b:b + d],
+            theta[b + d:b + d + D])
+
+
 def unpack_params(theta: np.ndarray, template: NetworkParams) -> NetworkParams:
-    d, D = template.w1.shape
-    o = 0
-    w1 = theta[o:o + d * D].reshape(d, D); o += d * D
-    w2 = theta[o:o + D * d].reshape(D, d); o += D * d
-    b1 = theta[o:o + d]; o += d
-    b2 = theta[o:o + D]; o += D
+    w1, w2, b1, b2 = _blocks(theta, template)
     return replace(template, w1=w1, w2=w2, b1=b1, b2=b2)
-
-
-def pack_gradient(g: GradientSet) -> np.ndarray:
-    return np.concatenate([g.dw1.ravel(), g.dw2.ravel(), g.db1, g.db2])

@@ -28,19 +28,20 @@ read as its zero-padded (N, D, r) stack of bases, never as D x D
 projectors, and the Jacobian term is weighted by its region variance
 (see the network module). Any other array-like of N equal-shape D x r
 factors, such as D x D projectors, is taken as one array at unit
-weight. On the toy simplex at the region-variance weight this search
-saturates the hidden layer (mean |y| 0.99 or more); steepest descent
-stopped at 0.17-0.33, and at unit weight the objective's minimum keeps
-it near 0.4.
+weight. Either form is converted and checked once, by the network
+module's one converter of tangent factors (network._factor_rows). On
+the toy simplex at the region-variance weight this search saturates
+the hidden layer (mean |y| 0.99 or more); steepest descent stopped at
+0.17-0.33, and at unit weight the objective's minimum keeps it near 0.4.
 
 An epoch's cost is the sum of its accepted batch costs. With one batch
 that is the full-set cost at the epoch's end; with mini-batches it is
 the running cost the optimizer saw, not a full-set cost (the binary
 term is per batch). A batch passes the whole tangent factor stack and
 its row indices (network.FactorRows), with ||T'T||_F^2 of every factor
-computed once per training set; each 64-point chunk of the Jacobian
-term gathers its own rows, so no part of the stack larger than a chunk
-is ever copied.
+computed once per training set by that converter; each 64-point chunk
+of the Jacobian term gathers its own rows, so no part of the stack
+larger than a chunk is ever copied.
 
 One seeded RNG stream drives everything, consumed in a fixed order:
 the init rotation first, then per epoch the shuffle permutation and
@@ -60,12 +61,10 @@ import numpy as np
 
 from . import variants as var
 from .network import (
-    FactorRows,
     NetworkParams,
     ObjectiveConfig,
-    gram_norms,
+    _factor_rows,
     objective,
-    pack_gradient,
     pack_params,
     unpack_params,
 )
@@ -276,13 +275,13 @@ def _interpolate(lo, hi, phi_lo, dphi_lo, phi_hi):
 
 def _batch_objective(p_template, ocfg: ObjectiveConfig, method: var.VariantConfig,
                      batch, tangents, corrupted):
-    """f(theta) -> (value, packed gradient, parts) on one mini-batch."""
+    """f(theta) -> (value, gradient, parts) on one mini-batch."""
 
     def f(theta):
         value, parts, grad = objective(
             unpack_params(theta, p_template), batch, tangents, ocfg,
             lambda_c=method.contraction, corrupted=corrupted)
-        return value, pack_gradient(grad), parts
+        return value, grad, parts
 
     return f
 
@@ -313,9 +312,11 @@ def train(X_train: np.ndarray, tangents, cfg: TrainConfig):
     whose (N, D, r) stack of factors the Jacobian term reads as it is,
     weighted by its region variance, or an array-like of N equal-shape
     D x r factors, such as D x D projectors, taken as one array at unit
-    weight; None for variants without the Jacobian term. Anything else,
-    and factors of another shape or of unequal shapes, raise a
-    ValueError that names (N, D, r). Data must already be
+    weight; None for variants without the Jacobian term. Both forms go
+    through network._factor_rows once, so anything else, and factors of
+    another shape or of unequal shapes, raise its ValueError that names
+    (N, D, r). The objective's gradient comes in the layout of
+    pack_params, which the search uses as it is. Data must already be
     normalized and finite; fit normalizes raw data and sets the scale. Each
     line search returns the value and gradient at its accepted point; an
     epoch's cost is the sum of those batch values, and a LineSearchError
@@ -335,20 +336,12 @@ def train(X_train: np.ndarray, tangents, cfg: TrainConfig):
     params = init_params(X_train, cfg.bits, rng)
     report = TrainReport(initial=params)
 
-    stack, weight = None, ObjectiveConfig().jacobian_weight
+    rows, weight = None, ObjectiveConfig().jacobian_weight
     if cfg.method.needs_tangents:
         if isinstance(tangents, TangentSet):
             weight, report.tangent_ranks = region_variance(tangents), tangents.ranks.tolist()
             tangents = tangents.factors
-        try:
-            stack = np.asarray(tangents)
-            got = stack.shape
-        except ValueError:  # numpy's inhomogeneous-shape error
-            stack, got = None, "factors of unequal shapes"
-        if stack is None or stack.ndim != 3 or got[:2] != (N, D):
-            raise ValueError(f"auto-jacobin needs a TangentSet or tangent factors "
-                             f"of shape (N, D, r) = ({N}, {D}, r), got {got}")
-        gram = gram_norms(stack)  # constant over training
+        rows = _factor_rows(tangents, N, D)  # ||T'T||_F^2 is constant over training
         report.jacobian_weight = weight
     del tangents  # the stack is all training reads
     ocfg = ObjectiveConfig(alpha=cfg.method.alpha, epsilon=cfg.epsilon,
@@ -369,7 +362,7 @@ def train(X_train: np.ndarray, tangents, cfg: TrainConfig):
             lo, hi = bounds[j], bounds[j + 1]
             f = _batch_objective(
                 params, ocfg, cfg.method, Xs[:, lo:hi],
-                FactorRows(stack, perm[lo:hi], gram) if stack is not None else None,
+                rows._replace(rows=perm[lo:hi]) if rows is not None else None,
                 Xc[:, lo:hi] if Xc is not None else None)
 
             theta = pack_params(params)

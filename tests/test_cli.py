@@ -8,7 +8,7 @@ import pytest
 
 from autojacobin import hamming, matrix_io, synth, tangent, trainer
 from autojacobin.cli import _cached_groundtruth, main
-from autojacobin.network import GradientSet, forward_batch
+from autojacobin.network import forward_batch, unpack_params
 
 pytestmark = pytest.mark.filterwarnings(
     "ignore:training data rank below bit count")
@@ -128,7 +128,8 @@ def test_train_saves_the_accepted_parameters_when_the_search_fails(
         total, parts, g = objective(*args, **kwargs)
         if len(calls) <= finite:
             return total, parts, g
-        return np.nan, parts, GradientSet(g.dw1 * np.nan, g.dw2, g.db1, g.db2)
+        unpack_params(g, args[0]).w1[...] *= np.nan  # the W1 block of the gradient
+        return np.nan, parts, g
 
     monkeypatch.setattr(trainer, "objective", non_finite_after_three_iterations)
     calls.clear()
@@ -174,15 +175,20 @@ def test_eval_rejects_oversized_k(tmp_path):
 
 
 @pytest.mark.parametrize("K", ["0", "-3"])
-def test_eval_rejects_max_retrieve_below_one(tmp_path, K):
+def test_eval_rejects_max_retrieve_below_one(tmp_path, K, capsys):
     base_path, _ = _write_data(tmp_path, "c.fvecs", n=50, seed=5)
     model = tmp_path / "m.ajb"
     main(["train", "--input", str(base_path), "--bits", "4", "--method", "lsh",
           "--out", str(model)])
-    with pytest.raises(SystemExit, match=f"--max-retrieve K={K} must be at least 1"):
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
         main(["eval", "--model", str(model), "--base", str(base_path),
               "--query", str(base_path), "--max-retrieve", K,
               "--out-dir", str(tmp_path / "e")])
+    assert exc.value.code == 2
+    assert f"argument --max-retrieve: must be at least 1, got {K}" in \
+        capsys.readouterr().err
+    assert not (tmp_path / "e").exists()
 
 
 @pytest.mark.parametrize("n", ["0", "-3"])
@@ -319,6 +325,51 @@ def test_interrupted_eval_leaves_no_cache_and_the_next_builds_it(tmp_path, monke
     assert builds == [100]
     (cache,) = tmp_path.glob("k.fvecs.*.k100.ajbg")
     assert matrix_io.read_groundtruth(cache).shape == (12, 100)
+
+
+def _bad_cut(cache, gt):
+    cache.write_bytes(cache.read_bytes()[:6])  # cut inside the header
+
+
+def _bad_foreign(cache, gt):
+    matrix_io.write_codes(cache, hamming.BinaryCodes(8, 12, np.zeros((12, 1), np.uint8)))
+
+
+def _bad_shape(cache, gt):
+    matrix_io.write_groundtruth(cache, gt[:, :50])  # a whole file of the wrong k
+
+
+def _bad_index(cache, gt):
+    matrix_io.write_groundtruth(cache, gt + 150)  # every index past the base
+
+
+@pytest.mark.parametrize("spoil, reason", [
+    (_bad_cut, "ground-truth header cut at 6 of 12 bytes"),
+    (_bad_foreign, "bad ground-truth magic b'AJBC'"),
+    (_bad_shape, "not a (12, 100) table of indices below 150"),
+    (_bad_index, "not a (12, 100) table of indices below 150")])
+def test_eval_rebuilds_a_bad_groundtruth_cache(tmp_path, monkeypatch, capsys, spoil,
+                                               reason):
+    argv = _lsh_eval_setup(tmp_path, 150)
+    assert main(argv + ["--out-dir", str(tmp_path / "ref")]) == 0
+    (cache,) = tmp_path.glob("k.fvecs.*.k100.ajbg")
+    good = cache.read_bytes()
+    spoil(cache, matrix_io.read_groundtruth(cache))
+    builds = []
+    build = hamming.build_groundtruth
+    monkeypatch.setattr(hamming, "build_groundtruth",
+                        lambda *a: builds.append(a[2]) or build(*a))
+    capsys.readouterr()
+    assert main(argv + ["--out-dir", str(tmp_path / "e")]) == 0
+    err = capsys.readouterr().err
+    assert f"rebuilding the ground-truth cache: {cache}: {reason}" in err
+    assert builds == [100]
+    assert cache.read_bytes() == good
+    assert [p.name for p in tmp_path.iterdir() if p.name.endswith(".tmp")] == []
+    for name in ("m_recall.csv", "recall_k10.csv"):
+        assert (tmp_path / "e" / name).read_bytes() == (tmp_path / "ref" / name).read_bytes()
+    assert main(argv + ["--out-dir", str(tmp_path / "again")]) == 0
+    assert builds == [100]  # the rebuilt cache is read as it is
 
 
 def test_config_values_are_checked_like_flags(tmp_path, capsys):

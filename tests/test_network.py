@@ -6,16 +6,15 @@ from autojacobin.checks import check_gradients, fd_gradient, random_instance
 from autojacobin.network import (
     _JAC_CHUNK,
     FactorRows,
-    GradientSet,
     NetworkParams,
     ObjectiveConfig,
+    _factor_rows,
     _jacobian_chunk,
     _jacobian_term,
     _kron_rows,
     forward_batch,
     gram_norms,
     objective,
-    pack_gradient,
     pack_params,
     unpack_params,
 )
@@ -41,7 +40,7 @@ def _jacobian(p, x):
 
 def _fd_error(p, batch, tangents, cfg, h=1e-6):
     """Max |analytic - fd| / max(1, |fd|) of the objective's gradient."""
-    analytic = pack_gradient(objective(p, batch, tangents, cfg)[2])
+    analytic = objective(p, batch, tangents, cfg)[2]
     fd = fd_gradient(lambda t: objective(unpack_params(t, p), batch, tangents, cfg)[0],
                      pack_params(p), h)
     return float(np.max(np.abs(analytic - fd) / np.maximum(1.0, np.abs(fd))))
@@ -178,12 +177,19 @@ def _dense_jacobian_term(p, Xin, Y, Z, targets, weight):
     return value, np.concatenate([g.ravel() for g in total])
 
 
+def _jacobian_value_and_grad(p, X, Y, Z, factors, weight):
+    """(value, gradient laid out like pack_params) of _jacobian_term alone."""
+    grad = np.zeros_like(pack_params(p))
+    value = _jacobian_term(p, X, Y, Z, _factor_rows(factors, *X.shape[::-1]), weight, grad)
+    return value, grad
+
+
 def _assert_factored_matches_dense(p, X, factors, targets, weight):
     Y, Z = forward_batch(p, X)
-    value, g = _jacobian_term(p, X, Y, Z, factors, weight)
+    value, g = _jacobian_value_and_grad(p, X, Y, Z, factors, weight)
     ref_value, ref_g = _dense_jacobian_term(p, X, Y, Z, targets, weight)
     assert value == pytest.approx(ref_value, rel=1e-12)
-    np.testing.assert_allclose(pack_gradient(g), ref_g, rtol=1e-12,
+    np.testing.assert_allclose(g, ref_g, rtol=1e-12,
                                atol=1e-12 * np.max(np.abs(ref_g)))
 
 
@@ -241,8 +247,7 @@ def test_objective_on_projectors_equals_the_rows_of_a_stack():
                                       FactorRows(stack, rows, gram_norms(stack)), cfg)
     assert parts_r.jacobian == pytest.approx(parts.jacobian, rel=1e-13)
     assert total_r == pytest.approx(total, rel=1e-13)
-    np.testing.assert_allclose(pack_gradient(g_r), pack_gradient(g), rtol=1e-13,
-                               atol=1e-13 * np.max(np.abs(pack_gradient(g))))
+    np.testing.assert_allclose(g_r, g, rtol=1e-13, atol=1e-13 * np.max(np.abs(g)))
     np.testing.assert_allclose(gram_norms(stack), [np.sum(P * P) for P in projs],
                                rtol=1e-13)
 
@@ -270,10 +275,6 @@ def test_fd_gradient_on_zero_padded_bases():
         assert _fd_error(p, batch, factors, ObjectiveConfig(jacobian_weight=0.5)) < 1e-6
 
 
-def _gradient_blocks(g):
-    return [g.dw1, g.dw2, g.db1, g.db2]
-
-
 @pytest.mark.parametrize("workers", [1, 5])
 @pytest.mark.parametrize("kind", ["projectors", "ragged"])
 def test_objective_has_the_same_bits_at_any_worker_count(workers, kind, with_workers):
@@ -289,23 +290,22 @@ def test_objective_has_the_same_bits_at_any_worker_count(workers, kind, with_wor
     Y, Z = forward_batch(p, batch)
     kron = _kron_rows(p)
     gram = gram_norms(factors)
-    ref_value, ref_g = 0.0, GradientSet.zeros(p)
+    ref_value, ref_g = 0.0, np.zeros_like(pack_params(p))
     for lo in range(0, n, _JAC_CHUNK):
         hi = lo + _JAC_CHUNK
         v, g = _jacobian_chunk(p, kron, batch[:, lo:hi], Y[:, lo:hi], Z[:, lo:hi],
                                FactorRows(factors, np.arange(lo, min(hi, n)), gram), 0.5)
         ref_value += v
         ref_g += g
-    value, g = with_workers(workers, lambda: _jacobian_term(p, batch, Y, Z, factors, 0.5))
+    value, g = with_workers(
+        workers, lambda: _jacobian_value_and_grad(p, batch, Y, Z, factors, 0.5))
     assert value == ref_value
-    for got, want in zip(_gradient_blocks(g), _gradient_blocks(ref_g)):
-        assert got.tobytes() == want.tobytes()
+    assert g.tobytes() == ref_g.tobytes()
     total, parts, grad = with_workers(workers, lambda: objective(p, batch, factors, cfg))
     assert parts.jacobian == ref_value
     total1, _, grad1 = with_workers(1, lambda: objective(p, batch, factors, cfg))
     assert total == total1
-    for got, want in zip(_gradient_blocks(grad), _gradient_blocks(grad1)):
-        assert got.tobytes() == want.tobytes()
+    assert grad.tobytes() == grad1.tobytes()
 
 
 def test_jacobian_weight_scales_term_and_gradient():
@@ -315,7 +315,7 @@ def test_jacobian_weight_scales_term_and_gradient():
     assert parts[0.0].jacobian == 0.0
     assert parts[0.25].jacobian == pytest.approx(0.25 * parts[1.0].jacobian, rel=1e-12)
     assert parts[0.25].recon == parts[1.0].recon
-    g = {w: pack_gradient(objective(p, batch, projs, ObjectiveConfig(jacobian_weight=w))[2])
+    g = {w: objective(p, batch, projs, ObjectiveConfig(jacobian_weight=w))[2]
          for w in (0.0, 0.25, 1.0)}
     np.testing.assert_allclose(g[0.25] - g[0.0], 0.25 * (g[1.0] - g[0.0]),
                                rtol=1e-10, atol=1e-12)
@@ -331,10 +331,27 @@ def test_objective_parts_nonnegative_and_sum():
         assert total == parts.recon + parts.jacobian + parts.binary
 
 
-def test_objective_projector_count_mismatch():
+@pytest.mark.parametrize("bad, got", [
+    (lambda projs: projs[:-1], r"\(2, 4, 4\)"),  # too few factors
+    (lambda projs: [np.eye(5)] * 3, r"\(3, 5, 5\)"),  # D x D factors of the wrong D
+    (lambda projs: [np.eye(4)[:, :1 + i] for i in range(3)], "factors of unequal shapes"),
+    (lambda projs: np.zeros((3, 4)), r"\(3, 4\)"),  # a 2-D array
+    (lambda projs: FactorRows(np.stack(projs), np.arange(2), np.ones(3)), r"\(2, 4, 4\)"),
+], ids=["too-few", "wrong-D", "ragged", "2-D", "too-few-rows"])
+def test_objective_projector_count_mismatch(bad, got):
+    # every malformed tangent form fails at the one converter, naming (N, D, r)
     p, batch, projs = random_instance(4, 2, 3, seed=6)
-    with pytest.raises(ValueError):
-        objective(p, batch, projs[:-1], ObjectiveConfig())
+    with pytest.raises(ValueError, match=r"tangent factors of shape \(N, D, r\) = "
+                                         r"\(3, 4, r\), got " + got):
+        objective(p, batch, bad(projs), ObjectiveConfig())
+
+
+def test_objective_gradient_is_laid_out_like_the_parameters():
+    p, batch, projs = random_instance(6, 3, 5, seed=7)
+    theta = pack_params(p)
+    for tangents, lambda_c in ((projs, None), (None, None), (None, 0.01)):
+        grad = objective(p, batch, tangents, ObjectiveConfig(), lambda_c=lambda_c)[2]
+        assert grad.shape == theta.shape and grad.dtype == theta.dtype == np.float64
 
 
 def test_smoothed_norm_bounds():
@@ -367,7 +384,7 @@ def test_grad_check_detects_perturbation():
     cfg = ObjectiveConfig()
 
     theta = pack_params(p)
-    analytic = pack_gradient(objective(p, batch, projs, cfg)[2])
+    analytic = objective(p, batch, projs, cfg)[2]
     broken = analytic.copy()
     broken[0] += 1e-3
     fd = fd_gradient(lambda t: objective(unpack_params(t, p), batch, projs, cfg)[0],
