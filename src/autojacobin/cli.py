@@ -20,7 +20,7 @@ from . import __version__, hamming, matrix_io, synth, svgplot
 from .checks import check_gradients
 from .network import forward_batch
 from .trainer import LineSearchError, TrainConfig, fit, write_trace_csv
-from .variants import VariantConfig
+from .variants import KINDS, VariantConfig
 
 GRADCHECK_TOLERANCE = 1e-5
 
@@ -76,6 +76,9 @@ def cmd_train(args) -> int:
     method = VariantConfig(kind=args.method, alpha=args.alpha,
                            corruption_t=args.corrupt_t, lambda_c=args.lambda_c)
     D, N = X_raw.shape
+    if method.trained and args.bits > D:
+        raise SystemExit(f"--bits {args.bits} exceeds the dimension D={D} of "
+                         f"{args.input}")
     if method.needs_tangents and N < D + args.bits:
         raise SystemExit(f"tangent estimation needs N >= D+d = {D + args.bits} "
                          f"points, got {N}")
@@ -225,8 +228,6 @@ def _load_series(path):
         header = f.readline().strip()
         if not header:
             raise SystemExit(f"{path}: empty CSV")
-        cols = header.split(",")
-        ycol = 1
         for line in f:
             fields = line.strip().split(",")
             if not fields or not fields[0]:
@@ -236,7 +237,7 @@ def _load_series(path):
             except ValueError:
                 continue  # trailing summary row such as m_recall
             xs.append(x)
-            ys.append(float(fields[ycol]))
+            ys.append(float(fields[1]))
     if not xs:
         raise SystemExit(f"{path}: no data rows")
     return Path(path).stem, xs, ys
@@ -338,8 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train a hashing model")
     p.add_argument("--input", required=True)
     p.add_argument("--bits", type=_int_at_least(1), required=True)
-    p.add_argument("--method", default="auto-jacobin",
-                   choices=["auto-jacobin", "autobin", "dautobin", "cautobin", "lsh"])
+    p.add_argument("--method", default="auto-jacobin", choices=KINDS)
     p.add_argument("--alpha", type=float, default=0.1)
     p.add_argument("--epsilon", type=float, default=1e-4)
     p.add_argument("--epochs", type=_int_at_least(0), default=5)
@@ -376,7 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--points", type=_int_at_least(1), default=5)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--method", default="auto-jacobin",
-                   choices=["auto-jacobin", "autobin", "dautobin", "cautobin"])
+                   choices=[k for k in KINDS if VariantConfig(kind=k).trained])
     p.set_defaults(func=cmd_gradcheck)
 
     p = sub.add_parser("toy", help="simplex warping experiment")

@@ -107,10 +107,6 @@ class NetworkParams:
     def bits(self) -> int:
         return self.w1.shape[0]
 
-    def copy(self) -> "NetworkParams":
-        return NetworkParams(self.w1.copy(), self.w2.copy(), self.b1.copy(),
-                             self.b2.copy(), self.scale)
-
 
 @dataclass
 class ObjectiveConfig:

@@ -9,19 +9,23 @@ takes 8-13% fewer evaluations than bisection on a D=64 manifold of 2000
 points. The search returns the value and gradient at the point it
 accepts, so no point is evaluated twice. A curvature pair comes from
 that gradient, on the same mini-batch; pairs persist across batches and
-epochs. When the direction is not a descent direction, or the search
-along it does not lower the batch cost, the memory is cleared and the
-iteration searches along -g. A search along -g that finds no finite
-value raises LineSearchError at once: the objective is deterministic,
-so another search would fail the same way. A step without sufficient
-decrease is never taken, so a batch objective never rises. When the
+epochs. The loop's one parameter state is the flat vector theta.
+
+Each iteration lists its searches, the L-BFGS direction at a unit step
+when it descends and then -g from a step warm-started from the last one
+accepted along -g, and takes the first that lowers the batch cost. A
+direction that does not descend, or a search along it that lowers
+nothing, clears the memory, so -g is searched with an empty memory. A
+search along -g that finds no finite value raises LineSearchError at
+once: the objective is deterministic, so another search would fail the
+same way. A step without sufficient decrease is never taken, so a batch
+objective never rises. Training stops at the iteration cap, or when the
 batch is the whole (uncorrupted) training set and not even -g lowers
-the cost, the next iteration would repeat the same search from the
-same point, so training stops there. The search is quasi-Newton
-because steepest descent stalls on the tanh saturation: on the
-1000-point toy, AutoBin ends near cost 283 after 300 full-batch
-steepest-descent iterations, against 38-50 (three seeds) from this
-search.
+the cost: the next iteration would repeat that search from the same
+point. The search is quasi-Newton because steepest descent stalls on
+the tanh saturation: on the 1000-point toy, AutoBin ends near cost 283
+after 300 full-batch steepest-descent iterations, against 38-50 (three
+seeds) from this search.
 
 train takes the tangents in one of two forms. A tangent.TangentSet is
 read as its zero-padded (N, D, r) stack of bases, never as D x D
@@ -273,19 +277,6 @@ def _interpolate(lo, hi, phi_lo, dphi_lo, phi_hi):
     return min(max(a, inner_lo), inner_hi)
 
 
-def _batch_objective(p_template, ocfg: ObjectiveConfig, method: var.VariantConfig,
-                     batch, tangents, corrupted):
-    """f(theta) -> (value, gradient, parts) on one mini-batch."""
-
-    def f(theta):
-        value, parts, grad = objective(
-            unpack_params(theta, p_template), batch, tangents, ocfg,
-            lambda_c=method.contraction, corrupted=corrupted)
-        return value, grad, parts
-
-    return f
-
-
 def _lbfgs_direction(g: np.ndarray, pairs) -> np.ndarray:
     """-H g by the L-BFGS two-loop recursion (Nocedal & Wright, Alg. 7.4).
 
@@ -315,14 +306,16 @@ def train(X_train: np.ndarray, tangents, cfg: TrainConfig):
     weight; None for variants without the Jacobian term. Both forms go
     through network._factor_rows once, so anything else, and factors of
     another shape or of unequal shapes, raise its ValueError that names
-    (N, D, r). The objective's gradient comes in the layout of
-    pack_params, which the search uses as it is. Data must already be
-    normalized and finite; fit normalizes raw data and sets the scale. Each
-    line search returns the value and gradient at its accepted point; an
-    epoch's cost is the sum of those batch values, and a LineSearchError
-    along -g is not retried (see the module docstring): it ends training
-    carrying the last accepted parameters and the failed iteration. train
-    keeps no reference to tangents once it has their (N, D, r) stack.
+    (N, D, r). theta = pack_params(init) is the loop's only parameter
+    state, and the objective's gradient comes in its layout; each
+    iteration walks its list of searches (L-BFGS direction, then -g)
+    until one lowers the batch cost. Data must already be normalized and
+    finite; fit normalizes raw data and sets the scale. Each line search
+    returns the value and gradient at its accepted point; an epoch's cost
+    is the sum of those batch values, and a LineSearchError along -g is
+    not retried (see the module docstring): it ends training carrying the
+    last accepted parameters and the failed iteration. train keeps no
+    reference to tangents once it has their (N, D, r) stack.
     """
     t_start = time.perf_counter()
     X_train = _check_matrix(X_train)
@@ -333,8 +326,7 @@ def train(X_train: np.ndarray, tangents, cfg: TrainConfig):
         raise ValueError(f"variant {cfg.method.kind!r} is not trained by "
                          "gradient descent")
     rng = np.random.default_rng(cfg.seed)
-    params = init_params(X_train, cfg.bits, rng)
-    report = TrainReport(initial=params)
+    report = TrainReport(initial=init_params(X_train, cfg.bits, rng))
 
     rows, weight = None, ObjectiveConfig().jacobian_weight
     if cfg.method.needs_tangents:
@@ -349,8 +341,8 @@ def train(X_train: np.ndarray, tangents, cfg: TrainConfig):
     m = N // cfg.batch_size  # trailing remainder joins the last batch
     bounds = [cfg.batch_size * j for j in range(m)] + [N]
 
+    theta = pack_params(report.initial)  # the loop's one parameter state
     iteration = 0
-    stop = False
     prev_step = 1.0  # last accepted step along -g
     pairs = deque(maxlen=LBFGS_MEMORY)  # (s, y, 1 / s'y), oldest first
     for epoch in range(cfg.epochs):
@@ -360,42 +352,43 @@ def train(X_train: np.ndarray, tangents, cfg: TrainConfig):
         epoch_cost = 0.0
         for j in range(m):
             lo, hi = bounds[j], bounds[j + 1]
-            f = _batch_objective(
-                params, ocfg, cfg.method, Xs[:, lo:hi],
-                rows._replace(rows=perm[lo:hi]) if rows is not None else None,
-                Xc[:, lo:hi] if Xc is not None else None)
+            batch = Xs[:, lo:hi]
+            batch_rows = rows._replace(rows=perm[lo:hi]) if rows is not None else None
+            corrupted = Xc[:, lo:hi] if Xc is not None else None
 
-            theta = pack_params(params)
+            def f(theta):
+                value, parts, grad = objective(
+                    unpack_params(theta, report.initial), batch, batch_rows, ocfg,
+                    lambda_c=cfg.method.contraction, corrupted=corrupted)
+                return value, grad, parts
+
             _, g, parts = f(theta)
-
+            # the L-BFGS direction at a unit step when it descends, then -g
+            # with its trial step warm-started from the last accepted one
+            # (the bracketing phase doubles upward, so recovery is cheap)
+            searches = [(None, min(max(2.0 * prev_step, 1e-12), 1.0))]
             direction = _lbfgs_direction(g, pairs) if pairs else None
-            if direction is not None and not float(g @ direction) < 0.0:
-                pairs.clear()  # not a descent direction: restart along -g
-                direction = None
-            # along -g, warm-start the trial step from the last accepted
-            # one (the bracketing phase doubles upward, so recovery is
-            # cheap); a quasi-Newton step starts at 1
-            sd_step = min(max(2.0 * prev_step, 1e-12), 1.0)
-            init_step = sd_step if direction is None else 1.0
+            if direction is not None:
+                if float(g @ direction) < 0.0:
+                    searches.insert(0, (direction, 1.0))
+                else:
+                    pairs.clear()  # not a descent direction
             evals = 0
-            while True:
+            for direction, init_step in searches:
                 try:
                     step, e, fallback, f_new, g_new = wolfe_step(
                         theta, g, f, f0=parts.total, initial_step=init_step,
                         direction=direction)
                 except LineSearchError as err:
                     if direction is None:
-                        err.params, err.iteration = params, iteration + 1
+                        err.params = unpack_params(theta, report.initial)
+                        err.iteration = iteration + 1
                         raise
                     step, e, fallback, f_new, g_new = 0.0, err.evals, True, parts.total, g
                 evals += e
-                if direction is None or f_new < parts.total:
+                if f_new < parts.total:
                     break
-                # no decrease along the quasi-Newton direction: keep
-                # theta, drop the memory, use -g
-                pairs.clear()
-                direction, init_step = None, sd_step
-            converged = not f_new < parts.total  # not even along -g
+                pairs.clear()  # lowered nothing; at -g the memory is empty already
             epoch_cost += f_new
 
             if step > 0.0:
@@ -408,26 +401,24 @@ def train(X_train: np.ndarray, tangents, cfg: TrainConfig):
                 sy = float(s @ y)
                 if sy > _EPS * float(y @ y):
                     pairs.append((s, y, 1.0 / sy))
-                params = unpack_params(theta_new, params)
+                theta = theta_new
             iteration += 1
             report.cost_trace.append(TraceRow(
                 iteration=iteration, total=parts.total, recon=parts.recon,
                 jacobian=parts.jacobian, binary=parts.binary,
                 step=step, evals=evals, fallback=fallback))
-            if cfg.total_iterations is not None and iteration >= cfg.total_iterations:
-                stop = True
-                break
-            if converged and m == 1 and Xc is None:
-                # the next iteration would search the same objective (the
-                # whole set, reordered) from the same point
-                stop = True
+            # the cap, or a search of the whole uncorrupted set that lowered
+            # nothing: the next would repeat it from the same point
+            done = (iteration == cfg.total_iterations
+                    or (not f_new < parts.total and m == 1 and Xc is None))
+            if done:
                 break
         report.epoch_costs.append((epoch + 1, epoch_cost))
-        if stop:
+        if done:
             break
 
     report.wall_time = time.perf_counter() - t_start
-    return params, report
+    return unpack_params(theta, report.initial), report
 
 
 def fit(X_raw: np.ndarray, cfg: TrainConfig):

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from autojacobin import hamming, matrix_io, synth, tangent, trainer
+from autojacobin import cli, hamming, matrix_io, synth, tangent, trainer
 from autojacobin.cli import _cached_groundtruth, main
 from autojacobin.network import forward_batch, unpack_params
 
@@ -189,6 +189,30 @@ def test_eval_rejects_max_retrieve_below_one(tmp_path, K, capsys):
     assert f"argument --max-retrieve: must be at least 1, got {K}" in \
         capsys.readouterr().err
     assert not (tmp_path / "e").exists()
+
+
+@pytest.mark.parametrize("method", ["auto-jacobin", "autobin", "dautobin", "cautobin"])
+def test_train_rejects_more_bits_than_dimensions_before_any_work(tmp_path, monkeypatch,
+                                                                 method):
+    base_path, _ = _write_data(tmp_path, "b.fvecs", D=8, n=100, seed=3)
+    model = tmp_path / "m.ajb"
+
+    def no_fit(*args, **kwargs):
+        raise AssertionError("fit called")
+
+    monkeypatch.setattr(cli, "fit", no_fit)
+    with pytest.raises(SystemExit, match="--bits 12 exceeds the dimension D=8"):
+        main(["train", "--input", str(base_path), "--bits", "12", "--method", method,
+              "--out", str(model)])
+    assert not model.exists()
+
+
+def test_train_lsh_takes_more_bits_than_dimensions(tmp_path):
+    base_path, _ = _write_data(tmp_path, "b.fvecs", D=8, n=100, seed=3)
+    model = tmp_path / "m.ajb"
+    assert main(["train", "--input", str(base_path), "--bits", "12", "--method", "lsh",
+                 "--out", str(model)]) == 0
+    assert matrix_io.read_model(model).w1.shape == (12, 8)
 
 
 @pytest.mark.parametrize("n", ["0", "-3"])

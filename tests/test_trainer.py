@@ -394,6 +394,25 @@ def test_train_counts_evaluations_of_a_failed_quasi_newton_search(monkeypatch):
 
 
 @pytest.mark.filterwarnings("ignore:training data rank below bit count")
+def test_train_clears_the_memory_after_a_non_descent_direction(monkeypatch):
+    # the second iteration's L-BFGS direction ascends: its pair is dropped,
+    # the search goes along -g, and the memory restarts from that step
+    Xn, _ = _toy_setup(seed=0, n=200)
+    lengths = []
+    lbfgs_direction = trainer._lbfgs_direction
+
+    def ascent_once(g, pairs):
+        lengths.append(len(pairs))
+        return g.copy() if len(lengths) == 1 else lbfgs_direction(g, pairs)
+
+    monkeypatch.setattr(trainer, "_lbfgs_direction", ascent_once)
+    cfg = TrainConfig(bits=3, epochs=4, batch_size=200, method=VariantConfig(kind="autobin"))
+    _, report = train(Xn, None, cfg)
+    assert len(report.cost_trace) == 4
+    assert lengths == [1, 1, 2]
+
+
+@pytest.mark.filterwarnings("ignore:training data rank below bit count")
 def test_full_batch_epoch_costs_are_the_full_set_cost_at_epoch_end():
     Xn, projs = _toy_setup(seed=1, n=120)
     ocfg = ObjectiveConfig(alpha=0.1, epsilon=1e-4)
