@@ -197,6 +197,85 @@ def test_wolfe_without_sufficient_decrease_stays_put():
     assert value == 1.0 and grad is g  # the point it stays at: (f0, g)
 
 
+def _piecewise_linear(knots, slopes):
+    """phi(a) -> (value, slope): 0 at a = 0, slope slopes[i] up to
+    knots[i], the last slope beyond the last knot."""
+
+    def phi(a):
+        v, x = 0.0, 0.0
+        for k, s in zip(knots + [np.inf], slopes):
+            if a <= k:
+                return v + s * (a - x), s
+            v, x = v + s * (k - x), k
+
+    return phi
+
+
+# one 1-D search per branch of wolfe_step: (phi(a) -> (value, slope), the
+# first trial step, every trial step in order, (step, evals, fallback, value))
+_WOLFE_PINS = {
+    # curvature fails with the slope still down: double, then accept
+    "expand": (lambda a: ((a - 3.0) ** 2 - 9.0, 2.0 * (a - 3.0)), 0.25,
+               [0.25, 0.5], (0.5, 2, False, -2.75)),
+    # sufficient decrease but a steep upward slope: the bracket is [0, 1]
+    # from its far end, and the interpolant finds the minimum
+    "slope_turns_up": (lambda a: ((a - 0.51) ** 2 - 0.2601, 2.0 * (a - 0.51)), 1.0,
+                       [1.0, 0.51], (0.51, 2, False, -0.2601)),
+    # no sufficient decrease: interpolate inside [0, 1]
+    "no_decrease": (lambda a: ((a - 0.3) ** 2 - 0.09, 2.0 * (a - 0.3)), 1.0,
+                    [1.0, 0.30000000000000004], (0.30000000000000004, 2, False, -0.09)),
+    # a non-finite trial ends the bracket; its midpoint is tried next
+    "non_finite": (lambda a: ((a - 0.3) ** 2 - 0.09, 2.0 * (a - 0.3)) if a < 0.6
+                   else (np.nan, np.nan), 1.0,
+                   [1.0, 0.5], (0.5, 2, False, -0.04999999999999999)),
+    # the second trial decreases enough but lies above the first
+    "rise_while_expanding": (_piecewise_linear([0.3], [-1.0, 0.5]), 0.25,
+                             [0.25, 0.5, 0.35416666666666663],
+                             (0.35416666666666663, 3, False, -0.2729166666666667)),
+    # a zoom trial past the kink slopes up, so the bracket's far end moves
+    # to its near end; the next trial lies above the new near end
+    "zoom_swaps_then_rises": (_piecewise_linear([0.17, 0.2], [-1.0, -0.1, 2.0]), 1.0,
+                              [1.0, 0.20601565718994644, 0.13194506206358425,
+                               0.1750475832004876],
+                              (0.1750475832004876, 4, False, -0.17050475832004877)),
+}
+
+
+@pytest.mark.parametrize("case", _WOLFE_PINS)
+def test_wolfe_trial_steps_are_pinned(case):
+    phi, initial_step, trials, result = _WOLFE_PINS[case]
+    seen = []
+
+    def f(t):
+        seen.append(float(t[0]))
+        v, dv = phi(float(t[0]))
+        return v, np.array([dv])
+
+    v0, dv0 = phi(0.0)
+    step, evals, fallback, value, grad = wolfe_step(
+        np.zeros(1), np.array([dv0]), f, f0=v0, initial_step=initial_step,
+        direction=np.ones(1))
+    assert seen == trials
+    assert (step, evals, fallback, value) == result
+    assert grad[0] == phi(step)[1]
+
+
+def test_wolfe_never_compares_its_first_trial_with_the_start():
+    # phi is flat and the sufficient-decrease margin 1e-4 * 1e-13 rounds
+    # away next to 1.0, so the first trial passes both conditions; only a
+    # later trial is tested against the value before it
+    seen = []
+
+    def f(t):
+        seen.append(float(t[0]))
+        return 1.0, np.zeros(1)
+
+    step, evals, fallback, value, grad = wolfe_step(
+        np.zeros(1), np.array([np.sqrt(1e-13)]), f, f0=1.0)
+    assert seen == [-np.sqrt(1e-13)]
+    assert (step, evals, fallback, value) == (1.0, 1, False, 1.0)
+
+
 def test_train_zero_epochs_returns_init():
     Xn, projs = _toy_setup()
     cfg = TrainConfig(bits=3, epochs=0, batch_size=100, seed=0)
