@@ -99,10 +99,10 @@ def cmd_train(args) -> int:
         write_trace_csv(args.trace, report)
     write_manifest(args.out, "train", _flags(args))
     if report is not None:
-        first = report.cost_trace[0].total if report.cost_trace else float("nan")
-        last = report.cost_trace[-1].total if report.cost_trace else float("nan")
-        line = (f"trained {args.method}: {len(report.cost_trace)} iterations, "
-                f"batch cost {first:.6g} -> {last:.6g}, {report.wall_time:.1f}s")
+        trace = report.cost_trace
+        cost = (f"batch cost {trace[0].total:.6g} -> {trace[-1].total:.6g}" if trace
+                else "the model is the untrained start")
+        line = f"trained {args.method}: {len(trace)} iterations, {cost}, {report.wall_time:.1f}s"
         if report.tangent_ranks:
             r = report.tangent_ranks
             line += (f"; tangent rank min/mean/max {min(r)}/{np.mean(r):.1f}/{max(r)}, "
@@ -253,17 +253,6 @@ def cmd_plot(args) -> int:
     return 0
 
 
-def _coerce(value: str):
-    if value.lower() in ("true", "false"):
-        return value.lower() == "true"
-    for cast in (int, float):
-        try:
-            return cast(value)
-        except ValueError:
-            pass
-    return value
-
-
 def _int_at_least(low: int):
     """argparse type: an int of at least low; anything else is a usage
     error (exit 2) that names the flag."""
@@ -298,15 +287,17 @@ def _iter_parsers(parser):
 
 
 def _apply_config(parser, argv):
-    """Optional key=value config file; command-line flags override it. A
-    value for a flag with a type stays a string, so argparse converts and
-    checks it as it does the flag's own value."""
-    if "--config" not in argv:
+    """Optional key=value config file (--config PATH or --config=PATH);
+    flags override it. A switch reads true or false; any other value stays
+    text, which argparse converts and checks like the flag's own value."""
+    i = next((i for i, t in enumerate(argv) if t.partition("=")[0] == "--config"), None)
+    if i is None:
         return argv
-    i = argv.index("--config")
-    if i + 1 == len(argv):
+    _, inline, path = argv[i].partition("=")
+    if not inline and i + 1 < len(argv):
+        path = argv[i + 1]
+    if not path:
         parser.error("argument --config: expected the path of a key=value config file")
-    path = argv[i + 1]
     defaults = {}
     with open(path) as f:
         for line in f:
@@ -316,18 +307,20 @@ def _apply_config(parser, argv):
             key, _, value = line.partition("=")
             defaults[key.strip().replace("-", "_")] = value.strip()
     for p in _iter_parsers(parser):
-        mine = {a.dest: defaults[a.dest] if a.type else _coerce(defaults[a.dest])
-                for a in p._actions if a.dest in defaults}
-        if mine:
-            p.set_defaults(**mine)
-            for a in p._actions:
-                if a.dest in mine:
-                    a.required = False
-    return argv[:i] + argv[i + 2:]
+        mine = {}
+        for a in (a for a in p._actions if a.dest in defaults):
+            value, a.required = defaults[a.dest], False
+            if a.nargs == 0:  # a switch
+                if value.lower() not in ("true", "false"):
+                    parser.error(f"config {a.dest}={value}: a switch is true or false")
+                value = value.lower() == "true"
+            mine[a.dest] = value
+        p.set_defaults(**mine)
+    return argv[:i] + argv[i + (1 if inline else 2):]
 
 
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="autojacobin")
+    ap = argparse.ArgumentParser(prog="autojacobin", allow_abbrev=False)
     ap.add_argument("--config", help="key=value config file; flags override")
     sub = ap.add_subparsers(dest="command", required=True)
 

@@ -499,6 +499,70 @@ def test_config_file_defaults_and_override(tmp_path):
     np.testing.assert_array_equal(matrix_io.read_model(model2).w1, ref2.w1)
 
 
+def test_config_equals_path_takes_effect(tmp_path):
+    base_path, _ = _write_data(tmp_path, "d.fvecs", n=60, seed=6)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("bits=4\nmethod=lsh\nseed=9\n")
+    model = tmp_path / "m.ajb"
+    assert main([f"--config={cfg}", "train", "--input", str(base_path),
+                 "--out", str(model)]) == 0
+    from autojacobin.variants import lsh_generate
+    np.testing.assert_array_equal(matrix_io.read_model(model).w1,
+                                  lsh_generate(6, 4, 9).w1)
+
+
+def test_abbreviated_config_is_a_usage_error(tmp_path, capsys):
+    base_path, _ = _write_data(tmp_path, "d.fvecs", n=60, seed=6)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("method=lsh\nseed=9\n")
+    model = tmp_path / "m.ajb"
+    for argv in (["--conf", str(cfg)], [f"--conf={cfg}"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["train", "--input", str(base_path), "--bits", "4",
+                         "--out", str(model)])
+        assert exc.value.code == 2
+        capsys.readouterr()
+    assert not model.exists()
+
+
+def test_config_values_stay_text_and_switches_read_true_or_false(tmp_path, capsys):
+    csv = tmp_path / "recall_k1.csv"
+    csv.write_text("i,recall\n1,0.1\n2,0.4\n")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("title=2024\n")
+    out = tmp_path / "chart.svg"
+    assert main(["--config", str(cfg), "plot", "--out", str(out), str(csv)]) == 0
+    assert ">2024</text>" in out.read_text()
+
+    base_path, X = _write_data(tmp_path, "e.fvecs", n=60, seed=7)
+    model, codes = tmp_path / "m.ajb", tmp_path / "c.ajbc"
+    main(["train", "--input", str(base_path), "--bits", "4", "--method", "lsh",
+          "--out", str(model)])
+    params = matrix_io.read_model(model)
+    for value, use_bias in (("true", True), ("False", False)):
+        cfg.write_text(f"use-bias={value}\n")
+        assert main(["--config", str(cfg), "encode", "--model", str(model),
+                     "--input", str(base_path), "--out", str(codes)]) == 0
+        expected = hamming.encode(params, matrix_io.read_fvecs(base_path) * params.scale,
+                                  use_bias=use_bias)
+        assert matrix_io.read_codes(codes).packed.tobytes() == expected.packed.tobytes()
+    cfg.write_text("use_bias=yes\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["--config", str(cfg), "encode", "--model", str(model),
+              "--input", str(base_path), "--out", str(codes)])
+    assert exc.value.code == 2
+    assert "config use_bias=yes: a switch is true or false" in capsys.readouterr().err
+
+
+def test_train_with_zero_epochs_reports_the_untrained_start(tmp_path, capsys):
+    base_path, _ = _write_data(tmp_path, "z.fvecs", n=60, seed=8)
+    assert main(["train", "--input", str(base_path), "--bits", "3", "--method",
+                 "autobin", "--epochs", "0", "--out", str(tmp_path / "m.ajb")]) == 0
+    out = capsys.readouterr().out
+    assert "trained autobin: 0 iterations, the model is the untrained start, " in out
+    assert "nan" not in out
+
+
 def test_manifest_contents(tmp_path):
     base_path, _ = _write_data(tmp_path, "e.fvecs", n=60, seed=7)
     model = tmp_path / "m.ajb"

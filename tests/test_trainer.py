@@ -87,7 +87,7 @@ def test_wolfe_on_quadratic():
         return 0.5 * float(t @ t), t
 
     theta = np.array([1.0, 0.0])
-    step, evals, fallback, value, grad = wolfe_step(theta, theta.copy(), f)
+    step, evals, fallback, value, grad = wolfe_step(theta, theta.copy(), f, f0=0.5)
     assert not fallback
     val = 0.5 * float(np.sum((theta - step * theta) ** 2))
     assert value == val
@@ -103,7 +103,7 @@ def test_wolfe_conditions_hold_on_convex_1d():
 
     theta = np.array([1.0])
     f0, g0 = f(theta)
-    step, evals, fallback, value, grad = wolfe_step(theta, g0, f)
+    step, evals, fallback, value, grad = wolfe_step(theta, g0, f, f0=f0)
     assert not fallback and step > 0
     v, g = f(theta - step * g0)
     assert value == v and grad.tobytes() == g.tobytes()
@@ -172,9 +172,9 @@ def test_wolfe_along_newton_direction_takes_unit_step():
 
     theta = np.array([1.0, 1.0])
     g = A @ theta
-    step, evals, fallback, value, _ = wolfe_step(theta, g, f,
+    step, evals, fallback, value, _ = wolfe_step(theta, g, f, f0=f(theta)[0],
                                                  direction=-np.linalg.solve(A, g))
-    assert step == 1.0 and evals == 2 and not fallback and value == 0.0
+    assert step == 1.0 and evals == 1 and not fallback and value == 0.0
 
 
 def test_wolfe_rejects_ascent_direction():
@@ -183,7 +183,7 @@ def test_wolfe_rejects_ascent_direction():
 
     theta = np.array([1.0, 0.0])
     with pytest.raises(ValueError):
-        wolfe_step(theta, theta.copy(), f, direction=theta.copy())
+        wolfe_step(theta, theta.copy(), f, f0=0.5, direction=theta.copy())
 
 
 def test_wolfe_without_sufficient_decrease_stays_put():
