@@ -278,18 +278,22 @@ def _ks(text: str) -> str:
 _ks.__name__ = "k list"  # argparse names the type in "invalid k list value"
 
 
-def _iter_parsers(parser):
+def _selected_parsers(parser, argv):
+    """parser and the subcommand parsers that argv names."""
     yield parser
     for action in parser._actions:
         if isinstance(action, argparse._SubParsersAction):
-            for sub in action.choices.values():
-                yield from _iter_parsers(sub)
+            name = next((t for t in argv if t in action.choices), None)
+            if name is not None:
+                yield from _selected_parsers(action.choices[name], argv)
 
 
 def _apply_config(parser, argv):
     """Optional key=value config file (--config PATH or --config=PATH);
-    flags override it. A switch reads true or false; any other value stays
-    text, which argparse converts and checks like the flag's own value."""
+    flags override it. A switch reads true or false, and a value with
+    choices must be one of them (argparse checks choices only on the
+    command line); any other value stays text, which argparse converts
+    and checks like the flag's own value."""
     i = next((i for i, t in enumerate(argv) if t.partition("=")[0] == "--config"), None)
     if i is None:
         return argv
@@ -306,7 +310,10 @@ def _apply_config(parser, argv):
                 continue
             key, _, value = line.partition("=")
             defaults[key.strip().replace("-", "_")] = value.strip()
-    for p in _iter_parsers(parser):
+    argv = argv[:i] + argv[i + (1 if inline else 2):]
+    # only the command's own parsers: a key's choices may differ between
+    # commands (gradcheck's --method has no lsh)
+    for p in _selected_parsers(parser, argv):
         mine = {}
         for a in (a for a in p._actions if a.dest in defaults):
             value, a.required = defaults[a.dest], False
@@ -314,9 +321,12 @@ def _apply_config(parser, argv):
                 if value.lower() not in ("true", "false"):
                     parser.error(f"config {a.dest}={value}: a switch is true or false")
                 value = value.lower() == "true"
+            elif a.choices is not None and value not in a.choices:
+                parser.error(f"config {a.dest}={value}: choose from "
+                             f"{', '.join(map(str, a.choices))}")
             mine[a.dest] = value
         p.set_defaults(**mine)
-    return argv[:i] + argv[i + (1 if inline else 2):]
+    return argv
 
 
 def build_parser() -> argparse.ArgumentParser:

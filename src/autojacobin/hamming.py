@@ -7,12 +7,22 @@ last code bit are zero. All ties (equal Hamming or Euclidean distance)
 break by ascending index so results are reproducible.
 
 A Hamming scan XORs each base code with the query a machine word at a
-time (the widest unsigned word that divides the code's byte count) and
-counts the set bits with np.bitwise_count. Distances come back in the
-narrowest unsigned type that holds the bit count: uint8 up to 255 bits,
-uint16 up to 65535. Ranks are a stable argsort of those distances, which
-numpy runs as a radix sort on 8- and 16-bit keys, so equal distances
-keep ascending index order.
+time and counts the set bits with np.bitwise_count. The leading whole
+8-byte words of a row are read as uint64, and only the bytes after them
+in the widest unsigned word that divides their count; both are views of
+the packed rows, not copies. Distances come back in the narrowest
+unsigned type that holds the bit count: uint8 up to 255 bits, uint16 up
+to 65535.
+
+A top-k query reads its threshold from a histogram of the distances:
+with only bits+1 possible values, np.bincount gives the smallest
+distance t that at least i codes reach, and only the codes at distance
+t or less, listed by ascending index, are stable-sorted, so equal
+distances keep ascending index order as in a full stable argsort.
+Recall curves rank every query to depth K instead, which is often
+thousands: there the threshold bucket holds most of the base, and a
+stable argsort of all N distances, which numpy runs as a radix sort on
+8- and 16-bit keys, is faster than the histogram and a second sort.
 """
 
 from __future__ import annotations
@@ -75,9 +85,16 @@ def encode(p, X: np.ndarray, use_bias: bool = False) -> BinaryCodes:
     return BinaryCodes(bits=p.w1.shape[0], count=X.shape[1], packed=pack_bits(signs))
 
 
-def _words(packed: np.ndarray) -> np.ndarray:
-    """Packed rows viewed as the widest unsigned words that divide them."""
-    return packed.view(f"u{math.gcd(packed.shape[-1], 8)}")
+def _words(packed: np.ndarray) -> list[np.ndarray]:
+    """Packed rows (or one row) as views of words: the leading whole
+    8-byte words as uint64, then the remaining bytes in the widest
+    unsigned word that divides their count."""
+    nbytes = packed.shape[-1]
+    lead = nbytes - nbytes % 8
+    parts = [packed[..., :lead].view(np.uint64)] if lead else []
+    if lead < nbytes:
+        parts.append(packed[..., lead:].view(f"u{math.gcd(nbytes - lead, 8)}"))
+    return parts
 
 
 def hamming_distances(base: BinaryCodes, q: np.ndarray) -> np.ndarray:
@@ -91,10 +108,14 @@ def hamming_distances(base: BinaryCodes, q: np.ndarray) -> np.ndarray:
                          f"{base.packed.shape[1:]}")
     if _padded(q, base.bits).size:
         raise ValueError(f"query has padding bits set after bit {base.bits}")
-    words, qwords = _words(base.packed), _words(np.ascontiguousarray(q))
-    dist = np.zeros(base.count, dtype=np.min_scalar_type(base.bits))
-    for c in range(words.shape[1]):  # column by column: sum(axis=1) is slow
-        dist += np.bitwise_count(words[:, c] ^ qwords[c])
+    # column by column: sum(axis=1) is slow
+    (w0, q0), *rest = [(words[:, c], qwords[c])
+                       for words, qwords in zip(_words(base.packed),
+                                                _words(np.ascontiguousarray(q)))
+                       for c in range(words.shape[1])]
+    dist = np.bitwise_count(w0 ^ q0).astype(np.min_scalar_type(base.bits), copy=False)
+    for words, qword in rest:
+        dist += np.bitwise_count(words ^ qword)
     return dist
 
 
@@ -103,7 +124,17 @@ def hamming_topk(base: BinaryCodes, q: np.ndarray, i: int) -> np.ndarray:
     if not 1 <= i <= base.count:
         raise ValueError(f"i={i} out of range for N={base.count}")
     d = hamming_distances(base, q)
-    return np.argsort(d, kind="stable")[:i]
+    # t: the smallest distance that at least i codes reach. The short
+    # histogram is scanned in Python and the arrays' own methods are
+    # called, because each further numpy function costs a query tens of
+    # microseconds when other work has evicted it from the CPU caches.
+    counts = np.bincount(d, minlength=base.bits + 1).tolist()
+    t, reached = 0, counts[0]
+    while reached < i:
+        t += 1
+        reached += counts[t]
+    near = (d <= t).nonzero()[0]  # ascending index
+    return near[d[near].argsort(kind="stable")[:i]]
 
 
 def euclid_topk(base: np.ndarray, q: np.ndarray, k: int) -> np.ndarray:
@@ -140,9 +171,11 @@ def recall_curve(gt: np.ndarray, base_codes: BinaryCodes, query_codes: BinaryCod
                  K: int) -> RecallCurve:
     """Mean Recall@i over queries for i = 1..K.
 
-    gt is (Q, k) true-neighbor indices. Each query is ranked once, by
-    hamming_topk: Recall@i counts ground-truth members whose Hamming
-    rank is below i. prefix(k) reads a smaller k's curve from the ranks.
+    gt is (Q, k) true-neighbor indices. Each query is ranked once, by a
+    stable argsort of its Hamming distances (the module docstring says
+    why not by hamming_topk): Recall@i counts ground-truth members whose
+    Hamming rank is below i. prefix(k) reads a smaller k's curve from
+    the ranks.
     """
     if K < 1:
         raise ValueError(f"K={K} must be at least 1")
@@ -156,7 +189,8 @@ def recall_curve(gt: np.ndarray, base_codes: BinaryCodes, query_codes: BinaryCod
     first = np.arange(K)
     gt_rank = np.empty((Q, k), dtype=rank.dtype)
     for j in range(Q):
-        order = hamming_topk(base_codes, query_codes.packed[j], K)
+        d = hamming_distances(base_codes, query_codes.packed[j])
+        order = np.argsort(d, kind="stable")[:K]
         rank[order] = first
         gt_rank[j] = rank[gt[j]]
         rank[order] = K

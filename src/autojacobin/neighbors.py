@@ -18,14 +18,30 @@ neighborhoods and the ground truth. knn takes a block of queries at a time:
 3. The candidates, listed by ascending index, are ranked by s with a
    stable sort, so ties keep ascending index, and the first k are the
    answer: the same list knn_bruteforce gives.
+
+Blocks run on a thread pool (see the parallel module), each writing only
+its own rows of the answer, so the neighbours are the same at any worker
+count. numpy releases the interpreter lock in a block's GEMM and
+partitions, but the per-row re-rank of step 3 holds it. On a small base
+the re-rank dominates, and threads contending for the lock made the
+tangent kNN slower, so a base of fewer than _MIN_POOLED_BASE entries
+(N x D) runs its blocks on the calling thread.
 """
 
 from __future__ import annotations
 
+import queue
+
 import numpy as np
 
+from . import parallel
+
 _BLOCK = 64  # queries per block at most
-_BLOCK_BYTES = 2 << 20  # of a block's (b, N) distances; np.partition copies them
+_BLOCK_BYTES = 2 << 20  # of a block's (b, N) distances
+# On a 2-core box with one BLAS thread, two workers took 1.2-1.6x as long
+# as one at N x D = 2000 x 64, about as long at 8192 x 64, and 0.6-0.8x
+# from 20000 x 64 up
+_MIN_POOLED_BASE = 1 << 20
 
 
 def _sq_dist(base: np.ndarray, q: np.ndarray, cols: np.ndarray) -> np.ndarray:
@@ -45,13 +61,16 @@ def knn_bruteforce(base: np.ndarray, q: np.ndarray, k: int) -> np.ndarray:
     return np.argsort(_sq_dist(base, q, np.arange(N)), kind="stable")[:k]
 
 
-def _knn_block(base, sq, queries, sq_q, err, k, out):
-    """Steps 1-3 of the module docstring for a block of queries, into out."""
-    g = -2.0 * (queries.T @ base) + sq_q[:, None] + sq
-    kth = np.partition(g, k - 1, axis=1)[:, k - 1]
-    mask = g <= (kth + 2 * err)[:, None]
-    for j, cols in enumerate(mask):
-        cand = np.flatnonzero(cols)
+def _knn_block(base, sq, queries, sq_q, err, k, out, g):
+    """Steps 1-3 of the module docstring for a block of queries, into out;
+    g is a buffer of at least as many rows as there are queries."""
+    g = np.matmul(queries.T, base, out=g[:queries.shape[1]])
+    g *= -2.0  # -2 q'x + |q|^2 + |x|^2, added in that order, in place
+    g += sq_q[:, None]
+    g += sq
+    # row by row, so that a block holds one copy of a row, not of g
+    for j, row in enumerate(g):
+        cand = np.flatnonzero(row <= np.partition(row, k - 1)[k - 1] + 2 * err[j])
         out[j] = cand[np.argsort(_sq_dist(base, queries[:, j], cand), kind="stable")[:k]]
 
 
@@ -78,7 +97,21 @@ def knn(base: np.ndarray, queries: np.ndarray, k: int) -> np.ndarray:
     err = slack * u * (sq_q + sq.max()) + slack * np.finfo(np.float64).smallest_subnormal
     rows = max(1, min(_BLOCK, _BLOCK_BYTES // (8 * N)))
     nbr = np.empty((queries.shape[1], k), dtype=np.intp)
-    for lo in range(0, len(nbr), rows):
+    starts = range(0, len(nbr), rows)
+    # a block's (rows, N) distances; 0, one worker, for a small base
+    block_bytes = 8 * rows * N if N * D >= _MIN_POOLED_BASE else 0
+    # one distance buffer per worker, allocated on this thread: memory a
+    # worker thread allocates stays with its heap after the thread ends
+    buffers = queue.SimpleQueue()
+    for _ in range(parallel.workers(len(starts), block_bytes)):
+        buffers.put(np.empty((min(rows, len(nbr)), N)))
+
+    def block(lo):
         b = slice(lo, lo + rows)
-        _knn_block(base, sq, queries[:, b], sq_q[b], err[b], k, nbr[b])
+        g = buffers.get()
+        _knn_block(base, sq, queries[:, b], sq_q[b], err[b], k, nbr[b], g)
+        buffers.put(g)
+
+    for _ in parallel.ordered_map(block, starts, block_bytes):
+        pass
     return nbr

@@ -309,14 +309,14 @@ def test_eval_ranks_each_query_once_for_every_k(tmp_path, monkeypatch):
     argv = _lsh_eval_setup(tmp_path, 150)
     calls = []
 
-    def counting(base, q, i):
-        calls.append(i)
-        return topk(base, q, i)
+    def counting(base, q):
+        calls.append(base.count)
+        return distances(base, q)
 
-    topk = hamming.hamming_topk
-    monkeypatch.setattr(hamming, "hamming_topk", counting)
+    distances = hamming.hamming_distances
+    monkeypatch.setattr(hamming, "hamming_distances", counting)
     assert main(argv + ["--out-dir", str(tmp_path / "all")]) == 0
-    assert calls == [150] * 12  # 12 queries, ranked once to K
+    assert calls == [150] * 12  # 12 queries against 150 codes, each scanned once
     # each k's CSV as one recall_curve call on the k-prefix wrote it
     p = matrix_io.read_model(tmp_path / "m.ajb")
     base_codes, query_codes = (hamming.encode(p, matrix_io.read_fvecs(tmp_path / f) * p.scale)
@@ -411,6 +411,30 @@ def test_config_values_are_checked_like_flags(tmp_path, capsys):
               "--out", str(tmp_path / "m.ajb")])
     assert exc.value.code == 2
     assert "argument --bits: invalid int value: 'four'" in capsys.readouterr().err
+
+
+def test_config_values_are_checked_against_choices(tmp_path, capsys):
+    base_path, _ = _write_data(tmp_path, "c.fvecs", n=60, seed=3)
+    cfg = tmp_path / "run.cfg"
+    train = ["train", "--input", str(base_path), "--out", str(tmp_path / "m.ajb")]
+    cfg.write_text("method=bogus\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["--config", str(cfg)] + train)
+    assert exc.value.code == 2
+    assert ("config method=bogus: choose from auto-jacobin, autobin, dautobin, "
+            "cautobin, lsh") in capsys.readouterr().err
+    assert not (tmp_path / "m.ajb").exists()
+    # choices are the command's own: lsh trains, but gradcheck has no lsh
+    cfg.write_text("method=lsh\nbits=4\n")
+    assert main(["--config", str(cfg)] + train) == 0
+    with pytest.raises(SystemExit) as exc:
+        main(["--config", str(cfg), "gradcheck"])
+    assert exc.value.code == 2
+    assert "config method=lsh: choose from auto-jacobin, " in capsys.readouterr().err
+    # a flag still overrides a good config value
+    cfg.write_text("method=autobin\n")
+    assert main(["--config", str(cfg), "gradcheck", "--method", "cautobin"]) == 0
+    assert "cautobin" in capsys.readouterr().out
 
 
 def test_trailing_config_is_a_usage_error(capsys):

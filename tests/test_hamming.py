@@ -149,6 +149,24 @@ def test_hamming_topk_matches_naive_oracle_with_ties():
             np.testing.assert_array_equal(hamming_topk(codes, q, i), full[:i])
 
 
+def test_hamming_topk_histogram_threshold_inside_a_large_tied_bucket():
+    # 6000 codes of 16 bits: about 400 of them lie at distance 5 from a
+    # query, so ranks i inside that bucket end inside a run of ties
+    rng = np.random.default_rng(6)
+    n, bits = 6000, 16
+    codes, _ = _random_codes(rng, n, bits)
+    for q in (codes.packed[17], rng.integers(0, 256, size=2, dtype=np.uint8)):
+        d = _naive_hamming(codes.packed, q, bits)
+        full = np.argsort(d, kind="stable")
+        counts = np.bincount(d, minlength=bits + 1)
+        below = np.cumsum(counts) - counts  # the first rank at each distance
+        t = 5
+        assert counts[t] >= 300
+        for i in (1, below[t] + 1, below[t] + 2, below[t] + counts[t], n):
+            np.testing.assert_array_equal(hamming_topk(codes, q, i), full[:i],
+                                          err_msg=f"i={i}")
+
+
 def _reference_recall_curve(gt, base_codes, query_codes, K):
     """Mean Recall@1..K from a full stable argsort per query, as recall_curve
     computed it with the lookup-table popcount (int64 distances)."""
@@ -220,6 +238,20 @@ def test_recall_curve_matches_reference(bits):
         np.testing.assert_array_equal(curve.values,
                                       _reference_recall_curve(gt, base, queries, K))
     assert curve.values[-1] == 1.0
+
+
+def test_recall_curve_ranks_without_hamming_topk(monkeypatch):
+    # its depth K is often thousands, where the histogram of hamming_topk
+    # is slower than one stable argsort of all N distances
+    def no_topk(*args):
+        raise AssertionError("recall_curve called hamming_topk")
+
+    rng = np.random.default_rng(7)
+    base, queries = _planted_ties(rng, 120, 16, 6)
+    gt = np.stack([rng.permutation(120)[:5] for _ in range(6)]).astype(np.uint32)
+    expect = _reference_recall_curve(gt, base, queries, 40)
+    monkeypatch.setattr(hamming, "hamming_topk", no_topk)
+    np.testing.assert_array_equal(recall_curve(gt, base, queries, 40).values, expect)
 
 
 @pytest.mark.parametrize("bits", (1, 11, 64))

@@ -185,6 +185,26 @@ def test_blocked_knn_ragged_last_block(monkeypatch):
     assert sizes == [7] * (53 // 7) + [53 % 7]
 
 
+@pytest.mark.parametrize("workers", [1, 5])
+def test_knn_blocks_match_bruteforce_at_any_worker_count(workers, with_workers,
+                                                         monkeypatch):
+    # blocks of 7 queries and a ragged last one, each writing its own rows
+    # on a worker while the interpreter switches threads every microsecond
+    monkeypatch.setattr(neighbors, "_BLOCK", 7)
+    sizes = _spy_blocks(monkeypatch)
+    rng = np.random.default_rng(11)
+    k = 9
+    X = _planted_ties(rng, 6, 66, k)
+    base, queries = _planted_query_ties(rng, 6, 90, k)
+    dist = neighbors._sq_dist(X, X[:, 4], knn_bruteforce(X, X[:, 4], 66))
+    assert dist[k - 1] == dist[k]  # the k-th boundary is tied
+    with_workers(workers, lambda: _assert_knn_matches_bruteforce(X, k))
+    assert sorted(sizes) == [3] + [7] * 9  # 66 queries
+    sizes.clear()
+    with_workers(workers, lambda: _assert_knn_matches_bruteforce(base, k, queries))
+    assert sorted(sizes) == [2, 7]  # 9 queries
+
+
 @pytest.mark.parametrize("k", [1, 2, 37])
 def test_blocked_knn_extreme_k(k):
     X = np.round(np.random.default_rng(3).standard_normal((4, 37)), 1)
