@@ -12,8 +12,8 @@ import numpy as np
 from .network import (
     NetworkParams,
     ObjectiveConfig,
+    _forward,
     _terms,
-    forward_batch,
     objective,
     pack_params,
     unpack_params,
@@ -72,16 +72,17 @@ def check_gradients(kind: str, D: int = 8, d: int = 4, n: int = 5,
         raise ValueError(f"no gradients to check for variant {kind!r}")
     p, batch, projs = random_instance(D, d, n, seed)
     cfg = ObjectiveConfig(alpha=alpha, epsilon=epsilon, jacobian_weight=0.5)
+    mask = method.corrupt(batch.shape, np.random.default_rng(seed + 1))  # a frozen mask
     inputs = dict(
         tangents=projs if method.needs_tangents else None,
         lambda_c=method.contraction,
-        corrupted=method.corrupt(batch, np.random.default_rng(seed + 1)),  # frozen mask
+        corrupted=None if mask is None else np.where(mask, 0.0, batch),
     )
     Xin, terms = _terms(batch, cfg=cfg, **inputs)
 
     def term_value_and_grad(term, q):
         grad = np.zeros_like(pack_params(q))
-        return term(q, *forward_batch(q, Xin), grad), grad
+        return term(q, _forward(q, Xin), grad), grad
 
     errors: dict[str, float] = {}
     for name, term in terms:

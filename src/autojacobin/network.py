@@ -56,6 +56,10 @@ and feeds the network a corrupted copy of the batch while still
 reconstructing the clean one. objective() builds the terms from its
 arguments and returns value, parts and gradient from one forward pass;
 variants.VariantConfig says which arguments each method passes. The
+pass forms the tanh slopes 1 - y^2 and 1 - z^2 once (Forward), and every
+term and Jacobian chunk reads them; each term allocates each of its
+(D, n) and (d, n) work arrays once and updates it in place, in the order
+of the out-of-place expression, so the bits are that expression's. The
 gradient is one vector laid out like pack_params, and each term adds
 into views of only the blocks it reaches.
 
@@ -135,32 +139,68 @@ class ObjectiveParts:
 
 
 def forward_batch(p: NetworkParams, X: np.ndarray):
-    """(Y, Z) for a (D, n) batch; Y is (d, n), Z is (D, n)."""
-    Y = np.tanh(p.w1 @ X + p.b1[:, None])
-    Z = np.tanh(p.w2 @ Y + p.b2[:, None])
+    """(Y, Z) for a (D, n) batch; Y is (d, n), Z is (D, n). Each is
+    allocated once and has its bias and tanh applied in place."""
+    Y = p.w1 @ X
+    Y += p.b1[:, None]
+    np.tanh(Y, out=Y)
+    Z = p.w2 @ Y
+    Z += p.b2[:, None]
+    np.tanh(Z, out=Z)
     return Y, Z
 
 
+class Forward(NamedTuple):
+    """One evaluation's forward pass of a (D, n) batch: the activations
+    Y (d, n) and Z (D, n), and their tanh slopes A = 1 - Y^2 and
+    C = 1 - Z^2, formed once and read, never written, by every term."""
+    Y: np.ndarray
+    Z: np.ndarray
+    A: np.ndarray
+    C: np.ndarray
+
+    def cols(self, lo, hi) -> Forward:
+        """The pass over columns lo:hi, as views."""
+        return Forward(*(a[:, lo:hi] for a in self))
+
+
+def _forward(p: NetworkParams, X: np.ndarray) -> Forward:
+    """The Forward pass of X: forward_batch, then the slopes in place."""
+    Y, Z = forward_batch(p, X)
+    A, C = Y * Y, Z * Z
+    np.subtract(1.0, A, out=A)
+    np.subtract(1.0, C, out=C)
+    return Forward(Y, Z, A, C)
+
+
 # --- per-term values and gradients (batch layout: X is (D, n)) ---
+# Each (D, n) or (d, n) work array is allocated once and updated in
+# place, in the order of the out-of-place expression in its comment, so
+# the bits are those of that expression.
 
 
-def _recon_term(p, Xin, Xtarget, Y, Z, grad):
-    diff = Z - Xtarget
-    value = float(np.sum(diff * diff))
-    d2 = 2.0 * diff * (1.0 - Z * Z)
-    d1 = (p.w2.T @ d2) * (1.0 - Y * Y)
-    for g, dg in zip(_blocks(grad, p), (d1 @ Xin.T, d2 @ Y.T, d1.sum(axis=1),
+def _recon_term(p, Xin, Xtarget, f: Forward, grad):
+    diff = f.Z - Xtarget
+    sq = diff * diff
+    value = float(np.sum(sq))
+    d2 = np.multiply(2.0, diff, out=sq)
+    d2 *= f.C  # 2 (Z - X) o (1 - Z^2)
+    d1 = p.w2.T @ d2
+    d1 *= f.A  # (W2' d2) o (1 - Y^2)
+    for g, dg in zip(_blocks(grad, p), (d1 @ Xin.T, d2 @ f.Y.T, d1.sum(axis=1),
                                          d2.sum(axis=1))):
         g += dg
     return value
 
 
-def _binary_term(p, Xin, Y, alpha, eps, n_target, grad):
-    d = Y.shape[0]
-    S = Y @ Y.T - n_target * np.eye(d)
-    value = float(alpha * np.sum(np.sqrt(S * S + eps)))
-    G = alpha * S / np.sqrt(S * S + eps)
-    dU = (2.0 * G @ Y) * (1.0 - Y * Y)
+def _binary_term(p, Xin, f: Forward, alpha, eps, n_target, grad):
+    d = f.Y.shape[0]
+    S = f.Y @ f.Y.T - n_target * np.eye(d)
+    R = np.sqrt(S * S + eps)
+    value = float(alpha * np.sum(R))
+    G = alpha * S / R
+    dU = 2.0 * G @ f.Y
+    dU *= f.A  # (2 G Y) o (1 - Y^2)
     gw1, _, gb1, _ = _blocks(grad, p)
     gw1 += dU @ Xin.T
     gb1 += dU.sum(axis=1)
@@ -219,13 +259,15 @@ def _kron_rows(p):
     return p.w1 @ p.w1.T, (p.w2[:, :, None] * p.w2[:, None, :]).reshape(p.dims, -1)
 
 
-def _jacobian_chunk(p, kron, Xc, Yc, Zc, t: FactorRows, weight):
+def _jacobian_chunk(p, kron, Xc, f: Forward, t: FactorRows, weight):
     """(value, gradient in pack_params order) of the Jacobian term over one
-    chunk of points whose factors are t.stack[t.rows]; kron is
-    _kron_rows(p). Each product is one GEMM over the chunk (module docstring)."""
+    chunk of points, with input Xc and forward pass f, whose factors are
+    t.stack[t.rows]; kron is _kron_rows(p). Each product is one GEMM over
+    the chunk (module docstring)."""
     G, WW = kron
-    At = (1.0 - Yc * Yc).T  # (m, d)
-    Ct = (1.0 - Zc * Zc).T  # (m, D)
+    Yc, Zc = f.Y, f.Z
+    At = f.A.T  # (m, d)
+    Ct = f.C.T  # (m, D)
     C2 = Ct * Ct
     m, d = At.shape
     D = Ct.shape[1]
@@ -260,7 +302,7 @@ def _jacobian_chunk(p, kron, Xc, Yc, Zc, t: FactorRows, weight):
                                   gu.sum(axis=1), gv.sum(axis=1)])
 
 
-def _jacobian_term(p, Xin, Y, Z, t: FactorRows, weight, grad):
+def _jacobian_term(p, Xin, f: Forward, t: FactorRows, weight, grad):
     """w sum_n ||J_n - T_n T_n'||_F^2, with its gradient added into grad,
     from the factors T_n of t by the identities in the module docstring:
     no D x D array and no (n, D, d) array.
@@ -275,7 +317,7 @@ def _jacobian_term(p, Xin, Y, Z, t: FactorRows, weight, grad):
 
     def chunk(lo):
         hi = lo + _JAC_CHUNK
-        return _jacobian_chunk(p, kron, Xin[:, lo:hi], Y[:, lo:hi], Z[:, lo:hi],
+        return _jacobian_chunk(p, kron, Xin[:, lo:hi], f.cols(lo, hi),
                                t._replace(rows=t.rows[lo:hi]), weight)
 
     value = 0.0
@@ -289,12 +331,17 @@ def _jacobian_term(p, Xin, Y, Z, t: FactorRows, weight, grad):
     return value
 
 
-def _contractive_term(p, Xin, Y, lam, grad):
-    At = (1.0 - Y * Y).T  # (n, d)
+def _contractive_term(p, Xin, f: Forward, lam, grad):
+    At = f.A.T  # (n, d)
     s = np.sum(p.w1 * p.w1, axis=1)  # hidden-row norms squared
-    value = float(lam * np.sum(At * At * s[None, :]))
-    dw1 = 2.0 * lam * np.sum(At * At, axis=0)[:, None] * p.w1
-    gu = -4.0 * lam * At * At * Y.T * s[None, :]
+    A2 = At * At
+    dw1 = 2.0 * lam * np.sum(A2, axis=0)[:, None] * p.w1
+    A2 *= s  # (1 - Y^2)'^2 o s
+    value = float(lam * np.sum(A2))
+    gu = np.multiply(-4.0 * lam, At)
+    gu *= At
+    gu *= f.Y.T
+    gu *= s  # -4 lam (1 - Y^2)'^2 o Y' o s
     dw1 += gu.T @ Xin.T
     gw1, _, gb1, _ = _blocks(grad, p)
     gw1 += dw1
@@ -304,8 +351,8 @@ def _contractive_term(p, Xin, Y, lam, grad):
 
 def _terms(batch, tangents, cfg: ObjectiveConfig, lambda_c, corrupted):
     """(network input, [(name, term)]) in accumulation order: recon, the
-    middle term if any, binary. term(p, Y, Z, grad) -> value takes the
-    forward activations of the network input and adds into grad.
+    middle term if any, binary. term(p, f, grad) -> value takes the
+    Forward pass f of the network input and adds into grad.
     """
     D, n = batch.shape
     Xin = batch
@@ -315,24 +362,25 @@ def _terms(batch, tangents, cfg: ObjectiveConfig, lambda_c, corrupted):
         Xin = corrupted
     if tangents is not None and lambda_c is not None:
         raise ValueError("give tangents or lambda_c, not both: each is a middle term")
-    terms = [("recon", lambda p, Y, Z, g: _recon_term(p, Xin, batch, Y, Z, g))]
+    terms = [("recon", lambda p, f, g: _recon_term(p, Xin, batch, f, g))]
     if tangents is not None:
         rows = _factor_rows(tangents, n, D)
-        terms.append(("jacobian", lambda p, Y, Z, g: _jacobian_term(
-            p, Xin, Y, Z, rows, cfg.jacobian_weight, g)))
+        terms.append(("jacobian", lambda p, f, g: _jacobian_term(
+            p, Xin, f, rows, cfg.jacobian_weight, g)))
     if lambda_c is not None:
-        terms.append(("contractive", lambda p, Y, Z, g: _contractive_term(
-            p, Xin, Y, lambda_c, g)))
-    terms.append(("binary", lambda p, Y, Z, g: _binary_term(
-        p, Xin, Y, cfg.alpha, cfg.epsilon, n, g)))
+        terms.append(("contractive", lambda p, f, g: _contractive_term(
+            p, Xin, f, lambda_c, g)))
+    terms.append(("binary", lambda p, f, g: _binary_term(
+        p, Xin, f, cfg.alpha, cfg.epsilon, n, g)))
     return Xin, terms
 
 
 def objective(p: NetworkParams, batch: np.ndarray, tangents, cfg: ObjectiveConfig,
               lambda_c: float | None = None, corrupted: np.ndarray | None = None):
     """(total, parts, grad) of the objective on a batch, from one forward
-    pass; grad is one float64 vector laid out like pack_params(p), and
-    each term adds its gradient into views of it.
+    pass whose slopes 1 - Y^2 and 1 - Z^2 every term shares; grad is one
+    float64 vector laid out like pack_params(p), and each term adds its
+    gradient into views of it.
 
     tangents holds one D x r tangent factor T per column, as one
     array-like of shape (n, D, r) such as a list of D x D projectors (each
@@ -343,9 +391,9 @@ def objective(p: NetworkParams, batch: np.ndarray, tangents, cfg: ObjectiveConfi
     network input and batch stays the reconstruction target.
     """
     Xin, terms = _terms(batch, tangents, cfg, lambda_c, corrupted)
-    Y, Z = forward_batch(p, Xin)
+    f = _forward(p, Xin)
     grad = np.zeros(2 * p.w1.size + p.bits + p.dims)
-    recon, *middle, binary = [term(p, Y, Z, grad) for _, term in terms]
+    recon, *middle, binary = [term(p, f, grad) for _, term in terms]
     parts = ObjectiveParts(recon=recon, jacobian=middle[0] if middle else 0.0,
                            binary=binary)
     return parts.total, parts, grad

@@ -1,5 +1,6 @@
-"""Training loop: PCA initialization, epoch shuffling into mini-batches,
-L-BFGS updates with a strong-Wolfe line search, cost tracing.
+"""Training loop: PCA initialization, a permutation per epoch that splits
+the training set into mini-batches, L-BFGS updates with a strong-Wolfe
+line search, cost tracing.
 
 Each iteration searches along the L-BFGS two-loop direction (Nocedal &
 Wright, Numerical Optimization, Alg. 7.4) with the strong-Wolfe search
@@ -40,6 +41,14 @@ the toy simplex at the region-variance weight this search saturates
 the hidden layer (mean |y| 0.99 or more); steepest descent stopped at
 0.17-0.33, and at unit weight the objective's minimum keeps it near 0.4.
 
+Each mini-batch's columns are gathered from the training set when the
+batch is used, so no shuffled copy of the set is formed. For the
+denoising variant the epoch's corruption is one boolean (D, N) mask
+over the permuted columns, one byte per entry; a batch's network input
+is a copy of the batch with the entries of its columns of the mask
+zeroed. Each example is still corrupted on its own draws, as in
+Vincent et al. (ICML 2008).
+
 An epoch's cost is the sum of its accepted batch costs. With one batch
 that is the full-set cost at the epoch's end; with mini-batches it is
 the running cost the optimizer saw, not a full-set cost (the binary
@@ -50,8 +59,10 @@ of the Jacobian term gathers its own rows, so no part of the stack
 larger than a chunk is ever copied.
 
 One seeded RNG stream drives everything, consumed in a fixed order:
-the init rotation first, then per epoch the shuffle permutation and
-(for the denoising variant) the corruption draws.
+the init rotation first, then per epoch the permutation and (for the
+denoising variant) the corruption mask, drawn row by row with the
+uniform draws of one (D, N) array in the same order
+(variants.draw_mask).
 
 fit is the one path from raw data to a scaled model.
 """
@@ -271,6 +282,15 @@ def _lbfgs_direction(g: np.ndarray, pairs) -> np.ndarray:
     return -q
 
 
+def _gather(X: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """X[:, cols] with each column contiguous, the layout that fancy index
+    gives: the products on a batch round differently on another layout.
+    np.take and one transposing copy are faster than the fancy index on
+    data in cache (33 against 58 ms per epoch of 1000-column batches at
+    128 x 20000, one core) and as fast on data out of it."""
+    return np.asfortranarray(np.take(X, cols, axis=1))
+
+
 def train(X_train: np.ndarray, tangents, cfg: TrainConfig):
     """Mini-batch L-BFGS with strong-Wolfe steps; returns (params, report).
 
@@ -322,14 +342,13 @@ def train(X_train: np.ndarray, tangents, cfg: TrainConfig):
     pairs = deque(maxlen=LBFGS_MEMORY)  # (s, y, 1 / s'y), oldest first
     for epoch in range(cfg.epochs):
         perm = rng.permutation(N)
-        Xs = X_train[:, perm]
-        Xc = cfg.method.corrupt(Xs, rng)
+        mask = cfg.method.corrupt((D, N), rng)  # column k corrupts point perm[k]
         epoch_cost = 0.0
         for j in range(m):
             lo, hi = bounds[j], bounds[j + 1]
-            batch = Xs[:, lo:hi]
+            batch = _gather(X_train, perm[lo:hi])
             batch_rows = rows._replace(rows=perm[lo:hi]) if rows is not None else None
-            corrupted = Xc[:, lo:hi] if Xc is not None else None
+            corrupted = np.where(mask[:, lo:hi], 0.0, batch) if mask is not None else None
 
             def f(theta):
                 value, parts, grad = objective(
@@ -385,7 +404,7 @@ def train(X_train: np.ndarray, tangents, cfg: TrainConfig):
             # the cap, or a search of the whole uncorrupted set that lowered
             # nothing: the next would repeat it from the same point
             done = (iteration == cfg.total_iterations
-                    or (not f_new < parts.total and m == 1 and Xc is None))
+                    or (not f_new < parts.total and m == 1 and mask is None))
             if done:
                 break
         report.epoch_costs.append((epoch + 1, epoch_cost))

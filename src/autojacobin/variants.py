@@ -4,8 +4,11 @@ Every gradient-trained method minimises network.objective; VariantConfig
 maps a method to that function's optional inputs. Auto-JacoBin passes
 tangent bases (the Jacobian term), AutoBin passes none, CAutoBin
 passes lambda_c (the contractive term), and DAutoBin passes a copy of
-the input corrupted by corrupt_mask. LSH is a random projection and is
-not trained.
+the input with the entries of a corruption mask (draw_mask) zeroed.
+The trainer draws one boolean mask over the training set per epoch and
+zeroes each mini-batch's columns of it as the batch is used, so no
+corrupted copy of the whole set is formed. LSH is a random projection
+and is not trained.
 """
 
 from __future__ import annotations
@@ -49,20 +52,33 @@ class VariantConfig:
         """The objective's lambda_c: the contractive weight, or None."""
         return self.lambda_c if self.kind == "cautobin" else None
 
-    def corrupt(self, X: np.ndarray, rng: np.random.Generator) -> np.ndarray | None:
-        """The objective's corrupted input for the columns X, or None
-        (drawing nothing from rng) for a method without corruption."""
+    def corrupt(self, shape: tuple[int, int],
+                rng: np.random.Generator) -> np.ndarray | None:
+        """The boolean corruption mask (draw_mask) of a (D, n) input,
+        True where the objective's input is zeroed, or None (drawing
+        nothing from rng) for a method without corruption."""
         if self.kind != "dautobin":
             return None
-        return corrupt_mask(X, self.corruption_t, rng)
+        return draw_mask(shape, self.corruption_t, rng)
+
+
+def draw_mask(shape: tuple[int, int], t: float, rng: np.random.Generator) -> np.ndarray:
+    """A boolean (D, n) mask, True for each entry independently with
+    probability t (r_i <= t rule), one byte per entry. Its uniform draws
+    r are those of rng.uniform(0, 1, size=(D, n)), in that order, taken
+    one row at a time, so no (D, n) array of floats is formed."""
+    if not 0.0 <= t <= 1.0:
+        raise ValueError("t must lie in [0, 1]")
+    mask = np.empty(shape, dtype=bool)
+    for row in mask:
+        np.less_equal(rng.uniform(0.0, 1.0, size=row.size), t, out=row)
+    return mask
 
 
 def corrupt_mask(x: np.ndarray, t: float, rng: np.random.Generator) -> np.ndarray:
-    """Zero each entry independently with probability t (r_i <= t rule)."""
-    if not 0.0 <= t <= 1.0:
-        raise ValueError("t must lie in [0, 1]")
-    r = rng.uniform(0.0, 1.0, size=x.shape)
-    return np.where(r <= t, 0.0, x)
+    """x with each entry zeroed independently with probability t: the
+    entries of draw_mask(x.shape, t, rng)."""
+    return np.where(draw_mask(x.shape, t, rng), 0.0, x)
 
 
 def lsh_generate(D: int, d: int, seed: int, scale: float = 1.0) -> NetworkParams:

@@ -88,10 +88,10 @@ def test_train_summary_reports_tangent_ranks_and_weight(tmp_path, capsys):
 def test_train_holds_the_tangent_bases_once():
     # the bases are estimated into the (N, D, r) stack that training
     # reads in place, and no list of them is kept beside it; with one, the
-    # peak passed 2x the bases. The rest is the normalized and the
-    # shuffled data (1/r each), the kNN's indices and block distances and
-    # the Jacobian term's 64-point chunk arrays: 1.45x on numpy 2.4. A
-    # batch-sized gather of the stack's rows (0.25x) would pass 1.6x
+    # peak passed 2x the bases. The rest is the normalized data (1/r),
+    # the kNN's indices and block distances and the Jacobian term's
+    # 64-point chunk arrays: 1.41x on numpy 2.4. A batch-sized gather of
+    # the stack's rows (0.25x) would pass 1.6x
     N, D, bits = 8000, 16, 8
     X = np.random.default_rng(8).standard_normal((D, N))
     cfg = trainer.TrainConfig(bits=bits, epochs=1, batch_size=N // 4,

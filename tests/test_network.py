@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from autojacobin import matrix_io, synth, tangent
+from autojacobin import matrix_io, network, synth, tangent
 from autojacobin.checks import check_gradients, fd_gradient, random_instance
 from autojacobin.network import (
     _JAC_CHUNK,
@@ -19,6 +19,7 @@ from autojacobin.network import (
     unpack_params,
 )
 from autojacobin.trainer import init_params
+from autojacobin.variants import VariantConfig
 
 
 def _zero_params(D, d):
@@ -177,16 +178,17 @@ def _dense_jacobian_term(p, Xin, Y, Z, targets, weight):
     return value, np.concatenate([g.ravel() for g in total])
 
 
-def _jacobian_value_and_grad(p, X, Y, Z, factors, weight):
+def _jacobian_value_and_grad(p, X, factors, weight):
     """(value, gradient laid out like pack_params) of _jacobian_term alone."""
     grad = np.zeros_like(pack_params(p))
-    value = _jacobian_term(p, X, Y, Z, _factor_rows(factors, *X.shape[::-1]), weight, grad)
+    value = _jacobian_term(p, X, network._forward(p, X),
+                           _factor_rows(factors, *X.shape[::-1]), weight, grad)
     return value, grad
 
 
 def _assert_factored_matches_dense(p, X, factors, targets, weight):
     Y, Z = forward_batch(p, X)
-    value, g = _jacobian_value_and_grad(p, X, Y, Z, factors, weight)
+    value, g = _jacobian_value_and_grad(p, X, factors, weight)
     ref_value, ref_g = _dense_jacobian_term(p, X, Y, Z, targets, weight)
     assert value == pytest.approx(ref_value, rel=1e-12)
     np.testing.assert_allclose(g, ref_g, rtol=1e-12,
@@ -287,18 +289,18 @@ def test_objective_has_the_same_bits_at_any_worker_count(workers, kind, with_wor
         factors = _ragged_bases(8, ranks, seed=18).factors
     cfg = ObjectiveConfig(jacobian_weight=0.5)
     # the reference: a plain loop over the chunks, summed in order
-    Y, Z = forward_batch(p, batch)
+    f = network._forward(p, batch)
     kron = _kron_rows(p)
     gram = gram_norms(factors)
     ref_value, ref_g = 0.0, np.zeros_like(pack_params(p))
     for lo in range(0, n, _JAC_CHUNK):
         hi = lo + _JAC_CHUNK
-        v, g = _jacobian_chunk(p, kron, batch[:, lo:hi], Y[:, lo:hi], Z[:, lo:hi],
+        v, g = _jacobian_chunk(p, kron, batch[:, lo:hi], f.cols(lo, hi),
                                FactorRows(factors, np.arange(lo, min(hi, n)), gram), 0.5)
         ref_value += v
         ref_g += g
     value, g = with_workers(
-        workers, lambda: _jacobian_value_and_grad(p, batch, Y, Z, factors, 0.5))
+        workers, lambda: _jacobian_value_and_grad(p, batch, factors, 0.5))
     assert value == ref_value
     assert g.tobytes() == ref_g.tobytes()
     total, parts, grad = with_workers(workers, lambda: objective(p, batch, factors, cfg))
@@ -306,6 +308,80 @@ def test_objective_has_the_same_bits_at_any_worker_count(workers, kind, with_wor
     total1, _, grad1 = with_workers(1, lambda: objective(p, batch, factors, cfg))
     assert total == total1
     assert grad.tobytes() == grad1.tobytes()
+
+
+def _out_of_place_objective(p, batch, factors, cfg, lambda_c=None, corrupted=None):
+    """(value, gradient) of objective from the out-of-place expressions of
+    forward_batch and the recon, contractive and binary terms, each term
+    forming its own slopes 1 - Y^2 and 1 - Z^2 and each Jacobian chunk
+    its own from its columns, as the terms did before they shared them."""
+    Xin = batch if corrupted is None else corrupted
+    D, n = batch.shape
+    Y = np.tanh(p.w1 @ Xin + p.b1[:, None])
+    Z = np.tanh(p.w2 @ Y + p.b2[:, None])
+    grad = np.zeros_like(pack_params(p))
+    gw1, gw2, gb1, gb2 = network._blocks(grad, p)
+    diff = Z - batch
+    recon = float(np.sum(diff * diff))
+    d2 = 2.0 * diff * (1.0 - Z * Z)
+    d1 = (p.w2.T @ d2) * (1.0 - Y * Y)
+    for g, dg in zip((gw1, gw2, gb1, gb2), (d1 @ Xin.T, d2 @ Y.T, d1.sum(axis=1),
+                                             d2.sum(axis=1))):
+        g += dg
+    middle = 0.0
+    if factors is not None:
+        rows, kron = _factor_rows(factors, n, D), _kron_rows(p)
+        total = np.zeros_like(grad)
+        for lo in range(0, n, _JAC_CHUNK):
+            hi = lo + _JAC_CHUNK
+            Yc, Zc = Y[:, lo:hi], Z[:, lo:hi]
+            v, g = _jacobian_chunk(p, kron, Xin[:, lo:hi],
+                                   network.Forward(Yc, Zc, 1.0 - Yc * Yc, 1.0 - Zc * Zc),
+                                   rows._replace(rows=rows.rows[lo:hi]), cfg.jacobian_weight)
+            middle += v
+            total += g
+        grad += total
+    if lambda_c is not None:
+        At = (1.0 - Y * Y).T
+        s = np.sum(p.w1 * p.w1, axis=1)
+        middle = float(lambda_c * np.sum(At * At * s[None, :]))
+        dw1 = 2.0 * lambda_c * np.sum(At * At, axis=0)[:, None] * p.w1
+        gu = -4.0 * lambda_c * At * At * Y.T * s[None, :]
+        dw1 += gu.T @ Xin.T
+        gw1 += dw1
+        gb1 += gu.sum(axis=0)
+    S = Y @ Y.T - n * np.eye(Y.shape[0])
+    binary = float(cfg.alpha * np.sum(np.sqrt(S * S + cfg.epsilon)))
+    G = cfg.alpha * S / np.sqrt(S * S + cfg.epsilon)
+    dU = (2.0 * G @ Y) * (1.0 - Y * Y)
+    gw1 += dU @ Xin.T
+    gb1 += dU.sum(axis=1)
+    return network.ObjectiveParts(recon, middle, binary).total, grad
+
+
+@pytest.mark.parametrize("D, d, n, layout", [
+    (8, 4, 70, "C"),  # a short last Jacobian chunk
+    (20, 6, 129, "F"),  # a one-column last chunk; columns contiguous, as train gathers them
+])
+@pytest.mark.parametrize("kind", ["auto-jacobin", "autobin", "dautobin", "cautobin"])
+def test_in_place_objective_has_the_bits_of_the_out_of_place_expressions(
+        D, d, n, layout, kind):
+    p, batch, projs = random_instance(D, d, n, seed=19)
+    batch = np.asarray(batch, order=layout)
+    method = VariantConfig(kind=kind, corruption_t=0.3)
+    mask = method.corrupt(batch.shape, np.random.default_rng(20))
+    inputs = dict(lambda_c=method.contraction,
+                  corrupted=None if mask is None else np.where(mask, 0.0, batch))
+    factors = np.stack(projs) if method.needs_tangents else None
+    cfg = ObjectiveConfig(alpha=0.2, jacobian_weight=0.5)
+    before = [a.copy() for a in (batch, inputs["corrupted"]) if a is not None]
+    value, _, grad = objective(p, batch, factors, cfg, **inputs)
+    ref_value, ref_grad = _out_of_place_objective(p, batch, factors, cfg, **inputs)
+    assert value == ref_value
+    assert grad.tobytes() == ref_grad.tobytes()
+    # the terms update only their own work arrays, never their inputs
+    after = [a for a in (batch, inputs["corrupted"]) if a is not None]
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(after, before))
 
 
 def test_jacobian_weight_scales_term_and_gradient():
