@@ -113,9 +113,24 @@ def cmd_train(args) -> int:
     return 0
 
 
+def _read_for_model(args, flag: str, params) -> np.ndarray:
+    """The vectors of the file that flag names, to be encoded with the
+    model params read from args.model; an empty file, or one whose
+    dimension is not the model's, ends the command."""
+    path = getattr(args, flag.lstrip("-"))
+    X = read_matrix(path)
+    if X.size == 0:
+        raise SystemExit(f"empty input {path}")
+    if X.shape[0] != params.w1.shape[1]:
+        raise SystemExit(f"{flag} {path} has dimension D={X.shape[0]}, but the "
+                         f"model {args.model} takes D={params.w1.shape[1]}")
+    return X
+
+
 def cmd_encode(args) -> int:
     params = matrix_io.read_model(args.model)
-    X = read_matrix(args.input) * params.scale
+    X = _read_for_model(args, "--input", params)
+    X *= params.scale
     codes = hamming.encode(params, X, use_bias=args.use_bias)
     matrix_io.write_codes(args.out, codes)
     write_manifest(args.out, "encode", _flags(args))
@@ -150,8 +165,8 @@ def _cached_groundtruth(base_path, base: np.ndarray, queries: np.ndarray,
 
 def cmd_eval(args) -> int:
     params = matrix_io.read_model(args.model)
-    base_raw = read_matrix(args.base)
-    query_raw = read_matrix(args.query)
+    base_raw = _read_for_model(args, "--base", params)
+    query_raw = _read_for_model(args, "--query", params)
     K = args.max_retrieve
     if K > base_raw.shape[1]:
         raise SystemExit(f"K={K} exceeds base size {base_raw.shape[1]}")

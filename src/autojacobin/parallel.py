@@ -1,12 +1,13 @@
 """The thread pool of the blocked numpy loops, and its size.
 
-Exact kNN (neighbors), local PCA (tangent) and the Jacobian term
-(network) split their work into fixed-size blocks that do not depend on
-each other, run them here, and combine the results in block order, so
-their output has the same bits at any worker count. numpy releases the
-interpreter lock inside the products, the partitions and the `eigh` that
-dominate most blocks. The kNN's per-row re-rank holds it, so kNN on a
-small base, where the re-rank dominates, stays on the calling thread.
+Exact kNN (neighbors), local PCA (tangent), the Jacobian term (network)
+and encoding (hamming) split their work into fixed-size blocks that do
+not depend on each other, run them here, and combine the results in
+block order, so their output has the same bits at any worker count.
+numpy releases the interpreter lock inside the products, the partitions,
+the `eigh`, the comparisons and the copies that dominate most blocks.
+The kNN's per-row re-rank holds it, so kNN on a small base, where the
+re-rank dominates, stays on the calling thread.
 The pool lives for one call; there is no setting of the program's own
 (see workers()).
 """

@@ -267,6 +267,70 @@ def test_toy_and_gradcheck_reject_bad_numeric_flags_as_usage_errors(
     assert not out_dir.exists()
 
 
+def _lsh_model(tmp_path, D):
+    train, _ = _write_data(tmp_path, "train.fvecs", D=D, n=50, seed=7)
+    model = tmp_path / "m.ajb"
+    assert main(["train", "--input", str(train), "--bits", "8", "--method", "lsh",
+                 "--out", str(model)]) == 0
+    return model
+
+
+@pytest.mark.parametrize("flag", ["--input", "--base", "--query"])
+def test_encode_and_eval_reject_a_wrong_dimension_before_any_encoding(
+        tmp_path, monkeypatch, flag):
+    model = _lsh_model(tmp_path, D=6)
+    good, _ = _write_data(tmp_path, "good.fvecs", D=6, n=40, seed=1)
+    bad, _ = _write_data(tmp_path, "bad.fvecs", D=5, n=40, seed=2)
+
+    def no_encode(*args, **kwargs):
+        raise AssertionError("encode called")
+
+    monkeypatch.setattr(hamming, "encode", no_encode)
+    out = tmp_path / "out"
+    if flag == "--input":
+        argv = ["encode", "--model", str(model), "--input", str(bad), "--out", str(out)]
+    else:
+        paths = {"--base": good, "--query": good, flag: bad}
+        argv = ["eval", "--model", str(model), "--base", str(paths["--base"]),
+                "--query", str(paths["--query"]), "--k", "1", "--max-retrieve", "10",
+                "--out-dir", str(out)]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == (f"{flag} {bad} has dimension D=5, but the model "
+                              f"{model} takes D=6")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag", ["--input", "--base", "--query"])
+def test_encode_and_eval_reject_an_empty_input(tmp_path, flag):
+    model = _lsh_model(tmp_path, D=6)
+    good, _ = _write_data(tmp_path, "good.fvecs", D=6, n=40, seed=1)
+    empty = tmp_path / "empty.fvecs"
+    empty.write_bytes(b"")
+    if flag == "--input":
+        argv = ["encode", "--model", str(model), "--input", str(empty),
+                "--out", str(tmp_path / "out")]
+    else:
+        paths = {"--base": good, "--query": good, flag: empty}
+        argv = ["eval", "--model", str(model), "--base", str(paths["--base"]),
+                "--query", str(paths["--query"]), "--out-dir", str(tmp_path / "out")]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == f"empty input {empty}"
+    assert not (tmp_path / "out").exists()
+
+
+def test_encode_dimension_error_is_one_line_without_a_traceback(tmp_path):
+    model = _lsh_model(tmp_path, D=6)
+    bad, _ = _write_data(tmp_path, "bad.fvecs", D=5, n=4, seed=2)
+    r = subprocess.run([sys.executable, "-m", "autojacobin.cli", "encode", "--model",
+                        str(model), "--input", str(bad), "--out", str(tmp_path / "c")],
+                       capture_output=True, text=True)
+    assert r.returncode == 1
+    assert r.stderr.splitlines() == [f"--input {bad} has dimension D=5, but the model "
+                                     f"{model} takes D=6"]
+
+
 def _lsh_eval_setup(tmp_path, n):
     base_path, _ = _write_data(tmp_path, "k.fvecs", n=n, seed=5)
     query_path, _ = _write_data(tmp_path, "kq.fvecs", n=12, seed=6)

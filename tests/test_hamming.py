@@ -97,6 +97,66 @@ def test_encode_dim_mismatch():
         encode(p, np.zeros((4, 2)))
 
 
+def test_pack_bits_of_a_transposed_view_equals_its_contiguous_copy():
+    rng = np.random.default_rng(6)
+    for bits in (7, 8, 63, 64, 300):
+        view = (rng.standard_normal((bits, 50)) >= 0).T
+        assert not view.flags.c_contiguous
+        np.testing.assert_array_equal(pack_bits(view),
+                                      pack_bits(np.ascontiguousarray(view)))
+
+
+TILE = hamming._ENCODE_TILE
+
+
+@pytest.mark.parametrize("workers", [1, 5])
+@pytest.mark.parametrize("use_bias", [False, True])
+@pytest.mark.parametrize("bits", [1, 7, 8, 63, 64, 300])
+def test_tiled_encode_equals_one_product_byte_for_byte(bits, use_bias, workers,
+                                                       with_workers):
+    rng = np.random.default_rng(bits)
+    D = 24
+    p = NetworkParams(w1=rng.standard_normal((bits, D)), w2=np.zeros((D, bits)),
+                      b1=rng.standard_normal(bits), b2=np.zeros(D))
+    Xs = [rng.standard_normal((D, N)) for N in (1, TILE - 1, TILE, TILE + 1, 3 * TILE + 17)]
+    Xs.append(np.asfortranarray(Xs[-1]))  # as read_txt lays it out
+    got = with_workers(workers, lambda: [encode(p, X, use_bias=use_bias) for X in Xs])
+    for X, codes in zip(Xs, got):
+        proj = p.w1 @ X
+        if use_bias:
+            proj = proj + p.b1[:, None]
+        assert codes.count == X.shape[1]
+        assert codes.packed.tobytes() == pack_bits((proj >= 0.0).T).tobytes()
+        padding = np.unpackbits(codes.packed, axis=1, bitorder="little")[:, bits:]
+        assert not padding.any()
+
+
+def test_encode_tiles_start_at_multiples_of_the_width_and_cover_every_column():
+    assert hamming._tiles(0, 8) == [(0, 0)]
+    assert hamming._tiles(15, 8) == [(0, 15)]
+    assert hamming._tiles(16, 8) == [(0, 8), (8, 16)]
+    assert hamming._tiles(41, 8) == [(0, 8), (8, 16), (16, 24), (24, 32), (32, 41)]
+
+
+@pytest.mark.parametrize("width", [1024, 2048, 3072, 4096])
+@pytest.mark.parametrize("d,D,N", [(1, 3, 5000), (7, 5, 9217), (16, 64, 12305),
+                                   (64, 64, 30000), (64, 128, 8193),
+                                   (300, 128, 9000), (3, 1000, 8200)])
+def test_column_tiles_give_the_projection_bits_of_one_product(d, D, N, width):
+    # encode's codes equal one product's only if its tiles' products do:
+    # BLAS may round a narrow or ragged product differently
+    rng = np.random.default_rng(d * D)
+    W, X = rng.standard_normal((d, D)), rng.standard_normal((D, N))
+    full = W @ X
+    tiles = hamming._tiles(N, width)
+    assert tiles[0][0] == 0 and tiles[-1][1] == N
+    for lo, hi in tiles:
+        proj = np.empty((d, hi - lo))
+        np.matmul(W, X[:, lo:hi], out=proj)
+        np.testing.assert_array_equal(proj.view(np.uint64),
+                                      full[:, lo:hi].view(np.uint64))
+
+
 def test_encode_rejects_non_finite_input():
     # a NaN column used to get a silent code (every bit 0)
     p = _params_with_w1(np.random.default_rng(5).standard_normal((8, 3)))

@@ -69,6 +69,23 @@ def test_readers_match_record_by_record_parse(tmp_path, D, N):
         np.testing.assert_array_equal(X, ref)
 
 
+@pytest.mark.parametrize("N", [matrix_io._TILE - 1, matrix_io._TILE, matrix_io._TILE + 1,
+                               2 * matrix_io._TILE + 37])
+def test_readers_match_record_by_record_parse_across_tiles(tmp_path, N):
+    # records written by struct, not by the writers under test
+    rng = np.random.default_rng(N)
+    D = 3
+    F = rng.standard_normal((D, N)).astype(np.float32)
+    B = rng.integers(0, 256, size=(D, N))
+    f, b = tmp_path / "a.fvecs", tmp_path / "a.bvecs"
+    f.write_bytes(b"".join(struct.pack(f"<i{D}f", D, *F[:, j]) for j in range(N)))
+    b.write_bytes(b"".join(struct.pack(f"<i{D}B", D, *B[:, j]) for j in range(N)))
+    for X, ref in ((matrix_io.read_fvecs(f), _parse_records(f, "f", 4)),
+                   (matrix_io.read_bvecs(b), _parse_records(b, "B", 1))):
+        assert X.shape == (D, N)
+        np.testing.assert_array_equal(X, ref)
+
+
 @pytest.mark.parametrize("header,message", [(5, "inconsistent dims 2 vs 5"),
                                             (0, "non-positive record dim 0")])
 @pytest.mark.parametrize("reader,payload", [(matrix_io.read_fvecs, "<ff"),
@@ -108,7 +125,8 @@ def test_fvecs_round_trip_byte_exact(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
-@pytest.mark.parametrize("D, N", [(1, 1), (3, 0), (5, 7), (64, 30)])
+@pytest.mark.parametrize("D, N", [(1, 1), (3, 0), (5, 7), (64, 30),
+                                  (4, 2 * matrix_io._TILE + 3)])
 def test_writers_match_struct_packed_records(tmp_path, D, N):
     rng = np.random.default_rng(D + N)
     X = np.asfortranarray(100.0 * rng.standard_normal((D, N)))
