@@ -130,7 +130,6 @@ def _read_for_model(args, flag: str, params) -> np.ndarray:
 def cmd_encode(args) -> int:
     params = matrix_io.read_model(args.model)
     X = _read_for_model(args, "--input", params)
-    X *= params.scale
     codes = hamming.encode(params, X, use_bias=args.use_bias)
     matrix_io.write_codes(args.out, codes)
     write_manifest(args.out, "encode", _flags(args))
@@ -138,16 +137,25 @@ def cmd_encode(args) -> int:
     return 0
 
 
-def _cached_groundtruth(base_path, base: np.ndarray, queries: np.ndarray,
-                        k: int) -> np.ndarray:
-    """The k exact nearest neighbours of each query, read from a cache file
-    beside the base when it holds a (Q, k) table of base indices, else
-    built and written there, replacing a cut or foreign file."""
+def _groundtruth_cache(base_path, base: np.ndarray, queries: np.ndarray,
+                       k: int) -> Path:
+    """The ground-truth cache file of base, queries and k: beside the base,
+    named by a hash of their bytes."""
     h = hashlib.sha256()
     h.update(np.ascontiguousarray(base))  # the bytes of tobytes(), uncopied
     h.update(np.ascontiguousarray(queries))
     h.update(str(k).encode())
-    cache = Path(str(base_path) + f".{h.hexdigest()[:12]}.k{k}.ajbg")
+    return Path(str(base_path) + f".{h.hexdigest()[:12]}.k{k}.ajbg")
+
+
+def _cached_groundtruth(base_path, base: np.ndarray, queries: np.ndarray,
+                        k: int, cache: Path | None = None) -> np.ndarray:
+    """The k exact nearest neighbours of each query, read from the cache
+    file (_groundtruth_cache's unless given) when it holds a (Q, k) table
+    of base indices, else built and written there, replacing a cut or
+    foreign file."""
+    if cache is None:
+        cache = _groundtruth_cache(base_path, base, queries, k)
     if cache.exists():
         Q, N = queries.shape[1], base.shape[1]
         try:
@@ -173,15 +181,18 @@ def cmd_eval(args) -> int:
     ks = [int(v) for v in args.k.split(",")]
     if max(ks) > base_raw.shape[1]:
         raise SystemExit(f"k={max(ks)} exceeds base size {base_raw.shape[1]}")
-    base_codes = hamming.encode(params, base_raw * params.scale,
-                                use_bias=args.use_bias)
-    query_codes = hamming.encode(params, query_raw * params.scale,
-                                 use_bias=args.use_bias)
+    # each k's ground truth is the k-prefix of the largest k's (exact kNN),
+    # so one ranking of every query serves all ks. This thread hashes the
+    # cache name while the pool encodes the base.
+    cache = []
+    base_codes = hamming.encode(
+        params, base_raw, use_bias=args.use_bias,
+        meanwhile=lambda: cache.append(
+            _groundtruth_cache(args.base, base_raw, query_raw, max(ks))))
+    query_codes = hamming.encode(params, query_raw, use_bias=args.use_bias)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    # each k's ground truth is the k-prefix of the largest k's (exact kNN),
-    # so one ranking of every query serves all ks
-    gt = _cached_groundtruth(args.base, base_raw, query_raw, max(ks))
+    gt = _cached_groundtruth(args.base, base_raw, query_raw, max(ks), cache[0])
     ranked = hamming.recall_curve(gt, base_codes, query_codes, K)
     summary = out_dir / "m_recall.csv"
     with open(summary, "w") as sf:
@@ -218,13 +229,13 @@ def cmd_toy(args) -> int:
     cfg = TrainConfig(bits=3, epochs=args.epochs, batch_size=args.batch, seed=args.seed,
                       method=VariantConfig(kind="auto-jacobin", alpha=args.alpha))
     params, report = fit(X_raw, cfg)
-    Xn = X_raw * params.scale
+    Xn = X_raw * params.scale  # the network's input; encode scales its own
 
     summary = out_dir / "toy_summary.csv"
     with open(summary, "w") as f:
         f.write("phase,distinct_codes,mean_abs_hidden\n")
         for phase, p in (("init", report.initial), ("trained", params)):
-            codes = hamming.encode(p, Xn)
+            codes = hamming.encode(p, X_raw)
             distinct = len({bytes(row) for row in codes.packed})
             mean_abs = float(np.mean(np.abs(forward_batch(p, Xn)[0])))
             f.write(f"{phase},{distinct},{mean_abs!r}\n")

@@ -8,12 +8,14 @@ break by ascending index so results are reproducible.
 
 encode works through the columns in tiles (see _tiles): whole tiles of
 _ENCODE_TILE points, the last taking the points left after them, so an
-input of fewer than 2 _ENCODE_TILE points is one tile. Each tile forms
-its projections W1 x (+ b1), their signs, and one C-contiguous
-transposed copy of the signs, which np.packbits packs into the tile's
-own rows of the (N, ceil(bits/8)) result. The tiles run on the thread
-pool (see the parallel module); a query-sized input, whose projections
-take under 256 KiB, is encoded on the calling thread.
+input of fewer than 2 _ENCODE_TILE points is one tile. Each tile copies
+its raw columns, times the model's scale, into a buffer, so no scaled
+copy of the whole input is made, and forms their projections W1 x
+(+ b1), their signs, and one C-contiguous transposed copy of the signs,
+which np.packbits packs into the tile's own rows of the
+(N, ceil(bits/8)) result. The tiles run on the thread pool (see the
+parallel module); a query-sized input, whose projections take under
+256 KiB, is encoded on the calling thread.
 
 The tiles give each projection the bits of one product over all
 columns, so the codes depend on neither the tiling nor the worker count,
@@ -38,10 +40,22 @@ with only bits+1 possible values, np.bincount gives the smallest
 distance t that at least i codes reach, and only the codes at distance
 t or less, listed by ascending index, are stable-sorted, so equal
 distances keep ascending index order as in a full stable argsort.
+
 Recall curves rank every query to depth K instead, which is often
-thousands: there the threshold bucket holds most of the base, and a
-stable argsort of all N distances, which numpy runs as a radix sort on
-8- and 16-bit keys, is faster than the histogram and a second sort.
+thousands, where the threshold bucket holds most of the base. They rank
+the queries in blocks of at most _RANK_ROWS, fewer where the block's
+(b, N) sort keys would pass _RANK_BLOCK_BYTES, and the blocks run on the
+thread pool. A block forms the distances of all its queries in one pass
+of the scan above and gives point i at distance t the key t << 32 | i.
+The keys of a row are unique and ascend in the order of a stable
+argsort of its distances, so np.partition at K-1 and a sort of the
+first K give that order's first K. A ground-truth member's rank is the
+count of those first K keys below its own, which is K when it is not
+among them: one np.searchsorted ranks a whole block's members, each row
+of sorted keys offset past the one before. So a block is a few numpy
+calls that release the interpreter lock, its buffers are allocated on
+the calling thread (see encode), and every rank is the same at any
+block size and worker count.
 """
 
 from __future__ import annotations
@@ -58,6 +72,10 @@ from .neighbors import knn
 
 # points per encode tile: a tile's projections stay in the CPU caches
 _ENCODE_TILE = 2048
+# a recall-curve block: at most _RANK_ROWS queries, whose (b, N) sort keys
+# take at most _RANK_BLOCK_BYTES unless one query's do
+_RANK_ROWS = 64
+_RANK_BLOCK_BYTES = 1 << 20
 
 
 @dataclass
@@ -96,12 +114,15 @@ def pack_bits(signs: np.ndarray) -> np.ndarray:
                        bitorder="little")
 
 
-def encode(p, X: np.ndarray, use_bias: bool = False) -> BinaryCodes:
-    """Binary codes sign(W1 X), bit set iff the projection is >= 0.
+def encode(p, X: np.ndarray, use_bias: bool = False, meanwhile=None) -> BinaryCodes:
+    """Binary codes sign(W1 s X), bit set iff the projection is >= 0.
 
-    X must already be normalized with p.scale and finite. With use_bias
-    the threshold is W1 x + b1 instead of the bias-free projection. The
-    columns are encoded _ENCODE_TILE at a time (see the module docstring).
+    X holds raw, finite vectors as columns; each tile is multiplied by
+    the model's scale s = p.scale as it is copied into its buffer. With
+    use_bias the threshold is W1 s x + b1 instead of the bias-free
+    projection. The columns are encoded _ENCODE_TILE at a time (see the
+    module docstring). meanwhile, if given, is called on the calling
+    thread while the tiles run (see parallel.ordered_map).
     """
     X = _check_matrix(X)
     d, D = p.w1.shape
@@ -116,7 +137,8 @@ def encode(p, X: np.ndarray, use_bias: bool = False) -> BinaryCodes:
     # a worker thread allocates stays with its heap after the thread ends
     buffers = queue.SimpleQueue()
     for _ in range(parallel.workers(len(tiles), block_bytes)):
-        buffers.put((np.empty(d * width), np.empty(d * width, dtype=bool),
+        buffers.put((np.empty(D * width), np.empty(d * width),
+                     np.empty(d * width, dtype=bool),
                      np.empty(d * width, dtype=np.uint8)))
 
     def tile(bounds):
@@ -124,10 +146,12 @@ def encode(p, X: np.ndarray, use_bias: bool = False) -> BinaryCodes:
         n = hi - lo
         bufs = buffers.get()
         try:
-            proj = bufs[0][:d * n].reshape(d, n)
-            ge = bufs[1][:d * n].reshape(d, n)
-            signs = bufs[2][:n * d].reshape(n, d)
-            np.matmul(p.w1, X[:, lo:hi], out=proj)
+            x = bufs[0][:D * n].reshape(D, n)
+            proj = bufs[1][:d * n].reshape(d, n)
+            ge = bufs[2][:d * n].reshape(d, n)
+            signs = bufs[3][:n * d].reshape(n, d)
+            np.multiply(X[:, lo:hi], p.scale, out=x)
+            np.matmul(p.w1, x, out=proj)
             if use_bias:
                 proj += p.b1[:, None]
             np.greater_equal(proj, 0.0, out=ge)  # sign(0) -> +1
@@ -136,7 +160,7 @@ def encode(p, X: np.ndarray, use_bias: bool = False) -> BinaryCodes:
         finally:
             buffers.put(bufs)
 
-    for _ in parallel.ordered_map(tile, tiles, block_bytes):
+    for _ in parallel.ordered_map(tile, tiles, block_bytes, meanwhile):
         pass
     return BinaryCodes(bits=d, count=N, packed=packed)
 
@@ -235,29 +259,88 @@ def recall_curve(gt: np.ndarray, base_codes: BinaryCodes, query_codes: BinaryCod
                  K: int) -> RecallCurve:
     """Mean Recall@i over queries for i = 1..K.
 
-    gt is (Q, k) true-neighbor indices. Each query is ranked once, by a
-    stable argsort of its Hamming distances (the module docstring says
-    why not by hamming_topk): Recall@i counts ground-truth members whose
-    Hamming rank is below i. prefix(k) reads a smaller k's curve from
-    the ranks.
+    gt is (Q, k) true-neighbor indices, row j for query code j. Each
+    query is ranked once, to depth K, in the order of a stable argsort
+    of its Hamming distances (see the module docstring): Recall@i counts
+    ground-truth members whose Hamming rank is below i. prefix(k) reads
+    a smaller k's curve from the ranks.
     """
+    N = base_codes.count
     if K < 1:
         raise ValueError(f"K={K} must be at least 1")
-    if K > base_codes.count:
-        raise ValueError(f"K={K} exceeds base size {base_codes.count}")
+    if K > N:
+        raise ValueError(f"K={K} exceeds base size {N}")
     gt = np.asarray(gt)
     Q, k = gt.shape
-    # rank[i] is point i's Hamming rank if below K, else K; only the first
-    # K of each query's order are written, and reset after use
-    rank = np.full(base_codes.count, K)
-    first = np.arange(K)
-    gt_rank = np.empty((Q, k), dtype=rank.dtype)
-    for j in range(Q):
-        d = hamming_distances(base_codes, query_codes.packed[j])
-        order = np.argsort(d, kind="stable")[:K]
-        rank[order] = first
-        gt_rank[j] = rank[gt[j]]
-        rank[order] = K
+    if (query_codes.count, query_codes.bits) != (Q, base_codes.bits):
+        raise ValueError(f"{query_codes.count} queries of {query_codes.bits} bits "
+                         f"for {Q} ground-truth rows and {base_codes.bits}-bit codes")
+    if gt.size and not 0 <= gt.min() <= gt.max() < N:
+        raise ValueError(f"ground truth has indices outside 0..{N - 1}")
+    bits = base_codes.bits
+    # b queries a block; b (bits+1) << 32 must fit the keys' 64 bits
+    b = max(1, min(Q, _RANK_ROWS, _RANK_BLOCK_BYTES // (8 * N), (1 << 32) // (bits + 1)))
+    blocks = [(lo, min(lo + b, Q)) for lo in range(0, Q, b)]
+    block_bytes = 8 * b * N  # its keys
+    columns = [(words[:, c], qwords[:, c])
+               for words, qwords in zip(_words(base_codes.packed),
+                                        _words(query_codes.packed))
+               for c in range(words.shape[1])]
+    dist_type = np.min_scalar_type(bits)
+    # row j of a block adds j (bits+1) << 32 to its keys, so the block's
+    # rows, once sorted, are one ascending run
+    low = np.arange(b, dtype=np.uint64)[:, None] * np.uint64((bits + 1) << 32)
+    low = low + np.arange(N, dtype=np.uint64)
+    row_start = np.arange(b)[:, None] * K
+    # each ground-truth member's position in its block's (b, N) keys
+    at = gt.astype(np.intp) + (np.arange(Q) % b * N)[:, None]
+    gt_rank = np.empty((Q, k), dtype=np.intp)
+    # one set of block buffers per worker, allocated on this thread (see
+    # encode)
+    buffers = queue.SimpleQueue()
+    for _ in range(parallel.workers(len(blocks), block_bytes)):
+        buffers.put((np.empty(b * N, dtype=np.uint64),
+                     np.empty(2 * b * N, dtype=dist_type),
+                     np.empty((b, K), dtype=np.uint64),
+                     np.empty((b, k), dtype=np.uint64)))
+
+    def block(bounds):
+        lo, hi = bounds
+        n = hi - lo
+        bufs = buffers.get()
+        try:
+            keys = bufs[0][:n * N].reshape(n, N)
+            dist = bufs[1][:n * N].reshape(n, N)
+            count = bufs[1][b * N:(b + n) * N].reshape(n, N)
+            top, gt_keys = bufs[2][:n], bufs[3][:n]
+            for c, (words, qwords) in enumerate(columns):
+                x = bufs[0].view(words.dtype)[:n * N].reshape(n, N)
+                np.bitwise_xor(words, qwords[lo:hi, None], out=x)
+                if c == 0:
+                    np.bitwise_count(x, out=dist)
+                else:
+                    np.bitwise_count(x, out=count)
+                    dist += count
+            # point i at distance t: key t << 32 | i, unique (N < 2^32) and
+            # ascending in the order of a stable argsort of the distances.
+            # Every step writes into the buffers: a ufunc that casts, or that
+            # broadcasts over short rows, allocates on this worker thread.
+            keys[...] = dist
+            keys <<= 32
+            keys += low[:n]
+            np.take(keys, at[lo:hi], out=gt_keys, mode="clip")
+            if K < N:
+                keys.partition(K - 1, axis=1)  # each row's K smallest first
+            np.copyto(top, keys[:, :K])
+            top.sort(axis=1)
+            # a member outside a row's first K sorts after all of them: rank K
+            pos = np.searchsorted(top.ravel(), gt_keys.ravel())
+            np.subtract(pos.reshape(n, k), row_start[:n], out=gt_rank[lo:hi])
+        finally:
+            buffers.put(bufs)
+
+    for _ in parallel.ordered_map(block, blocks, block_bytes):
+        pass
     return _curve(gt_rank, K)
 
 

@@ -1,15 +1,21 @@
 """The thread pool of the blocked numpy loops, and its size.
 
-Exact kNN (neighbors), local PCA (tangent), the Jacobian term (network)
-and encoding (hamming) split their work into fixed-size blocks that do
-not depend on each other, run them here, and combine the results in
-block order, so their output has the same bits at any worker count.
-numpy releases the interpreter lock inside the products, the partitions,
-the `eigh`, the comparisons and the copies that dominate most blocks.
-The kNN's per-row re-rank holds it, so kNN on a small base, where the
-re-rank dominates, stays on the calling thread.
-The pool lives for one call; there is no setting of the program's own
-(see workers()).
+Exact kNN (neighbors), local PCA (tangent), the Jacobian term (network),
+encoding and the recall curve's query blocks (hamming) split their work
+into fixed-size blocks that do not depend on each other, run them here,
+and combine the results in block order, so their output has the same
+bits at any worker count. numpy releases the interpreter lock inside
+the products, the partitions and sorts, the `eigh`, the comparisons and
+the copies that dominate most blocks. The kNN's per-row re-rank holds
+it, so kNN on a small base, where the re-rank dominates, stays on the
+calling thread.
+
+The calling thread waits for the blocks' results in order. It can work
+while they run: ordered_map calls its `meanwhile` there once the blocks
+are queued, so eval hashes its ground-truth cache name on the calling
+thread while the base's encode tiles run, and no thread is started
+beyond the pool's. The pool lives for one call; there is no setting of
+the program's own (see workers()).
 """
 
 from __future__ import annotations
@@ -56,18 +62,26 @@ def _blas_threads(cpus: int) -> int:
     return cpus
 
 
-def ordered_map(fn, starts, block_bytes: int):
+def ordered_map(fn, starts, block_bytes: int, meanwhile=None):
     """Yield fn(s) for each s in starts, in order; block_bytes as in
     workers().
 
     The calls run on a pool of workers(len(starts), block_bytes) threads
     that lives for the length of the iteration; with one worker they run
-    on the calling thread and no pool starts. Each result is read as it
+    on the calling thread and no pool starts. meanwhile, if given, is
+    called with no arguments on the calling thread once every call is
+    queued on the pool (before the first call, with one worker), so the
+    calling thread works while the pool does. Each result is read as it
     is yielded, so an error raised in a worker is raised here.
     """
     n = workers(len(starts), block_bytes)
     if n == 1:
+        if meanwhile is not None:
+            meanwhile()
         yield from map(fn, starts)
         return
     with ThreadPoolExecutor(n) as pool:
-        yield from pool.map(fn, starts)
+        results = pool.map(fn, starts)
+        if meanwhile is not None:
+            meanwhile()
+        yield from results

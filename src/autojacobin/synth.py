@@ -36,7 +36,15 @@ def curved_manifold_more(n: int, params, rng: np.random.Generator) -> np.ndarray
 def _cosine_map(n, omega, phi, rng, noise):
     ambient_dim, intrinsic_dim = omega.shape
     t = rng.uniform(0.0, 1.0, size=(intrinsic_dim, n))
-    X = np.cos(omega @ t + phi[:, None]) / np.sqrt(ambient_dim)
+    # in place: the operations of cos(omega t + phi) / sqrt(ambient_dim)
+    # + noise * E in the same order, so the same bits, with one (D, n)
+    # array alive besides the noise
+    X = omega @ t
+    X += phi[:, None]
+    np.cos(X, out=X)
+    X /= np.sqrt(ambient_dim)
     if noise > 0:
-        X = X + noise * rng.standard_normal(X.shape)
+        E = rng.standard_normal(X.shape)
+        E *= noise
+        X += E
     return X

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from autojacobin import cli, hamming, matrix_io, synth, tangent, trainer
+from autojacobin import cli, hamming, matrix_io, parallel, synth, tangent, trainer
 from autojacobin.cli import _cached_groundtruth, main
 from autojacobin.network import forward_batch, unpack_params
 
@@ -371,27 +371,62 @@ def test_eval_builds_the_ground_truth_once_at_the_largest_k(tmp_path):
 
 def test_eval_ranks_each_query_once_for_every_k(tmp_path, monkeypatch):
     argv = _lsh_eval_setup(tmp_path, 150)
-    calls = []
+    curves, ranked = [], []
 
-    def counting(base, q):
-        calls.append(base.count)
-        return distances(base, q)
+    def counting_curve(gt, base_codes, query_codes, K):
+        curves.append((base_codes.count, query_codes.count))
+        return recall_curve(gt, base_codes, query_codes, K)
 
-    distances = hamming.hamming_distances
-    monkeypatch.setattr(hamming, "hamming_distances", counting)
+    def spy_map(fn, starts, block_bytes, meanwhile=None):
+        if fn.__qualname__.startswith("recall_curve."):  # its query blocks
+            ranked.extend(j for lo, hi in starts for j in range(lo, hi))
+        return ordered_map(fn, starts, block_bytes, meanwhile)
+
+    recall_curve, ordered_map = hamming.recall_curve, parallel.ordered_map
+    monkeypatch.setattr(hamming, "recall_curve", counting_curve)
+    monkeypatch.setattr(parallel, "ordered_map", spy_map)
     assert main(argv + ["--out-dir", str(tmp_path / "all")]) == 0
-    assert calls == [150] * 12  # 12 queries against 150 codes, each scanned once
+    assert curves == [(150, 12)]  # 12 queries against 150 codes, in one pass
+    assert ranked == list(range(12))  # whose blocks rank each query once
     # each k's CSV as one recall_curve call on the k-prefix wrote it
     p = matrix_io.read_model(tmp_path / "m.ajb")
-    base_codes, query_codes = (hamming.encode(p, matrix_io.read_fvecs(tmp_path / f) * p.scale)
+    base_codes, query_codes = (hamming.encode(p, matrix_io.read_fvecs(tmp_path / f))
                                for f in ("k.fvecs", "kq.fvecs"))
     (cache,) = tmp_path.glob("k.fvecs.*.k100.ajbg")
     gt = matrix_io.read_groundtruth(cache)
     for k in (1, 5, 10, 50, 100):
-        curve = hamming.recall_curve(gt[:, :k], base_codes, query_codes, 150)
+        curve = recall_curve(gt[:, :k], base_codes, query_codes, 150)
         rows = "".join(f"{i},{float(v)!r}\n" for i, v in enumerate(curve.values, 1))
         expect = f"i,recall\n{rows}m_recall,{float(curve.m_recall)!r}\n"
         assert (tmp_path / "all" / f"recall_k{k}.csv").read_text() == expect
+
+
+def test_cold_and_warm_eval_write_the_same_curves_and_hash_once_each(tmp_path,
+                                                                     monkeypatch):
+    argv = _lsh_eval_setup(tmp_path, 150)
+    keys, builds = [], []
+
+    def counting_key(*args):
+        keys.append(args[3])
+        return groundtruth_cache(*args)
+
+    def counting_build(*args):
+        builds.append(args[2])
+        return build_groundtruth(*args)
+
+    groundtruth_cache = cli._groundtruth_cache
+    build_groundtruth = hamming.build_groundtruth
+    monkeypatch.setattr(cli, "_groundtruth_cache", counting_key)
+    monkeypatch.setattr(hamming, "build_groundtruth", counting_build)
+    for run in ("cold", "warm"):
+        assert main(argv + ["--k", "1,10", "--out-dir", str(tmp_path / run)]) == 0
+    assert keys == [10, 10]  # one key per eval, at the largest k
+    assert builds == [10]  # the warm eval read the cold one's cache
+    names = sorted(f.name for f in (tmp_path / "cold").glob("*.csv"))
+    assert names == ["m_recall.csv", "recall_k1.csv", "recall_k10.csv"]
+    for name in names:
+        assert (tmp_path / "cold" / name).read_bytes() == \
+            (tmp_path / "warm" / name).read_bytes()
 
 
 def test_interrupted_eval_leaves_no_cache_and_the_next_builds_it(tmp_path, monkeypatch):
@@ -631,7 +666,7 @@ def test_config_values_stay_text_and_switches_read_true_or_false(tmp_path, capsy
         cfg.write_text(f"use-bias={value}\n")
         assert main(["--config", str(cfg), "encode", "--model", str(model),
                      "--input", str(base_path), "--out", str(codes)]) == 0
-        expected = hamming.encode(params, matrix_io.read_fvecs(base_path) * params.scale,
+        expected = hamming.encode(params, matrix_io.read_fvecs(base_path),
                                   use_bias=use_bias)
         assert matrix_io.read_codes(codes).packed.tobytes() == expected.packed.tobytes()
     cfg.write_text("use_bias=yes\n")

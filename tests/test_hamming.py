@@ -131,6 +131,25 @@ def test_tiled_encode_equals_one_product_byte_for_byte(bits, use_bias, workers,
         assert not padding.any()
 
 
+@pytest.mark.parametrize("workers", [1, 5])
+@pytest.mark.parametrize("use_bias", [False, True])
+def test_encode_scales_raw_input_tile_by_tile(use_bias, workers, with_workers):
+    rng = np.random.default_rng(41)
+    D, bits, s = 24, 64, 0.8 / 7.3
+    p = NetworkParams(w1=rng.standard_normal((bits, D)), w2=np.zeros((D, bits)),
+                      b1=rng.standard_normal(bits) * 0.3, b2=np.zeros(D), scale=s)
+    Xs = [7.0 * rng.standard_normal((D, N)) for N in (1, 200, 3 * TILE + 17)]
+    got = with_workers(workers, lambda: [encode(p, X, use_bias=use_bias) for X in Xs])
+    for X, codes in zip(Xs, got):
+        proj = p.w1 @ (X * s)
+        if use_bias:
+            proj = proj + p.b1[:, None]
+        assert codes.packed.tobytes() == pack_bits((proj >= 0.0).T).tobytes()
+    if use_bias:  # against the bias, the scale moves the codes
+        unscaled = NetworkParams(w1=p.w1, w2=p.w2, b1=p.b1, b2=p.b2)
+        assert got[-1].packed.tobytes() != encode(unscaled, Xs[-1], True).packed.tobytes()
+
+
 def test_encode_tiles_start_at_multiples_of_the_width_and_cover_every_column():
     assert hamming._tiles(0, 8) == [(0, 0)]
     assert hamming._tiles(15, 8) == [(0, 15)]
@@ -227,20 +246,25 @@ def test_hamming_topk_histogram_threshold_inside_a_large_tied_bucket():
                                           err_msg=f"i={i}")
 
 
-def _reference_recall_curve(gt, base_codes, query_codes, K):
-    """Mean Recall@1..K from a full stable argsort per query, as recall_curve
-    computed it with the lookup-table popcount (int64 distances)."""
-    Q, k = gt.shape
-    hits = np.zeros(K)
-    for j in range(Q):
+def _reference_ranks(gt, base_codes, query_codes, K):
+    """(Q, k) Hamming rank of each ground-truth member, K if not below K,
+    from a full stable argsort per query of the lookup-table popcount's
+    int64 distances."""
+    ranks = np.empty(gt.shape, dtype=np.int64)
+    for j in range(gt.shape[0]):
         order = np.argsort(_naive_hamming(base_codes.packed, query_codes.packed[j],
                                           base_codes.bits), kind="stable")
         rank = np.empty(base_codes.count, dtype=np.int64)
         rank[order] = np.arange(base_codes.count)
-        pos = rank[gt[j]]
-        pos = pos[pos < K]
-        hits += np.cumsum(np.bincount(pos, minlength=K))
-    return hits / (Q * k)
+        ranks[j] = np.minimum(rank[gt[j]], K)
+    return ranks
+
+
+def _reference_recall_curve(gt, base_codes, query_codes, K):
+    """Mean Recall@1..K from a full stable argsort per query, as recall_curve
+    computed it with the lookup-table popcount (int64 distances)."""
+    pos = _reference_ranks(gt, base_codes, query_codes, K)
+    return np.cumsum(np.bincount(pos[pos < K], minlength=K)) / gt.size
 
 
 def _planted_ties(rng, n, bits, n_query):
@@ -300,9 +324,72 @@ def test_recall_curve_matches_reference(bits):
     assert curve.values[-1] == 1.0
 
 
+@pytest.mark.parametrize("workers", [1, 5])
+@pytest.mark.parametrize("bits", [1, 63, 64, 300])
+def test_recall_curve_blocks_equal_the_reference(bits, workers, with_workers,
+                                                 monkeypatch):
+    # 4-query blocks: 11 queries make a ragged last block of 3
+    monkeypatch.setattr(hamming, "_RANK_ROWS", 4)
+    rng = np.random.default_rng(500 + bits)
+    n, n_query, k = 120, 11, 7
+    base, queries = _planted_ties(rng, n, bits, n_query)
+    gt = np.stack([rng.permutation(n)[:k] for _ in range(n_query)])
+    # query 0 is at distance 0 from points 3 and 10..29, which rank 0..20 by
+    # index: K = 15 cuts the tie after point 23
+    gt[0, :5] = [29, 3, 24, 10, 23]
+    gt[2, 0] = 60  # at distance `bits` from query 2, the farthest point
+    gt = gt.astype(np.uint32)
+    for K in (1, 15, n - 1, n):
+        curve = with_workers(workers, lambda: recall_curve(gt, base, queries, K))
+        expect = _reference_ranks(gt, base, queries, K)
+        np.testing.assert_array_equal(curve.ranks, expect)
+        np.testing.assert_array_equal(curve.values,
+                                      _reference_recall_curve(gt, base, queries, K))
+        if K == 15 and bits > 1:  # a 1-bit code ties with half the base
+            assert curve.ranks[0, :5].tolist() == [15, 0, 15, 1, 14]
+    if bits > 1:
+        assert curve.ranks[2, 0] == n - 1
+
+
+def test_recall_curve_block_size_follows_the_base(monkeypatch):
+    # one query's keys past the byte budget: one-query blocks; a small base:
+    # at most _RANK_ROWS queries a block
+    starts = []
+
+    def spy(fn, blocks, block_bytes, meanwhile=None):
+        starts.append(list(blocks))
+        return ordered_map(fn, blocks, block_bytes, meanwhile)
+
+    ordered_map = hamming.parallel.ordered_map
+    monkeypatch.setattr(hamming.parallel, "ordered_map", spy)
+    monkeypatch.setattr(hamming, "_RANK_BLOCK_BYTES", 8 * 100)
+    rng = np.random.default_rng(3)
+    base, queries = _planted_ties(rng, 120, 16, 3)
+    gt = np.zeros((3, 2), dtype=np.uint32)
+    recall_curve(gt, base, queries, 50)
+    monkeypatch.setattr(hamming, "_RANK_BLOCK_BYTES", 1 << 20)
+    recall_curve(gt, base, queries, 50)
+    assert starts == [[(0, 1), (1, 2), (2, 3)], [(0, 3)]]
+
+
+def test_recall_curve_rejects_mismatched_inputs():
+    rng = np.random.default_rng(4)
+    base, queries = _planted_ties(rng, 120, 16, 6)
+    gt = np.zeros((6, 3), dtype=np.int64)
+    other, _ = _random_codes(rng, 6, 17)
+    with pytest.raises(ValueError, match="5 queries of 16 bits for 6 ground-truth rows"):
+        recall_curve(gt, base, BinaryCodes(16, 5, queries.packed[:5]), 10)
+    with pytest.raises(ValueError, match="6 queries of 17 bits"):
+        recall_curve(gt, base, other, 10)
+    for bad in (-1, 120):
+        gt[4, 2] = bad
+        with pytest.raises(ValueError, match="indices outside 0..119"):
+            recall_curve(gt, base, queries, 10)
+
+
 def test_recall_curve_ranks_without_hamming_topk(monkeypatch):
     # its depth K is often thousands, where the histogram of hamming_topk
-    # is slower than one stable argsort of all N distances
+    # measured slower than a full sort of the distances
     def no_topk(*args):
         raise AssertionError("recall_curve called hamming_topk")
 

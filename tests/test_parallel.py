@@ -1,4 +1,5 @@
 import os
+import threading
 
 import pytest
 
@@ -32,6 +33,27 @@ def test_small_blocks_run_on_the_calling_thread(four_cpus):
     assert parallel.workers(100, BIG - 1) == 1
     assert list(parallel.ordered_map(lambda s: s * s, range(5), BIG - 1)) == \
         [0, 1, 4, 9, 16]
+
+
+@pytest.mark.parametrize("block_bytes", [BIG - 1, BIG])
+def test_meanwhile_runs_on_the_calling_thread_before_any_result(four_cpus, block_bytes):
+    # each block waits for meanwhile: it must run once the blocks are queued
+    # on the pool (BIG), or before the first of them on this thread (BIG - 1)
+    four_cpus.setenv("OMP_NUM_THREADS", "1")
+    done = threading.Event()
+    caller, ran_on = threading.get_ident(), []
+
+    def meanwhile():
+        ran_on.append(threading.get_ident())
+        done.set()
+
+    def block(s):
+        return done.wait(timeout=10.0), s, threading.get_ident() == caller
+
+    got = list(parallel.ordered_map(block, range(6), block_bytes, meanwhile))
+    assert ran_on == [caller]
+    assert [(ok, s) for ok, s, _ in got] == [(True, s) for s in range(6)]
+    assert all(on_caller for *_, on_caller in got) == (block_bytes < BIG)
 
 
 def test_ordered_map_keeps_block_order_on_a_pool(four_cpus):

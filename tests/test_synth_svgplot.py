@@ -36,6 +36,29 @@ def test_curved_manifold_noise_scale():
     assert np.std(X1 - X0) == pytest.approx(0.05, rel=0.05)
 
 
+def _cosine_map_out_of_place(n, omega, phi, rng, noise):
+    t = rng.uniform(0.0, 1.0, size=(omega.shape[1], n))
+    X = np.cos(omega @ t + phi[:, None]) / np.sqrt(omega.shape[0])
+    if noise > 0:
+        X = X + noise * rng.standard_normal(X.shape)
+    return X
+
+
+@pytest.mark.parametrize("seed", [0, 11])
+@pytest.mark.parametrize("noise", [0.0, 0.01])
+def test_curved_manifold_has_the_bits_of_the_out_of_place_expression(seed, noise):
+    rng = np.random.default_rng(seed)
+    X, params = synth.curved_manifold(500, 8, 64, rng, noise=noise)
+    more = synth.curved_manifold_more(300, params, rng)
+    ref = np.random.default_rng(seed)
+    omega = ref.standard_normal((64, 8)) * 1.5
+    phi = ref.uniform(0.0, 2.0 * np.pi, size=64)
+    assert params[0].tobytes() == omega.tobytes()
+    assert params[1].tobytes() == phi.tobytes()
+    assert X.tobytes() == _cosine_map_out_of_place(500, omega, phi, ref, noise).tobytes()
+    assert more.tobytes() == _cosine_map_out_of_place(300, omega, phi, ref, noise).tobytes()
+
+
 def test_render_chart_basic_structure():
     svg = svgplot.render_chart([("a", [0, 1], [0.0, 1.0])], "x", "y", "t")
     assert svg.startswith("<svg")
