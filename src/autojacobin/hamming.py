@@ -53,15 +53,14 @@ first K give that order's first K. A ground-truth member's rank is the
 count of those first K keys below its own, which is K when it is not
 among them: one np.searchsorted ranks a whole block's members, each row
 of sorted keys offset past the one before. So a block is a few numpy
-calls that release the interpreter lock, its buffers are allocated on
-the calling thread (see encode), and every rank is the same at any
+calls that release the interpreter lock and write into its worker's
+buffers (see the parallel module), and every rank is the same at any
 block size and worker count.
 """
 
 from __future__ import annotations
 
 import math
-import queue
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -133,34 +132,27 @@ def encode(p, X: np.ndarray, use_bias: bool = False, meanwhile=None) -> BinaryCo
     tiles = _tiles(N, _ENCODE_TILE)
     width = tiles[-1][1] - tiles[-1][0]  # the widest tile: the last
     block_bytes = 8 * d * width  # its projections
-    # one set of tile buffers per worker, allocated on this thread: memory
-    # a worker thread allocates stays with its heap after the thread ends
-    buffers = queue.SimpleQueue()
-    for _ in range(parallel.workers(len(tiles), block_bytes)):
-        buffers.put((np.empty(D * width), np.empty(d * width),
-                     np.empty(d * width, dtype=bool),
-                     np.empty(d * width, dtype=np.uint8)))
 
-    def tile(bounds):
+    def buffers():
+        return (np.empty(D * width), np.empty(d * width),
+                np.empty(d * width, dtype=bool), np.empty(d * width, dtype=np.uint8))
+
+    def tile(bounds, bufs):
         lo, hi = bounds
         n = hi - lo
-        bufs = buffers.get()
-        try:
-            x = bufs[0][:D * n].reshape(D, n)
-            proj = bufs[1][:d * n].reshape(d, n)
-            ge = bufs[2][:d * n].reshape(d, n)
-            signs = bufs[3][:n * d].reshape(n, d)
-            np.multiply(X[:, lo:hi], p.scale, out=x)
-            np.matmul(p.w1, x, out=proj)
-            if use_bias:
-                proj += p.b1[:, None]
-            np.greater_equal(proj, 0.0, out=ge)  # sign(0) -> +1
-            signs[...] = ge.T
-            packed[lo:hi] = np.packbits(signs, axis=1, bitorder="little")
-        finally:
-            buffers.put(bufs)
+        x = bufs[0][:D * n].reshape(D, n)
+        proj = bufs[1][:d * n].reshape(d, n)
+        ge = bufs[2][:d * n].reshape(d, n)
+        signs = bufs[3][:n * d].reshape(n, d)
+        np.multiply(X[:, lo:hi], p.scale, out=x)
+        np.matmul(p.w1, x, out=proj)
+        if use_bias:
+            proj += p.b1[:, None]
+        np.greater_equal(proj, 0.0, out=ge)  # sign(0) -> +1
+        signs[...] = ge.T
+        packed[lo:hi] = np.packbits(signs, axis=1, bitorder="little")
 
-    for _ in parallel.ordered_map(tile, tiles, block_bytes, meanwhile):
+    for _ in parallel.ordered_map(tile, tiles, block_bytes, buffers, meanwhile):
         pass
     return BinaryCodes(bits=d, count=N, packed=packed)
 
@@ -295,51 +287,43 @@ def recall_curve(gt: np.ndarray, base_codes: BinaryCodes, query_codes: BinaryCod
     # each ground-truth member's position in its block's (b, N) keys
     at = gt.astype(np.intp) + (np.arange(Q) % b * N)[:, None]
     gt_rank = np.empty((Q, k), dtype=np.intp)
-    # one set of block buffers per worker, allocated on this thread (see
-    # encode)
-    buffers = queue.SimpleQueue()
-    for _ in range(parallel.workers(len(blocks), block_bytes)):
-        buffers.put((np.empty(b * N, dtype=np.uint64),
-                     np.empty(2 * b * N, dtype=dist_type),
-                     np.empty((b, K), dtype=np.uint64),
-                     np.empty((b, k), dtype=np.uint64)))
 
-    def block(bounds):
+    def buffers():
+        return (np.empty(b * N, dtype=np.uint64), np.empty(2 * b * N, dtype=dist_type),
+                np.empty((b, K), dtype=np.uint64), np.empty((b, k), dtype=np.uint64))
+
+    def block(bounds, bufs):
         lo, hi = bounds
         n = hi - lo
-        bufs = buffers.get()
-        try:
-            keys = bufs[0][:n * N].reshape(n, N)
-            dist = bufs[1][:n * N].reshape(n, N)
-            count = bufs[1][b * N:(b + n) * N].reshape(n, N)
-            top, gt_keys = bufs[2][:n], bufs[3][:n]
-            for c, (words, qwords) in enumerate(columns):
-                x = bufs[0].view(words.dtype)[:n * N].reshape(n, N)
-                np.bitwise_xor(words, qwords[lo:hi, None], out=x)
-                if c == 0:
-                    np.bitwise_count(x, out=dist)
-                else:
-                    np.bitwise_count(x, out=count)
-                    dist += count
-            # point i at distance t: key t << 32 | i, unique (N < 2^32) and
-            # ascending in the order of a stable argsort of the distances.
-            # Every step writes into the buffers: a ufunc that casts, or that
-            # broadcasts over short rows, allocates on this worker thread.
-            keys[...] = dist
-            keys <<= 32
-            keys += low[:n]
-            np.take(keys, at[lo:hi], out=gt_keys, mode="clip")
-            if K < N:
-                keys.partition(K - 1, axis=1)  # each row's K smallest first
-            np.copyto(top, keys[:, :K])
-            top.sort(axis=1)
-            # a member outside a row's first K sorts after all of them: rank K
-            pos = np.searchsorted(top.ravel(), gt_keys.ravel())
-            np.subtract(pos.reshape(n, k), row_start[:n], out=gt_rank[lo:hi])
-        finally:
-            buffers.put(bufs)
+        keys = bufs[0][:n * N].reshape(n, N)
+        dist = bufs[1][:n * N].reshape(n, N)
+        count = bufs[1][b * N:(b + n) * N].reshape(n, N)
+        top, gt_keys = bufs[2][:n], bufs[3][:n]
+        for c, (words, qwords) in enumerate(columns):
+            x = bufs[0].view(words.dtype)[:n * N].reshape(n, N)
+            np.bitwise_xor(words, qwords[lo:hi, None], out=x)
+            if c == 0:
+                np.bitwise_count(x, out=dist)
+            else:
+                np.bitwise_count(x, out=count)
+                dist += count
+        # point i at distance t: key t << 32 | i, unique (N < 2^32) and
+        # ascending in the order of a stable argsort of the distances.
+        # Every step writes into the buffers: a ufunc that casts, or that
+        # broadcasts over short rows, allocates on this worker thread.
+        keys[...] = dist
+        keys <<= 32
+        keys += low[:n]
+        np.take(keys, at[lo:hi], out=gt_keys, mode="clip")
+        if K < N:
+            keys.partition(K - 1, axis=1)  # each row's K smallest first
+        np.copyto(top, keys[:, :K])
+        top.sort(axis=1)
+        # a member outside a row's first K sorts after all of them: rank K
+        pos = np.searchsorted(top.ravel(), gt_keys.ravel())
+        np.subtract(pos.reshape(n, k), row_start[:n], out=gt_rank[lo:hi])
 
-    for _ in parallel.ordered_map(block, blocks, block_bytes):
+    for _ in parallel.ordered_map(block, blocks, block_bytes, buffers):
         pass
     return _curve(gt_rank, K)
 

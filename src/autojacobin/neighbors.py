@@ -30,8 +30,6 @@ tangent kNN slower, so a base of fewer than _MIN_POOLED_BASE entries
 
 from __future__ import annotations
 
-import queue
-
 import numpy as np
 
 from . import parallel
@@ -100,18 +98,12 @@ def knn(base: np.ndarray, queries: np.ndarray, k: int) -> np.ndarray:
     starts = range(0, len(nbr), rows)
     # a block's (rows, N) distances; 0, one worker, for a small base
     block_bytes = 8 * rows * N if N * D >= _MIN_POOLED_BASE else 0
-    # one distance buffer per worker, allocated on this thread: memory a
-    # worker thread allocates stays with its heap after the thread ends
-    buffers = queue.SimpleQueue()
-    for _ in range(parallel.workers(len(starts), block_bytes)):
-        buffers.put(np.empty((min(rows, len(nbr)), N)))
 
-    def block(lo):
+    def block(lo, g):
         b = slice(lo, lo + rows)
-        g = buffers.get()
         _knn_block(base, sq, queries[:, b], sq_q[b], err[b], k, nbr[b], g)
-        buffers.put(g)
 
-    for _ in parallel.ordered_map(block, starts, block_bytes):
+    for _ in parallel.ordered_map(block, starts, block_bytes,
+                                  lambda: np.empty((min(rows, len(nbr)), N))):
         pass
     return nbr

@@ -10,6 +10,12 @@ the copies that dominate most blocks. The kNN's per-row re-rank holds
 it, so kNN on a small base, where the re-rank dominates, stays on the
 calling thread.
 
+Blocks that need work arrays (the kNN's distances, encode's tiles, the
+recall curve's keys) get them from ordered_map's `buffers` factory: one
+set per worker, allocated on the calling thread, because memory a worker
+thread allocates stays with that thread's heap after the thread ends.
+Each block takes a free set and gives it back when it returns or raises.
+
 The calling thread waits for the blocks' results in order. It can work
 while they run: ordered_map calls its `meanwhile` there once the blocks
 are queued, so eval hashes its ground-truth cache name on the calling
@@ -21,6 +27,7 @@ the program's own (see workers()).
 from __future__ import annotations
 
 import os
+import queue
 from concurrent.futures import ThreadPoolExecutor
 
 
@@ -62,26 +69,43 @@ def _blas_threads(cpus: int) -> int:
     return cpus
 
 
-def ordered_map(fn, starts, block_bytes: int, meanwhile=None):
+def ordered_map(fn, starts, block_bytes: int, buffers=None, meanwhile=None):
     """Yield fn(s) for each s in starts, in order; block_bytes as in
     workers().
 
     The calls run on a pool of workers(len(starts), block_bytes) threads
     that lives for the length of the iteration; with one worker they run
-    on the calling thread and no pool starts. meanwhile, if given, is
-    called with no arguments on the calling thread once every call is
-    queued on the pool (before the first call, with one worker), so the
-    calling thread works while the pool does. Each result is read as it
-    is yielded, so an error raised in a worker is raised here.
+    on the calling thread and no pool starts. buffers, if given, is
+    called with no arguments on the calling thread once per worker, and
+    each call is fn(s, buf) with a buf that no other running call holds.
+    meanwhile, if given, is called with no arguments on the calling
+    thread once every call is queued on the pool (before the first call,
+    with one worker), so the calling thread works while the pool does.
+    Each result is read as it is yielded, so an error raised in a worker
+    is raised here.
     """
     n = workers(len(starts), block_bytes)
+    call = fn
+    if buffers is not None:
+        free = queue.SimpleQueue()
+        for _ in range(n):
+            free.put(buffers())
+
+        def call(s):
+            buf = free.get()
+            try:
+                return fn(s, buf)
+            finally:  # a block that raises gives its buffer back too
+                free.put(buf)
+
     if n == 1:
         if meanwhile is not None:
             meanwhile()
-        yield from map(fn, starts)
+        yield from map(call, starts)
         return
     with ThreadPoolExecutor(n) as pool:
-        results = pool.map(fn, starts)
+        results = pool.map(call, starts)
         if meanwhile is not None:
             meanwhile()
         yield from results
+

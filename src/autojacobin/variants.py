@@ -75,12 +75,6 @@ def draw_mask(shape: tuple[int, int], t: float, rng: np.random.Generator) -> np.
     return mask
 
 
-def corrupt_mask(x: np.ndarray, t: float, rng: np.random.Generator) -> np.ndarray:
-    """x with each entry zeroed independently with probability t: the
-    entries of draw_mask(x.shape, t, rng)."""
-    return np.where(draw_mask(x.shape, t, rng), 0.0, x)
-
-
 def lsh_generate(D: int, d: int, seed: int, scale: float = 1.0) -> NetworkParams:
     """Random-projection baseline: W1 i.i.d. standard normal, no training."""
     if d < 1:

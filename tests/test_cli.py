@@ -377,10 +377,10 @@ def test_eval_ranks_each_query_once_for_every_k(tmp_path, monkeypatch):
         curves.append((base_codes.count, query_codes.count))
         return recall_curve(gt, base_codes, query_codes, K)
 
-    def spy_map(fn, starts, block_bytes, meanwhile=None):
+    def spy_map(fn, starts, block_bytes, buffers=None, meanwhile=None):
         if fn.__qualname__.startswith("recall_curve."):  # its query blocks
             ranked.extend(j for lo, hi in starts for j in range(lo, hi))
-        return ordered_map(fn, starts, block_bytes, meanwhile)
+        return ordered_map(fn, starts, block_bytes, buffers, meanwhile)
 
     recall_curve, ordered_map = hamming.recall_curve, parallel.ordered_map
     monkeypatch.setattr(hamming, "recall_curve", counting_curve)

@@ -356,9 +356,9 @@ def test_recall_curve_block_size_follows_the_base(monkeypatch):
     # at most _RANK_ROWS queries a block
     starts = []
 
-    def spy(fn, blocks, block_bytes, meanwhile=None):
+    def spy(fn, blocks, block_bytes, buffers=None, meanwhile=None):
         starts.append(list(blocks))
-        return ordered_map(fn, blocks, block_bytes, meanwhile)
+        return ordered_map(fn, blocks, block_bytes, buffers, meanwhile)
 
     ordered_map = hamming.parallel.ordered_map
     monkeypatch.setattr(hamming.parallel, "ordered_map", spy)

@@ -50,7 +50,7 @@ def test_meanwhile_runs_on_the_calling_thread_before_any_result(four_cpus, block
     def block(s):
         return done.wait(timeout=10.0), s, threading.get_ident() == caller
 
-    got = list(parallel.ordered_map(block, range(6), block_bytes, meanwhile))
+    got = list(parallel.ordered_map(block, range(6), block_bytes, meanwhile=meanwhile))
     assert ran_on == [caller]
     assert [(ok, s) for ok, s, _ in got] == [(True, s) for s in range(6)]
     assert all(on_caller for *_, on_caller in got) == (block_bytes < BIG)
@@ -60,3 +60,53 @@ def test_ordered_map_keeps_block_order_on_a_pool(four_cpus):
     four_cpus.setenv("OMP_NUM_THREADS", "1")
     assert list(parallel.ordered_map(lambda s: s * s, range(50), BIG)) == \
         [s * s for s in range(50)]
+
+
+def test_buffers_are_made_on_the_calling_thread_one_per_worker(four_cpus):
+    four_cpus.setenv("OMP_NUM_THREADS", "1")
+    caller, made, held = threading.get_ident(), [], set()
+    lock = threading.Lock()
+    # the first 4 blocks wait for each other, so 4 blocks hold a buffer at once
+    together = threading.Barrier(4)
+
+    def buffers():
+        made.append((threading.get_ident(), object()))
+        return made[-1][1]
+
+    def block(s, buf):
+        with lock:
+            shared = buf in held
+            held.add(buf)
+        if s < 4:
+            together.wait(timeout=10.0)
+        with lock:
+            held.discard(buf)
+        return shared, buf
+
+    got = list(parallel.ordered_map(block, range(40), BIG, buffers))
+    assert parallel.workers(40, BIG) == 4
+    assert [on for on, _ in made] == [caller] * 4
+    assert not any(shared for shared, _ in got)
+    assert {buf for _, buf in got} <= {buf for _, buf in made}
+
+
+def test_an_error_in_every_block_reaches_the_caller(four_cpus):
+    # more blocks than workers, each failing: a block that kept its buffer
+    # would leave the later ones waiting for one, and the pool would not end
+    four_cpus.setenv("OMP_NUM_THREADS", "1")
+    errors = []
+
+    def block(s, buf):
+        raise RuntimeError(f"block {s}")
+
+    def run():
+        try:
+            list(parallel.ordered_map(block, range(12), BIG, bytearray))
+        except RuntimeError as e:
+            errors.append(str(e))
+
+    t = threading.Thread(target=run, daemon=True)
+    t.start()
+    t.join(timeout=30.0)
+    assert not t.is_alive(), "the pool did not finish within 30 s"
+    assert errors == ["block 0"]

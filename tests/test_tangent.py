@@ -364,6 +364,19 @@ def test_an_error_in_a_pca_block_reaches_the_caller(with_workers, monkeypatch):
         with_workers(2, lambda: estimate_all_tangents(X, 2))
 
 
+def test_an_error_in_every_knn_block_reaches_the_caller(with_workers, monkeypatch):
+    # 5 blocks on 2 workers, each failing: every block gives its distance
+    # buffer back, so the blocks after the first two do not wait for one
+    def fail(*args):
+        raise FloatingPointError("a kNN block failed")
+
+    monkeypatch.setattr(neighbors, "_knn_block", fail)
+    monkeypatch.setattr(neighbors, "_BLOCK", 8)
+    X = np.random.default_rng(11).standard_normal((4, 40))
+    with pytest.raises(FloatingPointError, match="kNN block failed"):
+        with_workers(2, lambda: knn(X, X, 3))
+
+
 def test_equal_points_are_degenerate_whatever_their_value():
     # the mean of 21 copies of a random column does not round back to it
     X = np.random.default_rng(0).standard_normal((6, 70))

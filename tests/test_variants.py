@@ -3,7 +3,7 @@ import pytest
 
 from autojacobin.checks import check_gradients, random_instance
 from autojacobin.network import ObjectiveConfig, objective
-from autojacobin.variants import VariantConfig, corrupt_mask, lsh_generate
+from autojacobin.variants import VariantConfig, draw_mask, lsh_generate
 
 
 def test_variant_config_validation():
@@ -34,21 +34,15 @@ def test_autobin_alpha_zero_is_plain_autoencoder():
     assert parts.binary == 0.0
 
 
-def test_corrupt_mask_extremes():
-    rng = np.random.default_rng(2)
-    x = rng.standard_normal((6, 10))
-    np.testing.assert_array_equal(corrupt_mask(x, 0.0, np.random.default_rng(0)), x)
-    np.testing.assert_array_equal(corrupt_mask(x, 1.0, np.random.default_rng(0)),
-                                  np.zeros_like(x))
+def test_draw_mask_extremes():
+    # t = 0 masks nothing and t = 1 everything, whatever the draws
+    shape = (6, 10)
+    np.testing.assert_array_equal(draw_mask(shape, 0.0, np.random.default_rng(0)),
+                                  np.zeros(shape, dtype=bool))
+    np.testing.assert_array_equal(draw_mask(shape, 1.0, np.random.default_rng(0)),
+                                  np.ones(shape, dtype=bool))
     with pytest.raises(ValueError):
-        corrupt_mask(x, -0.1, rng)
-
-
-def test_corrupt_mask_fraction():
-    rng = np.random.default_rng(3)
-    x = np.ones((100, 1000))
-    frac = np.mean(corrupt_mask(x, 0.2, rng) == 0.0)
-    assert abs(frac - 0.2) < 0.01
+        draw_mask(shape, -0.1, np.random.default_rng(2))
 
 
 def test_corruption_mask_keeps_the_order_of_the_uniform_draws():
