@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -279,17 +280,23 @@ def cmd_plot(args) -> int:
     return 0
 
 
-def _int_at_least(low: int):
-    """argparse type: an int of at least low; anything else is a usage
-    error (exit 2) that names the flag."""
+def _number(kind, low, high=None, above=False):
+    """argparse type: a finite kind (int or float) of at least low (above
+    low if above) and at most high; anything else is a usage error
+    (exit 2) that names the flag."""
 
     def parse(text):
-        value = int(text)
-        if value < low:
-            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        value = kind(text)
+        if not -math.inf < value < math.inf:
+            raise argparse.ArgumentTypeError(f"must be finite, got {value}")
+        if value < low or (above and value == low):
+            raise argparse.ArgumentTypeError(
+                f"must be {'above' if above else 'at least'} {low}, got {value}")
+        if high is not None and value > high:
+            raise argparse.ArgumentTypeError(f"must be at most {high}, got {value}")
         return value
 
-    parse.__name__ = "int"  # argparse names the type in "invalid int value"
+    parse.__name__ = kind.__name__  # argparse names the type in "invalid int value"
     return parse
 
 
@@ -297,29 +304,26 @@ def _ks(text: str) -> str:
     """argparse type of eval's --k: comma-separated ints of at least 1,
     kept as the text the manifest records."""
     for v in text.split(","):
-        _int_at_least(1)(v)
+        _number(int, 1)(v)
     return text
 
 
 _ks.__name__ = "k list"  # argparse names the type in "invalid k list value"
 
 
-def _selected_parsers(parser, argv):
-    """parser and the subcommand parsers that argv names."""
-    yield parser
-    for action in parser._actions:
-        if isinstance(action, argparse._SubParsersAction):
-            name = next((t for t in argv if t in action.choices), None)
-            if name is not None:
-                yield from _selected_parsers(action.choices[name], argv)
+def _switch(text: str) -> bool:
+    """argparse type of a switch given a value: true or false."""
+    if text.lower() not in ("true", "false"):
+        raise argparse.ArgumentTypeError(f"a switch is true or false, got {text!r}")
+    return text.lower() == "true"
 
 
 def _apply_config(parser, argv):
-    """Optional key=value config file (--config PATH or --config=PATH);
-    flags override it. A switch reads true or false, and a value with
-    choices must be one of them (argparse checks choices only on the
-    command line); any other value stays text, which argparse converts
-    and checks like the flag's own value."""
+    """Optional key=value config file (--config PATH or --config=PATH).
+    Each line is read as the flag --key=value placed right after the
+    command, so argparse converts and checks it like the flag itself,
+    a key that names no flag of the command is a usage error, and a flag
+    on the command line, parsed later, wins."""
     i = next((i for i, t in enumerate(argv) if t.partition("=")[0] == "--config"), None)
     if i is None:
         return argv
@@ -328,31 +332,18 @@ def _apply_config(parser, argv):
         path = argv[i + 1]
     if not path:
         parser.error("argument --config: expected the path of a key=value config file")
-    defaults = {}
+    flags = []
     with open(path) as f:
         for line in f:
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
             key, _, value = line.partition("=")
-            defaults[key.strip().replace("-", "_")] = value.strip()
+            # one token, so a value that starts with - stays the value
+            flags.append(f"--{key.strip().replace('_', '-')}={value.strip()}")
+    # --config is the only top-level option, so the command comes first
     argv = argv[:i] + argv[i + (1 if inline else 2):]
-    # only the command's own parsers: a key's choices may differ between
-    # commands (gradcheck's --method has no lsh)
-    for p in _selected_parsers(parser, argv):
-        mine = {}
-        for a in (a for a in p._actions if a.dest in defaults):
-            value, a.required = defaults[a.dest], False
-            if a.nargs == 0:  # a switch
-                if value.lower() not in ("true", "false"):
-                    parser.error(f"config {a.dest}={value}: a switch is true or false")
-                value = value.lower() == "true"
-            elif a.choices is not None and value not in a.choices:
-                parser.error(f"config {a.dest}={value}: choose from "
-                             f"{', '.join(map(str, a.choices))}")
-            mine[a.dest] = value
-        p.set_defaults(**mine)
-    return argv
+    return argv[:1] + flags + argv[1:]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -367,16 +358,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="train a hashing model")
     p.add_argument("--input", required=True)
-    p.add_argument("--bits", type=_int_at_least(1), required=True)
+    p.add_argument("--bits", type=_number(int, 1), required=True)
     p.add_argument("--method", default="auto-jacobin", choices=KINDS)
-    p.add_argument("--alpha", type=float, default=0.1)
-    p.add_argument("--epsilon", type=float, default=1e-4)
-    p.add_argument("--epochs", type=_int_at_least(0), default=5)
-    p.add_argument("--batch", type=_int_at_least(1), default=1000)
-    p.add_argument("--iterations", type=_int_at_least(1), default=None,
+    p.add_argument("--alpha", type=_number(float, 0), default=0.1)
+    p.add_argument("--epsilon", type=_number(float, 0, above=True), default=1e-4)
+    p.add_argument("--epochs", type=_number(int, 0), default=5)
+    p.add_argument("--batch", type=_number(int, 1), default=1000)
+    p.add_argument("--iterations", type=_number(int, 1), default=None,
                    help="optional cap on total iterations")
-    p.add_argument("--corrupt-t", type=float, default=0.1)
-    p.add_argument("--lambda-c", type=float, default=0.01)
+    p.add_argument("--corrupt-t", type=_number(float, 0, 1), default=0.1)
+    p.add_argument("--lambda-c", type=_number(float, 0), default=0.01)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.add_argument("--trace", default=None, help="cost-trace CSV path")
@@ -386,7 +377,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--input", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--use-bias", action="store_true")
+    p.add_argument("--use-bias", type=_switch, nargs="?", const=True, default=False)
     p.set_defaults(func=cmd_encode)
 
     p = sub.add_parser("eval", help="recall curves against Euclidean ground truth")
@@ -394,25 +385,25 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--base", required=True)
     p.add_argument("--query", required=True)
     p.add_argument("--k", type=_ks, default="1,5,10,50,100")
-    p.add_argument("--max-retrieve", type=_int_at_least(1), default=10000)
-    p.add_argument("--use-bias", action="store_true")
+    p.add_argument("--max-retrieve", type=_number(int, 1), default=10000)
+    p.add_argument("--use-bias", type=_switch, nargs="?", const=True, default=False)
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("gradcheck", help="validate analytic gradients")
-    p.add_argument("--dims", type=_int_at_least(1), default=8)
-    p.add_argument("--bits", type=_int_at_least(1), default=4)
-    p.add_argument("--points", type=_int_at_least(1), default=5)
+    p.add_argument("--dims", type=_number(int, 1), default=8)
+    p.add_argument("--bits", type=_number(int, 1), default=4)
+    p.add_argument("--points", type=_number(int, 1), default=5)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--method", default="auto-jacobin",
                    choices=[k for k in KINDS if VariantConfig(kind=k).trained])
     p.set_defaults(func=cmd_gradcheck)
 
     p = sub.add_parser("toy", help="simplex warping experiment")
-    p.add_argument("--points", type=_int_at_least(6), default=1000)  # D+d
-    p.add_argument("--alpha", type=float, default=0.1)
-    p.add_argument("--epochs", type=_int_at_least(0), default=300)
-    p.add_argument("--batch", type=_int_at_least(1), default=1000)
+    p.add_argument("--points", type=_number(int, 6), default=1000)  # D+d
+    p.add_argument("--alpha", type=_number(float, 0), default=0.1)
+    p.add_argument("--epochs", type=_number(int, 0), default=300)
+    p.add_argument("--batch", type=_number(int, 1), default=1000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=cmd_toy)

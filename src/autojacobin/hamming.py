@@ -264,10 +264,13 @@ def recall_curve(gt: np.ndarray, base_codes: BinaryCodes, query_codes: BinaryCod
         raise ValueError(f"K={K} exceeds base size {N}")
     gt = np.asarray(gt)
     Q, k = gt.shape
+    if Q == 0 or k == 0:
+        raise ValueError(f"a recall curve needs at least one query and one "
+                         f"ground-truth neighbour, got a ({Q}, {k}) ground truth")
     if (query_codes.count, query_codes.bits) != (Q, base_codes.bits):
         raise ValueError(f"{query_codes.count} queries of {query_codes.bits} bits "
                          f"for {Q} ground-truth rows and {base_codes.bits}-bit codes")
-    if gt.size and not 0 <= gt.min() <= gt.max() < N:
+    if not 0 <= gt.min() <= gt.max() < N:
         raise ValueError(f"ground truth has indices outside 0..{N - 1}")
     bits = base_codes.bits
     # b queries a block; b (bits+1) << 32 must fit the keys' 64 bits

@@ -119,11 +119,11 @@ class ObjectiveConfig:
     jacobian_weight: float = 1.0  # w, the region variance (module docstring)
 
     def __post_init__(self):
-        if self.epsilon <= 0:
+        if not self.epsilon > 0:
             raise ValueError("epsilon must be > 0")
-        if self.alpha < 0:
+        if not self.alpha >= 0:
             raise ValueError("alpha must be >= 0")
-        if self.jacobian_weight < 0:
+        if not self.jacobian_weight >= 0:
             raise ValueError("jacobian_weight must be >= 0")
 
 

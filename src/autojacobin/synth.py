@@ -5,6 +5,8 @@ from __future__ import annotations
 
 import numpy as np
 
+_FREQUENCY_SCALE = 1.5  # the standard deviation of Omega's entries
+
 
 def simplex_points(n: int, rng: np.random.Generator) -> np.ndarray:
     """n points uniform on {x1 + x2 + x3 = 1, xi > 0}, as a (3, n) matrix."""
@@ -12,8 +14,7 @@ def simplex_points(n: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def curved_manifold(n: int, intrinsic_dim: int, ambient_dim: int,
-                    rng: np.random.Generator, noise: float = 0.01,
-                    frequency_scale: float = 1.5):
+                    rng: np.random.Generator, noise: float = 0.01):
     """Points on a smooth image of [0,1]^r under a random cosine map.
 
     x = cos(Omega t + phi) / sqrt(ambient_dim) + Gaussian noise, with a
@@ -21,7 +22,7 @@ def curved_manifold(n: int, intrinsic_dim: int, ambient_dim: int,
     Returns (X, params) where params regenerates the same map for more
     draws via curved_manifold_more.
     """
-    omega = rng.standard_normal((ambient_dim, intrinsic_dim)) * frequency_scale
+    omega = rng.standard_normal((ambient_dim, intrinsic_dim)) * _FREQUENCY_SCALE
     phi = rng.uniform(0.0, 2.0 * np.pi, size=ambient_dim)
     X = _cosine_map(n, omega, phi, rng, noise)
     return X, (omega, phi, noise)

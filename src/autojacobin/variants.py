@@ -34,7 +34,7 @@ class VariantConfig:
             raise ValueError(f"unknown variant kind {self.kind!r}")
         if not 0.0 <= self.corruption_t <= 1.0:
             raise ValueError("corruption_t must lie in [0, 1]")
-        if self.lambda_c < 0:
+        if not self.lambda_c >= 0:
             raise ValueError("lambda_c must be >= 0")
 
     @property

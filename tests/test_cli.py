@@ -230,20 +230,30 @@ def test_train_rejects_fewer_than_one_iteration(tmp_path, n, capsys):
 @pytest.mark.parametrize("method", ["autobin", "lsh"])
 @pytest.mark.parametrize("flag, value, low", [
     ("--bits", "0", 1), ("--batch", "0", 1), ("--epochs", "-1", 0),
-    ("--iterations", "0", 1)])
+    ("--iterations", "0", 1), ("--alpha", "-1.0", 0), ("--lambda-c", "-1.0", 0),
+    # bounds other than "at least": the words after "must be"
+    ("--epsilon", "0.0", "above 0"), ("--corrupt-t", "2.0", "at most 1"),
+    ("--alpha", "nan", "finite")])
 def test_train_rejects_bad_numeric_flags_as_usage_errors(tmp_path, capsys, method,
                                                           flag, value, low):
     base_path, _ = _write_data(tmp_path, "u.fvecs", n=60, seed=3)
     model = tmp_path / "m.ajb"
-    flags = {"--bits": "4", "--batch": "60", "--epochs": "1", "--iterations": "2",
-             flag: value}
-    with pytest.raises(SystemExit) as exc:
-        main(["train", "--input", str(base_path), "--method", method,
-              "--out", str(model)] + [x for pair in flags.items() for x in pair])
-    assert exc.value.code == 2
-    assert f"argument {flag}: must be at least {low}, got {value}" in \
-        capsys.readouterr().err
-    assert not model.exists()
+    good = {"--bits": "4", "--batch": "60", "--epochs": "1", "--iterations": "2"}
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{flag[2:]}={value}\n")
+    need = f"at least {low}" if isinstance(low, int) else low
+    # the value as a flag, then from the config file
+    for config, flags in (([], {**good, flag: value}),
+                          (["--config", str(cfg)], {k: v for k, v in good.items()
+                                                    if k != flag})):
+        with pytest.raises(SystemExit) as exc:
+            main(config + ["train", "--input", str(base_path), "--method", method,
+                           "--out", str(model)]
+                 + [x for pair in flags.items() for x in pair])
+        assert exc.value.code == 2
+        assert f"argument {flag}: must be {need}, got {value}" in \
+            capsys.readouterr().err
+        assert not model.exists()
 
 
 @pytest.mark.parametrize("argv, flag, value, low", [
@@ -253,7 +263,8 @@ def test_train_rejects_bad_numeric_flags_as_usage_errors(tmp_path, capsys, metho
     (["toy", "--points", "0"], "--points", "0", 6),
     (["gradcheck", "--bits", "0"], "--bits", "0", 1),
     (["gradcheck", "--points", "0"], "--points", "0", 1),
-    (["gradcheck", "--dims", "0"], "--dims", "0", 1)])
+    (["gradcheck", "--dims", "0"], "--dims", "0", 1),
+    (["toy", "--alpha", "-1.0"], "--alpha", "-1.0", 0)])
 def test_toy_and_gradcheck_reject_bad_numeric_flags_as_usage_errors(
         tmp_path, capsys, argv, flag, value, low):
     out_dir = tmp_path / "toy"
@@ -520,8 +531,8 @@ def test_config_values_are_checked_against_choices(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--config", str(cfg)] + train)
     assert exc.value.code == 2
-    assert ("config method=bogus: choose from auto-jacobin, autobin, dautobin, "
-            "cautobin, lsh") in capsys.readouterr().err
+    # the prefix only: the quoting of "(choose from ...)" varies by Python version
+    assert "argument --method: invalid choice: 'bogus'" in capsys.readouterr().err
     assert not (tmp_path / "m.ajb").exists()
     # choices are the command's own: lsh trains, but gradcheck has no lsh
     cfg.write_text("method=lsh\nbits=4\n")
@@ -529,11 +540,31 @@ def test_config_values_are_checked_against_choices(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--config", str(cfg), "gradcheck"])
     assert exc.value.code == 2
-    assert "config method=lsh: choose from auto-jacobin, " in capsys.readouterr().err
+    assert "argument --method: invalid choice: 'lsh'" in capsys.readouterr().err
     # a flag still overrides a good config value
     cfg.write_text("method=autobin\n")
     assert main(["--config", str(cfg), "gradcheck", "--method", "cautobin"]) == 0
     assert "cautobin" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("line", ["bitz=4", "sede=9", "command=gradcheck"])
+def test_a_config_key_that_names_no_flag_is_a_usage_error(tmp_path, capsys, line):
+    base_path, _ = _write_data(tmp_path, "c.fvecs", n=60, seed=3)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{line}\n")
+    model = tmp_path / "m.ajb"
+    # the command comes only from the command line
+    command = [] if line.startswith("command=") else [
+        "train", "--input", str(base_path), "--bits", "4", "--method", "lsh",
+        "--out", str(model)]
+    with pytest.raises(SystemExit) as exc:
+        main(["--config", str(cfg)] + command)
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert ("the following arguments are required: command" if not command
+            else f"unrecognized arguments: --{line}") in out.err
+    assert not out.out
+    assert not model.exists()
 
 
 def test_trailing_config_is_a_usage_error(capsys):
@@ -652,29 +683,34 @@ def test_config_values_stay_text_and_switches_read_true_or_false(tmp_path, capsy
     csv = tmp_path / "recall_k1.csv"
     csv.write_text("i,recall\n1,0.1\n2,0.4\n")
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("title=2024\n")
     out = tmp_path / "chart.svg"
-    assert main(["--config", str(cfg), "plot", "--out", str(out), str(csv)]) == 0
-    assert ">2024</text>" in out.read_text()
+    for title in ("2024", "-x"):  # a value that starts with - is the value
+        cfg.write_text(f"title={title}\n")
+        assert main(["--config", str(cfg), "plot", "--out", str(out), str(csv)]) == 0
+        assert f">{title}</text>" in out.read_text()
 
     base_path, X = _write_data(tmp_path, "e.fvecs", n=60, seed=7)
     model, codes = tmp_path / "m.ajb", tmp_path / "c.ajbc"
     main(["train", "--input", str(base_path), "--bits", "4", "--method", "lsh",
           "--out", str(model)])
     params = matrix_io.read_model(model)
+    encode = ["encode", "--model", str(model), "--input", str(base_path),
+              "--out", str(codes)]
     for value, use_bias in (("true", True), ("False", False)):
         cfg.write_text(f"use-bias={value}\n")
-        assert main(["--config", str(cfg), "encode", "--model", str(model),
-                     "--input", str(base_path), "--out", str(codes)]) == 0
         expected = hamming.encode(params, matrix_io.read_fvecs(base_path),
                                   use_bias=use_bias)
-        assert matrix_io.read_codes(codes).packed.tobytes() == expected.packed.tobytes()
+        # from the config file, then as the flag's value
+        for argv in (["--config", str(cfg)] + encode, encode + [f"--use-bias={value}"]):
+            assert main(argv) == 0
+            assert matrix_io.read_codes(codes).packed.tobytes() == \
+                expected.packed.tobytes()
     cfg.write_text("use_bias=yes\n")
     with pytest.raises(SystemExit) as exc:
-        main(["--config", str(cfg), "encode", "--model", str(model),
-              "--input", str(base_path), "--out", str(codes)])
+        main(["--config", str(cfg)] + encode)
     assert exc.value.code == 2
-    assert "config use_bias=yes: a switch is true or false" in capsys.readouterr().err
+    assert "argument --use-bias: a switch is true or false, got 'yes'" in \
+        capsys.readouterr().err
 
 
 def test_train_with_zero_epochs_reports_the_untrained_start(tmp_path, capsys):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -385,6 +387,17 @@ def test_recall_curve_rejects_mismatched_inputs():
         gt[4, 2] = bad
         with pytest.raises(ValueError, match="indices outside 0..119"):
             recall_curve(gt, base, queries, 10)
+
+
+def test_recall_curve_rejects_no_queries_and_no_neighbours():
+    rng = np.random.default_rng(4)
+    base, queries = _planted_ties(rng, 120, 16, 6)
+    none = BinaryCodes(16, 0, queries.packed[:0])
+    for gt, q in ((np.zeros((0, 3), dtype=np.int64), none),
+                  (np.zeros((6, 0), dtype=np.int64), queries)):
+        with pytest.raises(ValueError, match=re.escape(
+                f"at least one query and one ground-truth neighbour, got a {gt.shape}")):
+            recall_curve(gt, base, q, 10)
 
 
 def test_recall_curve_ranks_without_hamming_topk(monkeypatch):

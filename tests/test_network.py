@@ -492,3 +492,6 @@ def test_objective_config_validation():
         ObjectiveConfig(epsilon=0.0)
     with pytest.raises(ValueError):
         ObjectiveConfig(alpha=-0.1)
+    for field in ("alpha", "epsilon", "jacobian_weight"):
+        with pytest.raises(ValueError, match=f"{field} must be"):
+            ObjectiveConfig(**{field: float("nan")})

@@ -13,6 +13,9 @@ def test_variant_config_validation():
         VariantConfig(corruption_t=1.5)
     with pytest.raises(ValueError):
         VariantConfig(lambda_c=-1.0)
+    for field in ("corruption_t", "lambda_c"):
+        with pytest.raises(ValueError, match=f"{field} must"):
+            VariantConfig(**{field: float("nan")})
     assert VariantConfig(kind="auto-jacobin").needs_tangents
     assert not VariantConfig(kind="autobin").needs_tangents
 
