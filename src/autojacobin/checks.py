@@ -59,15 +59,14 @@ def _check(value_and_grad, p: NetworkParams, h: float) -> float:
 
 def check_gradients(kind: str, D: int = 8, d: int = 4, n: int = 5,
                     seed: int = 0, alpha: float = 0.1, epsilon: float = 1e-4,
-                    h: float = 1e-6, lambda_c: float = 0.01,
-                    corruption_t: float = 0.2) -> dict[str, float]:
+                    h: float = 1e-6) -> dict[str, float]:
     """Per-term and total max relative fd errors for one variant.
 
     The Jacobian-term weight is not 1, so a weight applied to the value
     but not to the gradient (or the reverse) shows up.
     """
-    method = VariantConfig(kind=kind, alpha=alpha, corruption_t=corruption_t,
-                           lambda_c=lambda_c)
+    # DAutoBin's corruption rate and CAutoBin's contraction weight are fixed
+    method = VariantConfig(kind=kind, alpha=alpha, corruption_t=0.2, lambda_c=0.01)
     if not method.trained:
         raise ValueError(f"no gradients to check for variant {kind!r}")
     p, batch, projs = random_instance(D, d, n, seed)

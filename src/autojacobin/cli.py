@@ -149,14 +149,11 @@ def _groundtruth_cache(base_path, base: np.ndarray, queries: np.ndarray,
     return Path(str(base_path) + f".{h.hexdigest()[:12]}.k{k}.ajbg")
 
 
-def _cached_groundtruth(base_path, base: np.ndarray, queries: np.ndarray,
-                        k: int, cache: Path | None = None) -> np.ndarray:
+def _cached_groundtruth(base: np.ndarray, queries: np.ndarray, k: int,
+                        cache: Path) -> np.ndarray:
     """The k exact nearest neighbours of each query, read from the cache
-    file (_groundtruth_cache's unless given) when it holds a (Q, k) table
-    of base indices, else built and written there, replacing a cut or
-    foreign file."""
-    if cache is None:
-        cache = _groundtruth_cache(base_path, base, queries, k)
+    file when it holds a (Q, k) table of base indices, else built and
+    written there, replacing a cut or foreign file."""
     if cache.exists():
         Q, N = queries.shape[1], base.shape[1]
         try:
@@ -193,7 +190,7 @@ def cmd_eval(args) -> int:
     query_codes = hamming.encode(params, query_raw, use_bias=args.use_bias)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    gt = _cached_groundtruth(args.base, base_raw, query_raw, max(ks), cache[0])
+    gt = _cached_groundtruth(base_raw, query_raw, max(ks), cache[0])
     ranked = hamming.recall_curve(gt, base_codes, query_codes, K)
     summary = out_dir / "m_recall.csv"
     with open(summary, "w") as sf:
@@ -420,11 +417,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command; a file it cannot read ends it with one line, exit 1."""
     argv = list(sys.argv[1:] if argv is None else argv)
     ap = build_parser()
-    argv = _apply_config(ap, argv)
-    args = ap.parse_args(argv)
-    return args.func(args)
+    try:
+        args = ap.parse_args(_apply_config(ap, argv))
+        return args.func(args)
+    except (matrix_io.FormatError, OSError) as err:
+        raise SystemExit(str(err)) from None
 
 
 if __name__ == "__main__":

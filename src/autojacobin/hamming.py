@@ -152,8 +152,7 @@ def encode(p, X: np.ndarray, use_bias: bool = False, meanwhile=None) -> BinaryCo
         signs[...] = ge.T
         packed[lo:hi] = np.packbits(signs, axis=1, bitorder="little")
 
-    for _ in parallel.ordered_map(tile, tiles, block_bytes, buffers, meanwhile):
-        pass
+    parallel.ordered_map(tile, tiles, block_bytes, buffers, meanwhile)
     return BinaryCodes(bits=d, count=N, packed=packed)
 
 
@@ -326,8 +325,7 @@ def recall_curve(gt: np.ndarray, base_codes: BinaryCodes, query_codes: BinaryCod
         pos = np.searchsorted(top.ravel(), gt_keys.ravel())
         np.subtract(pos.reshape(n, k), row_start[:n], out=gt_rank[lo:hi])
 
-    for _ in parallel.ordered_map(block, blocks, block_bytes, buffers):
-        pass
+    parallel.ordered_map(block, blocks, block_bytes, buffers)
     return _curve(gt_rank, K)
 
 

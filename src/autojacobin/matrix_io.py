@@ -13,10 +13,12 @@ order maps to column order. Formats:
          bits after bit `bits` zero
   .ajbg: magic "AJBG", uint32 k, uint32 Q, per query k uint32 indices
 
-Binary readers raise a FormatError naming the file for, in order: a
-foreign magic, a cut header, a version other than 1, zero bits, D, d or
-k, a size the header does not give, non-finite model values, set padding
-bits. Binary writes are atomic: a temporary file renamed over the target.
+Vector readers raise a FormatError naming the file for a record or line
+that breaks the layout and for a non-finite entry. Binary readers raise
+one for, in order: a foreign magic, a cut header, a version other than
+1, zero bits, D, d or k, a size the header does not give, non-finite
+model values, set padding bits. Binary writes are atomic: a temporary
+file renamed over the target.
 
 A record file is one (N, record bytes) matrix in memory, its payloads a
 view of it. Moving them between a record's row and a point's column is a
@@ -54,6 +56,13 @@ def _check_matrix(X: np.ndarray) -> np.ndarray:
     return X
 
 
+def _checked_read(path, X: np.ndarray) -> np.ndarray:
+    try:
+        return _check_matrix(X)
+    except ValueError as e:
+        raise FormatError(f"{path}: {e}") from None
+
+
 # records per transposing copy in the record readers and writers
 _TILE = 1024
 
@@ -81,7 +90,7 @@ def _read_records(path, payload_dtype):
     X = np.empty((dim, len(payload)))
     for lo in range(0, len(payload), _TILE):
         X[:, lo:lo + _TILE] = payload[lo:lo + _TILE].T
-    return _check_matrix(X)
+    return _checked_read(path, X)
 
 
 def _first_fault(path, raw, payload_itemsize) -> FormatError:
@@ -164,7 +173,7 @@ def read_txt(path) -> np.ndarray:
                 raise FormatError(f"{path}:{lineno}: inconsistent dims "
                                   f"{len(rows[0])} vs {len(row)}")
             rows.append(row)
-    return _check_matrix(np.array(rows).T) if rows else np.zeros((0, 0))
+    return _checked_read(path, np.array(rows).T) if rows else np.zeros((0, 0))
 
 
 def write_txt(path, X: np.ndarray) -> None:

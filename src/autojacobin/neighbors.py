@@ -103,7 +103,6 @@ def knn(base: np.ndarray, queries: np.ndarray, k: int) -> np.ndarray:
         b = slice(lo, lo + rows)
         _knn_block(base, sq, queries[:, b], sq_q[b], err[b], k, nbr[b], g)
 
-    for _ in parallel.ordered_map(block, starts, block_bytes,
-                                  lambda: np.empty((min(rows, len(nbr)), N))):
-        pass
+    parallel.ordered_map(block, starts, block_bytes,
+                         lambda: np.empty((min(rows, len(nbr)), N)))
     return nbr

@@ -320,15 +320,11 @@ def _jacobian_term(p, Xin, f: Forward, t: FactorRows, weight, grad):
         return _jacobian_chunk(p, kron, Xin[:, lo:hi], f.cols(lo, hi),
                                t._replace(rows=t.rows[lo:hi]), weight)
 
-    value = 0.0
-    total = np.zeros_like(grad)
     # a chunk's largest work arrays, (m, d^2) and (m r, D)
     block_bytes = 8 * _JAC_CHUNK * max(p.bits ** 2, p.dims * t.stack.shape[2])
-    for v, g in parallel.ordered_map(chunk, range(0, n, _JAC_CHUNK), block_bytes):
-        value += v
-        total += g
-    grad += total
-    return value
+    results = parallel.ordered_map(chunk, range(0, n, _JAC_CHUNK), block_bytes)
+    grad += sum(g for _, g in results)
+    return sum(v for v, _ in results)
 
 
 def _contractive_term(p, Xin, f: Forward, lam, grad):

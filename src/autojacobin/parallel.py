@@ -1,4 +1,4 @@
-"""The thread pool of the blocked numpy loops, and its size.
+"""The thread pools of the blocked numpy loops, and their size.
 
 Exact kNN (neighbors), local PCA (tangent), the Jacobian term (network),
 encoding and the recall curve's query blocks (hamming) split their work
@@ -13,19 +13,26 @@ calling thread.
 Blocks that need work arrays (the kNN's distances, encode's tiles, the
 recall curve's keys) get them from ordered_map's `buffers` factory: one
 set per worker, allocated on the calling thread, because memory a worker
-thread allocates stays with that thread's heap after the thread ends.
-Each block takes a free set and gives it back when it returns or raises.
+thread allocates stays with that thread's heap. Each block takes a free
+set and gives it back when it returns or raises.
 
 The calling thread waits for the blocks' results in order. It can work
 while they run: ordered_map calls its `meanwhile` there once the blocks
 are queued, so eval hashes its ground-truth cache name on the calling
-thread while the base's encode tiles run, and no thread is started
-beyond the pool's. The pool lives for one call; there is no setting of
-the program's own (see workers()).
+thread while the base's encode tiles run.
+
+There is one pool per worker count, kept for the life of the process; a
+forked child makes its own, as the parent's threads do not run in it.
+There is no setting of the program's own (see workers()). A block must
+not run a blocked loop of its own: every thread of the fixed pool could
+then wait on blocks queued behind it. No block does. When a block
+raises, the blocks not yet started are cancelled; those already running
+finish on their threads.
 """
 
 from __future__ import annotations
 
+import functools
 import os
 import queue
 from concurrent.futures import ThreadPoolExecutor
@@ -33,6 +40,10 @@ from concurrent.futures import ThreadPoolExecutor
 
 # the least work per block for which threads pay: see workers()
 _MIN_BLOCK_BYTES = 1 << 18
+
+# one pool per worker count, made on first use: the only place a pool is made
+_pool = functools.cache(ThreadPoolExecutor)
+os.register_at_fork(after_in_child=_pool.cache_clear)
 
 
 def workers(tasks: int, block_bytes: int) -> int:
@@ -47,8 +58,8 @@ def workers(tasks: int, block_bytes: int) -> int:
     small block's numpy calls are too short for the time they spend
     outside the interpreter lock to repay the hand-offs between threads.
     On that box the Jacobian term ran 1.1-1.3x slower on two threads at
-    D x d <= 256 and 1.1-1.6x faster at D x d >= 512, where its
-    (64, D, d) arrays reach 256 KiB.
+    D x d <= 256 and 1.1-1.6x faster at D x d >= 512; its gate bytes are
+    those of the larger of a chunk's (64, d^2) and (64 r, D) work arrays.
     """
     if block_bytes < _MIN_BLOCK_BYTES:
         return 1
@@ -69,20 +80,17 @@ def _blas_threads(cpus: int) -> int:
     return cpus
 
 
-def ordered_map(fn, starts, block_bytes: int, buffers=None, meanwhile=None):
-    """Yield fn(s) for each s in starts, in order; block_bytes as in
-    workers().
+def ordered_map(fn, starts, block_bytes: int, buffers=None, meanwhile=None) -> list:
+    """[fn(s) for s in starts], in order; block_bytes as in workers().
 
-    The calls run on a pool of workers(len(starts), block_bytes) threads
-    that lives for the length of the iteration; with one worker they run
-    on the calling thread and no pool starts. buffers, if given, is
-    called with no arguments on the calling thread once per worker, and
-    each call is fn(s, buf) with a buf that no other running call holds.
-    meanwhile, if given, is called with no arguments on the calling
-    thread once every call is queued on the pool (before the first call,
-    with one worker), so the calling thread works while the pool does.
-    Each result is read as it is yielded, so an error raised in a worker
-    is raised here.
+    The calls run on the pool of workers(len(starts), block_bytes)
+    threads; with one worker they run on the calling thread. buffers, if
+    given, is called with no arguments on the calling thread once per
+    worker, and each call is fn(s, buf) with a buf that no other running
+    call holds. meanwhile, if given, is called with no arguments on the
+    calling thread once every call is queued on the pool (before the
+    first call, with one worker), so the calling thread works while the
+    pool does. An error raised in a call is raised here.
     """
     n = workers(len(starts), block_bytes)
     call = fn
@@ -98,14 +106,8 @@ def ordered_map(fn, starts, block_bytes: int, buffers=None, meanwhile=None):
             finally:  # a block that raises gives its buffer back too
                 free.put(buf)
 
-    if n == 1:
-        if meanwhile is not None:
-            meanwhile()
-        yield from map(call, starts)
-        return
-    with ThreadPoolExecutor(n) as pool:
-        results = pool.map(call, starts)
-        if meanwhile is not None:
-            meanwhile()
-        yield from results
-
+    # map is lazy: with one worker, meanwhile runs before the first call
+    results = map(call, starts) if n == 1 else _pool(n).map(call, starts)
+    if meanwhile is not None:
+        meanwhile()
+    return list(results)

@@ -128,9 +128,7 @@ def estimate_all_tangents(X: np.ndarray, d: int) -> TangentSet:
         (factors[lo:hi], ranks[lo:hi], variance[lo:hi],
          degenerate[lo:hi]) = _pca_block(X, nbr[lo:hi], d)
 
-    for _ in parallel.ordered_map(block, range(0, N, _BLOCK),
-                                   8 * _BLOCK * D * (D + d)):
-        pass
+    parallel.ordered_map(block, range(0, N, _BLOCK), 8 * _BLOCK * D * (D + d))
     width = max(1, int(ranks.max()))
     if width < factors.shape[2]:
         factors = np.ascontiguousarray(factors[:, :, :width])

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from autojacobin import cli, hamming, matrix_io, parallel, synth, tangent, trainer
-from autojacobin.cli import _cached_groundtruth, main
+from autojacobin.cli import _cached_groundtruth, _groundtruth_cache, main
 from autojacobin.network import forward_batch, unpack_params
 
 pytestmark = pytest.mark.filterwarnings(
@@ -147,7 +147,8 @@ def test_groundtruth_cache_name_is_pinned(tmp_path):
     # layout (read_txt returns F order), so existing .ajbg caches stay valid
     base = np.asfortranarray(np.arange(24, dtype=float).reshape(6, 4) / 8.0)
     queries = np.arange(12, dtype=float).reshape(6, 2)[:, ::-1]
-    gt = _cached_groundtruth(tmp_path / "base.txt", base, queries, 2)
+    gt = _cached_groundtruth(base, queries, 2,
+                             _groundtruth_cache(tmp_path / "base.txt", base, queries, 2))
     cache = tmp_path / "base.txt.7b68be9781ef.k2.ajbg"
     assert cache.exists()
     np.testing.assert_array_equal(matrix_io.read_groundtruth(cache), gt)
@@ -340,6 +341,58 @@ def test_encode_dimension_error_is_one_line_without_a_traceback(tmp_path):
     assert r.returncode == 1
     assert r.stderr.splitlines() == [f"--input {bad} has dimension D=5, but the model "
                                      f"{model} takes D=6"]
+
+
+def _malformed_encode_input(tmp_path):
+    bad, _ = _write_data(tmp_path, "cut.fvecs", D=6, n=4, seed=2)
+    bad.write_bytes(bad.read_bytes()[:-3])
+    argv = ["encode", "--model", str(_lsh_model(tmp_path, D=6)), "--input", str(bad),
+            "--out", str(tmp_path / "c")]
+    return argv, f"{bad}: truncated record payload at byte 88"
+
+
+def _malformed_eval_query(tmp_path):
+    base, _ = _write_data(tmp_path, "base.fvecs", D=6, n=20, seed=2)
+    bad = tmp_path / "cut.fvecs"
+    bad.write_bytes(base.read_bytes()[:30])
+    model = _lsh_model(tmp_path, D=6)
+    argv = ["eval", "--model", str(model), "--base", str(base), "--query", str(bad),
+            "--max-retrieve", "20", "--out-dir", str(tmp_path / "e")]
+    return argv, f"{bad}: truncated dimension header at byte 28"
+
+
+def _malformed_model(tmp_path):
+    data, _ = _write_data(tmp_path, "x.fvecs", D=6, n=4, seed=2)
+    foreign = tmp_path / "codes.ajb"
+    matrix_io.write_codes(foreign, hamming.BinaryCodes(8, 1, np.zeros((1, 1), np.uint8)))
+    argv = ["encode", "--model", str(foreign), "--input", str(data),
+            "--out", str(tmp_path / "c")]
+    return argv, f"{foreign}: bad model magic b'AJBC'"
+
+
+def _malformed_train_text(tmp_path):
+    bad = tmp_path / "x.txt"
+    bad.write_text("1 2\n3 nan\n")
+    argv = ["train", "--input", str(bad), "--bits", "1", "--method", "lsh",
+            "--out", str(tmp_path / "m2.ajb")]
+    return argv, f"{bad}: matrix has 1 non-finite entries (NaN or inf)"
+
+
+def _missing_plot_csv(tmp_path):
+    missing = tmp_path / "missing.csv"
+    argv = ["plot", "--out", str(tmp_path / "x.svg"), str(missing)]
+    return argv, f"[Errno 2] No such file or directory: '{missing}'"
+
+
+@pytest.mark.parametrize("case", [_malformed_encode_input, _malformed_eval_query,
+                                  _malformed_model, _malformed_train_text,
+                                  _missing_plot_csv])
+def test_a_malformed_input_file_is_one_line_without_a_traceback(tmp_path, case):
+    argv, message = case(tmp_path)
+    r = subprocess.run([sys.executable, "-m", "autojacobin.cli", *argv],
+                       capture_output=True, text=True)
+    assert r.returncode == 1
+    assert r.stderr.splitlines() == [message]
 
 
 def _lsh_eval_setup(tmp_path, n):

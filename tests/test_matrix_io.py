@@ -149,6 +149,23 @@ def test_txt_round_trip(tmp_path):
     np.testing.assert_array_equal(matrix_io.read_txt(p), X)
 
 
+@pytest.mark.parametrize("name", ["nan.fvecs", "nan.txt"])
+def test_vector_readers_name_the_file_of_a_non_finite_entry(tmp_path, name):
+    # the writers reject NaN, so the files are written by hand
+    X = np.ones((4, 3))
+    X[2, 1] = np.nan
+    path = tmp_path / name
+    if name.endswith(".txt"):
+        path.write_text("".join(" ".join(map(str, row)) + "\n" for row in X))
+        read = matrix_io.read_txt
+    else:
+        path.write_bytes(b"".join(np.int32(3).tobytes() + row.astype("<f4").tobytes()
+                                  for row in X))
+        read = matrix_io.read_fvecs
+    with pytest.raises(FormatError, match=f"{name}: matrix has 1 non-finite entries"):
+        read(path)
+
+
 def test_txt_ragged_rows_rejected(tmp_path):
     p = tmp_path / "ragged.txt"
     p.write_text("1 2 3\n4 5\n")

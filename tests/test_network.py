@@ -495,3 +495,24 @@ def test_objective_config_validation():
     for field in ("alpha", "epsilon", "jacobian_weight"):
         with pytest.raises(ValueError, match=f"{field} must be"):
             ObjectiveConfig(**{field: float("nan")})
+
+
+@pytest.mark.parametrize("c, rises", [(0.1428, False), (0.1430, True)])
+def test_binary_term_grows_with_the_scale_of_y_past_cosine_one_over_d_minus_1(c, rises):
+    # rows of Y with squared norm rho2 and every pairwise cosine c: per unit
+    # of s^2 rho2 (below n), scaling Y by s takes d off the diagonal of
+    # S(YY' - nI) and adds d (d - 1) c to the rest, so the term rises with
+    # the scale iff c > 1/(d - 1) = 0.142857 at d = 8
+    d, n, rho2 = 8, 200, 20.0
+    rng = np.random.default_rng(0)
+    gram = rho2 * ((1.0 - c) * np.eye(d) + c * np.ones((d, d)))
+    Q, _ = np.linalg.qr(rng.standard_normal((n, d)))
+    Y = np.linalg.cholesky(gram) @ Q.T
+    p = _zero_params(4, d)
+
+    def term(s):
+        f = network.Forward(s * Y, None, 1.0 - (s * Y) ** 2, None)
+        grad = np.zeros_like(pack_params(p))
+        return network._binary_term(p, np.zeros((4, n)), f, 1.0, 1e-4, n, grad)
+
+    assert (term(1.01) > term(1.0)) == rises

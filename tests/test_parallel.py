@@ -1,9 +1,12 @@
+import multiprocessing
 import os
 import threading
 
+import numpy as np
 import pytest
 
-from autojacobin import parallel
+from autojacobin import hamming, parallel
+from autojacobin.network import NetworkParams
 
 BIG = parallel._MIN_BLOCK_BYTES  # blocks large enough for threads
 
@@ -110,3 +113,71 @@ def test_an_error_in_every_block_reaches_the_caller(four_cpus):
     t.join(timeout=30.0)
     assert not t.is_alive(), "the pool did not finish within 30 s"
     assert errors == ["block 0"]
+
+
+def test_the_pool_serves_the_next_call_after_every_block_of_one_raised(with_workers):
+    def block(s, buf):
+        if fail:
+            raise RuntimeError(f"block {s}")
+        return s * s
+
+    fail = True
+    with pytest.raises(RuntimeError, match="block 0"):
+        with_workers(4, lambda: parallel.ordered_map(block, range(12), BIG, bytearray))
+    fail = False
+    assert with_workers(4, lambda: parallel.ordered_map(block, range(12), BIG, bytearray)) \
+        == [s * s for s in range(12)]
+
+
+def _threads_of(count):
+    """The threads (objects, whose idents a new thread may reuse) that run
+    a pooled call of `count` blocks that wait for each other, so that each
+    of the call's `count` workers runs one."""
+    together = threading.Barrier(count)
+
+    def block(s):
+        together.wait(timeout=10.0)
+        return threading.current_thread()
+
+    return set(parallel.ordered_map(block, range(count), BIG))
+
+
+def test_pooled_calls_reuse_the_threads_of_their_worker_count(four_cpus):
+    four_cpus.setenv("OMP_NUM_THREADS", "1")
+    four = _threads_of(4)
+    assert len(four) == 4 and threading.current_thread() not in four
+    assert _threads_of(4) == four
+    two = _threads_of(2)
+    assert len(two) == 2 and not two & four
+    assert _threads_of(2) == two
+
+
+def _encode_into(conn, p, X):
+    conn.send(hamming.encode(p, X).packed)
+
+
+# Python 3.12 warns on a fork while other threads (the parent's pool) run
+@pytest.mark.filterwarnings("ignore:.*fork.*:DeprecationWarning")
+def test_a_forked_child_encodes_on_a_pool_of_its_own(four_cpus):
+    # the parent's pool threads do not run in a forked child: a child that
+    # queued its tiles on the pool it inherited would wait for ever
+    four_cpus.setenv("OMP_NUM_THREADS", "1")
+    rng = np.random.default_rng(0)
+    D, d = 16, 64
+    p = NetworkParams(w1=rng.standard_normal((d, D)), w2=np.zeros((D, d)),
+                      b1=np.zeros(d), b2=np.zeros(D))
+    X = rng.standard_normal((D, 3 * hamming._ENCODE_TILE))  # 3 tiles, 3 workers
+    assert parallel.workers(3, 8 * d * hamming._ENCODE_TILE) == 3
+    _threads_of(3)  # every thread of the parent's pool started, whatever the timing
+    packed = hamming.encode(p, X).packed
+    ctx = multiprocessing.get_context("fork")
+    receive, send = ctx.Pipe(duplex=False)
+    child = ctx.Process(target=_encode_into, args=(send, p, X))
+    child.start()
+    try:
+        assert receive.poll(30.0), "the child did not encode within 30 s"
+        np.testing.assert_array_equal(receive.recv(), packed)
+    finally:
+        if child.is_alive():
+            child.kill()
+        child.join()
