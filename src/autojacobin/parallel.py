@@ -6,9 +6,8 @@ into fixed-size blocks that do not depend on each other, run them here,
 and combine the results in block order, so their output has the same
 bits at any worker count. numpy releases the interpreter lock inside
 the products, the partitions and sorts, the `eigh`, the comparisons and
-the copies that dominate most blocks. The kNN's per-row re-rank holds
-it, so kNN on a small base, where the re-rank dominates, stays on the
-calling thread.
+the copies that dominate the blocks, so each block holds it only for a
+few numpy calls.
 
 Blocks that need work arrays (the kNN's distances, encode's tiles, the
 recall curve's keys) get them from ordered_map's `buffers` factory: one
@@ -21,8 +20,9 @@ while they run: ordered_map calls its `meanwhile` there once the blocks
 are queued, so eval hashes its ground-truth cache name on the calling
 thread while the base's encode tiles run.
 
-There is one pool per worker count, kept for the life of the process; a
-forked child makes its own, as the parent's threads do not run in it.
+There is one pool per worker count, kept for the life of the process,
+with all its threads started when it is made; a forked child makes its
+own, as the parent's threads do not run in it.
 There is no setting of the program's own (see workers()). A block must
 not run a blocked loop of its own: every thread of the fixed pool could
 then wait on blocks queued behind it. No block does. When a block
@@ -35,14 +35,26 @@ from __future__ import annotations
 import functools
 import os
 import queue
+import threading
 from concurrent.futures import ThreadPoolExecutor
 
 
 # the least work per block for which threads pay: see workers()
 _MIN_BLOCK_BYTES = 1 << 18
 
-# one pool per worker count, made on first use: the only place a pool is made
-_pool = functools.cache(ThreadPoolExecutor)
+
+@functools.cache
+def _pool(n: int) -> ThreadPoolExecutor:
+    """The pool of n threads, made on first use: the only place a pool is
+    made. The executor starts a thread on a submit only while none is
+    idle, so the n calls that start them wait for each other."""
+    pool = ThreadPoolExecutor(n)
+    started = threading.Barrier(n)
+    for f in [pool.submit(started.wait) for _ in range(n)]:
+        f.result()
+    return pool
+
+
 os.register_at_fork(after_in_child=_pool.cache_clear)
 
 

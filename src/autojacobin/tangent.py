@@ -6,10 +6,8 @@ block of points take one np.linalg.eigh call on their stacked
 covariances. Blocks run on a thread pool (see the parallel module), and
 each writes its own rows of one zero-padded (N, D, r) stack of bases, the
 TangentSet that training reads, so no second copy of the bases is made
-and the result has the same bits at any worker count. The kNN before
-them runs its blocks on the pool only for a large set: its per-row
-re-rank holds the interpreter lock, and on a small set, where the
-re-rank dominates, threads made it slower (see the neighbors module).
+and the result has the same bits at any worker count, as have the kNN's
+blocks before them (see the neighbors module).
 
 The projection oracles (affine subspace, unit sphere) have closed-form
 closest-point maps and are used to check numerically that the Jacobian

@@ -1,6 +1,8 @@
+import functools
 import multiprocessing
 import os
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -168,7 +170,6 @@ def test_a_forked_child_encodes_on_a_pool_of_its_own(four_cpus):
                       b1=np.zeros(d), b2=np.zeros(D))
     X = rng.standard_normal((D, 3 * hamming._ENCODE_TILE))  # 3 tiles, 3 workers
     assert parallel.workers(3, 8 * d * hamming._ENCODE_TILE) == 3
-    _threads_of(3)  # every thread of the parent's pool started, whatever the timing
     packed = hamming.encode(p, X).packed
     ctx = multiprocessing.get_context("fork")
     receive, send = ctx.Pipe(duplex=False)
@@ -181,3 +182,26 @@ def test_a_forked_child_encodes_on_a_pool_of_its_own(four_cpus):
         if child.is_alive():
             child.kill()
         child.join()
+
+
+class _SlowStarts(list):
+    """Block starts that come 10 ms apart, so each block returns before
+    the next is queued."""
+
+    def __iter__(self):
+        for s in super().__iter__():
+            time.sleep(0.01)
+            yield s
+
+
+def test_a_fresh_pool_starts_all_its_threads(four_cpus):
+    # the executor starts a thread on a submit only while none is idle:
+    # blocks that return at once would otherwise leave a fresh pool short
+    four_cpus.setenv("OMP_NUM_THREADS", "1")
+    four_cpus.setattr(parallel, "_pool", functools.cache(parallel._pool.__wrapped__))
+    assert parallel.ordered_map(lambda s: s, _SlowStarts(range(8)), BIG) == list(range(8))
+    pool = parallel._pool(4)
+    try:
+        assert len(pool._threads) == 4
+    finally:
+        pool.shutdown()

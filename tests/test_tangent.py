@@ -3,7 +3,8 @@ import itertools
 import numpy as np
 import pytest
 
-from autojacobin import neighbors, tangent
+from autojacobin import neighbors, parallel, tangent
+from autojacobin.hamming import euclid_topk
 from autojacobin.neighbors import knn, knn_bruteforce
 from autojacobin.tangent import (
     ProjectionOracle,
@@ -177,32 +178,117 @@ def _spy_blocks(monkeypatch):
     return sizes
 
 
+def _spy_tiles(monkeypatch):
+    """Record the tile widths of each block knn computes."""
+    widths = []
+    tiles = neighbors._tiles
+
+    def spy(N, k):
+        got = tiles(N, k)
+        widths.append([hi - lo for lo, hi in got])
+        return got
+
+    monkeypatch.setattr(neighbors, "_tiles", spy)
+    return widths
+
+
 def test_blocked_knn_ragged_last_block(monkeypatch):
-    monkeypatch.setattr(neighbors, "_BLOCK", 7)
+    monkeypatch.setattr(neighbors, "_ROWS", 7)
     sizes = _spy_blocks(monkeypatch)
     X = np.round(np.random.default_rng(2).standard_normal((5, 53)), 1)
     _assert_knn_matches_bruteforce(X, 8)
-    assert sizes == [7] * (53 // 7) + [53 % 7]
+    assert sizes == [7] * 7 + [4]  # 8 blocks of at most 7 queries, evened out
+
+
+def _straddling_ties(rng, D, N, k, tile):
+    """Rounded data where copies of point 4's k-th neighbor, on both sides
+    of two tile boundaries and at the last column, tie with it at the
+    k-th boundary (as _planted_ties)."""
+    X = np.round(rng.standard_normal((D, N)), 1)
+    j = knn_bruteforce(X, X[:, 4], k)[k - 1]
+    X[:, [tile - 1, tile, 3 * tile - 1, 3 * tile, N - 1]] = X[:, [j]]
+    return X
 
 
 @pytest.mark.parametrize("workers", [1, 5])
 def test_knn_blocks_match_bruteforce_at_any_worker_count(workers, with_workers,
                                                          monkeypatch):
-    # blocks of 7 queries and a ragged last one, each writing its own rows
-    # on a worker while the interpreter switches threads every microsecond
-    monkeypatch.setattr(neighbors, "_BLOCK", 7)
+    # blocks of at most 7 queries and 16-column tiles, the last ones ragged,
+    # with ties at the k-th boundary on both sides of tile boundaries; each
+    # block writes its own rows on a worker while the interpreter switches
+    # threads every microsecond
+    monkeypatch.setattr(neighbors, "_ROWS", 7)
+    monkeypatch.setattr(neighbors, "_TILE", 16)
     sizes = _spy_blocks(monkeypatch)
+    widths = _spy_tiles(monkeypatch)
     rng = np.random.default_rng(11)
     k = 9
-    X = _planted_ties(rng, 6, 66, k)
+    X = _straddling_ties(rng, 6, 66, k, 16)
     base, queries = _planted_query_ties(rng, 6, 90, k)
     dist = neighbors._sq_dist(X, X[:, 4], knn_bruteforce(X, X[:, 4], 66))
     assert dist[k - 1] == dist[k]  # the k-th boundary is tied
     with_workers(workers, lambda: _assert_knn_matches_bruteforce(X, k))
     assert sorted(sizes) == [3] + [7] * 9  # 66 queries
+    assert widths[0] == [16, 16, 16, 16, 2]
     sizes.clear()
     with_workers(workers, lambda: _assert_knn_matches_bruteforce(base, k, queries))
-    assert sorted(sizes) == [2, 7]  # 9 queries
+    assert sorted(sizes) == [4, 5]  # 9 queries
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_tiled_knn_matches_bruteforce_with_ties_straddling_tiles(seed, monkeypatch):
+    # 8-column tiles: the candidates grow past twice those kept, so B is
+    # updated between tiles as well as after the last
+    monkeypatch.setattr(neighbors, "_TILE", 8)
+    prunes = []
+    prune = neighbors._prune
+    monkeypatch.setattr(neighbors, "_prune",
+                        lambda *args: prunes.append(1) or prune(*args))
+    rng = np.random.default_rng(seed)
+    k = 5
+    X = _straddling_ties(rng, 4, 61, k, 8)
+    order = knn_bruteforce(X, X[:, 4], 61)
+    dist = neighbors._sq_dist(X, X[:, 4], order)
+    assert dist[k - 1] == dist[k]  # the k-th boundary is tied
+    _assert_knn_matches_bruteforce(X, k)  # one block of 61 queries
+    assert len(prunes) >= 2  # one update after the last tile at most
+    _assert_knn_matches_bruteforce(X, k, X[:, 4:5])  # a single query
+    np.testing.assert_array_equal(euclid_topk(X, X[:, 4], k), order[:k])
+
+
+@pytest.mark.parametrize("k, widths", [(1, [8] * 6 + [5]), (12, [12] + [8] * 5 + [1]),
+                                       (40, [40, 8, 5]), (53, [53])])
+def test_tiled_knn_with_k_beyond_the_tile(k, widths, monkeypatch):
+    # a first tile of max(_TILE, k) columns, then 8-column tiles, the last
+    # ragged; k = N is one tile
+    monkeypatch.setattr(neighbors, "_TILE", 8)
+    seen = _spy_tiles(monkeypatch)
+    rng = np.random.default_rng(12)
+    X = np.round(rng.standard_normal((3, 53)), 1)
+    X[:, [7, 8, 30]] = X[:, [20]]  # equal points, one pair across a tile boundary
+    _assert_knn_matches_bruteforce(X, k)
+    _assert_knn_matches_bruteforce(X, k, X[:, 20:21])
+    assert seen[0] == widths
+    np.testing.assert_array_equal(euclid_topk(X, X[:, 20], k),
+                                  knn_bruteforce(X, X[:, 20], k))
+
+
+@pytest.mark.parametrize("layout", ["C", "F"])
+@pytest.mark.parametrize("D", [1, 5, 8, 64, 130, 300])
+def test_pair_distances_round_as_sq_dist(D, layout, monkeypatch):
+    # the re-rank's batched distances, in any pair order and in chunks of
+    # either size, equal the ones knn_bruteforce ranks by, bit for bit
+    rng = np.random.default_rng(D)
+    base = rng.standard_normal((D, 70)) * 10.0 ** rng.integers(-3, 4, (D, 1))
+    base = np.asfortranarray(base) if layout == "F" else base
+    queries = rng.standard_normal((D, 9))
+    rows, cols = rng.integers(0, 9, 700), rng.integers(0, 70, 700)
+    want = np.array([neighbors._sq_dist(base, queries[:, i], np.arange(70))[j]
+                     for i, j in zip(rows, cols)])
+    for entries in (neighbors._PAIR_ENTRIES, 7 * D):
+        monkeypatch.setattr(neighbors, "_PAIR_ENTRIES", entries)
+        got = neighbors._pair_sq_dist(base, queries, rows, cols)
+        assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("k", [1, 2, 37])
@@ -254,25 +340,36 @@ def test_knn_queries_extreme_k(k):
     assert knn(base, queries, k)[5, 0] == 12
 
 
-def test_knn_queries_ragged_last_block_from_byte_budget(monkeypatch):
-    N = 50
-    monkeypatch.setattr(neighbors, "_BLOCK_BYTES", 6 * 8 * N)  # 6 queries per block
+def test_knn_queries_ragged_last_tile(monkeypatch):
+    N = 53
+    monkeypatch.setattr(neighbors, "_TILE", 6)
+    monkeypatch.setattr(neighbors, "_ROWS", 6)
     sizes = _spy_blocks(monkeypatch)
+    widths = _spy_tiles(monkeypatch)
     rng = np.random.default_rng(7)
     base = np.round(rng.standard_normal((5, N)), 1)
     queries = np.round(rng.standard_normal((5, 27)), 1)
     _assert_knn_matches_bruteforce(base, 8, queries)
     assert sizes == [6, 6, 6, 6, 3]
+    assert widths == [[8] + [6] * 7 + [3]] * 5  # the first tile holds k = 8
 
 
-def test_knn_block_rows_follow_byte_budget(monkeypatch):
-    # 64 queries per block at most, and 2 MiB of distances: 8 rows at N = 30k
+def test_knn_blocks_and_tiles_follow_rows_and_tile_width(monkeypatch):
+    # at most 64 queries per block, evened out; 2048-column tiles; and the
+    # worker gate sees the bytes of a block's first tile of distances
     sizes = _spy_blocks(monkeypatch)
+    widths = _spy_tiles(monkeypatch)
+    gates = []
+    monkeypatch.setattr(parallel, "workers",
+                        lambda tasks, block_bytes: gates.append(block_bytes) or 1)
     rng = np.random.default_rng(8)
     for N, Q in ((2000, 70), (30000, 20)):
         base = rng.standard_normal((2, N))
         knn(base, rng.standard_normal((2, Q)), 1)
-    assert sizes == [64, 6, 8, 8, 4]
+    assert sizes == [35, 35, 20]
+    assert widths[:2] == [[2000]] * 2
+    assert widths[2] == [2048] * 14 + [30000 - 14 * 2048]
+    assert gates == [8 * 35 * 2000, 8 * 20 * 2048]
 
 
 def _per_point_tangent(X, i, d):
@@ -371,7 +468,7 @@ def test_an_error_in_every_knn_block_reaches_the_caller(with_workers, monkeypatc
         raise FloatingPointError("a kNN block failed")
 
     monkeypatch.setattr(neighbors, "_knn_block", fail)
-    monkeypatch.setattr(neighbors, "_BLOCK", 8)
+    monkeypatch.setattr(neighbors, "_ROWS", 8)
     X = np.random.default_rng(11).standard_normal((4, 40))
     with pytest.raises(FloatingPointError, match="kNN block failed"):
         with_workers(2, lambda: knn(X, X, 3))
