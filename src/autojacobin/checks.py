@@ -22,7 +22,9 @@ from .variants import VariantConfig
 
 
 def random_instance(D: int, d: int, n: int, seed: int):
-    """Random params, batch and tangent projectors for gradient checking."""
+    """Random params, batch and tangent factors for gradient checking; the
+    factors are an (n, D, min(d, D)) stack of random-rank orthonormal
+    bases zero-padded to one width, the form fit feeds the Jacobian term."""
     rng = np.random.default_rng(seed)
     p = NetworkParams(
         w1=0.5 * rng.standard_normal((d, D)),
@@ -31,12 +33,12 @@ def random_instance(D: int, d: int, n: int, seed: int):
         b2=0.1 * rng.standard_normal(D),
     )
     batch = rng.uniform(-0.8, 0.8, size=(D, n))
-    projs = []
-    for _ in range(n):
+    factors = np.zeros((n, D, min(d, D)))
+    for T in factors:
         r = int(rng.integers(1, d + 1))
-        Q, _ = np.linalg.qr(rng.standard_normal((D, r)))
-        projs.append(Q @ Q.T)
-    return p, batch, projs
+        Q, _ = np.linalg.qr(rng.standard_normal((D, r)))  # min(r, D) columns
+        T[:, :Q.shape[1]] = Q
+    return p, batch, factors
 
 
 def fd_gradient(f, theta: np.ndarray, h: float) -> np.ndarray:
@@ -69,11 +71,11 @@ def check_gradients(kind: str, D: int = 8, d: int = 4, n: int = 5,
     method = VariantConfig(kind=kind, alpha=alpha, corruption_t=0.2, lambda_c=0.01)
     if not method.trained:
         raise ValueError(f"no gradients to check for variant {kind!r}")
-    p, batch, projs = random_instance(D, d, n, seed)
+    p, batch, factors = random_instance(D, d, n, seed)
     cfg = ObjectiveConfig(alpha=alpha, epsilon=epsilon, jacobian_weight=0.5)
     mask = method.corrupt(batch.shape, np.random.default_rng(seed + 1))  # a frozen mask
     inputs = dict(
-        tangents=projs if method.needs_tangents else None,
+        tangents=factors if method.needs_tangents else None,
         lambda_c=method.contraction,
         corrupted=None if mask is None else np.where(mask, 0.0, batch),
     )

@@ -80,14 +80,18 @@ def cmd_train(args) -> int:
     if method.trained and args.bits > D:
         raise SystemExit(f"--bits {args.bits} exceeds the dimension D={D} of "
                          f"{args.input}")
-    if method.needs_tangents and N < D + args.bits:
-        raise SystemExit(f"tangent estimation needs N >= D+d = {D + args.bits} "
-                         f"points, got {N}")
+    # the tangents' neighborhoods take D+d points, init_params more than d
+    least = D + args.bits if method.needs_tangents else args.bits + 1
+    if method.trained and N < least:
+        raise SystemExit(f"--method {args.method} --bits {args.bits} needs at least "
+                         f"{least} training points, {args.input} has {N}")
     cfg = TrainConfig(bits=args.bits, epsilon=args.epsilon, epochs=args.epochs,
                       batch_size=args.batch, total_iterations=args.iterations,
                       seed=args.seed, method=method)
     try:
         params, report = fit(X_raw, cfg)
+    except matrix_io.DegenerateScaleError as err:
+        raise SystemExit(f"{args.input}: {err}") from None
     except LineSearchError as err:
         matrix_io.write_model(args.out, err.params)
         write_manifest(args.out, "train", _flags(args))
@@ -246,22 +250,25 @@ def cmd_toy(args) -> int:
 
 
 def _load_series(path):
-    """(label, xs, ys) from a recall or trace CSV; summary rows skipped."""
+    """(label, xs, ys) from a recall or trace CSV; summary rows skipped, and
+    a data row without a numeric second field ends the command."""
     xs, ys = [], []
     with open(path) as f:
         header = f.readline().strip()
         if not header:
             raise SystemExit(f"{path}: empty CSV")
-        for line in f:
+        for n, line in enumerate(f, 2):
             fields = line.strip().split(",")
-            if not fields or not fields[0]:
-                continue
             try:
                 x = float(fields[0])
             except ValueError:
-                continue  # trailing summary row such as m_recall
+                continue  # a blank line, or a summary row such as m_recall
+            try:
+                ys.append(float(fields[1]))
+            except (IndexError, ValueError):
+                raise SystemExit(f"{path}:{n}: a data row needs a numeric second "
+                                 f"field, got {line.strip()!r}") from None
             xs.append(x)
-            ys.append(float(fields[1]))
     if not xs:
         raise SystemExit(f"{path}: no data rows")
     return Path(path).stem, xs, ys

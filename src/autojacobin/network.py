@@ -73,13 +73,13 @@ with zero mean and covariance s^2 I. To first order in e,
 so w = s^2, the per-coordinate variance of that region. The first-order
 model is fitted on small neighborhoods, so w is taken at that scale:
 the mean per-coordinate variance of the D+1 nearest points of each
-training point (tangent.region_variance says why D+1). That is about
-7e-5 on the normalized 2-D simplex toy and 2.9e-3 on a D=64 curved
-manifold of 2000 points. A unit weight would describe a region wider
-than the normalized data itself (norms at most 0.8). The trainer takes
-w from the tangent bases it is given; ObjectiveConfig.jacobian_weight
-defaults to 1, the unscaled term, for callers that hold projectors but
-no neighborhoods.
+training point (the comment on tangent.TangentSet.region_variance says
+why D+1). That is about 7e-5 on the normalized 2-D simplex toy and
+2.9e-3 on a D=64 curved manifold of 2000 points. A unit weight would
+describe a region wider than the normalized data itself (norms at most
+0.8). The trainer takes w from the TangentSet it is given;
+ObjectiveConfig.jacobian_weight defaults to 1, the unscaled term, for
+callers that hold factors but no neighborhoods.
 
 Gradient correctness is defined by agreement with central finite
 differences of the objective (see checks).

@@ -33,15 +33,11 @@ _BLOCK = 64
 
 @dataclass
 class TangentBasis:
-    point_index: int
     basis: np.ndarray  # (D, r), orthonormal columns, r possibly 0
-    degenerate: bool = False
-    # per-coordinate variance of the D+1 nearest points (self included)
-    variance: float = 0.0
 
     @property
     def rank(self) -> int:
-        return 0 if self.basis.size == 0 else self.basis.shape[1]
+        return self.basis.shape[1]
 
 
 @dataclass(eq=False)
@@ -56,8 +52,13 @@ class TangentSet(Sequence):
 
     factors: np.ndarray  # (N, D, r)
     ranks: np.ndarray  # (N,) int
-    variance: np.ndarray  # (N,), as TangentBasis.variance
-    degenerate: np.ndarray  # (N,) bool
+    # mean per-coordinate variance of the D+1 nearest points (self
+    # included) of each point: the weight of the Jacobian term (see the
+    # network module). D+1 points are the fewest that span a
+    # D-dimensional neighborhood, and they are the common prefix of every
+    # tangent-fit neighborhood (D+d points), so the weight does not depend
+    # on the code length d. A neighborhood of equal points counts as 0.
+    region_variance: float
 
     def __len__(self) -> int:
         return len(self.ranks)
@@ -66,14 +67,13 @@ class TangentSet(Sequence):
         if isinstance(i, slice):
             return [self[j] for j in range(len(self))[i]]
         i = range(len(self))[i]  # IndexError past either end ends iteration
-        return TangentBasis(point_index=i, basis=self.factors[i, :, :self.ranks[i]],
-                            degenerate=bool(self.degenerate[i]),
-                            variance=float(self.variance[i]))
+        return TangentBasis(self.factors[i, :, :self.ranks[i]])
 
 
 def _pca_block(X: np.ndarray, nbr: np.ndarray, d: int):
-    """(bases, ranks, variance, degenerate) of the local PCAs of b points
-    with neighborhoods nbr (b, k).
+    """(bases, ranks, variance) of the local PCAs of b points with
+    neighborhoods nbr (b, k); variance[j] is the per-coordinate variance
+    of point j's D+1 nearest points.
 
     bases is (b, D, min(d, D)): the leading ranks[j] columns of bases[j]
     are point j's principal directions, by decreasing variance, and the
@@ -103,7 +103,7 @@ def _pca_block(X: np.ndarray, nbr: np.ndarray, d: int):
     r[live] = np.minimum((share < ENERGY_FRACTION).sum(axis=1) + 1, d)
     top = evecs[:, :, ::-1][:, :, :d]
     bases = np.where(np.arange(top.shape[2]) < r[:, None, None], top, 0.0)
-    return bases, r, variance, degenerate
+    return bases, r, variance
 
 
 def estimate_all_tangents(X: np.ndarray, d: int) -> TangentSet:
@@ -119,31 +119,16 @@ def estimate_all_tangents(X: np.ndarray, d: int) -> TangentSet:
     factors = np.empty((N, D, min(d, D)))
     ranks = np.empty(N, dtype=int)
     variance = np.empty(N)
-    degenerate = np.empty(N, dtype=bool)
 
     def block(lo):
         hi = lo + _BLOCK
-        (factors[lo:hi], ranks[lo:hi], variance[lo:hi],
-         degenerate[lo:hi]) = _pca_block(X, nbr[lo:hi], d)
+        factors[lo:hi], ranks[lo:hi], variance[lo:hi] = _pca_block(X, nbr[lo:hi], d)
 
     parallel.ordered_map(block, range(0, N, _BLOCK), 8 * _BLOCK * D * (D + d))
     width = max(1, int(ranks.max()))
     if width < factors.shape[2]:
         factors = np.ascontiguousarray(factors[:, :, :width])
-    return TangentSet(factors, ranks, variance, degenerate)
-
-
-def region_variance(tangents: TangentSet) -> float:
-    """Mean per-coordinate variance of the D+1 nearest points of each
-    training point: the weight of the Jacobian term (see the network
-    module).
-
-    D+1 points are the fewest that span a D-dimensional neighborhood,
-    and they are the common prefix of every tangent-fit neighborhood
-    (D+d points), so the weight does not depend on the code length d.
-    A degenerate neighborhood (all points equal) counts as variance 0.
-    """
-    return float(np.mean(tangents.variance))
+    return TangentSet(factors, ranks, float(np.mean(variance)))
 
 
 def projector(T: TangentBasis) -> np.ndarray:

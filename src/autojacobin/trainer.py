@@ -30,11 +30,11 @@ the tanh saturation: on the 1000-point toy, AutoBin ends near cost 283
 after 300 full-batch steepest-descent iterations, against 38-50 (three
 seeds) from this search.
 
-train takes the tangents in one of two forms. A tangent.TangentSet is
-read as its zero-padded (N, D, r) stack of bases, never as D x D
-projectors, and the Jacobian term is weighted by its region variance
-(see the network module). Any other array-like of N equal-shape D x r
-factors, such as D x D projectors, is taken as one array at unit
+train takes the tangents in one of two forms. A tangent.TangentSet,
+which fit passes, gives its zero-padded (N, D, r) stack of bases and
+its region variance, the Jacobian term's weight (see the network
+module). Any other array-like of N equal-shape D x r factors, such as
+D x D projectors (each its own factor), is taken as one array at unit
 weight. Either form is converted and checked once, by the network
 module's one converter of tangent factors (network._factor_rows). On
 the toy simplex at the region-variance weight this search saturates
@@ -86,7 +86,7 @@ from .network import (
     unpack_params,
 )
 from .matrix_io import _check_matrix, apply_normalizer, fit_normalizer
-from .tangent import TangentSet, estimate_all_tangents, region_variance
+from .tangent import TangentSet, estimate_all_tangents
 
 
 LBFGS_MEMORY = 10  # curvature pairs kept by the L-BFGS direction
@@ -326,7 +326,7 @@ def train(X_train: np.ndarray, tangents, cfg: TrainConfig):
     rows, weight = None, ObjectiveConfig().jacobian_weight
     if cfg.method.needs_tangents:
         if isinstance(tangents, TangentSet):
-            weight, report.tangent_ranks = region_variance(tangents), tangents.ranks.tolist()
+            weight, report.tangent_ranks = tangents.region_variance, tangents.ranks.tolist()
             tangents = tangents.factors
         rows = _factor_rows(tangents, N, D)  # ||T'T||_F^2 is constant over training
         report.jacobian_weight = weight

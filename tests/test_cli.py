@@ -1,11 +1,14 @@
 import json
+import os
 import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import autojacobin
 from autojacobin import cli, hamming, matrix_io, parallel, synth, tangent, trainer
 from autojacobin.cli import _cached_groundtruth, _groundtruth_cache, main
 from autojacobin.network import forward_batch, unpack_params
@@ -77,7 +80,7 @@ def test_train_summary_reports_tangent_ranks_and_weight(tmp_path, capsys):
     assert line.startswith("trained auto-jacobin: ")
     assert line.endswith(
         f"; tangent rank min/mean/max {min(ranks)}/{np.mean(ranks):.1f}/{max(ranks)}, "
-        f"Jacobian weight {tangent.region_variance(bases):.3g}")
+        f"Jacobian weight {bases.region_variance:.3g}")
     capsys.readouterr()
     main(["train", "--input", str(base_path), "--bits", "4", "--method", "autobin",
           "--epochs", "1", "--batch", "80", "--iterations", "2",
@@ -205,6 +208,38 @@ def test_train_rejects_more_bits_than_dimensions_before_any_work(tmp_path, monke
     with pytest.raises(SystemExit, match="--bits 12 exceeds the dimension D=8"):
         main(["train", "--input", str(base_path), "--bits", "12", "--method", method,
               "--out", str(model)])
+    assert not model.exists()
+
+
+@pytest.mark.parametrize("method, n, least", [
+    ("autobin", 5, 9), ("autobin", 8, 9), ("dautobin", 8, 9), ("cautobin", 8, 9),
+    ("auto-jacobin", 23, 24)])  # more than d points, and D+d for the tangents
+def test_train_rejects_too_few_points_before_any_work(tmp_path, monkeypatch, method, n,
+                                                      least):
+    base_path, _ = _write_data(tmp_path, "b.fvecs", D=16, n=n, seed=3)
+    model = tmp_path / "m.ajb"
+
+    def no_fit(*args, **kwargs):
+        raise AssertionError("fit called")
+
+    monkeypatch.setattr(cli, "fit", no_fit)
+    with pytest.raises(SystemExit, match=f"--method {method} --bits 8 needs at least "
+                                         f"{least} training points, {base_path} has {n}"):
+        main(["train", "--input", str(base_path), "--bits", "8", "--method", method,
+              "--out", str(model)])
+    assert not model.exists()
+
+
+@pytest.mark.parametrize("method", ["auto-jacobin", "autobin", "lsh"])
+def test_train_on_all_zero_input_is_one_line_and_writes_no_model(tmp_path, method):
+    zero = tmp_path / "zero.fvecs"
+    matrix_io.write_fvecs(zero, np.zeros((6, 40)))
+    model = tmp_path / "m.ajb"
+    r = subprocess.run([sys.executable, "-m", "autojacobin.cli", "train", "--input",
+                        str(zero), "--bits", "4", "--method", method, "--out", str(model)],
+                       capture_output=True, text=True)
+    assert r.returncode == 1
+    assert r.stderr.splitlines() == [f"{zero}: all-zero training matrix"]
     assert not model.exists()
 
 
@@ -384,9 +419,24 @@ def _missing_plot_csv(tmp_path):
     return argv, f"[Errno 2] No such file or directory: '{missing}'"
 
 
+def _plot_csv_row_with_one_field(tmp_path):
+    bad = tmp_path / "one.csv"
+    bad.write_text("i,recall\n1,0.5\n2\n")
+    argv = ["plot", "--out", str(tmp_path / "x.svg"), str(bad)]
+    return argv, f"{bad}:3: a data row needs a numeric second field, got '2'"
+
+
+def _plot_csv_non_numeric_y(tmp_path):
+    bad = tmp_path / "text.csv"
+    bad.write_text("i,recall\n1,high\n")
+    argv = ["plot", "--out", str(tmp_path / "x.svg"), str(bad)]
+    return argv, f"{bad}:2: a data row needs a numeric second field, got '1,high'"
+
+
 @pytest.mark.parametrize("case", [_malformed_encode_input, _malformed_eval_query,
                                   _malformed_model, _malformed_train_text,
-                                  _missing_plot_csv])
+                                  _missing_plot_csv, _plot_csv_row_with_one_field,
+                                  _plot_csv_non_numeric_y])
 def test_a_malformed_input_file_is_one_line_without_a_traceback(tmp_path, case):
     argv, message = case(tmp_path)
     r = subprocess.run([sys.executable, "-m", "autojacobin.cli", *argv],
@@ -793,3 +843,117 @@ def test_console_entry_point(tmp_path):
                        capture_output=True, text=True)
     assert r.returncode == 0
     assert "total" in r.stdout
+
+
+# a fresh interpreter that runs CLI commands (a JSON list of argv lists)
+# one after another, pinned to one CPU before numpy loads unless the CPU
+# is "all"
+_CHILD = """\
+import json, os, sys
+if sys.argv[1] != "all":
+    os.sched_setaffinity(0, {int(sys.argv[1])})
+from autojacobin.cli import main
+for argv in json.loads(sys.argv[2]):
+    if main(argv) != 0:
+        sys.exit(f"exit status 1 from {argv}")
+"""
+
+
+def _run_cli(cpu, *commands):
+    """Run commands in one child interpreter with one BLAS thread: on
+    every CPU of this process when cpu is None, else on that CPU alone."""
+    src = str(Path(autojacobin.__file__).parents[1])
+    env = dict(os.environ, OMP_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    r = subprocess.run([sys.executable, "-c", _CHILD, "all" if cpu is None else str(cpu),
+                        json.dumps([[str(a) for a in argv] for argv in commands])],
+                       env=env, capture_output=True, text=True, timeout=300)
+    assert r.returncode == 0, r.stderr
+
+
+def _same_bytes(first, *others):
+    want = first.read_bytes()
+    for path in others:
+        assert path.read_bytes() == want, f"{path} differs from {first}"
+
+
+# the CPUs this process may run on; none where a child cannot be pinned
+_CPUS = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else set()
+
+
+@pytest.mark.skipif(len(_CPUS) < 2, reason="needs 2 usable CPUs")
+def test_outputs_have_the_same_bytes_in_any_process_and_at_any_worker_count(tmp_path):
+    # every blocked loop of train, eval and encode runs on 2 workers at
+    # these shapes (their blocks pass the pool's 256 KiB gate) and on 1
+    # in a child pinned to one CPU; each command runs in a process of
+    # its own, and the encode/eval sequence again in one interpreter,
+    # whose pools live across its commands
+    one = min(_CPUS)
+    rng = np.random.default_rng(0)
+    # 600 training points: the tangent kNN's blocks of 60 queries against
+    # them take 281 KiB of distances
+    X, manifold = synth.curved_manifold(600, 8, 64, rng)
+    data, base, query = (tmp_path / f"cm{s}.fvecs" for s in ("", "-base", "-query"))
+    matrix_io.write_fvecs(data, X)
+    # the 17000-point base spans eight 2048-column kNN tiles and a ragged
+    # last one
+    for path, n in ((base, 17000), (query, 200)):
+        matrix_io.write_fvecs(path, synth.curved_manifold_more(n, manifold, rng))
+    runs = (("a", None), ("b", None), ("one", one))
+
+    # the same model bits on every run and on one CPU: the tangent kNN
+    # and PCA, the baselines' per-batch gathers and DAutoBin's mask
+    for method in ("auto-jacobin", "dautobin", "cautobin"):
+        for run, cpu in runs:
+            _run_cli(cpu, ["train", "--input", data, "--bits", 16, "--epochs", 2,
+                           "--batch", 200, "--method", method,
+                           "--out", tmp_path / f"{method}-{run}.ajb"])
+        _same_bytes(*(tmp_path / f"{method}-{run}.ajb" for run, _ in runs))
+    model = tmp_path / "auto-jacobin-a.ajb"
+
+    # the same ground truth and recall curves at any worker count, cold
+    # and warm: the ground truth's tiled query blocks and the recall
+    # curve's query blocks
+    ev = ["eval", "--model", model, "--base", base, "--query", query,
+          "--max-retrieve", 1000]
+    curves = ["m_recall.csv"] + [f"recall_k{k}.csv" for k in (1, 5, 10, 50, 100)]
+
+    def cache():  # the one ground-truth cache file beside the base
+        [path] = tmp_path.glob("cm-base.fvecs.*.ajbg")
+        return path
+
+    for run, cpu in (("two", None), ("one", one)):
+        for path in tmp_path.glob("cm-base.fvecs.*.ajbg"):
+            path.unlink()
+        for warmth in ("cold", "warm"):
+            _run_cli(cpu, ev + ["--out-dir", tmp_path / f"ev-{run}-{warmth}"])
+        cache().rename(tmp_path / f"gt-{run}.ajbg")
+    _same_bytes(tmp_path / "gt-two.ajbg", tmp_path / "gt-one.ajbg")
+    for name in curves:
+        _same_bytes(*(tmp_path / f"ev-{run}-{warmth}" / name for run in ("two", "one")
+                      for warmth in ("cold", "warm")))
+
+    # the same codes on every run and at any worker count, with and
+    # without the bias: encode's 2048-point tiles
+    enc = ["encode", "--model", model, "--input", base]
+    for bias in ([], ["--use-bias"]):
+        for run, cpu in runs:
+            _run_cli(cpu, enc + bias + ["--out", tmp_path / f"codes-{run}.ajbc"])
+        _same_bytes(*(tmp_path / f"codes-{run}.ajbc" for run, _ in runs))
+    biased = tmp_path / "codes-a.ajbc"
+
+    # the same outputs from one interpreter: the base encoded twice, then
+    # eval cold and warm, on 2 workers and then on 1
+    for run, cpu in (("two", None), ("one", one)):
+        for path in tmp_path.glob("cm-base.fvecs.*.ajbg"):
+            path.unlink()
+        _run_cli(cpu, *[enc + ["--use-bias", "--out", tmp_path / f"in-{run}-{i}.ajbc"]
+                        for i in (1, 2)],
+                 *[ev + ["--out-dir", tmp_path / f"in-{run}-{warmth}"]
+                   for warmth in ("cold", "warm")])
+        _same_bytes(biased, *(tmp_path / f"in-{run}-{i}.ajbc" for i in (1, 2)))
+        _same_bytes(tmp_path / "gt-two.ajbg", cache())
+        for name in curves:
+            _same_bytes(tmp_path / "ev-two-cold" / name,
+                        *(tmp_path / f"in-{run}-{warmth}" / name
+                          for warmth in ("cold", "warm")))

@@ -22,6 +22,11 @@ from autojacobin.trainer import init_params
 from autojacobin.variants import VariantConfig
 
 
+def _projectors(factors):
+    """The D x D targets T T' of an (n, D, r) stack of factors."""
+    return factors @ np.swapaxes(factors, 1, 2)
+
+
 def _zero_params(D, d):
     return NetworkParams(w1=np.zeros((d, D)), w2=np.zeros((D, d)),
                          b1=np.zeros(d), b2=np.zeros(D))
@@ -114,8 +119,8 @@ def test_jacobian_matches_finite_differences():
 
 
 def test_objective_alpha_zero_drops_binary():
-    p, batch, projs = random_instance(5, 3, 4, seed=4)
-    total, parts, _ = objective(p, batch, projs, ObjectiveConfig(alpha=0.0))
+    p, batch, factors = random_instance(5, 3, 4, seed=4)
+    total, parts, _ = objective(p, batch, factors, ObjectiveConfig(alpha=0.0))
     assert parts.binary == 0.0
     assert total == pytest.approx(parts.recon + parts.jacobian)
 
@@ -132,9 +137,10 @@ def test_objective_closed_form_at_zero():
 
 
 def test_objective_matches_naive_loop():
-    p, batch, projs = random_instance(6, 3, 5, seed=5)
+    p, batch, factors = random_instance(6, 3, 5, seed=5)
+    projs = _projectors(factors)
     cfg = ObjectiveConfig(alpha=0.1, epsilon=1e-4)
-    total, _, _ = objective(p, batch, projs, cfg)
+    total, _, _ = objective(p, batch, factors, cfg)
 
     # independent scalar-loop reference
     ref = 0.0
@@ -202,8 +208,7 @@ def _ragged_bases(D, ranks, seed):
     factors = np.zeros((len(ranks), D, max(1, ranks.max())))
     for i, r in enumerate(ranks):
         factors[i, :, :r] = np.linalg.qr(rng.standard_normal((D, r)))[0]
-    return tangent.TangentSet(factors, ranks, 0.01 * np.arange(1, len(ranks) + 1),
-                              np.zeros(len(ranks), dtype=bool))
+    return tangent.TangentSet(factors, ranks, region_variance=0.05)
 
 
 @pytest.mark.filterwarnings("ignore:training data rank below bit count")
@@ -211,7 +216,7 @@ def test_factored_jacobian_term_matches_dense_on_proxy_tangents():
     X, _ = synth.curved_manifold(2000, 8, 64, np.random.default_rng(7), noise=0.01)
     Xn = matrix_io.apply_normalizer(matrix_io.fit_normalizer(X), X)
     bases = tangent.estimate_all_tangents(Xn, 32)
-    factors, weight = bases.factors, tangent.region_variance(bases)
+    factors, weight = bases.factors, bases.region_variance
     assert factors.shape == (2000, 64, max(t.rank for t in bases))
     p = init_params(Xn, 32, 7)
     rng = np.random.default_rng(8)
@@ -223,42 +228,46 @@ def test_factored_jacobian_term_matches_dense_on_proxy_tangents():
 
 def test_factored_jacobian_term_takes_projectors_as_their_own_factors():
     for seed in range(3):
-        p, batch, projs = random_instance(8, 4, 300, seed=seed)  # crosses a chunk
-        _assert_factored_matches_dense(p, batch, np.stack(projs), np.stack(projs), 0.5)
+        p, batch, factors = random_instance(8, 4, 300, seed=seed)  # crosses a chunk
+        projs = _projectors(factors)
+        _assert_factored_matches_dense(p, batch, factors, projs, 0.5)
+        _assert_factored_matches_dense(p, batch, projs, projs, 0.5)
 
 
 @pytest.mark.parametrize("D, d", [(6, 6), (7, 1)])  # d = D, and one bit
 def test_factored_jacobian_term_matches_dense_at_extreme_bit_counts(D, d):
-    p, batch, projs = random_instance(D, d, 70, seed=D + d)  # crosses a chunk
+    p, batch, factors = random_instance(D, d, 70, seed=D + d)  # crosses a chunk
     bases = _ragged_bases(D, np.random.default_rng(D).integers(0, D + 1, size=70),
                           seed=D)
     targets = np.stack([tangent.projector(t) for t in bases])
     _assert_factored_matches_dense(p, batch, bases.factors, targets, 0.5)
-    _assert_factored_matches_dense(p, batch, np.stack(projs), np.stack(projs), 0.5)
+    projs = _projectors(factors)
+    _assert_factored_matches_dense(p, batch, factors, projs, 0.5)
+    _assert_factored_matches_dense(p, batch, projs, projs, 0.5)
 
 
 def test_objective_on_projectors_equals_the_rows_of_a_stack():
     # the trainer's path: a batch's rows of the whole stack, with
     # ||T'T||_F^2 computed once for the stack
-    p, X, projs = random_instance(8, 4, 200, seed=19)
-    stack = np.stack(projs)
+    p, X, factors = random_instance(8, 4, 200, seed=19)
+    stack = _projectors(factors)
     rows = np.random.default_rng(20).permutation(200)[:130]
     cfg = ObjectiveConfig(jacobian_weight=0.5)
-    total, parts, g = objective(p, X[:, rows], [projs[i] for i in rows], cfg)
+    total, parts, g = objective(p, X[:, rows], [stack[i] for i in rows], cfg)
     total_r, parts_r, g_r = objective(p, X[:, rows],
                                       FactorRows(stack, rows, gram_norms(stack)), cfg)
     assert parts_r.jacobian == pytest.approx(parts.jacobian, rel=1e-13)
     assert total_r == pytest.approx(total, rel=1e-13)
     np.testing.assert_allclose(g_r, g, rtol=1e-13, atol=1e-13 * np.max(np.abs(g)))
-    np.testing.assert_allclose(gram_norms(stack), [np.sum(P * P) for P in projs],
+    np.testing.assert_allclose(gram_norms(stack), [np.sum(P * P) for P in stack],
                                rtol=1e-13)
 
 
 def test_factored_jacobian_term_matches_dense_on_zero_padded_ragged_ranks():
     ranks = [0, 1, 3, 5, 2, 0, 4, 5, 1]
     bases = _ragged_bases(12, ranks, seed=12)
-    factors, weight = bases.factors, tangent.region_variance(bases)
-    assert factors.shape == (9, 12, 5) and weight == pytest.approx(0.05)
+    factors, weight = bases.factors, bases.region_variance
+    assert factors.shape == (9, 12, 5) and weight == 0.05
     np.testing.assert_array_equal(factors[0], 0.0)  # rank 0: zero target
     p, batch, _ = random_instance(12, 5, 9, seed=13)
     targets = np.stack([tangent.projector(t) for t in bases])
@@ -278,13 +287,13 @@ def test_fd_gradient_on_zero_padded_bases():
 
 
 @pytest.mark.parametrize("workers", [1, 5])
-@pytest.mark.parametrize("kind", ["projectors", "ragged"])
+@pytest.mark.parametrize("kind", ["stack", "projectors", "ragged"])
 def test_objective_has_the_same_bits_at_any_worker_count(workers, kind, with_workers):
     n = 300  # 5 chunks, the last one short
-    p, batch, projs = random_instance(8, 4, n, seed=16)
+    p, batch, factors = random_instance(8, 4, n, seed=16)
     if kind == "projectors":
-        factors = np.stack(projs)
-    else:
+        factors = _projectors(factors)
+    elif kind == "ragged":
         ranks = np.random.default_rng(17).integers(0, 5, size=n)
         factors = _ragged_bases(8, ranks, seed=18).factors
     cfg = ObjectiveConfig(jacobian_weight=0.5)
@@ -366,13 +375,13 @@ def _out_of_place_objective(p, batch, factors, cfg, lambda_c=None, corrupted=Non
 @pytest.mark.parametrize("kind", ["auto-jacobin", "autobin", "dautobin", "cautobin"])
 def test_in_place_objective_has_the_bits_of_the_out_of_place_expressions(
         D, d, n, layout, kind):
-    p, batch, projs = random_instance(D, d, n, seed=19)
+    p, batch, factors = random_instance(D, d, n, seed=19)
     batch = np.asarray(batch, order=layout)
     method = VariantConfig(kind=kind, corruption_t=0.3)
     mask = method.corrupt(batch.shape, np.random.default_rng(20))
     inputs = dict(lambda_c=method.contraction,
                   corrupted=None if mask is None else np.where(mask, 0.0, batch))
-    factors = np.stack(projs) if method.needs_tangents else None
+    factors = factors if method.needs_tangents else None
     cfg = ObjectiveConfig(alpha=0.2, jacobian_weight=0.5)
     before = [a.copy() for a in (batch, inputs["corrupted"]) if a is not None]
     value, _, grad = objective(p, batch, factors, cfg, **inputs)
@@ -385,13 +394,13 @@ def test_in_place_objective_has_the_bits_of_the_out_of_place_expressions(
 
 
 def test_jacobian_weight_scales_term_and_gradient():
-    p, batch, projs = random_instance(6, 3, 5, seed=6)
-    parts = {w: objective(p, batch, projs, ObjectiveConfig(jacobian_weight=w))[1]
+    p, batch, factors = random_instance(6, 3, 5, seed=6)
+    parts = {w: objective(p, batch, factors, ObjectiveConfig(jacobian_weight=w))[1]
              for w in (0.0, 0.25, 1.0)}
     assert parts[0.0].jacobian == 0.0
     assert parts[0.25].jacobian == pytest.approx(0.25 * parts[1.0].jacobian, rel=1e-12)
     assert parts[0.25].recon == parts[1.0].recon
-    g = {w: objective(p, batch, projs, ObjectiveConfig(jacobian_weight=w))[2]
+    g = {w: objective(p, batch, factors, ObjectiveConfig(jacobian_weight=w))[2]
          for w in (0.0, 0.25, 1.0)}
     np.testing.assert_allclose(g[0.25] - g[0.0], 0.25 * (g[1.0] - g[0.0]),
                                rtol=1e-10, atol=1e-12)
@@ -401,8 +410,8 @@ def test_jacobian_weight_scales_term_and_gradient():
 
 def test_objective_parts_nonnegative_and_sum():
     for seed in range(4):
-        p, batch, projs = random_instance(5, 4, 6, seed=seed)
-        total, parts, _ = objective(p, batch, projs, ObjectiveConfig())
+        p, batch, factors = random_instance(5, 4, 6, seed=seed)
+        total, parts, _ = objective(p, batch, factors, ObjectiveConfig())
         assert parts.recon >= 0 and parts.jacobian >= 0 and parts.binary >= 0
         assert total == parts.recon + parts.jacobian + parts.binary
 
@@ -416,16 +425,17 @@ def test_objective_parts_nonnegative_and_sum():
 ], ids=["too-few", "wrong-D", "ragged", "2-D", "too-few-rows"])
 def test_objective_projector_count_mismatch(bad, got):
     # every malformed tangent form fails at the one converter, naming (N, D, r)
-    p, batch, projs = random_instance(4, 2, 3, seed=6)
+    p, batch, factors = random_instance(4, 2, 3, seed=6)
+    projs = list(_projectors(factors))
     with pytest.raises(ValueError, match=r"tangent factors of shape \(N, D, r\) = "
                                          r"\(3, 4, r\), got " + got):
         objective(p, batch, bad(projs), ObjectiveConfig())
 
 
 def test_objective_gradient_is_laid_out_like_the_parameters():
-    p, batch, projs = random_instance(6, 3, 5, seed=7)
+    p, batch, factors = random_instance(6, 3, 5, seed=7)
     theta = pack_params(p)
-    for tangents, lambda_c in ((projs, None), (None, None), (None, 0.01)):
+    for tangents, lambda_c in ((factors, None), (None, None), (None, 0.01)):
         grad = objective(p, batch, tangents, ObjectiveConfig(), lambda_c=lambda_c)[2]
         assert grad.shape == theta.shape and grad.dtype == theta.dtype == np.float64
 
@@ -450,20 +460,20 @@ def test_frobenius_gap_transpose_invariant_for_symmetric_target():
 
 
 def test_grad_check_passes_on_correct_gradients():
-    p, batch, projs = random_instance(8, 4, 5, seed=9)
-    assert _fd_error(p, batch, projs, ObjectiveConfig()) < 1e-6
+    p, batch, factors = random_instance(8, 4, 5, seed=9)
+    assert _fd_error(p, batch, factors, ObjectiveConfig()) < 1e-6
     assert max(check_gradients("auto-jacobin", seed=9).values()) < 1e-6
 
 
 def test_grad_check_detects_perturbation():
-    p, batch, projs = random_instance(8, 4, 5, seed=10)
+    p, batch, factors = random_instance(8, 4, 5, seed=10)
     cfg = ObjectiveConfig()
 
     theta = pack_params(p)
-    analytic = objective(p, batch, projs, cfg)[2]
+    analytic = objective(p, batch, factors, cfg)[2]
     broken = analytic.copy()
     broken[0] += 1e-3
-    fd = fd_gradient(lambda t: objective(unpack_params(t, p), batch, projs, cfg)[0],
+    fd = fd_gradient(lambda t: objective(unpack_params(t, p), batch, factors, cfg)[0],
                      theta, 1e-6)
     err = np.max(np.abs(broken - fd) / np.maximum(1.0, np.abs(fd)))
     assert err > 1e-4
@@ -475,6 +485,26 @@ def test_grad_check_zero_network_finite():
     batch = np.zeros((D, n))
     projs = [np.zeros((D, D))] * n
     assert np.isfinite(_fd_error(p, batch, projs, ObjectiveConfig()))
+
+
+@pytest.mark.parametrize("D, d, n, seed", [(8, 4, 5, 0), (6, 3, 7, 1), (3, 5, 6, 2)])
+def test_random_instance_stacks_the_qr_bases_of_its_projectors(D, d, n, seed):
+    # item i of the stack is the QR basis Q of the i-th draw, zero-padded,
+    # so T T' is the projector Q Q' of that draw; d > D included
+    rng = np.random.default_rng(seed)
+    w1, w2 = 0.5 * rng.standard_normal((d, D)), 0.5 * rng.standard_normal((D, d))
+    b1, b2 = 0.1 * rng.standard_normal(d), 0.1 * rng.standard_normal(D)
+    batch = rng.uniform(-0.8, 0.8, size=(D, n))
+    bases = [np.linalg.qr(rng.standard_normal((D, int(rng.integers(1, d + 1)))))[0]
+             for _ in range(n)]
+    p, got_batch, factors = random_instance(D, d, n, seed)
+    for a, b in ((p.w1, w1), (p.w2, w2), (p.b1, b1), (p.b2, b2), (got_batch, batch)):
+        np.testing.assert_array_equal(a, b)
+    assert factors.shape == (n, D, min(d, D))
+    for T, Q in zip(factors, bases):
+        np.testing.assert_array_equal(T[:, :Q.shape[1]], Q)
+        np.testing.assert_array_equal(T[:, Q.shape[1]:], 0.0)
+        np.testing.assert_array_equal(T @ T.T, Q @ Q.T)
 
 
 def test_pack_unpack_round_trip():

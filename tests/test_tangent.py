@@ -13,7 +13,6 @@ from autojacobin.tangent import (
     oracle_project,
     oracle_tangent_projector,
     projector,
-    region_variance,
 )
 
 
@@ -60,7 +59,7 @@ def test_estimate_tangent_plane():
 def test_estimate_tangent_degenerate():
     X = np.ones((3, 10))
     t = estimate_all_tangents(X, 2)[4]
-    assert t.degenerate and t.rank == 0
+    assert t.rank == 0
     np.testing.assert_array_equal(projector(t), np.zeros((3, 3)))
 
 
@@ -81,18 +80,15 @@ def test_estimate_tangent_sphere_orthogonal_to_radius():
 
 def test_tangent_variance_is_neighborhood_variance():
     rng = np.random.default_rng(3)
-    X = rng.standard_normal((4, 40))
-    tbs = estimate_all_tangents(X, 2)
-    for i in (0, 17, 39):
-        nbrs = X[:, knn_bruteforce(X, X[:, i], 5)]  # the D+1 nearest points
-        expect = float(np.mean(nbrs.var(axis=1)))  # per-coordinate variance
-        assert tbs[i].variance == pytest.approx(expect, rel=1e-12)
-    assert region_variance(tbs) == pytest.approx(
-        np.mean([t.variance for t in tbs]), rel=1e-12)
-    # the neighborhood does not grow with the code length d
-    for d in (1, 4):
-        assert [t.variance for t in estimate_all_tangents(X, d)] == \
-            [t.variance for t in tbs]
+    D, N = 4, 40
+    X = rng.standard_normal((D, N))
+    # the mean over all points of the per-coordinate variance of their
+    # D+1 nearest points, by brute force
+    expect = np.mean([np.mean(X[:, knn_bruteforce(X, X[:, i], D + 1)].var(axis=1))
+                      for i in range(N)])
+    got = {estimate_all_tangents(X, d).region_variance for d in (1, 2, 4)}
+    assert len(got) == 1  # the neighborhood does not grow with the code length d
+    assert got.pop() == pytest.approx(expect, rel=1e-12)
 
 
 def test_estimate_tangent_needs_enough_points():
@@ -395,23 +391,26 @@ def test_batched_pca_equals_per_point_pca_bit_for_bit(layout, monkeypatch):
     X = rng.standard_normal((6, 70)) * np.linspace(1.0, 1e-3, 6)[:, None]
     X[:, 50:] = 0.25  # 20 equal points: degenerate neighborhoods
     X = np.asfortranarray(X) if layout == "F" else X
-    for i, t in enumerate(estimate_all_tangents(X, 3)):
+    ts = estimate_all_tangents(X, 3)
+    variances = []
+    for i, t in enumerate(ts):
         basis, variance = _per_point_tangent(X, i, 3)
-        assert t.point_index == i
-        assert t.degenerate == (basis.shape[1] == 0)
-        assert t.variance == variance
+        variances.append(variance)
+        assert t.rank == basis.shape[1]
         np.testing.assert_array_equal(t.basis, basis)
+    assert ts.ranks[50:].tolist() == [0] * 20
+    assert ts.region_variance == np.mean(variances)
 
 
 def _serial_tangents(X, d):
-    """(factors, ranks, variance, degenerate) from a plain loop over the
+    """(factors, ranks, per-point variance) from a plain loop over the
     local-PCA blocks, with the factors cut to the largest rank (at least 1)."""
     D = X.shape[0]
     nbr = knn(X, X, D + d)
     blocks = [tangent._pca_block(X, nbr[lo:lo + tangent._BLOCK], d)
               for lo in range(0, X.shape[1], tangent._BLOCK)]
-    factors, ranks, variance, degenerate = (np.concatenate(a) for a in zip(*blocks))
-    return factors[:, :, :max(1, ranks.max())], ranks, variance, degenerate
+    factors, ranks, variance = (np.concatenate(a) for a in zip(*blocks))
+    return factors[:, :, :max(1, ranks.max())], ranks, variance
 
 
 @pytest.mark.parametrize("workers", [1, 5])
@@ -422,11 +421,12 @@ def test_tangents_have_the_same_bits_at_any_worker_count(workers, with_workers,
     X = rng.standard_normal((6, 300)) * np.linspace(1.0, 1e-3, 6)[:, None]
     X[:, 250:] = X[:, [3]]  # equal points: degenerate neighborhoods
     ts = with_workers(workers, lambda: estimate_all_tangents(X, 3))
-    ref = _serial_tangents(X, 3)
-    assert ts.degenerate.sum() == 51
-    for got, want in zip((ts.factors, ts.ranks, ts.variance, ts.degenerate), ref):
+    factors, ranks, variance = _serial_tangents(X, 3)
+    assert (ranks == 0).sum() == 51
+    for got, want in zip((ts.factors, ts.ranks), (factors, ranks)):
         assert got.dtype == want.dtype and got.shape == want.shape
         assert got.tobytes() == want.tobytes()
+    assert ts.region_variance == np.mean(variance)
 
 
 def test_tangent_set_stack_holds_each_basis_zero_padded():
@@ -437,10 +437,14 @@ def test_tangent_set_stack_holds_each_basis_zero_padded():
     assert len(ts) == 60 and ts.factors.shape == (60, 5, max(ts.ranks))
     assert [t.rank for t in ts] == ts.ranks.tolist()
     assert 0 in ts.ranks and max(ts.ranks) < 4  # ragged, cut below d
+    def row(t):  # the row of the stack that item t views
+        assert t.basis.base is ts.factors
+        return (t.basis.ctypes.data - ts.factors.ctypes.data) // ts.factors.strides[0]
+
     for i, t in enumerate(ts):
-        assert t.point_index == i and t.basis.base is ts.factors  # a view
+        assert row(t) == i
         np.testing.assert_array_equal(ts.factors[i, :, t.rank:], 0.0)
-    assert ts[-1].point_index == 59 and [t.point_index for t in ts[57:]] == [57, 58, 59]
+    assert row(ts[-1]) == 59 and [row(t) for t in ts[57:]] == [57, 58, 59]
     with pytest.raises(IndexError):
         ts[60]
 
@@ -481,10 +485,12 @@ def test_equal_points_are_degenerate_whatever_their_value():
     tbs = estimate_all_tangents(X, 3)
     equal = [0] + list(range(50, 70))
     for i, t in enumerate(tbs):
-        assert t.degenerate == (i in equal), f"point {i}"
+        assert (t.rank == 0) == (i in equal), f"point {i}"
     for i in equal:
-        assert tbs[i].rank == 0 and tbs[i].variance == 0.0
         np.testing.assert_array_equal(projector(tbs[i]), np.zeros((6, 6)))
+    # and the region variance counts their neighborhoods as 0
+    _, ranks, variance = tangent._pca_block(X, knn(X, X, 9), 3)
+    assert ranks[equal].tolist() == [0] * 21 and variance[equal].tolist() == [0.0] * 21
 
 
 def test_blocked_knn_all_points_equal():

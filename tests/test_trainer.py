@@ -374,7 +374,7 @@ def test_train_weights_jacobian_term_by_region_variance():
     projs = [tangent.projector(t) for t in bases]
     cfg = TrainConfig(bits=3, epochs=1, batch_size=80, seed=3,
                       method=VariantConfig(kind="auto-jacobin"))
-    w = tangent.region_variance(bases)
+    w = bases.region_variance
     row_b = train(Xn, bases, cfg)[1].cost_trace[0]
     row_p = train(Xn, projs, cfg)[1].cost_trace[0]
     assert 0.0 < w < 1.0
@@ -538,7 +538,7 @@ def test_train_holds_one_copy_of_the_tangent_factors():
     N, D, r = 8000, 16, 8
     X = rng.standard_normal((D, N))
     Q = np.linalg.qr(rng.standard_normal((N, D, r)))[0]
-    bases = tangent.TangentSet(Q, np.full(N, r), np.full(N, 0.01), np.zeros(N, dtype=bool))
+    bases = tangent.TangentSet(Q, np.full(N, r), region_variance=0.01)
     cfg = TrainConfig(bits=4, epochs=1, batch_size=N // 4, seed=6,
                       total_iterations=2, method=VariantConfig(kind="auto-jacobin"))
     tracemalloc.start()
@@ -624,7 +624,7 @@ def test_train_makes_no_batch_sized_copy_of_the_tangent_factors(with_workers):
     N, D, r, batch = 2000, 64, 32, 1000
     X = 0.3 * rng.standard_normal((D, N))
     Q = np.linalg.qr(rng.standard_normal((N, D, r)))[0]
-    bases = tangent.TangentSet(Q, np.full(N, r), np.full(N, 0.01), np.zeros(N, dtype=bool))
+    bases = tangent.TangentSet(Q, np.full(N, r), region_variance=0.01)
     cfg = TrainConfig(bits=32, epochs=1, batch_size=batch, seed=9,
                       total_iterations=2, method=VariantConfig(kind="auto-jacobin"))
     tracemalloc.start()

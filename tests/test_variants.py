@@ -21,9 +21,9 @@ def test_variant_config_validation():
 
 
 def test_autobin_is_jacobin_minus_jacobian_part():
-    p, batch, projs = random_instance(6, 3, 5, seed=0)
+    p, batch, factors = random_instance(6, 3, 5, seed=0)
     cfg = ObjectiveConfig(alpha=0.1, epsilon=1e-4)
-    full, parts, _ = objective(p, batch, projs, cfg)
+    full, parts, _ = objective(p, batch, factors, cfg)
     auto = objective(p, batch, None, cfg)[0]
     assert auto == pytest.approx(full - parts.jacobian, rel=1e-12)
 
@@ -90,9 +90,9 @@ def test_dautobin_shape_mismatch():
 
 
 def test_objective_rejects_two_middle_terms():
-    p, batch, projs = random_instance(4, 2, 3, seed=9)
+    p, batch, factors = random_instance(4, 2, 3, seed=9)
     with pytest.raises(ValueError):
-        objective(p, batch, projs, ObjectiveConfig(), lambda_c=0.01)
+        objective(p, batch, factors, ObjectiveConfig(), lambda_c=0.01)
 
 
 def test_cautobin_lambda_zero_equals_autobin():
