@@ -1,7 +1,7 @@
 """Binary hashing with a tangent-projector Jacobian regularizer.
 
-Vectors are stored column-per-point: a data matrix is a D x N float64
-array whose j-th column is the j-th point. All file formats are
+Points are rows: a data matrix is an N x D float64 array, C-ordered,
+whose i-th row is the i-th point, as in the files. All file formats are
 little-endian; see matrix_io for the layouts.
 """
 

@@ -22,8 +22,10 @@ from .variants import VariantConfig
 
 
 def random_instance(D: int, d: int, n: int, seed: int):
-    """Random params, batch and tangent factors for gradient checking; the
-    factors are an (n, D, min(d, D)) stack of random-rank orthonormal
+    """Random params, an (n, D) batch and tangent factors for gradient
+    checking. The batch is the transposed view of a (D, n) draw, so the
+    points and the objective's bits are those of one point per column.
+    The factors are an (n, D, min(d, D)) stack of random-rank orthonormal
     bases zero-padded to one width, the form fit feeds the Jacobian term."""
     rng = np.random.default_rng(seed)
     p = NetworkParams(
@@ -32,7 +34,7 @@ def random_instance(D: int, d: int, n: int, seed: int):
         b1=0.1 * rng.standard_normal(d),
         b2=0.1 * rng.standard_normal(D),
     )
-    batch = rng.uniform(-0.8, 0.8, size=(D, n))
+    batch = rng.uniform(-0.8, 0.8, size=(D, n)).T
     factors = np.zeros((n, D, min(d, D)))
     for T in factors:
         r = int(rng.integers(1, d + 1))
@@ -73,11 +75,11 @@ def check_gradients(kind: str, D: int = 8, d: int = 4, n: int = 5,
         raise ValueError(f"no gradients to check for variant {kind!r}")
     p, batch, factors = random_instance(D, d, n, seed)
     cfg = ObjectiveConfig(alpha=alpha, epsilon=epsilon, jacobian_weight=0.5)
-    mask = method.corrupt(batch.shape, np.random.default_rng(seed + 1))  # a frozen mask
+    mask = method.corrupt((D, n), np.random.default_rng(seed + 1))  # a frozen mask
     inputs = dict(
         tangents=factors if method.needs_tangents else None,
         lambda_c=method.contraction,
-        corrupted=None if mask is None else np.where(mask, 0.0, batch),
+        corrupted=None if mask is None else np.where(mask, 0.0, batch.T).T,
     )
     Xin, terms = _terms(batch, cfg=cfg, **inputs)
 

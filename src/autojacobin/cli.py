@@ -64,9 +64,13 @@ def _flags(args) -> dict:
 
 def cmd_convert(args) -> int:
     X = read_matrix(args.input)
-    write_matrix(args.output, X)
+    try:
+        write_matrix(args.output, X)
+    except ValueError as err:  # a value the output format cannot hold
+        raise SystemExit(f"{args.input}: {err}") from None
     write_manifest(args.output, "convert", _flags(args))
-    print(f"converted {args.input} -> {args.output} ({X.shape[0]}x{X.shape[1]})")
+    N, D = X.shape
+    print(f"converted {args.input} -> {args.output} ({D}x{N})")
     return 0
 
 
@@ -76,7 +80,7 @@ def cmd_train(args) -> int:
         raise SystemExit(f"empty input {args.input}")
     method = VariantConfig(kind=args.method, alpha=args.alpha,
                            corruption_t=args.corrupt_t, lambda_c=args.lambda_c)
-    D, N = X_raw.shape
+    N, D = X_raw.shape
     if method.trained and args.bits > D:
         raise SystemExit(f"--bits {args.bits} exceeds the dimension D={D} of "
                          f"{args.input}")
@@ -126,8 +130,8 @@ def _read_for_model(args, flag: str, params) -> np.ndarray:
     X = read_matrix(path)
     if X.size == 0:
         raise SystemExit(f"empty input {path}")
-    if X.shape[0] != params.w1.shape[1]:
-        raise SystemExit(f"{flag} {path} has dimension D={X.shape[0]}, but the "
+    if X.shape[1] != params.w1.shape[1]:
+        raise SystemExit(f"{flag} {path} has dimension D={X.shape[1]}, but the "
                          f"model {args.model} takes D={params.w1.shape[1]}")
     return X
 
@@ -145,7 +149,7 @@ def cmd_encode(args) -> int:
 def _groundtruth_cache(base_path, base: np.ndarray, queries: np.ndarray,
                        k: int) -> Path:
     """The ground-truth cache file of base, queries and k: beside the base,
-    named by a hash of their bytes."""
+    named by a hash of the C-order bytes of their (N, D) and (Q, D) rows."""
     h = hashlib.sha256()
     h.update(np.ascontiguousarray(base))  # the bytes of tobytes(), uncopied
     h.update(np.ascontiguousarray(queries))
@@ -159,7 +163,7 @@ def _cached_groundtruth(base: np.ndarray, queries: np.ndarray, k: int,
     file when it holds a (Q, k) table of base indices, else built and
     written there, replacing a cut or foreign file."""
     if cache.exists():
-        Q, N = queries.shape[1], base.shape[1]
+        Q, N = len(queries), len(base)
         try:
             gt = matrix_io.read_groundtruth(cache)
             if gt.shape != (Q, k) or not np.all(gt < N):
@@ -178,11 +182,11 @@ def cmd_eval(args) -> int:
     base_raw = _read_for_model(args, "--base", params)
     query_raw = _read_for_model(args, "--query", params)
     K = args.max_retrieve
-    if K > base_raw.shape[1]:
-        raise SystemExit(f"K={K} exceeds base size {base_raw.shape[1]}")
+    if K > len(base_raw):
+        raise SystemExit(f"K={K} exceeds base size {len(base_raw)}")
     ks = [int(v) for v in args.k.split(",")]
-    if max(ks) > base_raw.shape[1]:
-        raise SystemExit(f"k={max(ks)} exceeds base size {base_raw.shape[1]}")
+    if max(ks) > len(base_raw):
+        raise SystemExit(f"k={max(ks)} exceeds base size {len(base_raw)}")
     # each k's ground truth is the k-prefix of the largest k's (exact kNN),
     # so one ranking of every query serves all ks. This thread hashes the
     # cache name while the pool encodes the base.

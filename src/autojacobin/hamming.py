@@ -6,26 +6,30 @@ bit position j%8; a set bit means +1, and the padding bits after the
 last code bit are zero. All ties (equal Hamming or Euclidean distance)
 break by ascending index so results are reproducible.
 
-encode works through the columns in tiles (see _tiles): whole tiles of
-_ENCODE_TILE points, the last taking the points left after them, so an
-input of fewer than 2 _ENCODE_TILE points is one tile. Each tile copies
-its raw columns, times the model's scale, into a buffer, so no scaled
-copy of the whole input is made, and forms their projections W1 x
-(+ b1), their signs, and one C-contiguous transposed copy of the signs,
-which np.packbits packs into the tile's own rows of the
-(N, ceil(bits/8)) result. The tiles run on the thread pool (see the
-parallel module); a query-sized input, whose projections take under
-256 KiB, is encoded on the calling thread.
+encode works through the points, the rows of its (N, D) input, in tiles
+(see _tiles): whole tiles of _ENCODE_TILE points, the last taking the
+points left after them, so an input of fewer than 2 _ENCODE_TILE points
+is one tile. Each tile copies its raw rows, times the model's scale,
+into an (n, D) buffer, so no scaled copy of the whole input is made,
+forms their (d, n) projections W1 x (+ b1) from the buffer's transposed
+view, and writes their signs as (n, d) rows, which pack_bits packs into
+the tile's own rows of the (N, ceil(bits/8)) result. The tiles run on
+the thread pool (see the parallel module); a query-sized input, whose
+projections take under 256 KiB, is encoded on the calling thread.
 
 The tiles give each projection the bits of one product over all
-columns, so the codes depend on neither the tiling nor the worker count,
+points, so the codes depend on neither the tiling nor the worker count,
 only because every tile starts at a multiple of _ENCODE_TILE and no
 tile but a whole input is narrower. BLAS rounds narrow products
 differently: with numpy 2.4's OpenBLAS 0.3.31 on an AVX-512 Xeon, tiles
-of 1024 columns or more matched the one product on all 14 shapes tried,
-while tiles of 64-512 columns did not on 4 of them, nor did most short
-ragged tails or single columns (a matrix-vector product). The tests
-check the tiling on seven shapes.
+of 1024 points or more matched the one product on all 14 shapes tried,
+while tiles of 64-512 points did not on 4 of them, nor did most short
+ragged tails or single points (a matrix-vector product). The tests
+check the tiling on seven shapes. OpenBLAS packs a tile's transposed
+view as it would a C-ordered (D, n) copy, so the projections have the
+bits of W1 times that copy, but for a 1-bit code (a matrix-vector
+product). The rows' product x W1' rounds differently, and its tiles did
+not match its one product at 300 bits, D = 128.
 
 A Hamming scan XORs each base code with the query a machine word at a
 time and counts the set bits with np.bitwise_count. The leading whole
@@ -107,59 +111,53 @@ def _padded(packed: np.ndarray, bits: int) -> np.ndarray:
 
 def pack_bits(signs: np.ndarray) -> np.ndarray:
     """Pack a boolean (N, d) sign matrix (True = +1) LSB-first per byte."""
-    # np.packbits along the rows of a transposed view runs several times
-    # slower than on a C-contiguous copy
-    return np.packbits(np.ascontiguousarray(signs, dtype=np.uint8), axis=1,
-                       bitorder="little")
+    return np.packbits(signs, axis=1, bitorder="little")
 
 
 def encode(p, X: np.ndarray, use_bias: bool = False, meanwhile=None) -> BinaryCodes:
     """Binary codes sign(W1 s X), bit set iff the projection is >= 0.
 
-    X holds raw, finite vectors as columns; each tile is multiplied by
-    the model's scale s = p.scale as it is copied into its buffer. With
+    X holds raw, finite vectors as rows; each tile is multiplied by the
+    model's scale s = p.scale as it is copied into its buffer. With
     use_bias the threshold is W1 s x + b1 instead of the bias-free
-    projection. The columns are encoded _ENCODE_TILE at a time (see the
+    projection. The rows are encoded _ENCODE_TILE at a time (see the
     module docstring). meanwhile, if given, is called on the calling
     thread while the tiles run (see parallel.ordered_map).
     """
     X = _check_matrix(X)
     d, D = p.w1.shape
-    if X.shape[0] != D:
-        raise ValueError(f"dim mismatch: data {X.shape[0]}, model {D}")
-    N = X.shape[1]
+    if X.shape[1] != D:
+        raise ValueError(f"dim mismatch: data {X.shape[1]}, model {D}")
+    N = len(X)
     packed = np.empty((N, (d + 7) // 8), dtype=np.uint8)
     tiles = _tiles(N, _ENCODE_TILE)
     width = tiles[-1][1] - tiles[-1][0]  # the widest tile: the last
     block_bytes = 8 * d * width  # its projections
 
     def buffers():
-        return (np.empty(D * width), np.empty(d * width),
-                np.empty(d * width, dtype=bool), np.empty(d * width, dtype=np.uint8))
+        return np.empty(D * width), np.empty(d * width), np.empty(d * width, dtype=bool)
 
     def tile(bounds, bufs):
         lo, hi = bounds
         n = hi - lo
-        x = bufs[0][:D * n].reshape(D, n)
+        x = bufs[0][:n * D].reshape(n, D)
         proj = bufs[1][:d * n].reshape(d, n)
-        ge = bufs[2][:d * n].reshape(d, n)
-        signs = bufs[3][:n * d].reshape(n, d)
-        np.multiply(X[:, lo:hi], p.scale, out=x)
-        np.matmul(p.w1, x, out=proj)
+        signs = bufs[2][:n * d].reshape(n, d)
+        np.multiply(X[lo:hi], p.scale, out=x)
+        np.matmul(p.w1, x.T, out=proj)
         if use_bias:
             proj += p.b1[:, None]
-        np.greater_equal(proj, 0.0, out=ge)  # sign(0) -> +1
-        signs[...] = ge.T
-        packed[lo:hi] = np.packbits(signs, axis=1, bitorder="little")
+        np.greater_equal(proj.T, 0.0, out=signs)  # sign(0) -> +1
+        packed[lo:hi] = pack_bits(signs)
 
     parallel.ordered_map(tile, tiles, block_bytes, buffers, meanwhile)
     return BinaryCodes(bits=d, count=N, packed=packed)
 
 
 def _tiles(N: int, width: int) -> list[tuple[int, int]]:
-    """(start, end) columns of encode's tiles of N points: whole tiles of
-    width, the last taking the columns left after them; one tile, the
-    whole input, below 2 widths."""
+    """(start, end) rows of encode's tiles of N points: whole tiles of
+    width, the last taking the rows left after them; one tile, the whole
+    input, below 2 widths."""
     starts = range(0, max(N - width, 0) + 1, width)
     return [(lo, lo + width if lo < starts[-1] else N) for lo in starts]
 
@@ -217,8 +215,8 @@ def hamming_topk(base: BinaryCodes, q: np.ndarray, i: int) -> np.ndarray:
 
 
 def euclid_topk(base: np.ndarray, q: np.ndarray, k: int) -> np.ndarray:
-    """Exact k nearest base columns to q; ties by ascending index."""
-    return knn(base, np.asarray(q)[:, None], k)[0]
+    """Exact k nearest base rows to q; ties by ascending index."""
+    return knn(base, np.asarray(q)[None, :], k)[0]
 
 
 @dataclass
@@ -337,5 +335,5 @@ def m_recall(curve: RecallCurve) -> float:
 
 
 def build_groundtruth(base: np.ndarray, queries: np.ndarray, k: int) -> np.ndarray:
-    """(Q, k) true Euclidean nearest base indices per query column."""
+    """(Q, k) true Euclidean nearest base indices per query row."""
     return knn(base, queries, k).astype(np.uint32)

@@ -1,7 +1,7 @@
 """Dataset ingestion (fvecs/bvecs/txt), normalization, and binary persistence.
 
-All matrices are column-per-point: shape (D, N), float64. File record
-order maps to column order. Formats:
+All matrices are row-per-point: shape (N, D), float64, C order. Row i is
+the file's record or line i. Formats:
 
   fvecs: repeated [int32 dim LE][dim x float32 LE]
   bvecs: repeated [int32 dim LE][dim x uint8]
@@ -21,10 +21,7 @@ model values, set padding bits. Binary writes are atomic: a temporary
 file renamed over the target.
 
 A record file is one (N, record bytes) matrix in memory, its payloads a
-view of it. Moving them between a record's row and a point's column is a
-transposing copy, which the fvecs/bvecs readers and writers make _TILE
-records at a time: a tile's source and destination then stay in the CPU
-caches, where one copy of the whole matrix ran 2-3x slower at 30k x 64.
+view of it, so the points are its rows as they are.
 """
 
 from __future__ import annotations
@@ -63,18 +60,13 @@ def _checked_read(path, X: np.ndarray) -> np.ndarray:
         raise FormatError(f"{path}: {e}") from None
 
 
-# records per transposing copy in the record readers and writers
-_TILE = 1024
-
-
 def _read_records(path, payload_dtype):
     """Parse a file of [int32 dim][dim payload values] records in one pass.
 
     The file is read once and reshaped to one row per record; the headers
     are checked together and the payloads, viewed in place, are widened
-    into the (D, N) float64 result _TILE records at a time, so each
-    transposing copy stays in the CPU caches. A file that does not split
-    into equal records is walked record by record to name its first fault.
+    into the (N, D) float64 result. A file that does not split into equal
+    records is walked record by record to name its first fault.
     """
     raw = np.fromfile(path, dtype=np.uint8)
     if not raw.size:
@@ -86,11 +78,7 @@ def _read_records(path, payload_dtype):
     records = raw.reshape(-1, record)
     if np.any(records[:, :4].view("<i4") != dim):
         raise _first_fault(path, raw, payload_dtype.itemsize)
-    payload = records[:, 4:].view(payload_dtype)
-    X = np.empty((dim, len(payload)))
-    for lo in range(0, len(payload), _TILE):
-        X[:, lo:lo + _TILE] = payload[lo:lo + _TILE].T
-    return _checked_read(path, X)
+    return _checked_read(path, records[:, 4:].view(payload_dtype).astype(np.float64))
 
 
 def _first_fault(path, raw, payload_itemsize) -> FormatError:
@@ -119,7 +107,7 @@ def _first_fault(path, raw, payload_itemsize) -> FormatError:
 
 
 def read_fvecs(path) -> np.ndarray:
-    """Read an fvecs file into a (D, N) float64 matrix."""
+    """Read an fvecs file into an (N, D) float64 matrix."""
     return _read_records(path, np.dtype("<f4"))
 
 
@@ -128,38 +116,29 @@ def read_bvecs(path) -> np.ndarray:
     return _read_records(path, np.dtype(np.uint8))
 
 
-def _write_records(path, X: np.ndarray, payload_dtype, cast) -> None:
-    """Write [int32 D][D payload values] records, one per column of X.
-
-    The records are laid out as one byte matrix. The payloads are filled
-    in through a view of it _TILE records at a time: cast turns a (D, n)
-    tile into payload_dtype in X's layout, and one transposing copy
-    writes it into the tile's records.
-    """
-    D, N = X.shape
+def _write_records(path, X: np.ndarray, payload_dtype) -> None:
+    """Write [int32 D][D payload values] records, one per row of X, laid
+    out as one byte matrix whose payloads are filled through a view."""
+    N, D = X.shape
     records = np.empty((N, 4 + D * payload_dtype.itemsize), dtype=np.uint8)
     records[:, :4].view("<i4")[:] = D
-    payload = records[:, 4:].view(payload_dtype)
-    for lo in range(0, N, _TILE):
-        payload[lo:lo + _TILE] = cast(X[:, lo:lo + _TILE]).T
+    records[:, 4:].view(payload_dtype)[:] = X
     records.tofile(path)
 
 
 def write_fvecs(path, X: np.ndarray) -> None:
-    f4 = np.dtype("<f4")
-    _write_records(path, _check_matrix(X), f4, lambda tile: tile.astype(f4))
+    _write_records(path, _check_matrix(X), np.dtype("<f4"))
 
 
 def write_bvecs(path, X: np.ndarray) -> None:
     X = _check_matrix(X)
     if X.size and (X.min() < 0 or X.max() > 255):
         raise ValueError("bvecs entries must lie in [0, 255]")
-    _write_records(path, X, np.dtype(np.uint8),
-                   lambda tile: np.rint(tile).astype(np.uint8))
+    _write_records(path, np.rint(X), np.dtype(np.uint8))
 
 
 def read_txt(path) -> np.ndarray:
-    """Read one whitespace-separated vector per line into a (D, N) matrix."""
+    """Read one whitespace-separated vector per line into an (N, D) matrix."""
     rows = []
     with open(path) as f:
         for lineno, line in enumerate(f, 1):
@@ -173,29 +152,29 @@ def read_txt(path) -> np.ndarray:
                 raise FormatError(f"{path}:{lineno}: inconsistent dims "
                                   f"{len(rows[0])} vs {len(row)}")
             rows.append(row)
-    return _checked_read(path, np.array(rows).T) if rows else np.zeros((0, 0))
+    return _checked_read(path, np.array(rows)) if rows else np.zeros((0, 0))
 
 
 def write_txt(path, X: np.ndarray) -> None:
     X = _check_matrix(X)
     with open(path, "w") as f:
-        for j in range(X.shape[1]):
-            f.write(" ".join(repr(float(v)) for v in X[:, j]) + "\n")
+        for x in X:
+            f.write(" ".join(repr(float(v)) for v in x) + "\n")
 
 
 @dataclass(frozen=True)
 class Normalizer:
-    """Scale factor bringing the max training-column norm to 0.8."""
+    """Scale factor bringing the max training-point norm to 0.8."""
 
     scale: float
 
 
 def fit_normalizer(train: np.ndarray) -> Normalizer:
-    """scale = 0.8 / max column norm of the training matrix."""
+    """scale = 0.8 / max row norm of the training matrix."""
     train = _check_matrix(train)
     if train.size == 0:
         raise ValueError("cannot fit normalizer on an empty matrix")
-    max_norm = float(np.linalg.norm(train, axis=0).max())
+    max_norm = float(np.linalg.norm(train, axis=1).max())
     if max_norm <= 0.0:
         raise DegenerateScaleError("all-zero training matrix")
     return Normalizer(scale=0.8 / max_norm)

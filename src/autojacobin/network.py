@@ -1,6 +1,8 @@
 """Three-layer tanh auto-encoder: batch forward pass and the composite
 objective with its analytic gradient.
 
+A batch is n points, the rows of an (n, D) matrix. The network computes
+on its transposed (D, n) view, so the notation below is column-per-point.
 The objective over a batch of n columns is
 
     sum_i ( ||x_i - z_i||^2 + w ||J_i - A_i||_F^2 ) + alpha * S(Y Y' - n I)
@@ -139,19 +141,21 @@ class ObjectiveParts:
 
 
 def forward_batch(p: NetworkParams, X: np.ndarray):
-    """(Y, Z) for a (D, n) batch; Y is (d, n), Z is (D, n). Each is
-    allocated once and has its bias and tanh applied in place."""
-    Y = p.w1 @ X
+    """(Y, Z) for an (n, D) batch of rows: the hidden rows Y (n, d) and the
+    output rows Z (n, D), the transposed views of the (d, n) and (D, n)
+    arrays computed from X's transposed view. Each is allocated once and
+    has its bias and tanh applied in place."""
+    Y = p.w1 @ X.T
     Y += p.b1[:, None]
     np.tanh(Y, out=Y)
     Z = p.w2 @ Y
     Z += p.b2[:, None]
     np.tanh(Z, out=Z)
-    return Y, Z
+    return Y.T, Z.T
 
 
 class Forward(NamedTuple):
-    """One evaluation's forward pass of a (D, n) batch: the activations
+    """One evaluation's forward pass of an (n, D) batch: the activations
     Y (d, n) and Z (D, n), and their tanh slopes A = 1 - Y^2 and
     C = 1 - Z^2, formed once and read, never written, by every term."""
     Y: np.ndarray
@@ -166,28 +170,29 @@ class Forward(NamedTuple):
 
 def _forward(p: NetworkParams, X: np.ndarray) -> Forward:
     """The Forward pass of X: forward_batch, then the slopes in place."""
-    Y, Z = forward_batch(p, X)
+    Y, Z = (a.T for a in forward_batch(p, X))
     A, C = Y * Y, Z * Z
     np.subtract(1.0, A, out=A)
     np.subtract(1.0, C, out=C)
     return Forward(Y, Z, A, C)
 
 
-# --- per-term values and gradients (batch layout: X is (D, n)) ---
+# --- per-term values and gradients (batch layout: X is (n, D), so X is
+# the transpose of the notation's (D, n) batch) ---
 # Each (D, n) or (d, n) work array is allocated once and updated in
 # place, in the order of the out-of-place expression in its comment, so
 # the bits are those of that expression.
 
 
 def _recon_term(p, Xin, Xtarget, f: Forward, grad):
-    diff = f.Z - Xtarget
+    diff = f.Z - Xtarget.T
     sq = diff * diff
     value = float(np.sum(sq))
     d2 = np.multiply(2.0, diff, out=sq)
     d2 *= f.C  # 2 (Z - X) o (1 - Z^2)
     d1 = p.w2.T @ d2
     d1 *= f.A  # (W2' d2) o (1 - Y^2)
-    for g, dg in zip(_blocks(grad, p), (d1 @ Xin.T, d2 @ f.Y.T, d1.sum(axis=1),
+    for g, dg in zip(_blocks(grad, p), (d1 @ Xin, d2 @ f.Y.T, d1.sum(axis=1),
                                          d2.sum(axis=1))):
         g += dg
     return value
@@ -202,7 +207,7 @@ def _binary_term(p, Xin, f: Forward, alpha, eps, n_target, grad):
     dU = 2.0 * G @ f.Y
     dU *= f.A  # (2 G Y) o (1 - Y^2)
     gw1, _, gb1, _ = _blocks(grad, p)
-    gw1 += dU @ Xin.T
+    gw1 += dU @ Xin
     gb1 += dU.sum(axis=1)
     return value
 
@@ -213,7 +218,7 @@ _JAC_CHUNK = 64
 
 
 class FactorRows(NamedTuple):
-    """The tangent factors of a batch, read in place: column n's factor
+    """The tangent factors of a batch, read in place: point n's factor
     is stack[rows[n]] of an (N, D, r) stack, and gram holds ||T'T||_F^2
     of every factor in the stack (see gram_norms)."""
     stack: np.ndarray
@@ -261,7 +266,7 @@ def _kron_rows(p):
 
 def _jacobian_chunk(p, kron, Xc, f: Forward, t: FactorRows, weight):
     """(value, gradient in pack_params order) of the Jacobian term over one
-    chunk of points, with input Xc and forward pass f, whose factors are
+    chunk of points, with input rows Xc and forward pass f, whose factors are
     t.stack[t.rows]; kron is _kron_rows(p). Each product is one GEMM over
     the chunk (module docstring)."""
     G, WW = kron
@@ -298,7 +303,7 @@ def _jacobian_chunk(p, kron, Xc, f: Forward, t: FactorRows, weight):
     # a = 1 - y^2 and y into u = W1 x + b1
     gv = -2.0 * Zc * (Ct * gc).T  # (D, m)
     gu = (p.w2.T @ gv - 2.0 * Yc * ga.T) * At.T  # (d, m)
-    return value, np.concatenate([(dw1 + gu @ Xc.T).ravel(), (dw2 + gv @ Yc.T).ravel(),
+    return value, np.concatenate([(dw1 + gu @ Xc).ravel(), (dw2 + gv @ Yc.T).ravel(),
                                   gu.sum(axis=1), gv.sum(axis=1)])
 
 
@@ -312,12 +317,12 @@ def _jacobian_term(p, Xin, f: Forward, t: FactorRows, weight, grad):
     in chunk order, then added into grad once, so value and gradient
     have the same bits at any worker count.
     """
-    n = Xin.shape[1]
+    n = len(Xin)
     kron = _kron_rows(p)
 
     def chunk(lo):
         hi = lo + _JAC_CHUNK
-        return _jacobian_chunk(p, kron, Xin[:, lo:hi], f.cols(lo, hi),
+        return _jacobian_chunk(p, kron, Xin[lo:hi], f.cols(lo, hi),
                                t._replace(rows=t.rows[lo:hi]), weight)
 
     # a chunk's largest work arrays, (m, d^2) and (m r, D)
@@ -338,7 +343,7 @@ def _contractive_term(p, Xin, f: Forward, lam, grad):
     gu *= At
     gu *= f.Y.T
     gu *= s  # -4 lam (1 - Y^2)'^2 o Y' o s
-    dw1 += gu.T @ Xin.T
+    dw1 += gu.T @ Xin
     gw1, _, gb1, _ = _blocks(grad, p)
     gw1 += dw1
     gb1 += gu.sum(axis=0)
@@ -350,7 +355,7 @@ def _terms(batch, tangents, cfg: ObjectiveConfig, lambda_c, corrupted):
     middle term if any, binary. term(p, f, grad) -> value takes the
     Forward pass f of the network input and adds into grad.
     """
-    D, n = batch.shape
+    n, D = batch.shape
     Xin = batch
     if corrupted is not None:
         if corrupted.shape != batch.shape:
@@ -378,13 +383,14 @@ def objective(p: NetworkParams, batch: np.ndarray, tangents, cfg: ObjectiveConfi
     float64 vector laid out like pack_params(p), and each term adds its
     gradient into views of it.
 
-    tangents holds one D x r tangent factor T per column, as one
-    array-like of shape (n, D, r) such as a list of D x D projectors (each
-    its own factor) or as FactorRows, n rows of a larger stack read in
-    place, and adds the Jacobian term with target T T' (any other shape
-    raises a ValueError naming (N, D, r)); lambda_c adds the contractive
-    term instead; None leaves it out. corrupted, when given, is the
-    network input and batch stays the reconstruction target.
+    batch holds one point per row, (n, D). tangents holds one D x r
+    tangent factor T per point, as one array-like of shape (n, D, r) such
+    as a list of D x D projectors (each its own factor) or as FactorRows,
+    n rows of a larger stack read in place, and adds the Jacobian term
+    with target T T' (any other shape raises a ValueError naming
+    (N, D, r)); lambda_c adds the contractive term instead; None leaves it
+    out. corrupted, when given, is the (n, D) network input and batch
+    stays the reconstruction target.
     """
     Xin, terms = _terms(batch, tangents, cfg, lambda_c, corrupted)
     f = _forward(p, Xin)

@@ -1,5 +1,6 @@
 """Synthetic desk-scale datasets: the 2-D simplex toy set and a curved
-low-dimensional manifold embedded in higher dimension."""
+low-dimensional manifold embedded in higher dimension. Each returns its
+points as the rows of an (n, D) matrix."""
 
 from __future__ import annotations
 
@@ -9,8 +10,8 @@ _FREQUENCY_SCALE = 1.5  # the standard deviation of Omega's entries
 
 
 def simplex_points(n: int, rng: np.random.Generator) -> np.ndarray:
-    """n points uniform on {x1 + x2 + x3 = 1, xi > 0}, as a (3, n) matrix."""
-    return rng.dirichlet(np.ones(3), size=n).T
+    """n points uniform on {x1 + x2 + x3 = 1, xi > 0}, as an (n, 3) matrix."""
+    return rng.dirichlet(np.ones(3), size=n)
 
 
 def curved_manifold(n: int, intrinsic_dim: int, ambient_dim: int,
@@ -39,7 +40,9 @@ def _cosine_map(n, omega, phi, rng, noise):
     t = rng.uniform(0.0, 1.0, size=(intrinsic_dim, n))
     # in place: the operations of cos(omega t + phi) / sqrt(ambient_dim)
     # + noise * E in the same order, so the same bits, with one (D, n)
-    # array alive besides the noise
+    # array alive besides the noise; then one copy to rows. The rows'
+    # own product t' omega' would round differently from omega t at some
+    # n (1954-2500 points at D = 64 and 128)
     X = omega @ t
     X += phi[:, None]
     np.cos(X, out=X)
@@ -48,4 +51,5 @@ def _cosine_map(n, omega, phi, rng, noise):
         E = rng.standard_normal(X.shape)
         E *= noise
         X += E
-    return X
+        del E
+    return np.ascontiguousarray(X.T)

@@ -83,10 +83,9 @@ def _pca_block(X: np.ndarray, nbr: np.ndarray, d: int):
     points equal the first: their mean need not round back to them, so
     the covariance alone cannot tell.
     """
-    D = X.shape[0]
+    D = X.shape[1]
     b, k = nbr.shape
-    Xt = X.T
-    nbrs = Xt[nbr]  # (b, k, D)
+    nbrs = X[nbr]  # (b, k, D)
     # the D+1 nearest whatever k is, so the variance does not depend on d
     variance = nbrs[:, :D + 1].var(axis=1).mean(axis=1)
     degenerate = (nbrs == nbrs[:, :1]).all(axis=(1, 2))
@@ -107,10 +106,10 @@ def _pca_block(X: np.ndarray, nbr: np.ndarray, d: int):
 
 
 def estimate_all_tangents(X: np.ndarray, d: int) -> TangentSet:
-    """Local-PCA tangent basis at every column of X (D x N) from its D+d
+    """Local-PCA tangent basis at every row of X (N x D) from its D+d
     nearest neighbors; see the module docstring."""
     X = np.asarray(X, dtype=np.float64)
-    D, N = X.shape
+    N, D = X.shape
     if d < 1:
         raise ValueError(f"need d >= 1, got {d}")
     if N < D + d:

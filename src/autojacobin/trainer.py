@@ -41,10 +41,11 @@ the toy simplex at the region-variance weight this search saturates
 the hidden layer (mean |y| 0.99 or more); steepest descent stopped at
 0.17-0.33, and at unit weight the objective's minimum keeps it near 0.4.
 
-Each mini-batch's columns are gathered from the training set when the
-batch is used, so no shuffled copy of the set is formed. For the
-denoising variant the epoch's corruption is one boolean (D, N) mask
-over the permuted columns, one byte per entry; a batch's network input
+The training set is an (N, D) matrix, one point per row. Each
+mini-batch's rows are gathered from it when the batch is used, so no
+shuffled copy of the set is formed. For the denoising variant the
+epoch's corruption is one boolean (D, N) mask, column k for the k-th
+point of the permutation, one byte per entry; a batch's network input
 is a copy of the batch with the entries of its columns of the mask
 zeroed. Each example is still corrupted on its own draws, as in
 Vincent et al. (ICML 2008).
@@ -165,14 +166,14 @@ def init_params(train: np.ndarray, d: int, seed) -> NetworkParams:
     d x d rotation; W2 = W1', b1 = -W1 mu, b2 = mu.
     """
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    D, N = train.shape
+    N, D = train.shape
     if d > D:
         raise ValueError(f"bits d={d} exceeds dimension D={D}")
     if N <= d:
         raise ValueError(f"need more than d={d} training points, got {N}")
-    mu = train.mean(axis=1)
-    centered = train - mu[:, None]
-    cov = centered @ centered.T / N
+    mu = train.mean(axis=0)
+    centered = train - mu
+    cov = centered.T @ centered / N
     evals, evecs = np.linalg.eigh(cov)
     evals, evecs = evals[::-1], evecs[:, ::-1]  # eigh's are ascending
     if evals[d - 1] <= 1e-12 * max(evals[0], 1e-300):
@@ -282,15 +283,6 @@ def _lbfgs_direction(g: np.ndarray, pairs) -> np.ndarray:
     return -q
 
 
-def _gather(X: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """X[:, cols] with each column contiguous, the layout that fancy index
-    gives: the products on a batch round differently on another layout.
-    np.take and one transposing copy are faster than the fancy index on
-    data in cache (33 against 58 ms per epoch of 1000-column batches at
-    128 x 20000, one core) and as fast on data out of it."""
-    return np.asfortranarray(np.take(X, cols, axis=1))
-
-
 def train(X_train: np.ndarray, tangents, cfg: TrainConfig):
     """Mini-batch L-BFGS with strong-Wolfe steps; returns (params, report).
 
@@ -314,7 +306,7 @@ def train(X_train: np.ndarray, tangents, cfg: TrainConfig):
     """
     t_start = time.perf_counter()
     X_train = _check_matrix(X_train)
-    D, N = X_train.shape
+    N, D = X_train.shape
     if cfg.batch_size > N:
         raise ValueError(f"batch_size {cfg.batch_size} exceeds N={N}")
     if not cfg.method.trained:
@@ -346,9 +338,12 @@ def train(X_train: np.ndarray, tangents, cfg: TrainConfig):
         epoch_cost = 0.0
         for j in range(m):
             lo, hi = bounds[j], bounds[j + 1]
-            batch = _gather(X_train, perm[lo:hi])
+            batch = X_train[perm[lo:hi]]
             batch_rows = rows._replace(rows=perm[lo:hi]) if rows is not None else None
-            corrupted = np.where(mask[:, lo:hi], 0.0, batch) if mask is not None else None
+            # formed as the mask's C-ordered (D, n) columns and read as rows:
+            # the objective's products round by the input's memory order
+            corrupted = (np.where(mask[:, lo:hi], 0.0, batch.T).T
+                         if mask is not None else None)
 
             def f(theta):
                 value, parts, grad = objective(
@@ -416,14 +411,14 @@ def train(X_train: np.ndarray, tangents, cfg: TrainConfig):
 
 
 def fit(X_raw: np.ndarray, cfg: TrainConfig):
-    """(params, report) from raw (D, N) data: normalize, then the LSH
+    """(params, report) from raw (N, D) data: normalize, then the LSH
     projection (report None) or train, the batch clamped to N, on tangents
     at cfg.bits; the scale is set on every NetworkParams that leaves."""
     nz = fit_normalizer(X_raw)
     if not cfg.method.trained:
-        return var.lsh_generate(X_raw.shape[0], cfg.bits, cfg.seed, scale=nz.scale), None
+        return var.lsh_generate(X_raw.shape[1], cfg.bits, cfg.seed, scale=nz.scale), None
     Xn = apply_normalizer(nz, X_raw)
-    cfg = replace(cfg, batch_size=min(cfg.batch_size, Xn.shape[1]))
+    cfg = replace(cfg, batch_size=min(cfg.batch_size, len(Xn)))
     try:
         # passed, not kept: train holds the only reference to the tangents
         params, report = train(Xn, estimate_all_tangents(Xn, cfg.bits)

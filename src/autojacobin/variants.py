@@ -5,9 +5,10 @@ maps a method to that function's optional inputs. Auto-JacoBin passes
 tangent bases (the Jacobian term), AutoBin passes none, CAutoBin
 passes lambda_c (the contractive term), and DAutoBin passes a copy of
 the input with the entries of a corruption mask (draw_mask) zeroed.
-The trainer draws one boolean mask over the training set per epoch and
-zeroes each mini-batch's columns of it as the batch is used, so no
-corrupted copy of the whole set is formed. LSH is a random projection
+The trainer draws one boolean (D, N) mask over the training set per
+epoch, one column per point, and zeroes each mini-batch's points by
+their columns of it as the batch is used, so no corrupted copy of the
+whole set is formed. LSH is a random projection
 and is not trained.
 """
 
@@ -54,9 +55,10 @@ class VariantConfig:
 
     def corrupt(self, shape: tuple[int, int],
                 rng: np.random.Generator) -> np.ndarray | None:
-        """The boolean corruption mask (draw_mask) of a (D, n) input,
-        True where the objective's input is zeroed, or None (drawing
-        nothing from rng) for a method without corruption."""
+        """The boolean (D, n) corruption mask (draw_mask) of n points of
+        dimension D, one column per point, True where the objective's
+        input is zeroed, or None (drawing nothing from rng) for a method
+        without corruption."""
         if self.kind != "dautobin":
             return None
         return draw_mask(shape, self.corruption_t, rng)

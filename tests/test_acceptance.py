@@ -95,7 +95,7 @@ def test_criterion_3_tangent_estimation():
     X += 1e-4 * rng.standard_normal(X.shape)
     true_P = B @ B.T
     worst = 0.0
-    for tb in tangent.estimate_all_tangents(X, 5):
+    for tb in tangent.estimate_all_tangents(X.T, 5):
         worst = max(worst, float(np.linalg.norm(projector(tb) - true_P)))
     elapsed = time.perf_counter() - t0
     ok = worst < 0.05 and elapsed < 30.0
@@ -192,7 +192,7 @@ def test_criterion_6_retrieval_oracle_equivalence():
         qv = rng.standard_normal(D)
         d = np.sum((base - qv[:, None]) ** 2, axis=0)
         np.testing.assert_array_equal(
-            hamming.euclid_topk(base, qv, k),
+            hamming.euclid_topk(base.T, qv, k),
             np.argsort(d, kind="stable")[:k])
     elapsed = time.perf_counter() - t0
     ok = elapsed < 30.0
@@ -205,8 +205,8 @@ def test_criterion_6_retrieval_oracle_equivalence():
 def test_criterion_7_metric_properties():
     rng = np.random.default_rng(3)
     # generic curve: non-decreasing and hits 1 at K = N
-    base_pts = rng.standard_normal((6, 500))
-    query_pts = rng.standard_normal((6, 50))
+    base_pts = rng.standard_normal((6, 500)).T
+    query_pts = rng.standard_normal((6, 50)).T
     w1 = rng.standard_normal((16, 6))
     from autojacobin.network import NetworkParams
     p = NetworkParams(w1=w1, w2=np.zeros((6, 16)), b1=np.zeros(16),
@@ -223,8 +223,8 @@ def test_criterion_7_metric_properties():
 
     # random codes, k = 1: curve stays inside the 3-sigma binomial band
     N, Q = 2000, 200
-    base_pts = rng.standard_normal((8, N))
-    query_pts = rng.standard_normal((8, Q))
+    base_pts = rng.standard_normal((8, N)).T
+    query_pts = rng.standard_normal((8, Q)).T
     gt = hamming.build_groundtruth(base_pts, query_pts, 1)
     bc = BinaryCodes(bits=32, count=N,
                      packed=pack_bits(rng.integers(0, 2, (N, 32)).astype(bool)))

@@ -19,7 +19,7 @@ pytestmark = pytest.mark.filterwarnings(
 
 def _write_data(tmp_path, name, D=6, n=80, seed=0):
     rng = np.random.default_rng(seed)
-    X = rng.standard_normal((D, n))
+    X = rng.standard_normal((D, n)).T
     path = tmp_path / name
     matrix_io.write_fvecs(path, X)
     return path, X
@@ -96,7 +96,7 @@ def test_train_holds_the_tangent_bases_once():
     # 64-point chunk arrays: 1.41x on numpy 2.4. A batch-sized gather of
     # the stack's rows (0.25x) would pass 1.6x
     N, D, bits = 8000, 16, 8
-    X = np.random.default_rng(8).standard_normal((D, N))
+    X = np.random.default_rng(8).standard_normal((D, N)).T
     cfg = trainer.TrainConfig(bits=bits, epochs=1, batch_size=N // 4,
                               total_iterations=2)
     tracemalloc.start()
@@ -146,13 +146,14 @@ def test_train_saves_the_accepted_parameters_when_the_search_fails(
 
 
 def test_groundtruth_cache_name_is_pinned(tmp_path):
-    # the name hashes the C-order bytes of base and queries whatever their
-    # layout (read_txt returns F order), so existing .ajbg caches stay valid
-    base = np.asfortranarray(np.arange(24, dtype=float).reshape(6, 4) / 8.0)
-    queries = np.arange(12, dtype=float).reshape(6, 2)[:, ::-1]
+    # the name hashes the C-order bytes of the (N, D) base and (Q, D)
+    # queries whatever their layout, here F order and reversed rows, so
+    # existing .ajbg caches stay valid
+    base = np.asfortranarray(np.arange(24, dtype=float).reshape(4, 6) / 8.0)
+    queries = np.arange(12, dtype=float).reshape(2, 6)[::-1]
     gt = _cached_groundtruth(base, queries, 2,
                              _groundtruth_cache(tmp_path / "base.txt", base, queries, 2))
-    cache = tmp_path / "base.txt.7b68be9781ef.k2.ajbg"
+    cache = tmp_path / "base.txt.265298211189.k2.ajbg"
     assert cache.exists()
     np.testing.assert_array_equal(matrix_io.read_groundtruth(cache), gt)
 
@@ -233,7 +234,7 @@ def test_train_rejects_too_few_points_before_any_work(tmp_path, monkeypatch, met
 @pytest.mark.parametrize("method", ["auto-jacobin", "autobin", "lsh"])
 def test_train_on_all_zero_input_is_one_line_and_writes_no_model(tmp_path, method):
     zero = tmp_path / "zero.fvecs"
-    matrix_io.write_fvecs(zero, np.zeros((6, 40)))
+    matrix_io.write_fvecs(zero, np.zeros((40, 6)))
     model = tmp_path / "m.ajb"
     r = subprocess.run([sys.executable, "-m", "autojacobin.cli", "train", "--input",
                         str(zero), "--bits", "4", "--method", method, "--out", str(model)],
@@ -413,6 +414,13 @@ def _malformed_train_text(tmp_path):
     return argv, f"{bad}: matrix has 1 non-finite entries (NaN or inf)"
 
 
+def _convert_to_bvecs_out_of_range(tmp_path):
+    src = tmp_path / "neg.fvecs"
+    matrix_io.write_fvecs(src, np.array([[1.0, 2.0], [-1.0, 3.0]]))
+    argv = ["convert", "--input", str(src), "--output", str(tmp_path / "neg.bvecs")]
+    return argv, f"{src}: bvecs entries must lie in [0, 255]"
+
+
 def _missing_plot_csv(tmp_path):
     missing = tmp_path / "missing.csv"
     argv = ["plot", "--out", str(tmp_path / "x.svg"), str(missing)]
@@ -435,14 +443,16 @@ def _plot_csv_non_numeric_y(tmp_path):
 
 @pytest.mark.parametrize("case", [_malformed_encode_input, _malformed_eval_query,
                                   _malformed_model, _malformed_train_text,
-                                  _missing_plot_csv, _plot_csv_row_with_one_field,
-                                  _plot_csv_non_numeric_y])
+                                  _convert_to_bvecs_out_of_range, _missing_plot_csv,
+                                  _plot_csv_row_with_one_field, _plot_csv_non_numeric_y])
 def test_a_malformed_input_file_is_one_line_without_a_traceback(tmp_path, case):
     argv, message = case(tmp_path)
+    before = set(tmp_path.rglob("*"))
     r = subprocess.run([sys.executable, "-m", "autojacobin.cli", *argv],
                        capture_output=True, text=True)
     assert r.returncode == 1
     assert r.stderr.splitlines() == [message]
+    assert set(tmp_path.rglob("*")) == before  # no output and no manifest
 
 
 def _lsh_eval_setup(tmp_path, n):

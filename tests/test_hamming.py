@@ -58,20 +58,20 @@ def test_packed_must_be_uint8_with_zero_padding():
 
 def test_encode_identity_projection():
     p = _params_with_w1(np.eye(2))
-    codes = encode(p, np.array([[0.3], [-0.2]]))
+    codes = encode(p, np.array([[0.3, -0.2]]))
     np.testing.assert_array_equal(unpack_bits(codes.packed, 2)[0], [True, False])
 
 
 def test_encode_sign_zero_is_plus_one():
     p = _params_with_w1(np.eye(2))
-    codes = encode(p, np.zeros((2, 1)))
+    codes = encode(p, np.zeros((1, 2)))
     np.testing.assert_array_equal(unpack_bits(codes.packed, 2)[0], [True, True])
 
 
 def test_encode_scale_invariant_without_bias():
     rng = np.random.default_rng(1)
     p = _params_with_w1(rng.standard_normal((5, 4)))
-    X = rng.standard_normal((4, 30))
+    X = rng.standard_normal((4, 30)).T
     np.testing.assert_array_equal(encode(p, X).packed, encode(p, 2.0 * X).packed)
 
 
@@ -87,16 +87,16 @@ def test_encode_bias_flag_changes_threshold():
 def test_encode_matches_sign_matrix():
     rng = np.random.default_rng(2)
     p = _params_with_w1(rng.standard_normal((11, 6)))
-    X = rng.standard_normal((6, 40))
+    X = rng.standard_normal((6, 40)).T
     codes = encode(p, X)
     np.testing.assert_array_equal(unpack_bits(codes.packed, 11),
-                                  (p.w1 @ X >= 0).T)
+                                  (p.w1 @ X.T >= 0).T)
 
 
 def test_encode_dim_mismatch():
     p = _params_with_w1(np.eye(3))
     with pytest.raises(ValueError):
-        encode(p, np.zeros((4, 2)))
+        encode(p, np.zeros((2, 4)))
 
 
 def test_pack_bits_of_a_transposed_view_equals_its_contiguous_copy():
@@ -120,14 +120,14 @@ def test_tiled_encode_equals_one_product_byte_for_byte(bits, use_bias, workers,
     D = 24
     p = NetworkParams(w1=rng.standard_normal((bits, D)), w2=np.zeros((D, bits)),
                       b1=rng.standard_normal(bits), b2=np.zeros(D))
-    Xs = [rng.standard_normal((D, N)) for N in (1, TILE - 1, TILE, TILE + 1, 3 * TILE + 17)]
-    Xs.append(np.asfortranarray(Xs[-1]))  # as read_txt lays it out
+    Xs = [rng.standard_normal((D, N)).T for N in (1, TILE - 1, TILE, TILE + 1, 3 * TILE + 17)]
+    Xs.append(np.ascontiguousarray(Xs[-1]))  # as the readers lay it out
     got = with_workers(workers, lambda: [encode(p, X, use_bias=use_bias) for X in Xs])
     for X, codes in zip(Xs, got):
-        proj = p.w1 @ X
+        proj = p.w1 @ X.T
         if use_bias:
             proj = proj + p.b1[:, None]
-        assert codes.count == X.shape[1]
+        assert codes.count == len(X)
         assert codes.packed.tobytes() == pack_bits((proj >= 0.0).T).tobytes()
         padding = np.unpackbits(codes.packed, axis=1, bitorder="little")[:, bits:]
         assert not padding.any()
@@ -140,10 +140,10 @@ def test_encode_scales_raw_input_tile_by_tile(use_bias, workers, with_workers):
     D, bits, s = 24, 64, 0.8 / 7.3
     p = NetworkParams(w1=rng.standard_normal((bits, D)), w2=np.zeros((D, bits)),
                       b1=rng.standard_normal(bits) * 0.3, b2=np.zeros(D), scale=s)
-    Xs = [7.0 * rng.standard_normal((D, N)) for N in (1, 200, 3 * TILE + 17)]
+    Xs = [7.0 * rng.standard_normal((D, N)).T for N in (1, 200, 3 * TILE + 17)]
     got = with_workers(workers, lambda: [encode(p, X, use_bias=use_bias) for X in Xs])
     for X, codes in zip(Xs, got):
-        proj = p.w1 @ (X * s)
+        proj = p.w1 @ (X * s).T
         if use_bias:
             proj = proj + p.b1[:, None]
         assert codes.packed.tobytes() == pack_bits((proj >= 0.0).T).tobytes()
@@ -167,22 +167,22 @@ def test_column_tiles_give_the_projection_bits_of_one_product(d, D, N, width):
     # encode's codes equal one product's only if its tiles' products do:
     # BLAS may round a narrow or ragged product differently
     rng = np.random.default_rng(d * D)
-    W, X = rng.standard_normal((d, D)), rng.standard_normal((D, N))
-    full = W @ X
+    W, X = rng.standard_normal((d, D)), np.ascontiguousarray(rng.standard_normal((D, N)).T)
+    full = W @ X.T
     tiles = hamming._tiles(N, width)
     assert tiles[0][0] == 0 and tiles[-1][1] == N
     for lo, hi in tiles:
         proj = np.empty((d, hi - lo))
-        np.matmul(W, X[:, lo:hi], out=proj)
+        np.matmul(W, X[lo:hi].T, out=proj)
         np.testing.assert_array_equal(proj.view(np.uint64),
                                       full[:, lo:hi].view(np.uint64))
 
 
 def test_encode_rejects_non_finite_input():
-    # a NaN column used to get a silent code (every bit 0)
+    # a NaN point used to get a silent code (every bit 0)
     p = _params_with_w1(np.random.default_rng(5).standard_normal((8, 3)))
-    X = np.zeros((3, 4))
-    X[1, 2] = np.nan
+    X = np.zeros((4, 3))
+    X[2, 1] = np.nan
     X[0, 0] = np.inf
     with pytest.raises(ValueError, match="2 non-finite"):
         encode(p, X)
@@ -443,16 +443,16 @@ def test_query_row_must_match_codes():
 
 
 def test_euclid_topk_line():
-    base = np.array([[0.0, 1.0, 3.0]])
+    base = np.array([[0.0], [1.0], [3.0]])
     np.testing.assert_array_equal(euclid_topk(base, np.array([0.9]), 2), [1, 0])
 
 
 def test_euclid_topk_self_first_and_oracle():
     rng = np.random.default_rng(6)
-    base = rng.standard_normal((16, 500))
-    q = base[:, 123]
+    base = rng.standard_normal((16, 500)).T
+    q = base[123]
     assert euclid_topk(base, q, 1)[0] == 123
-    d = np.sum((base - q[:, None]) ** 2, axis=0)
+    d = np.sum((base - q) ** 2, axis=1)
     np.testing.assert_array_equal(euclid_topk(base, q, 40),
                                   np.argsort(d, kind="stable")[:40])
 
@@ -477,8 +477,8 @@ def test_recall_curve_perfect_codes():
 
 def test_recall_curve_monotone_and_ends_at_one():
     rng = np.random.default_rng(9)
-    base_pts = rng.standard_normal((6, 200))
-    query_pts = rng.standard_normal((6, 20))
+    base_pts = rng.standard_normal((6, 200)).T
+    query_pts = rng.standard_normal((6, 20)).T
     p = _params_with_w1(rng.standard_normal((16, 6)))
     bc, qc = encode(p, base_pts), encode(p, query_pts)
     gt = build_groundtruth(base_pts, query_pts, 5)
@@ -511,12 +511,12 @@ def test_m_recall_constant_and_linear():
 
 def test_build_groundtruth_rows_sorted_by_distance():
     rng = np.random.default_rng(11)
-    base = rng.standard_normal((5, 80))
-    queries = rng.standard_normal((5, 7))
+    base = rng.standard_normal((5, 80)).T
+    queries = rng.standard_normal((5, 7)).T
     gt = build_groundtruth(base, queries, 6)
     assert gt.shape == (7, 6)
     for j in range(7):
-        d = np.sum((base[:, gt[j]] - queries[:, [j]]) ** 2, axis=0)
+        d = np.sum((base[gt[j]] - queries[j]) ** 2, axis=1)
         assert np.all(np.diff(d) >= -1e-12)
         assert len(set(gt[j].tolist())) == 6
 
@@ -528,22 +528,22 @@ def test_retrieval_rejects_non_finite_before_any_distance_work(where, monkeypatc
 
     monkeypatch.setattr(neighbors, "_knn_block", no_distances)
     rng = np.random.default_rng(0)
-    base = rng.standard_normal((4, 50))
-    queries = rng.standard_normal((4, 6))
-    (base if where == "base" else queries)[1, 3] = np.nan
+    base = rng.standard_normal((4, 50)).T
+    queries = rng.standard_normal((4, 6)).T
+    (base if where == "base" else queries)[3, 1] = np.nan
     with pytest.raises(ValueError, match=f"{where} has 1 non-finite"):
         build_groundtruth(base, queries, 5)
     with pytest.raises(ValueError, match=f"{where} has 1 non-finite"):
-        euclid_topk(base, queries[:, 3], 5)
+        euclid_topk(base, queries[3], 5)
 
 
 def test_retrieval_rejects_norms_that_overflow_and_mismatched_dimensions():
     rng = np.random.default_rng(0)
-    base = rng.standard_normal((4, 50))
-    base[2, 7] = 1e200
+    base = rng.standard_normal((4, 50)).T
+    base[7, 2] = 1e200
     with pytest.raises(ValueError, match="overflow"):
-        build_groundtruth(base, rng.standard_normal((4, 6)), 5)
+        build_groundtruth(base, rng.standard_normal((4, 6)).T, 5)
     with pytest.raises(ValueError, match="overflow"):
         euclid_topk(base, rng.standard_normal(4), 5)
     with pytest.raises(ValueError, match="queries have 3 dimensions, base 4"):
-        build_groundtruth(rng.standard_normal((4, 50)), rng.standard_normal((3, 6)), 5)
+        build_groundtruth(rng.standard_normal((4, 50)).T, rng.standard_normal((3, 6)).T, 5)

@@ -12,8 +12,8 @@ def test_read_fvecs_single_record(tmp_path):
     p = tmp_path / "a.fvecs"
     p.write_bytes(struct.pack("<i", 2) + struct.pack("<ff", 1.0, 2.0))
     X = matrix_io.read_fvecs(p)
-    assert X.shape == (2, 1)
-    np.testing.assert_array_equal(X, [[1.0], [2.0]])
+    assert X.shape == (1, 2)
+    np.testing.assert_array_equal(X, [[1.0, 2.0]])
 
 
 def test_read_fvecs_empty_file(tmp_path):
@@ -46,31 +46,30 @@ def test_read_fvecs_nonpositive_dim(tmp_path):
 
 
 def _parse_records(path, payload_format, itemsize):
-    """(D, N) float64 from an fvecs/bvecs file, one record at a time."""
+    """(N, D) float64 from an fvecs/bvecs file, one record at a time."""
     raw = path.read_bytes()
-    columns, off = [], 0
+    rows, off = [], 0
     while off < len(raw):
         (d,) = struct.unpack_from("<i", raw, off)
-        columns.append(struct.unpack_from(f"<{d}{payload_format}", raw, off + 4))
+        rows.append(struct.unpack_from(f"<{d}{payload_format}", raw, off + 4))
         off += 4 + d * itemsize
-    return np.array(columns, dtype=np.float64).T
+    return np.array(rows, dtype=np.float64)
 
 
 @pytest.mark.parametrize("D,N", [(1, 1), (3, 1), (1, 7), (5, 12), (64, 300)])
 def test_readers_match_record_by_record_parse(tmp_path, D, N):
     rng = np.random.default_rng(D * 1000 + N)
     f, b = tmp_path / "a.fvecs", tmp_path / "a.bvecs"
-    matrix_io.write_fvecs(f, rng.standard_normal((D, N)))
-    matrix_io.write_bvecs(b, rng.integers(0, 256, size=(D, N)).astype(float))
+    matrix_io.write_fvecs(f, rng.standard_normal((D, N)).T)
+    matrix_io.write_bvecs(b, rng.integers(0, 256, size=(D, N)).astype(float).T)
     for X, ref in ((matrix_io.read_fvecs(f), _parse_records(f, "f", 4)),
                    (matrix_io.read_bvecs(b), _parse_records(b, "B", 1))):
         assert X.dtype == np.float64 and X.flags.c_contiguous
-        assert X.shape == (D, N)
+        assert X.shape == (N, D)
         np.testing.assert_array_equal(X, ref)
 
 
-@pytest.mark.parametrize("N", [matrix_io._TILE - 1, matrix_io._TILE, matrix_io._TILE + 1,
-                               2 * matrix_io._TILE + 37])
+@pytest.mark.parametrize("N", [1023, 1024, 1025, 2085])
 def test_readers_match_record_by_record_parse_across_tiles(tmp_path, N):
     # records written by struct, not by the writers under test
     rng = np.random.default_rng(N)
@@ -82,7 +81,7 @@ def test_readers_match_record_by_record_parse_across_tiles(tmp_path, N):
     b.write_bytes(b"".join(struct.pack(f"<i{D}B", D, *B[:, j]) for j in range(N)))
     for X, ref in ((matrix_io.read_fvecs(f), _parse_records(f, "f", 4)),
                    (matrix_io.read_bvecs(b), _parse_records(b, "B", 1))):
-        assert X.shape == (D, N)
+        assert X.shape == (N, D)
         np.testing.assert_array_equal(X, ref)
 
 
@@ -105,12 +104,12 @@ def test_read_bvecs_values(tmp_path):
     p = tmp_path / "a.bvecs"
     p.write_bytes(struct.pack("<i", 4) + bytes([0x00, 0x7F, 0xFF, 0x01]))
     X = matrix_io.read_bvecs(p)
-    np.testing.assert_array_equal(X[:, 0], [0, 127, 255, 1])
+    np.testing.assert_array_equal(X[0], [0, 127, 255, 1])
 
 
 def test_bvecs_round_trip(tmp_path):
     rng = np.random.default_rng(3)
-    X = rng.integers(0, 256, size=(7, 10)).astype(float)
+    X = rng.integers(0, 256, size=(7, 10)).astype(float).T
     p = tmp_path / "r.bvecs"
     matrix_io.write_bvecs(p, X)
     np.testing.assert_array_equal(matrix_io.read_bvecs(p), X)
@@ -118,32 +117,31 @@ def test_bvecs_round_trip(tmp_path):
 
 def test_fvecs_round_trip_byte_exact(tmp_path):
     rng = np.random.default_rng(4)
-    X = rng.standard_normal((5, 12)).astype(np.float32).astype(np.float64)
+    X = rng.standard_normal((5, 12)).astype(np.float32).astype(np.float64).T
     p1, p2 = tmp_path / "a.fvecs", tmp_path / "b.fvecs"
     matrix_io.write_fvecs(p1, X)
     matrix_io.write_fvecs(p2, matrix_io.read_fvecs(p1))
     assert p1.read_bytes() == p2.read_bytes()
 
 
-@pytest.mark.parametrize("D, N", [(1, 1), (3, 0), (5, 7), (64, 30),
-                                  (4, 2 * matrix_io._TILE + 3)])
+@pytest.mark.parametrize("D, N", [(1, 1), (3, 0), (5, 7), (64, 30), (4, 2051)])
 def test_writers_match_struct_packed_records(tmp_path, D, N):
     rng = np.random.default_rng(D + N)
-    X = np.asfortranarray(100.0 * rng.standard_normal((D, N)))
-    B = np.clip(rng.integers(0, 256, (D, N)) + rng.uniform(-0.49, 0.49, (D, N)), 0, 255)
-    B[0, :N // 2] = 2.5  # rounds half to even
+    X = 100.0 * rng.standard_normal((D, N)).T  # F order: rows not contiguous
+    B = np.clip(rng.integers(0, 256, (D, N)) + rng.uniform(-0.49, 0.49, (D, N)), 0, 255).T
+    B[:N // 2, 0] = 2.5  # rounds half to even
     cases = ((matrix_io.write_fvecs, X, "f", X),
              (matrix_io.write_bvecs, B, "B", np.rint(B).astype(int)))
     for writer, M, fmt, values in cases:
         p = tmp_path / f"w.{fmt}"
         writer(p, M)
-        ref = b"".join(struct.pack(f"<i{D}{fmt}", D, *values[:, j]) for j in range(N))
+        ref = b"".join(struct.pack(f"<i{D}{fmt}", D, *values[j]) for j in range(N))
         assert p.read_bytes() == ref
 
 
 def test_txt_round_trip(tmp_path):
     rng = np.random.default_rng(5)
-    X = rng.standard_normal((4, 9))
+    X = rng.standard_normal((4, 9)).T
     p = tmp_path / "v.txt"
     matrix_io.write_txt(p, X)
     np.testing.assert_array_equal(matrix_io.read_txt(p), X)
@@ -178,7 +176,7 @@ def test_txt_ragged_rows_rejected(tmp_path):
 
 
 def test_fit_normalizer_values():
-    nz = fit_normalizer(np.array([[3.0], [4.0]]))
+    nz = fit_normalizer(np.array([[3.0, 4.0]]))
     assert nz.scale == pytest.approx(0.16)
     nz = fit_normalizer(np.array([[1.0, 0.0], [0.0, 2.0]]))
     assert nz.scale == pytest.approx(0.4)
@@ -186,17 +184,17 @@ def test_fit_normalizer_values():
 
 def test_normalized_max_norm_is_08():
     rng = np.random.default_rng(6)
-    X = rng.standard_normal((6, 40)) * 3.0
+    X = rng.standard_normal((6, 40)).T * 3.0
     nz = fit_normalizer(X)
     Xn = apply_normalizer(nz, X)
-    assert abs(np.linalg.norm(Xn, axis=0).max() - 0.8) < 1e-12
+    assert abs(np.linalg.norm(Xn, axis=1).max() - 0.8) < 1e-12
 
 
 def test_normalizer_degenerate_and_round_trip():
     with pytest.raises(DegenerateScaleError):
-        fit_normalizer(np.zeros((3, 4)))
+        fit_normalizer(np.zeros((4, 3)))
     rng = np.random.default_rng(7)
-    X = rng.standard_normal((3, 5))
+    X = rng.standard_normal((3, 5)).T
     nz = fit_normalizer(X)
     np.testing.assert_allclose(apply_normalizer(nz, X) / nz.scale, X, atol=1e-12)
 

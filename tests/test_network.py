@@ -33,9 +33,9 @@ def _zero_params(D, d):
 
 
 def _forward(p, x):
-    """(y, z) of one point: forward_batch on one column."""
-    Y, Z = forward_batch(p, np.asarray(x, dtype=np.float64)[:, None])
-    return Y[:, 0], Z[:, 0]
+    """(y, z) of one point: forward_batch on one row."""
+    Y, Z = forward_batch(p, np.asarray(x, dtype=np.float64)[None, :])
+    return Y[0], Z[0]
 
 
 def _jacobian(p, x):
@@ -78,13 +78,14 @@ def test_forward_linearizes_at_small_weights():
 
 
 def test_forward_batch_matches_single():
-    # each column of a batch is computed as if it were alone
+    # each row of a batch is computed as if it were alone
     p, batch, _ = random_instance(5, 3, 7, seed=1)
     Y, Z = forward_batch(p, batch)
+    assert Y.shape == (7, 3) and Z.shape == (7, 5)
     for j in range(7):
-        y, z = _forward(p, batch[:, j])
-        np.testing.assert_allclose(Y[:, j], y, atol=1e-14)
-        np.testing.assert_allclose(Z[:, j], z, atol=1e-14)
+        y, z = _forward(p, batch[j])
+        np.testing.assert_allclose(Y[j], y, atol=1e-14)
+        np.testing.assert_allclose(Z[j], z, atol=1e-14)
     assert np.all(np.abs(Y) < 1) and np.all(np.abs(Z) < 1)
 
 
@@ -107,7 +108,7 @@ def test_jacobian_linear_regime():
 
 def test_jacobian_matches_finite_differences():
     p, batch, _ = random_instance(6, 3, 1, seed=3)
-    x = batch[:, 0]
+    x = batch[0]
     J = _jacobian(p, x)
     h = 1e-6
     fd = np.empty((6, 6))
@@ -128,7 +129,7 @@ def test_objective_alpha_zero_drops_binary():
 def test_objective_closed_form_at_zero():
     d, D, alpha, eps = 3, 4, 0.1, 1e-4
     p = _zero_params(D, d)
-    batch = np.zeros((D, 1))
+    batch = np.zeros((1, D))
     total, parts, _ = objective(p, batch, [np.zeros((D, D))],
                              ObjectiveConfig(alpha=alpha, epsilon=eps))
     assert parts.recon == 0.0 and parts.jacobian == 0.0
@@ -146,10 +147,10 @@ def test_objective_matches_naive_loop():
     ref = 0.0
     Ys = []
     for j in range(5):
-        y, z = _forward(p, batch[:, j])
+        y, z = _forward(p, batch[j])
         Ys.append(y)
-        ref += float(np.sum((batch[:, j] - z) ** 2))
-        ref += float(np.sum((_jacobian(p, batch[:, j]) - projs[j]) ** 2))
+        ref += float(np.sum((batch[j] - z) ** 2))
+        ref += float(np.sum((_jacobian(p, batch[j]) - projs[j]) ** 2))
     Y = np.stack(Ys, axis=1)
     S = Y @ Y.T - 5 * np.eye(3)
     for a in S.ravel():
@@ -188,14 +189,14 @@ def _jacobian_value_and_grad(p, X, factors, weight):
     """(value, gradient laid out like pack_params) of _jacobian_term alone."""
     grad = np.zeros_like(pack_params(p))
     value = _jacobian_term(p, X, network._forward(p, X),
-                           _factor_rows(factors, *X.shape[::-1]), weight, grad)
+                           _factor_rows(factors, *X.shape), weight, grad)
     return value, grad
 
 
 def _assert_factored_matches_dense(p, X, factors, targets, weight):
     Y, Z = forward_batch(p, X)
     value, g = _jacobian_value_and_grad(p, X, factors, weight)
-    ref_value, ref_g = _dense_jacobian_term(p, X, Y, Z, targets, weight)
+    ref_value, ref_g = _dense_jacobian_term(p, X.T, Y.T, Z.T, targets, weight)
     assert value == pytest.approx(ref_value, rel=1e-12)
     np.testing.assert_allclose(g, ref_g, rtol=1e-12,
                                atol=1e-12 * np.max(np.abs(ref_g)))
@@ -253,8 +254,8 @@ def test_objective_on_projectors_equals_the_rows_of_a_stack():
     stack = _projectors(factors)
     rows = np.random.default_rng(20).permutation(200)[:130]
     cfg = ObjectiveConfig(jacobian_weight=0.5)
-    total, parts, g = objective(p, X[:, rows], [stack[i] for i in rows], cfg)
-    total_r, parts_r, g_r = objective(p, X[:, rows],
+    total, parts, g = objective(p, X[rows], [stack[i] for i in rows], cfg)
+    total_r, parts_r, g_r = objective(p, X[rows],
                                       FactorRows(stack, rows, gram_norms(stack)), cfg)
     assert parts_r.jacobian == pytest.approx(parts.jacobian, rel=1e-13)
     assert total_r == pytest.approx(total, rel=1e-13)
@@ -304,7 +305,7 @@ def test_objective_has_the_same_bits_at_any_worker_count(workers, kind, with_wor
     ref_value, ref_g = 0.0, np.zeros_like(pack_params(p))
     for lo in range(0, n, _JAC_CHUNK):
         hi = lo + _JAC_CHUNK
-        v, g = _jacobian_chunk(p, kron, batch[:, lo:hi], f.cols(lo, hi),
+        v, g = _jacobian_chunk(p, kron, batch[lo:hi], f.cols(lo, hi),
                                FactorRows(factors, np.arange(lo, min(hi, n)), gram), 0.5)
         ref_value += v
         ref_g += g
@@ -323,8 +324,11 @@ def _out_of_place_objective(p, batch, factors, cfg, lambda_c=None, corrupted=Non
     """(value, gradient) of objective from the out-of-place expressions of
     forward_batch and the recon, contractive and binary terms, each term
     forming its own slopes 1 - Y^2 and 1 - Z^2 and each Jacobian chunk
-    its own from its columns, as the terms did before they shared them."""
-    Xin = batch if corrupted is None else corrupted
+    its own from its columns, as the terms did before they shared them.
+    The expressions are those of one point per column, on the (D, n)
+    transposed views of the (n, D) batch and input."""
+    Xin = (batch if corrupted is None else corrupted).T
+    batch = batch.T
     D, n = batch.shape
     Y = np.tanh(p.w1 @ Xin + p.b1[:, None])
     Z = np.tanh(p.w2 @ Y + p.b2[:, None])
@@ -344,7 +348,7 @@ def _out_of_place_objective(p, batch, factors, cfg, lambda_c=None, corrupted=Non
         for lo in range(0, n, _JAC_CHUNK):
             hi = lo + _JAC_CHUNK
             Yc, Zc = Y[:, lo:hi], Z[:, lo:hi]
-            v, g = _jacobian_chunk(p, kron, Xin[:, lo:hi],
+            v, g = _jacobian_chunk(p, kron, Xin[:, lo:hi].T,
                                    network.Forward(Yc, Zc, 1.0 - Yc * Yc, 1.0 - Zc * Zc),
                                    rows._replace(rows=rows.rows[lo:hi]), cfg.jacobian_weight)
             middle += v
@@ -369,8 +373,8 @@ def _out_of_place_objective(p, batch, factors, cfg, lambda_c=None, corrupted=Non
 
 
 @pytest.mark.parametrize("D, d, n, layout", [
-    (8, 4, 70, "C"),  # a short last Jacobian chunk
-    (20, 6, 129, "F"),  # a one-column last chunk; columns contiguous, as train gathers them
+    (8, 4, 70, "C"),  # a short last Jacobian chunk; rows contiguous, as train gathers them
+    (20, 6, 129, "F"),  # a one-point last chunk
 ])
 @pytest.mark.parametrize("kind", ["auto-jacobin", "autobin", "dautobin", "cautobin"])
 def test_in_place_objective_has_the_bits_of_the_out_of_place_expressions(
@@ -482,7 +486,7 @@ def test_grad_check_detects_perturbation():
 def test_grad_check_zero_network_finite():
     D, d, n = 4, 2, 3
     p = _zero_params(D, d)
-    batch = np.zeros((D, n))
+    batch = np.zeros((n, D))
     projs = [np.zeros((D, D))] * n
     assert np.isfinite(_fd_error(p, batch, projs, ObjectiveConfig()))
 
@@ -494,7 +498,7 @@ def test_random_instance_stacks_the_qr_bases_of_its_projectors(D, d, n, seed):
     rng = np.random.default_rng(seed)
     w1, w2 = 0.5 * rng.standard_normal((d, D)), 0.5 * rng.standard_normal((D, d))
     b1, b2 = 0.1 * rng.standard_normal(d), 0.1 * rng.standard_normal(D)
-    batch = rng.uniform(-0.8, 0.8, size=(D, n))
+    batch = rng.uniform(-0.8, 0.8, size=(D, n)).T
     bases = [np.linalg.qr(rng.standard_normal((D, int(rng.integers(1, d + 1)))))[0]
              for _ in range(n)]
     p, got_batch, factors = random_instance(D, d, n, seed)
@@ -543,6 +547,6 @@ def test_binary_term_grows_with_the_scale_of_y_past_cosine_one_over_d_minus_1(c,
     def term(s):
         f = network.Forward(s * Y, None, 1.0 - (s * Y) ** 2, None)
         grad = np.zeros_like(pack_params(p))
-        return network._binary_term(p, np.zeros((4, n)), f, 1.0, 1e-4, n, grad)
+        return network._binary_term(p, np.zeros((n, 4)), f, 1.0, 1e-4, n, grad)
 
     assert (term(1.01) > term(1.0)) == rises

@@ -168,7 +168,7 @@ def test_a_forked_child_encodes_on_a_pool_of_its_own(four_cpus):
     D, d = 16, 64
     p = NetworkParams(w1=rng.standard_normal((d, D)), w2=np.zeros((D, d)),
                       b1=np.zeros(d), b2=np.zeros(D))
-    X = rng.standard_normal((D, 3 * hamming._ENCODE_TILE))  # 3 tiles, 3 workers
+    X = rng.standard_normal((D, 3 * hamming._ENCODE_TILE)).T  # 3 tiles, 3 workers
     assert parallel.workers(3, 8 * d * hamming._ENCODE_TILE) == 3
     packed = hamming.encode(p, X).packed
     ctx = multiprocessing.get_context("fork")

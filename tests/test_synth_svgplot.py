@@ -7,8 +7,8 @@ from autojacobin import synth, svgplot
 def test_simplex_points_on_plane():
     rng = np.random.default_rng(0)
     X = synth.simplex_points(500, rng)
-    assert X.shape == (3, 500)
-    np.testing.assert_allclose(X.sum(axis=0), 1.0, atol=1e-12)
+    assert X.shape == (500, 3)
+    np.testing.assert_allclose(X.sum(axis=1), 1.0, atol=1e-12)
     assert X.min() > 0.0
 
 
@@ -21,10 +21,10 @@ def test_simplex_points_deterministic():
 def test_curved_manifold_shape_and_regeneration():
     rng = np.random.default_rng(2)
     X, params = synth.curved_manifold(300, 4, 16, rng, noise=0.0)
-    assert X.shape == (16, 300)
+    assert X.shape == (300, 16) and X.flags.c_contiguous
     assert np.all(np.abs(X) <= 1.0 / np.sqrt(16) + 1e-12)
     more = synth.curved_manifold_more(100, params, rng)
-    assert more.shape == (16, 100)
+    assert more.shape == (100, 16) and more.flags.c_contiguous
 
 
 def test_curved_manifold_noise_scale():
@@ -37,11 +37,12 @@ def test_curved_manifold_noise_scale():
 
 
 def _cosine_map_out_of_place(n, omega, phi, rng, noise):
+    """The (n, D) rows of the points drawn one per column."""
     t = rng.uniform(0.0, 1.0, size=(omega.shape[1], n))
     X = np.cos(omega @ t + phi[:, None]) / np.sqrt(omega.shape[0])
     if noise > 0:
         X = X + noise * rng.standard_normal(X.shape)
-    return X
+    return X.T
 
 
 @pytest.mark.parametrize("seed", [0, 11])

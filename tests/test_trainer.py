@@ -31,11 +31,11 @@ def _toy_setup(seed=0, n=200):
 
 def test_init_params_shapes_and_relations():
     rng = np.random.default_rng(0)
-    X = rng.standard_normal((6, 100))
+    X = rng.standard_normal((6, 100)).T
     p = init_params(X, 4, 0)
     assert p.w1.shape == (4, 6) and p.w2.shape == (6, 4)
     np.testing.assert_allclose(p.w2, p.w1.T)
-    mu = X.mean(axis=1)
+    mu = X.mean(axis=0)
     np.testing.assert_allclose(p.b1, -p.w1 @ mu)
     np.testing.assert_allclose(p.b2, mu)
     # rows of W1 orthonormal (rotation times orthonormal PCA rows)
@@ -44,29 +44,29 @@ def test_init_params_shapes_and_relations():
 
 def test_init_params_full_rank_square_is_orthogonal():
     rng = np.random.default_rng(1)
-    X = rng.standard_normal((5, 80))
-    p = init_params(X - X.mean(axis=1, keepdims=True), 5, 1)
+    X = rng.standard_normal((5, 80)).T
+    p = init_params(X - X.mean(axis=0), 5, 1)
     np.testing.assert_allclose(p.w2 @ p.w1, np.eye(5), atol=1e-10)
 
 
 def test_init_params_mean_point_maps_to_zero_hidden():
     rng = np.random.default_rng(2)
-    X = rng.standard_normal((4, 60)) + 3.0
+    X = rng.standard_normal((4, 60)).T + 3.0
     p = init_params(X, 2, 2)
-    np.testing.assert_allclose(p.w1 @ X.mean(axis=1) + p.b1, 0.0, atol=1e-10)
+    np.testing.assert_allclose(p.w1 @ X.mean(axis=0) + p.b1, 0.0, atol=1e-10)
 
 
 def test_init_params_deterministic():
     rng = np.random.default_rng(3)
-    X = rng.standard_normal((4, 50))
+    X = rng.standard_normal((4, 50)).T
     a, b = init_params(X, 3, 7), init_params(X, 3, 7)
     assert a.w1.tobytes() == b.w1.tobytes()
     assert a.b1.tobytes() == b.b1.tobytes()
 
 
 def test_init_params_low_rank_warns():
-    X = np.zeros((3, 50))
-    X[0] = np.linspace(0, 1, 50)
+    X = np.zeros((50, 3))
+    X[:, 0] = np.linspace(0, 1, 50)
     with pytest.warns(UserWarning):
         init_params(X, 3, 0)
 
@@ -74,7 +74,7 @@ def test_init_params_low_rank_warns():
 def test_init_params_rejects_more_bits_than_dimensions():
     # d > D is an error, raised before any rank warning
     rng = np.random.default_rng(4)
-    X = rng.standard_normal((4, 50))
+    X = rng.standard_normal((4, 50)).T
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError):
@@ -409,7 +409,7 @@ def test_train_runs_one_forward_pass_per_evaluation(monkeypatch, kind, batch_siz
     forward_batch = network.forward_batch
 
     def counting(p, X):
-        calls.append(X.shape[1])
+        calls.append(len(X))
         return forward_batch(p, X)
 
     # every module that bound the function by name
@@ -536,7 +536,7 @@ def test_train_holds_one_copy_of_the_tangent_factors():
     # of the stack's rows (0.25x) would pass 0.4x, a whole-stack copy 1x
     rng = np.random.default_rng(6)
     N, D, r = 8000, 16, 8
-    X = rng.standard_normal((D, N))
+    X = rng.standard_normal((D, N)).T
     Q = np.linalg.qr(rng.standard_normal((N, D, r)))[0]
     bases = tangent.TangentSet(Q, np.full(N, r), region_variance=0.01)
     cfg = TrainConfig(bits=4, epochs=1, batch_size=N // 4, seed=6,
@@ -561,7 +561,7 @@ def test_train_epochs_hold_no_copy_of_the_training_data(monkeypatch, kind):
     # and DAutoBin's float draws and corrupted copy beside it 3.2x
     rng = np.random.default_rng(10)
     D, N = 32, 16000
-    X = rng.standard_normal((D, N))
+    X = np.ascontiguousarray(rng.standard_normal((D, N)).T)
     init = trainer.init_params
 
     def init_then_reset_peak(*args):
@@ -622,7 +622,7 @@ def test_train_makes_no_batch_sized_copy_of_the_tangent_factors(with_workers):
     # with one, the traced peak above the inputs was 34 MB
     rng = np.random.default_rng(9)
     N, D, r, batch = 2000, 64, 32, 1000
-    X = 0.3 * rng.standard_normal((D, N))
+    X = 0.3 * rng.standard_normal((D, N)).T
     Q = np.linalg.qr(rng.standard_normal((N, D, r)))[0]
     bases = tangent.TangentSet(Q, np.full(N, r), region_variance=0.01)
     cfg = TrainConfig(bits=32, epochs=1, batch_size=batch, seed=9,
@@ -640,8 +640,8 @@ def test_train_makes_no_batch_sized_copy_of_the_tangent_factors(with_workers):
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_train_rejects_non_finite_input(bad):
     Xn, _ = _toy_setup(n=60)
-    Xn[1, 5] = bad
-    Xn[2, 7] = -np.inf
+    Xn[5, 1] = bad
+    Xn[7, 2] = -np.inf
     cfg = TrainConfig(bits=2, epochs=1, batch_size=60, method=VariantConfig(kind="autobin"))
     with pytest.raises(ValueError, match="2 non-finite"):
         train(Xn, None, cfg)
@@ -718,7 +718,7 @@ def test_fit_sets_the_scale_on_the_model_and_its_untrained_start(kind):
 
 
 def test_fit_lsh_is_the_scaled_random_projection():
-    X = np.random.default_rng(1).standard_normal((7, 40))
+    X = np.random.default_rng(1).standard_normal((7, 40)).T
     params, report = fit(X, TrainConfig(bits=5, seed=9, method=VariantConfig(kind="lsh")))
     ref = lsh_generate(7, 5, 9, scale=matrix_io.fit_normalizer(X).scale)
     assert report is None

@@ -75,7 +75,7 @@ def test_dautobin_fully_corrupted_zero_params():
     from autojacobin.network import NetworkParams
     D, d, n = 4, 2, 5
     rng = np.random.default_rng(5)
-    batch = rng.standard_normal((D, n))
+    batch = rng.standard_normal((D, n)).T
     p = NetworkParams(w1=np.zeros((d, D)), w2=np.zeros((D, d)),
                       b1=np.zeros(d), b2=np.zeros(D))
     total, parts, _ = objective(p, batch, None, ObjectiveConfig(alpha=0.0),
@@ -86,7 +86,7 @@ def test_dautobin_fully_corrupted_zero_params():
 def test_dautobin_shape_mismatch():
     p, batch, _ = random_instance(4, 2, 3, seed=6)
     with pytest.raises(ValueError):
-        objective(p, batch, None, ObjectiveConfig(), corrupted=batch[:, :-1])
+        objective(p, batch, None, ObjectiveConfig(), corrupted=batch[:-1])
 
 
 def test_objective_rejects_two_middle_terms():
@@ -112,7 +112,7 @@ def test_cautobin_contractive_value():
     Y, _ = forward_batch(p, batch)
     ref = 0.0
     for j in range(5):
-        Jh = (p.w1 * (1.0 - Y[:, j] ** 2)[:, None]).T  # (D, d), entry (i,k)
+        Jh = (p.w1 * (1.0 - Y[j] ** 2)[:, None]).T  # (D, d), entry (i,k)
         ref += lam * float(np.sum(Jh * Jh))
     assert parts.jacobian == pytest.approx(ref, rel=1e-10)
 
@@ -132,7 +132,7 @@ def test_lsh_deterministic_and_scale_invariant():
 
     from autojacobin import hamming
     rng = np.random.default_rng(9)
-    X = rng.standard_normal((16, 20))
+    X = rng.standard_normal((16, 20)).T
     c1 = hamming.encode(a, X)
     c2 = hamming.encode(a, 2.0 * X)
     np.testing.assert_array_equal(c1.packed, c2.packed)
