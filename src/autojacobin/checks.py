@@ -1,8 +1,10 @@
 """Finite-difference validation of the objective's analytic gradient.
 
 Used by the gradcheck CLI command and the test suite. Each term of a
-method's objective is checked on its own, then the total. Reported
-errors are max over parameters of |analytic - fd| / max(1, |fd|).
+method's objective is checked on its own, then the total, on random
+instances in the objective's layout: an (n, D) batch of rows, (n, r, D)
+tangent factors and DAutoBin's (n, D) mask. Reported errors are max over
+parameters of |analytic - fd| / max(1, |fd|).
 """
 
 from __future__ import annotations
@@ -22,11 +24,9 @@ from .variants import VariantConfig
 
 
 def random_instance(D: int, d: int, n: int, seed: int):
-    """Random params, an (n, D) batch and tangent factors for gradient
-    checking. The batch is the transposed view of a (D, n) draw, so the
-    points and the objective's bits are those of one point per column.
-    The factors are an (n, D, min(d, D)) stack of random-rank orthonormal
-    bases zero-padded to one width, the form fit feeds the Jacobian term."""
+    """Random params, an (n, D) batch and an (n, min(d, D), D) stack of
+    random-rank orthonormal bases, one direction per row, zero-padded to
+    one height (the form fit feeds the Jacobian term)."""
     rng = np.random.default_rng(seed)
     p = NetworkParams(
         w1=0.5 * rng.standard_normal((d, D)),
@@ -34,12 +34,12 @@ def random_instance(D: int, d: int, n: int, seed: int):
         b1=0.1 * rng.standard_normal(d),
         b2=0.1 * rng.standard_normal(D),
     )
-    batch = rng.uniform(-0.8, 0.8, size=(D, n)).T
-    factors = np.zeros((n, D, min(d, D)))
+    batch = rng.uniform(-0.8, 0.8, size=(n, D))
+    factors = np.zeros((n, min(d, D), D))
     for T in factors:
         r = int(rng.integers(1, d + 1))
         Q, _ = np.linalg.qr(rng.standard_normal((D, r)))  # min(r, D) columns
-        T[:, :Q.shape[1]] = Q
+        T[:Q.shape[1]] = Q.T
     return p, batch, factors
 
 
@@ -75,11 +75,11 @@ def check_gradients(kind: str, D: int = 8, d: int = 4, n: int = 5,
         raise ValueError(f"no gradients to check for variant {kind!r}")
     p, batch, factors = random_instance(D, d, n, seed)
     cfg = ObjectiveConfig(alpha=alpha, epsilon=epsilon, jacobian_weight=0.5)
-    mask = method.corrupt((D, n), np.random.default_rng(seed + 1))  # a frozen mask
+    mask = method.corrupt((n, D), np.random.default_rng(seed + 1))  # a frozen mask
     inputs = dict(
         tangents=factors if method.needs_tangents else None,
         lambda_c=method.contraction,
-        corrupted=None if mask is None else np.where(mask, 0.0, batch.T).T,
+        corrupted=None if mask is None else np.where(mask, 0.0, batch),
     )
     Xin, terms = _terms(batch, cfg=cfg, **inputs)
 

@@ -70,7 +70,7 @@ def cmd_convert(args) -> int:
         raise SystemExit(f"{args.input}: {err}") from None
     write_manifest(args.output, "convert", _flags(args))
     N, D = X.shape
-    print(f"converted {args.input} -> {args.output} ({D}x{N})")
+    print(f"converted {args.input} -> {args.output} ({N}x{D})")
     return 0
 
 
@@ -92,21 +92,22 @@ def cmd_train(args) -> int:
     cfg = TrainConfig(bits=args.bits, epsilon=args.epsilon, epochs=args.epochs,
                       batch_size=args.batch, total_iterations=args.iterations,
                       seed=args.seed, method=method)
+    failed = None
     try:
         params, report = fit(X_raw, cfg)
     except matrix_io.DegenerateScaleError as err:
         raise SystemExit(f"{args.input}: {err}") from None
     except LineSearchError as err:
-        matrix_io.write_model(args.out, err.params)
-        write_manifest(args.out, "train", _flags(args))
-        print(f"training stopped early at iteration {err.iteration}: {err}; "
-              f"wrote the parameters accepted before it to {args.out}",
-              file=sys.stderr)
-        return 1
+        params, report, failed = err.params, err.report, err
     matrix_io.write_model(args.out, params)
     if report is not None and args.trace:
         write_trace_csv(args.trace, report)
     write_manifest(args.out, "train", _flags(args))
+    if failed is not None:
+        print(f"training stopped early at iteration {len(report.cost_trace) + 1}: {failed}; "
+              f"wrote the parameters accepted before it to {args.out}",
+              file=sys.stderr)
+        return 1
     if report is not None:
         trace = report.cost_trace
         cost = (f"batch cost {trace[0].total:.6g} -> {trace[-1].total:.6g}" if trace

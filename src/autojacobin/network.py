@@ -1,28 +1,29 @@
 """Three-layer tanh auto-encoder: batch forward pass and the composite
 objective with its analytic gradient.
 
-A batch is n points, the rows of an (n, D) matrix. The network computes
-on its transposed (D, n) view, so the notation below is column-per-point.
-The objective over a batch of n columns is
+A batch is n points, the rows of an (n, D) matrix X, and every array
+of the pass holds one row per point: the hidden rows Y = tanh(X W1' + b1)
+(n x d) and the output rows Z = tanh(Y W2' + b2) (n x D). The objective
+over a batch of n rows is
 
-    sum_i ( ||x_i - z_i||^2 + w ||J_i - A_i||_F^2 ) + alpha * S(Y Y' - n I)
+    sum_i ( ||x_i - z_i||^2 + w ||J_i - A_i||_F^2 ) + alpha * S(Y'Y - n I)
 
-where J_i is the input-output Jacobian at x_i, A_i = T_i T_i' the tangent
+where J_i is the input-output Jacobian at x_i, A_i = T_i' T_i the tangent
 projector, and S(M) = sum_jk sqrt(M_jk^2 + eps) smooths the entrywise
 1-norm. Jacobian orientation: J(i, j) = d z_j / d x_i, so with
 a = 1 - y_i^2 and c = 1 - z_i^2, J_i = W1' diag(a) W2' diag(c).
 
-The target comes from its factor T_i (D x r) alone; no D x D matrix is
-formed. Expanding the square,
+The target comes from its factor T_i (r x D), whose rows are tangent
+directions, alone; no D x D matrix is formed. Expanding the square,
 
-    ||J - T T'||_F^2 = a'(W1 W1' o W2' diag(c^2) W2) a
-                       - 2 sum_k a_k sum_r (W1 T)_kr (W2' diag(c) T)_kr
-                       + ||T'T||_F^2,
+    ||J - T'T||_F^2 = a'(W1 W1' o W2' diag(c^2) W2) a
+                      - 2 sum_k a_k sum_r (T W1')_rk (T diag(c) W2)_rk
+                      + ||T T'||_F^2,
 
 with o the entrywise product. The last term makes the identity exact
-for any factor: zero columns change neither T T' nor T'T, so ragged
-ranks are zero-padded to one width, and a projector P is its own factor,
-since P P' = P. It does not depend on the parameters, so the trainer
+for any factor: zero rows change neither T'T nor T T', so ragged
+ranks are zero-padded to one height, and a projector P is its own factor,
+since P'P = P. It does not depend on the parameters, so the trainer
 computes it once per training set (gram_norms).
 
 The first term needs neither J nor a D x d product per point, as with
@@ -41,11 +42,11 @@ each gradient is one more product of these rows:
     dW2_jk = 2 sum_l [C^2' (A2 o G)]_j,kl W2_jl,
     dc_j = 2 c_j [(A2 o G)(W2 (x) W2)']_j           (per point).
 
-The cross term's products W1 T and W2' diag(c) T, and their gradient
-contractions, run on the chunk's factors transposed to (m r, D) rows,
-so no array of (m, D, d) is formed. The term is computed in chunks of
+The cross term's products T W1' and T diag(c) W2, and their gradient
+contractions, run on the chunk's factors read as (m r, D) rows, so no
+array of (m, D, d) is formed. The term is computed in chunks of
 64 points on a thread pool (see the parallel module). The trainer
-passes the whole (N, D, r) stack and a batch's row indices (FactorRows),
+passes the whole (N, r, D) stack and a batch's row indices (FactorRows),
 and each chunk gathers only its own rows, so no batch-sized copy of the
 factors is made. The chunks' values and gradients are summed in chunk
 order, so the objective has the same bits at any worker count. One
@@ -60,7 +61,7 @@ arguments and returns value, parts and gradient from one forward pass;
 variants.VariantConfig says which arguments each method passes. The
 pass forms the tanh slopes 1 - y^2 and 1 - z^2 once (Forward), and every
 term and Jacobian chunk reads them; each term allocates each of its
-(D, n) and (d, n) work arrays once and updates it in place, in the order
+(n, D) and (n, d) work arrays once and updates it in place, in the order
 of the out-of-place expression, so the bits are that expression's. The
 gradient is one vector laid out like pack_params, and each term adds
 into views of only the blocks it reaches.
@@ -142,73 +143,71 @@ class ObjectiveParts:
 
 def forward_batch(p: NetworkParams, X: np.ndarray):
     """(Y, Z) for an (n, D) batch of rows: the hidden rows Y (n, d) and the
-    output rows Z (n, D), the transposed views of the (d, n) and (D, n)
-    arrays computed from X's transposed view. Each is allocated once and
-    has its bias and tanh applied in place."""
-    Y = p.w1 @ X.T
-    Y += p.b1[:, None]
+    output rows Z (n, D). Each is allocated once and has its bias and tanh
+    applied in place."""
+    Y = X @ p.w1.T
+    Y += p.b1
     np.tanh(Y, out=Y)
-    Z = p.w2 @ Y
-    Z += p.b2[:, None]
+    Z = Y @ p.w2.T
+    Z += p.b2
     np.tanh(Z, out=Z)
-    return Y.T, Z.T
+    return Y, Z
 
 
 class Forward(NamedTuple):
-    """One evaluation's forward pass of an (n, D) batch: the activations
-    Y (d, n) and Z (D, n), and their tanh slopes A = 1 - Y^2 and
+    """One evaluation's forward pass of an (n, D) batch: the activation
+    rows Y (n, d) and Z (n, D), and their tanh slopes A = 1 - Y^2 and
     C = 1 - Z^2, formed once and read, never written, by every term."""
     Y: np.ndarray
     Z: np.ndarray
     A: np.ndarray
     C: np.ndarray
 
-    def cols(self, lo, hi) -> Forward:
-        """The pass over columns lo:hi, as views."""
-        return Forward(*(a[:, lo:hi] for a in self))
+    def rows(self, lo, hi) -> Forward:
+        """The pass over rows lo:hi, as views."""
+        return Forward(*(a[lo:hi] for a in self))
 
 
 def _forward(p: NetworkParams, X: np.ndarray) -> Forward:
     """The Forward pass of X: forward_batch, then the slopes in place."""
-    Y, Z = (a.T for a in forward_batch(p, X))
+    Y, Z = forward_batch(p, X)
     A, C = Y * Y, Z * Z
     np.subtract(1.0, A, out=A)
     np.subtract(1.0, C, out=C)
     return Forward(Y, Z, A, C)
 
 
-# --- per-term values and gradients (batch layout: X is (n, D), so X is
-# the transpose of the notation's (D, n) batch) ---
-# Each (D, n) or (d, n) work array is allocated once and updated in
+# --- per-term values and gradients ---
+# Each (n, D) or (n, d) work array is allocated once and updated in
 # place, in the order of the out-of-place expression in its comment, so
 # the bits are those of that expression.
 
 
 def _recon_term(p, Xin, Xtarget, f: Forward, grad):
-    diff = f.Z - Xtarget.T
+    diff = f.Z - Xtarget
     sq = diff * diff
     value = float(np.sum(sq))
     d2 = np.multiply(2.0, diff, out=sq)
     d2 *= f.C  # 2 (Z - X) o (1 - Z^2)
-    d1 = p.w2.T @ d2
-    d1 *= f.A  # (W2' d2) o (1 - Y^2)
-    for g, dg in zip(_blocks(grad, p), (d1 @ Xin, d2 @ f.Y.T, d1.sum(axis=1),
-                                         d2.sum(axis=1))):
+    d1 = d2 @ p.w2
+    d1 *= f.A  # (d2 W2) o (1 - Y^2)
+    for g, dg in zip(_blocks(grad, p), (d1.T @ Xin, d2.T @ f.Y, d1.sum(axis=0),
+                                         d2.sum(axis=0))):
         g += dg
     return value
 
 
 def _binary_term(p, Xin, f: Forward, alpha, eps, n_target, grad):
-    d = f.Y.shape[0]
-    S = f.Y @ f.Y.T - n_target * np.eye(d)
+    d = f.Y.shape[1]
+    S = f.Y.T @ f.Y - n_target * np.eye(d)
     R = np.sqrt(S * S + eps)
     value = float(alpha * np.sum(R))
     G = alpha * S / R
-    dU = 2.0 * G @ f.Y
-    dU *= f.A  # (2 G Y) o (1 - Y^2)
+    dU = f.Y @ (2.0 * G)
+    dU *= f.A  # (Y 2G) o (1 - Y^2)
     gw1, _, gb1, _ = _blocks(grad, p)
-    gw1 += dU @ Xin
-    gb1 += dU.sum(axis=1)
+    gw1 += dU.T @ Xin
+    gb1 += dU.sum(axis=0)
     return value
 
 
@@ -219,7 +218,7 @@ _JAC_CHUNK = 64
 
 class FactorRows(NamedTuple):
     """The tangent factors of a batch, read in place: point n's factor
-    is stack[rows[n]] of an (N, D, r) stack, and gram holds ||T'T||_F^2
+    is stack[rows[n]] of an (N, r, D) stack, and gram holds ||T T'||_F^2
     of every factor in the stack (see gram_norms)."""
     stack: np.ndarray
     rows: np.ndarray
@@ -227,21 +226,21 @@ class FactorRows(NamedTuple):
 
 
 def gram_norms(stack: np.ndarray) -> np.ndarray:
-    """||T'T||_F^2 of each factor of an (N, D, r) stack, _JAC_CHUNK
+    """||T T'||_F^2 of each factor of an (N, r, D) stack, _JAC_CHUNK
     factors at a time, so no (N, r, r) array is formed."""
     out = np.empty(len(stack))
     for lo in range(0, len(stack), _JAC_CHUNK):
         T = stack[lo:lo + _JAC_CHUNK]
-        TtT = np.swapaxes(T, 1, 2) @ T
-        out[lo:lo + _JAC_CHUNK] = np.sum(TtT * TtT, axis=(1, 2))
+        TTt = T @ np.swapaxes(T, 1, 2)
+        out[lo:lo + _JAC_CHUNK] = np.sum(TTt * TTt, axis=(1, 2))
     return out
 
 
 def _factor_rows(tangents, n: int, D: int) -> FactorRows:
-    """FactorRows of n rows of D x r factors as it is, else one array-like
-    of n equal-shape D x r factors as rows 0..n-1 of itself, with their
+    """FactorRows of n rows of r x D factors as it is, else one array-like
+    of n equal-shape r x D factors as rows 0..n-1 of itself, with their
     gram_norms computed once; any other shape, ragged factors included,
-    raises a ValueError naming (N, D, r)."""
+    raises a ValueError naming (N, r, D)."""
     if isinstance(tangents, FactorRows):
         stack, got = tangents.stack, (len(tangents.rows),) + tangents.stack.shape[1:]
     else:
@@ -250,9 +249,9 @@ def _factor_rows(tangents, n: int, D: int) -> FactorRows:
             got = stack.shape
         except ValueError:  # numpy's inhomogeneous-shape error
             stack, got = None, "factors of unequal shapes"
-    if stack is None or stack.ndim != 3 or got[:2] != (n, D):
+    if stack is None or stack.ndim != 3 or (got[0], got[2]) != (n, D):
         raise ValueError(f"the Jacobian term needs tangent factors of shape "
-                         f"(N, D, r) = ({n}, {D}, r), got {got}")
+                         f"(N, r, D) = ({n}, r, {D}), got {got}")
     if isinstance(tangents, FactorRows):
         return tangents
     return FactorRows(stack, np.arange(n), gram_norms(stack))
@@ -270,41 +269,38 @@ def _jacobian_chunk(p, kron, Xc, f: Forward, t: FactorRows, weight):
     t.stack[t.rows]; kron is _kron_rows(p). Each product is one GEMM over
     the chunk (module docstring)."""
     G, WW = kron
-    Yc, Zc = f.Y, f.Z
-    At = f.A.T  # (m, d)
-    Ct = f.C.T  # (m, D)
-    C2 = Ct * Ct
-    m, d = At.shape
-    D = Ct.shape[1]
+    A, C = f.A, f.C  # (m, d), (m, D)
+    (m, d), D = A.shape, C.shape[1]
+    C2 = C * C
     # ||J||^2 = a'(G o H)a on (m, d^2) rows: H = C^2 (W2 (x) W2), a (x) a
-    AA = (At[:, :, None] * At[:, None, :]).reshape(m, -1)
+    AA = (A[:, :, None] * A[:, None, :]).reshape(m, -1)
     AG = AA * G.ravel()
     H = C2 @ WW
-    h = ((H * G.ravel()).reshape(m, d, d) @ At[:, :, None])[:, :, 0]  # (G o H) a
-    # tr(J' T T') = sum_k a_k q_k with q = rowsums of (W1 T) o (W2' diag(c) T),
-    # on the chunk's factors gathered as (m, r, D): (m r, D) rows Tr of T_n'
-    T = t.stack[t.rows].transpose(0, 2, 1).copy()
+    h = ((H * G.ravel()).reshape(m, d, d) @ A[:, :, None])[:, :, 0]  # (G o H) a
+    # tr(J' T'T) = sum_k a_k q_k with q = column sums of (T W1') o (T diag(c) W2),
+    # on the chunk's factors gathered as (m, r, D): (m r, D) rows Tr
+    T = t.stack[t.rows]
     Tr = T.reshape(-1, D)
-    CT = (T * Ct[:, None, :]).reshape(-1, D)
-    M = (Tr @ p.w1.T).reshape(m, -1, d)  # rows of (W1 T)'
-    N = (CT @ p.w2).reshape(m, -1, d)  # rows of (W2' diag(c) T)'
+    CT = (T * C[:, None, :]).reshape(-1, D)
+    M = (Tr @ p.w1.T).reshape(m, -1, d)  # T W1'
+    N = (CT @ p.w2).reshape(m, -1, d)  # T diag(c) W2
     q = np.einsum("nrk,nrk->nk", M, N)
-    value = weight * (float(np.sum(At * (h - 2.0 * q))) + float(np.sum(t.gram[t.rows])))
+    value = weight * (float(np.sum(A * (h - 2.0 * q))) + float(np.sum(t.gram[t.rows])))
     s = 2.0 * weight
-    AM = (M * At[:, None, :]).reshape(-1, d)
-    AN = (N * At[:, None, :]).reshape(-1, d)
+    AM = (M * A[:, None, :]).reshape(-1, d)
+    AN = (N * A[:, None, :]).reshape(-1, d)
     dw1 = s * (np.einsum("nk,nk->k", AA, H).reshape(d, d) @ p.w1 - AN.T @ Tr)
     PG = (C2.T @ AG).reshape(D, d, d)  # sum_n c_j^2 (a (x) a) o G
     dw2 = s * ((PG @ p.w2[:, :, None])[:, :, 0] - CT.T @ AM)
     ga = s * (h - q)  # d/da
-    gc = s * (Ct * (AG @ WW.T)
+    gc = s * (C * (AG @ WW.T)
               - np.einsum("nrj,nrj->nj", (AM @ p.w2.T).reshape(m, -1, D), T))  # d/dc
     # chain through c = 1 - z^2 into v = W2 y + b2, then through
     # a = 1 - y^2 and y into u = W1 x + b1
-    gv = -2.0 * Zc * (Ct * gc).T  # (D, m)
-    gu = (p.w2.T @ gv - 2.0 * Yc * ga.T) * At.T  # (d, m)
-    return value, np.concatenate([(dw1 + gu @ Xc).ravel(), (dw2 + gv @ Yc.T).ravel(),
-                                  gu.sum(axis=1), gv.sum(axis=1)])
+    gv = -2.0 * f.Z * (C * gc)  # (m, D)
+    gu = (gv @ p.w2 - 2.0 * f.Y * ga) * A  # (m, d)
+    return value, np.concatenate([(dw1 + gu.T @ Xc).ravel(), (dw2 + gv.T @ f.Y).ravel(),
+                                  gu.sum(axis=0), gv.sum(axis=0)])
 
 
 def _jacobian_term(p, Xin, f: Forward, t: FactorRows, weight, grad):
@@ -322,27 +318,26 @@ def _jacobian_term(p, Xin, f: Forward, t: FactorRows, weight, grad):
 
     def chunk(lo):
         hi = lo + _JAC_CHUNK
-        return _jacobian_chunk(p, kron, Xin[lo:hi], f.cols(lo, hi),
+        return _jacobian_chunk(p, kron, Xin[lo:hi], f.rows(lo, hi),
                                t._replace(rows=t.rows[lo:hi]), weight)
 
     # a chunk's largest work arrays, (m, d^2) and (m r, D)
-    block_bytes = 8 * _JAC_CHUNK * max(p.bits ** 2, p.dims * t.stack.shape[2])
+    block_bytes = 8 * _JAC_CHUNK * max(p.bits ** 2, p.dims * t.stack.shape[1])
     results = parallel.ordered_map(chunk, range(0, n, _JAC_CHUNK), block_bytes)
     grad += sum(g for _, g in results)
     return sum(v for v, _ in results)
 
 
 def _contractive_term(p, Xin, f: Forward, lam, grad):
-    At = f.A.T  # (n, d)
     s = np.sum(p.w1 * p.w1, axis=1)  # hidden-row norms squared
-    A2 = At * At
+    A2 = f.A * f.A
     dw1 = 2.0 * lam * np.sum(A2, axis=0)[:, None] * p.w1
-    A2 *= s  # (1 - Y^2)'^2 o s
+    A2 *= s  # (1 - Y^2)^2 o s
     value = float(lam * np.sum(A2))
-    gu = np.multiply(-4.0 * lam, At)
-    gu *= At
-    gu *= f.Y.T
-    gu *= s  # -4 lam (1 - Y^2)'^2 o Y' o s
+    gu = np.multiply(-4.0 * lam, f.A)
+    gu *= f.A
+    gu *= f.Y
+    gu *= s  # -4 lam (1 - Y^2)^2 o Y o s
     dw1 += gu.T @ Xin
     gw1, _, gb1, _ = _blocks(grad, p)
     gw1 += dw1
@@ -383,12 +378,13 @@ def objective(p: NetworkParams, batch: np.ndarray, tangents, cfg: ObjectiveConfi
     float64 vector laid out like pack_params(p), and each term adds its
     gradient into views of it.
 
-    batch holds one point per row, (n, D). tangents holds one D x r
-    tangent factor T per point, as one array-like of shape (n, D, r) such
-    as a list of D x D projectors (each its own factor) or as FactorRows,
-    n rows of a larger stack read in place, and adds the Jacobian term
-    with target T T' (any other shape raises a ValueError naming
-    (N, D, r)); lambda_c adds the contractive term instead; None leaves it
+    batch holds one point per row, (n, D). tangents holds one r x D
+    tangent factor T per point, whose rows are tangent directions, as one
+    array-like of shape (n, r, D) such as a list of D x D projectors (each
+    its own factor) or as FactorRows, n rows of a larger stack read in
+    place, and adds the Jacobian term with target T'T (any other shape
+    raises a ValueError naming (N, r, D)); lambda_c adds the contractive
+    term instead; None leaves it
     out. corrupted, when given, is the (n, D) network input and batch
     stays the reconstruction target.
     """

@@ -38,11 +38,11 @@ def curved_manifold_more(n: int, params, rng: np.random.Generator) -> np.ndarray
 def _cosine_map(n, omega, phi, rng, noise):
     ambient_dim, intrinsic_dim = omega.shape
     t = rng.uniform(0.0, 1.0, size=(intrinsic_dim, n))
-    # in place: the operations of cos(omega t + phi) / sqrt(ambient_dim)
-    # + noise * E in the same order, so the same bits, with one (D, n)
-    # array alive besides the noise; then one copy to rows. The rows'
-    # own product t' omega' would round differently from omega t at some
-    # n (1954-2500 points at D = 64 and 128)
+    # cos(omega t + phi) / sqrt(D) + noise E in place, one (D, n) array
+    # alive besides the noise, then one copy to rows. On the same draws the
+    # rows' product t' omega' rounds differently at some n (1954-2500 at
+    # D = 64 and 128) and was no faster: 86 against 87 ms at 30000 x 64,
+    # 129 against 107 ms at 20000 x 128 (one BLAS thread, 2-core Xeon)
     X = omega @ t
     X += phi[:, None]
     np.cos(X, out=X)

@@ -4,10 +4,10 @@ Tangent bases come from local PCA on the k = D+d nearest neighbors of
 each training point (self included), from neighbors.knn. The PCAs of a
 block of points take one np.linalg.eigh call on their stacked
 covariances. Blocks run on a thread pool (see the parallel module), and
-each writes its own rows of one zero-padded (N, D, r) stack of bases, the
-TangentSet that training reads, so no second copy of the bases is made
-and the result has the same bits at any worker count, as have the kNN's
-blocks before them (see the neighbors module).
+each writes its own rows of one zero-padded (N, r, D) stack of bases,
+one direction per row, the TangentSet that training reads, so no second
+copy of the bases is made and the result has the same bits at any
+worker count, as have the kNN's blocks before them (see neighbors).
 
 The projection oracles (affine subspace, unit sphere) have closed-form
 closest-point maps and are used to check numerically that the Jacobian
@@ -44,13 +44,13 @@ class TangentBasis:
 class TangentSet(Sequence):
     """The tangent bases of N points as one zero-padded stack.
 
-    factors[i, :, :ranks[i]] is point i's orthonormal basis and the rest
-    of factors[i] is zero, so factors is the (N, D, r) stack of factors
-    the Jacobian term reads, with r = max(1, largest rank). Item i is a
-    TangentBasis whose basis is a view into factors.
+    Row j of factors[i] is point i's j-th direction, the rows after
+    ranks[i] are zero, so factors is the (N, r, D) stack of factors the
+    Jacobian term reads, with r = max(1, largest rank). Item i is a
+    TangentBasis whose basis is the view factors[i, :ranks[i]].T.
     """
 
-    factors: np.ndarray  # (N, D, r)
+    factors: np.ndarray  # (N, r, D)
     ranks: np.ndarray  # (N,) int
     # mean per-coordinate variance of the D+1 nearest points (self
     # included) of each point: the weight of the Jacobian term (see the
@@ -67,7 +67,7 @@ class TangentSet(Sequence):
         if isinstance(i, slice):
             return [self[j] for j in range(len(self))[i]]
         i = range(len(self))[i]  # IndexError past either end ends iteration
-        return TangentBasis(self.factors[i, :, :self.ranks[i]])
+        return TangentBasis(self.factors[i, :self.ranks[i]].T)
 
 
 def _pca_block(X: np.ndarray, nbr: np.ndarray, d: int):
@@ -75,7 +75,7 @@ def _pca_block(X: np.ndarray, nbr: np.ndarray, d: int):
     neighborhoods nbr (b, k); variance[j] is the per-coordinate variance
     of point j's D+1 nearest points.
 
-    bases is (b, D, min(d, D)): the leading ranks[j] columns of bases[j]
+    bases is (b, min(d, D), D): the leading ranks[j] rows of bases[j]
     are point j's principal directions, by decreasing variance, and the
     rest are zero. A point keeps min(r98, d) directions, where r98 is the
     smallest rank capturing at least 98% of the local variance. A
@@ -100,8 +100,8 @@ def _pca_block(X: np.ndarray, nbr: np.ndarray, d: int):
     share = np.cumsum(evals[live], axis=1) / total[live, None]
     r = np.zeros(b, dtype=int)
     r[live] = np.minimum((share < ENERGY_FRACTION).sum(axis=1) + 1, d)
-    top = evecs[:, :, ::-1][:, :, :d]
-    bases = np.where(np.arange(top.shape[2]) < r[:, None, None], top, 0.0)
+    top = evecs[:, :, ::-1][:, :, :d].transpose(0, 2, 1)
+    bases = np.where(np.arange(top.shape[1])[:, None] < r[:, None, None], top, 0.0)
     return bases, r, variance
 
 
@@ -115,7 +115,7 @@ def estimate_all_tangents(X: np.ndarray, d: int) -> TangentSet:
     if N < D + d:
         raise ValueError(f"need N >= D+d = {D + d} points, got {N}")
     nbr = knn(X, X, D + d)
-    factors = np.empty((N, D, min(d, D)))
+    factors = np.empty((N, min(d, D), D))
     ranks = np.empty(N, dtype=int)
     variance = np.empty(N)
 
@@ -125,8 +125,8 @@ def estimate_all_tangents(X: np.ndarray, d: int) -> TangentSet:
 
     parallel.ordered_map(block, range(0, N, _BLOCK), 8 * _BLOCK * D * (D + d))
     width = max(1, int(ranks.max()))
-    if width < factors.shape[2]:
-        factors = np.ascontiguousarray(factors[:, :, :width])
+    if width < factors.shape[1]:
+        factors = np.ascontiguousarray(factors[:, :width])
     return TangentSet(factors, ranks, float(np.mean(variance)))
 
 

@@ -20,20 +20,22 @@ accepted along -g, and takes the first that lowers the batch cost. A
 direction that does not descend, or a search along it that lowers
 nothing, clears the memory, so -g is searched with an empty memory. A
 search along -g that finds no finite value raises LineSearchError at
-once: the objective is deterministic, so another search would fail the
-same way. A step without sufficient decrease is never taken, so a batch
-objective never rises. Training stops at the iteration cap, or when the
-batch is the whole (uncorrupted) training set and not even -g lowers
-the cost: the next iteration would repeat that search from the same
-point. The search is quasi-Newton because steepest descent stalls on
-the tanh saturation: on the 1000-point toy, AutoBin ends near cost 283
-after 300 full-batch steepest-descent iterations, against 38-50 (three
-seeds) from this search.
+once, with the report of the iterations before it: the objective is
+deterministic, so another search would fail the same way. A step
+without sufficient decrease is never taken, so a batch objective never
+rises. Training stops at the iteration cap, or when the batch is the
+whole (uncorrupted) training set and not even -g lowers the cost: the
+next iteration would repeat that search from the same point. The
+search is quasi-Newton because steepest descent stalls on the tanh
+saturation: on the 1000-point toy, AutoBin ends near cost 283 after 300
+full-batch steepest-descent iterations, against 38-50 (three seeds)
+from this search.
 
 train takes the tangents in one of two forms. A tangent.TangentSet,
-which fit passes, gives its zero-padded (N, D, r) stack of bases and
+which fit passes, gives its zero-padded (N, r, D) stack of bases and
 its region variance, the Jacobian term's weight (see the network
-module). Any other array-like of N equal-shape D x r factors, such as
+module). Any other array-like of N equal-shape r x D factors, whose rows
+are tangent directions, such as
 D x D projectors (each its own factor), is taken as one array at unit
 weight. Either form is converted and checked once, by the network
 module's one converter of tangent factors (network._factor_rows). On
@@ -44,9 +46,9 @@ the hidden layer (mean |y| 0.99 or more); steepest descent stopped at
 The training set is an (N, D) matrix, one point per row. Each
 mini-batch's rows are gathered from it when the batch is used, so no
 shuffled copy of the set is formed. For the denoising variant the
-epoch's corruption is one boolean (D, N) mask, column k for the k-th
+epoch's corruption is one boolean (N, D) mask, row k for the k-th
 point of the permutation, one byte per entry; a batch's network input
-is a copy of the batch with the entries of its columns of the mask
+is a copy of the batch with the entries of its rows of the mask
 zeroed. Each example is still corrupted on its own draws, as in
 Vincent et al. (ICML 2008).
 
@@ -54,15 +56,15 @@ An epoch's cost is the sum of its accepted batch costs. With one batch
 that is the full-set cost at the epoch's end; with mini-batches it is
 the running cost the optimizer saw, not a full-set cost (the binary
 term is per batch). A batch passes the whole tangent factor stack and
-its row indices (network.FactorRows), with ||T'T||_F^2 of every factor
+its row indices (network.FactorRows), with ||T T'||_F^2 of every factor
 computed once per training set by that converter; each 64-point chunk
 of the Jacobian term gathers its own rows, so no part of the stack
 larger than a chunk is ever copied.
 
 One seeded RNG stream drives everything, consumed in a fixed order:
 the init rotation first, then per epoch the permutation and (for the
-denoising variant) the corruption mask, drawn row by row with the
-uniform draws of one (D, N) array in the same order
+denoising variant) the corruption mask, drawn in blocks of rows with
+the uniform draws of one (N, D) array in the same order
 (variants.draw_mask).
 
 fit is the one path from raw data to a scaled model.
@@ -100,14 +102,14 @@ _EPS = np.finfo(float).eps
 class LineSearchError(RuntimeError):
     """No finite objective value found along the search direction; evals
     counts the objective evaluations the search made. When it ends
-    train, params holds the last accepted parameters and iteration the
-    number of the iteration whose search failed."""
+    train, params holds the last accepted parameters and report the
+    TrainReport of the iterations before the failed one."""
 
     def __init__(self, message: str, evals: int):
         super().__init__(message)
         self.evals = evals
         self.params: NetworkParams | None = None
-        self.iteration: int | None = None
+        self.report: TrainReport | None = None
 
 
 @dataclass
@@ -287,13 +289,13 @@ def train(X_train: np.ndarray, tangents, cfg: TrainConfig):
     """Mini-batch L-BFGS with strong-Wolfe steps; returns (params, report).
 
     tangents is either the TangentSet of tangent.estimate_all_tangents,
-    whose (N, D, r) stack of factors the Jacobian term reads as it is,
+    whose (N, r, D) stack of factors the Jacobian term reads as it is,
     weighted by its region variance, or an array-like of N equal-shape
-    D x r factors, such as D x D projectors, taken as one array at unit
+    r x D factors, such as D x D projectors, taken as one array at unit
     weight; None for variants without the Jacobian term. Both forms go
     through network._factor_rows once, so anything else, and factors of
     another shape or of unequal shapes, raise its ValueError that names
-    (N, D, r). theta = pack_params(init) is the loop's only parameter
+    (N, r, D). theta = pack_params(init) is the loop's only parameter
     state, and the objective's gradient comes in its layout; each
     iteration walks its list of searches (L-BFGS direction, then -g)
     until one lowers the batch cost. Data must already be normalized and
@@ -301,8 +303,8 @@ def train(X_train: np.ndarray, tangents, cfg: TrainConfig):
     returns the value and gradient at its accepted point; an epoch's cost
     is the sum of those batch values, and a LineSearchError along -g is
     not retried (see the module docstring): it ends training carrying the
-    last accepted parameters and the failed iteration. train keeps no
-    reference to tangents once it has their (N, D, r) stack.
+    last accepted parameters and the report so far. train keeps no
+    reference to tangents once it has their (N, r, D) stack.
     """
     t_start = time.perf_counter()
     X_train = _check_matrix(X_train)
@@ -320,7 +322,7 @@ def train(X_train: np.ndarray, tangents, cfg: TrainConfig):
         if isinstance(tangents, TangentSet):
             weight, report.tangent_ranks = tangents.region_variance, tangents.ranks.tolist()
             tangents = tangents.factors
-        rows = _factor_rows(tangents, N, D)  # ||T'T||_F^2 is constant over training
+        rows = _factor_rows(tangents, N, D)  # ||T T'||_F^2 is constant over training
         report.jacobian_weight = weight
     del tangents  # the stack is all training reads
     ocfg = ObjectiveConfig(alpha=cfg.method.alpha, epsilon=cfg.epsilon,
@@ -334,16 +336,13 @@ def train(X_train: np.ndarray, tangents, cfg: TrainConfig):
     pairs = deque(maxlen=LBFGS_MEMORY)  # (s, y, 1 / s'y), oldest first
     for epoch in range(cfg.epochs):
         perm = rng.permutation(N)
-        mask = cfg.method.corrupt((D, N), rng)  # column k corrupts point perm[k]
+        mask = cfg.method.corrupt((N, D), rng)  # row k corrupts point perm[k]
         epoch_cost = 0.0
         for j in range(m):
             lo, hi = bounds[j], bounds[j + 1]
             batch = X_train[perm[lo:hi]]
             batch_rows = rows._replace(rows=perm[lo:hi]) if rows is not None else None
-            # formed as the mask's C-ordered (D, n) columns and read as rows:
-            # the objective's products round by the input's memory order
-            corrupted = (np.where(mask[:, lo:hi], 0.0, batch.T).T
-                         if mask is not None else None)
+            corrupted = np.where(mask[lo:hi], 0.0, batch) if mask is not None else None
 
             def f(theta):
                 value, parts, grad = objective(
@@ -371,7 +370,7 @@ def train(X_train: np.ndarray, tangents, cfg: TrainConfig):
                 except LineSearchError as err:
                     if direction is None:
                         err.params = unpack_params(theta, report.initial)
-                        err.iteration = iteration + 1
+                        err.report = report
                         raise
                     step, e, fallback, f_new, g_new = 0.0, err.evals, True, parts.total, g
                 evals += e
@@ -424,7 +423,7 @@ def fit(X_raw: np.ndarray, cfg: TrainConfig):
         params, report = train(Xn, estimate_all_tangents(Xn, cfg.bits)
                                if cfg.method.needs_tangents else None, cfg)
     except LineSearchError as err:
-        err.params.scale = nz.scale
+        err.params.scale = err.report.initial.scale = nz.scale
         raise
     params.scale = report.initial.scale = nz.scale
     return params, report

@@ -25,10 +25,11 @@ def _write_data(tmp_path, name, D=6, n=80, seed=0):
     return path, X
 
 
-def test_convert_fvecs_to_txt(tmp_path):
+def test_convert_fvecs_to_txt(tmp_path, capsys):
     src, X = _write_data(tmp_path, "a.fvecs")
     dst = tmp_path / "a.txt"
     assert main(["convert", "--input", str(src), "--output", str(dst)]) == 0
+    assert capsys.readouterr().out.endswith(f" -> {dst} (80x6)\n")  # N x D
     np.testing.assert_allclose(matrix_io.read_txt(dst), X, atol=1e-6)
     assert (tmp_path / "a.txt.manifest.json").exists()
 
@@ -89,7 +90,7 @@ def test_train_summary_reports_tangent_ranks_and_weight(tmp_path, capsys):
 
 
 def test_train_holds_the_tangent_bases_once():
-    # the bases are estimated into the (N, D, r) stack that training
+    # the bases are estimated into the (N, r, D) stack that training
     # reads in place, and no list of them is kept beside it; with one, the
     # peak passed 2x the bases. The rest is the normalized data (1/r),
     # the kNN's indices and block distances and the Jacobian term's
@@ -122,8 +123,9 @@ def test_train_saves_the_accepted_parameters_when_the_search_fails(
         return objective(*args, **kwargs)
 
     monkeypatch.setattr(trainer, "objective", counting)
-    ref = tmp_path / "ref.ajb"
-    assert main(argv + ["--iterations", "3", "--out", str(ref)]) == 0
+    ref, ref_trace = tmp_path / "ref.ajb", tmp_path / "ref.csv"
+    assert main(argv + ["--iterations", "3", "--out", str(ref),
+                        "--trace", str(ref_trace)]) == 0
     finite = len(calls)  # the evaluations of three iterations
 
     def non_finite_after_three_iterations(*args, **kwargs):
@@ -137,11 +139,14 @@ def test_train_saves_the_accepted_parameters_when_the_search_fails(
     monkeypatch.setattr(trainer, "objective", non_finite_after_three_iterations)
     calls.clear()
     capsys.readouterr()
-    out = tmp_path / "m.ajb"
-    assert main(argv + ["--out", str(out)]) == 1
+    out, trace = tmp_path / "m.ajb", tmp_path / "m.csv"
+    assert main(argv + ["--out", str(out), "--trace", str(trace)]) == 1
     err = capsys.readouterr().err
     assert "training stopped early at iteration 4: non-finite directional derivative" in err
     assert out.read_bytes() == ref.read_bytes()  # the parameters after iteration 3
+    # the cost trace of the iterations before the failed one
+    assert [line.split(",")[0] for line in trace.read_text().splitlines()[1:]] == ["1", "2", "3"]
+    assert trace.read_bytes() == ref_trace.read_bytes()
     assert json.loads((tmp_path / "m.ajb.manifest.json").read_text())["command"] == "train"
 
 

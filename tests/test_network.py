@@ -23,8 +23,8 @@ from autojacobin.variants import VariantConfig
 
 
 def _projectors(factors):
-    """The D x D targets T T' of an (n, D, r) stack of factors."""
-    return factors @ np.swapaxes(factors, 1, 2)
+    """The D x D targets T'T of an (n, r, D) stack of factors."""
+    return np.swapaxes(factors, 1, 2) @ factors
 
 
 def _zero_params(D, d):
@@ -206,9 +206,9 @@ def _ragged_bases(D, ranks, seed):
     """A TangentSet of random orthonormal bases of the given ranks."""
     rng = np.random.default_rng(seed)
     ranks = np.asarray(ranks, dtype=int)
-    factors = np.zeros((len(ranks), D, max(1, ranks.max())))
+    factors = np.zeros((len(ranks), max(1, ranks.max()), D))
     for i, r in enumerate(ranks):
-        factors[i, :, :r] = np.linalg.qr(rng.standard_normal((D, r)))[0]
+        factors[i, :r] = np.linalg.qr(rng.standard_normal((D, r)))[0].T
     return tangent.TangentSet(factors, ranks, region_variance=0.05)
 
 
@@ -218,7 +218,7 @@ def test_factored_jacobian_term_matches_dense_on_proxy_tangents():
     Xn = matrix_io.apply_normalizer(matrix_io.fit_normalizer(X), X)
     bases = tangent.estimate_all_tangents(Xn, 32)
     factors, weight = bases.factors, bases.region_variance
-    assert factors.shape == (2000, 64, max(t.rank for t in bases))
+    assert factors.shape == (2000, max(t.rank for t in bases), 64)
     p = init_params(Xn, 32, 7)
     rng = np.random.default_rng(8)
     p.w2 = p.w2 + 0.1 * rng.standard_normal(p.w2.shape)  # W2 != W1'
@@ -268,20 +268,20 @@ def test_factored_jacobian_term_matches_dense_on_zero_padded_ragged_ranks():
     ranks = [0, 1, 3, 5, 2, 0, 4, 5, 1]
     bases = _ragged_bases(12, ranks, seed=12)
     factors, weight = bases.factors, bases.region_variance
-    assert factors.shape == (9, 12, 5) and weight == 0.05
+    assert factors.shape == (9, 5, 12) and weight == 0.05
     np.testing.assert_array_equal(factors[0], 0.0)  # rank 0: zero target
     p, batch, _ = random_instance(12, 5, 9, seed=13)
     targets = np.stack([tangent.projector(t) for t in bases])
     _assert_factored_matches_dense(p, batch, factors, targets, weight)
-    # all ranks 0: one zero column each
+    # all ranks 0: one zero row each
     zeros = _ragged_bases(12, [0] * 9, seed=14).factors
-    assert zeros.shape == (9, 12, 1)
+    assert zeros.shape == (9, 1, 12)
     _assert_factored_matches_dense(p, batch, zeros, np.zeros((9, 12, 12)), 1.0)
 
 
 def test_fd_gradient_on_zero_padded_bases():
     factors = _ragged_bases(8, [0, 2, 3, 1, 3], seed=15).factors
-    assert factors.shape[2] < 8
+    assert factors.shape[1] < 8
     for seed in range(5):
         p, batch, _ = random_instance(8, 4, 5, seed=seed)
         assert _fd_error(p, batch, factors, ObjectiveConfig(jacobian_weight=0.5)) < 1e-6
@@ -305,7 +305,7 @@ def test_objective_has_the_same_bits_at_any_worker_count(workers, kind, with_wor
     ref_value, ref_g = 0.0, np.zeros_like(pack_params(p))
     for lo in range(0, n, _JAC_CHUNK):
         hi = lo + _JAC_CHUNK
-        v, g = _jacobian_chunk(p, kron, batch[lo:hi], f.cols(lo, hi),
+        v, g = _jacobian_chunk(p, kron, batch[lo:hi], f.rows(lo, hi),
                                FactorRows(factors, np.arange(lo, min(hi, n)), gram), 0.5)
         ref_value += v
         ref_g += g
@@ -324,22 +324,19 @@ def _out_of_place_objective(p, batch, factors, cfg, lambda_c=None, corrupted=Non
     """(value, gradient) of objective from the out-of-place expressions of
     forward_batch and the recon, contractive and binary terms, each term
     forming its own slopes 1 - Y^2 and 1 - Z^2 and each Jacobian chunk
-    its own from its columns, as the terms did before they shared them.
-    The expressions are those of one point per column, on the (D, n)
-    transposed views of the (n, D) batch and input."""
-    Xin = (batch if corrupted is None else corrupted).T
-    batch = batch.T
-    D, n = batch.shape
-    Y = np.tanh(p.w1 @ Xin + p.b1[:, None])
-    Z = np.tanh(p.w2 @ Y + p.b2[:, None])
+    its own from its rows, as the terms did before they shared them."""
+    Xin = batch if corrupted is None else corrupted
+    n, D = batch.shape
+    Y = np.tanh(Xin @ p.w1.T + p.b1)
+    Z = np.tanh(Y @ p.w2.T + p.b2)
     grad = np.zeros_like(pack_params(p))
     gw1, gw2, gb1, gb2 = network._blocks(grad, p)
     diff = Z - batch
     recon = float(np.sum(diff * diff))
     d2 = 2.0 * diff * (1.0 - Z * Z)
-    d1 = (p.w2.T @ d2) * (1.0 - Y * Y)
-    for g, dg in zip((gw1, gw2, gb1, gb2), (d1 @ Xin.T, d2 @ Y.T, d1.sum(axis=1),
-                                             d2.sum(axis=1))):
+    d1 = (d2 @ p.w2) * (1.0 - Y * Y)
+    for g, dg in zip((gw1, gw2, gb1, gb2), (d1.T @ Xin, d2.T @ Y, d1.sum(axis=0),
+                                             d2.sum(axis=0))):
         g += dg
     middle = 0.0
     if factors is not None:
@@ -347,28 +344,28 @@ def _out_of_place_objective(p, batch, factors, cfg, lambda_c=None, corrupted=Non
         total = np.zeros_like(grad)
         for lo in range(0, n, _JAC_CHUNK):
             hi = lo + _JAC_CHUNK
-            Yc, Zc = Y[:, lo:hi], Z[:, lo:hi]
-            v, g = _jacobian_chunk(p, kron, Xin[:, lo:hi].T,
+            Yc, Zc = Y[lo:hi], Z[lo:hi]
+            v, g = _jacobian_chunk(p, kron, Xin[lo:hi],
                                    network.Forward(Yc, Zc, 1.0 - Yc * Yc, 1.0 - Zc * Zc),
                                    rows._replace(rows=rows.rows[lo:hi]), cfg.jacobian_weight)
             middle += v
             total += g
         grad += total
     if lambda_c is not None:
-        At = (1.0 - Y * Y).T
+        A = 1.0 - Y * Y
         s = np.sum(p.w1 * p.w1, axis=1)
-        middle = float(lambda_c * np.sum(At * At * s[None, :]))
-        dw1 = 2.0 * lambda_c * np.sum(At * At, axis=0)[:, None] * p.w1
-        gu = -4.0 * lambda_c * At * At * Y.T * s[None, :]
-        dw1 += gu.T @ Xin.T
+        middle = float(lambda_c * np.sum(A * A * s[None, :]))
+        dw1 = 2.0 * lambda_c * np.sum(A * A, axis=0)[:, None] * p.w1
+        gu = -4.0 * lambda_c * A * A * Y * s[None, :]
+        dw1 += gu.T @ Xin
         gw1 += dw1
         gb1 += gu.sum(axis=0)
-    S = Y @ Y.T - n * np.eye(Y.shape[0])
+    S = Y.T @ Y - n * np.eye(Y.shape[1])
     binary = float(cfg.alpha * np.sum(np.sqrt(S * S + cfg.epsilon)))
     G = cfg.alpha * S / np.sqrt(S * S + cfg.epsilon)
-    dU = (2.0 * G @ Y) * (1.0 - Y * Y)
-    gw1 += dU @ Xin.T
-    gb1 += dU.sum(axis=1)
+    dU = (Y @ (2.0 * G)) * (1.0 - Y * Y)
+    gw1 += dU.T @ Xin
+    gb1 += dU.sum(axis=0)
     return network.ObjectiveParts(recon, middle, binary).total, grad
 
 
@@ -423,16 +420,16 @@ def test_objective_parts_nonnegative_and_sum():
 @pytest.mark.parametrize("bad, got", [
     (lambda projs: projs[:-1], r"\(2, 4, 4\)"),  # too few factors
     (lambda projs: [np.eye(5)] * 3, r"\(3, 5, 5\)"),  # D x D factors of the wrong D
-    (lambda projs: [np.eye(4)[:, :1 + i] for i in range(3)], "factors of unequal shapes"),
+    (lambda projs: [np.eye(4)[:1 + i] for i in range(3)], "factors of unequal shapes"),
     (lambda projs: np.zeros((3, 4)), r"\(3, 4\)"),  # a 2-D array
     (lambda projs: FactorRows(np.stack(projs), np.arange(2), np.ones(3)), r"\(2, 4, 4\)"),
 ], ids=["too-few", "wrong-D", "ragged", "2-D", "too-few-rows"])
 def test_objective_projector_count_mismatch(bad, got):
-    # every malformed tangent form fails at the one converter, naming (N, D, r)
+    # every malformed tangent form fails at the one converter, naming (N, r, D)
     p, batch, factors = random_instance(4, 2, 3, seed=6)
     projs = list(_projectors(factors))
-    with pytest.raises(ValueError, match=r"tangent factors of shape \(N, D, r\) = "
-                                         r"\(3, 4, r\), got " + got):
+    with pytest.raises(ValueError, match=r"tangent factors of shape \(N, r, D\) = "
+                                         r"\(3, r, 4\), got " + got):
         objective(p, batch, bad(projs), ObjectiveConfig())
 
 
@@ -493,22 +490,22 @@ def test_grad_check_zero_network_finite():
 
 @pytest.mark.parametrize("D, d, n, seed", [(8, 4, 5, 0), (6, 3, 7, 1), (3, 5, 6, 2)])
 def test_random_instance_stacks_the_qr_bases_of_its_projectors(D, d, n, seed):
-    # item i of the stack is the QR basis Q of the i-th draw, zero-padded,
-    # so T T' is the projector Q Q' of that draw; d > D included
+    # item i of the stack is the QR basis Q of the i-th draw as rows,
+    # zero-padded, so T'T is the projector Q Q' of that draw; d > D included
     rng = np.random.default_rng(seed)
     w1, w2 = 0.5 * rng.standard_normal((d, D)), 0.5 * rng.standard_normal((D, d))
     b1, b2 = 0.1 * rng.standard_normal(d), 0.1 * rng.standard_normal(D)
-    batch = rng.uniform(-0.8, 0.8, size=(D, n)).T
+    batch = rng.uniform(-0.8, 0.8, size=(n, D))
     bases = [np.linalg.qr(rng.standard_normal((D, int(rng.integers(1, d + 1)))))[0]
              for _ in range(n)]
     p, got_batch, factors = random_instance(D, d, n, seed)
     for a, b in ((p.w1, w1), (p.w2, w2), (p.b1, b1), (p.b2, b2), (got_batch, batch)):
         np.testing.assert_array_equal(a, b)
-    assert factors.shape == (n, D, min(d, D))
+    assert factors.shape == (n, min(d, D), D)
     for T, Q in zip(factors, bases):
-        np.testing.assert_array_equal(T[:, :Q.shape[1]], Q)
-        np.testing.assert_array_equal(T[:, Q.shape[1]:], 0.0)
-        np.testing.assert_array_equal(T @ T.T, Q @ Q.T)
+        np.testing.assert_array_equal(T[:Q.shape[1]], Q.T)
+        np.testing.assert_array_equal(T[Q.shape[1]:], 0.0)
+        np.testing.assert_array_equal(T.T @ T, Q @ Q.T)
 
 
 def test_pack_unpack_round_trip():
@@ -533,15 +530,15 @@ def test_objective_config_validation():
 
 @pytest.mark.parametrize("c, rises", [(0.1428, False), (0.1430, True)])
 def test_binary_term_grows_with_the_scale_of_y_past_cosine_one_over_d_minus_1(c, rises):
-    # rows of Y with squared norm rho2 and every pairwise cosine c: per unit
-    # of s^2 rho2 (below n), scaling Y by s takes d off the diagonal of
-    # S(YY' - nI) and adds d (d - 1) c to the rest, so the term rises with
+    # columns of Y with squared norm rho2 and every pairwise cosine c: per
+    # unit of s^2 rho2 (below n), scaling Y by s takes d off the diagonal of
+    # S(Y'Y - nI) and adds d (d - 1) c to the rest, so the term rises with
     # the scale iff c > 1/(d - 1) = 0.142857 at d = 8
     d, n, rho2 = 8, 200, 20.0
     rng = np.random.default_rng(0)
     gram = rho2 * ((1.0 - c) * np.eye(d) + c * np.ones((d, d)))
     Q, _ = np.linalg.qr(rng.standard_normal((n, d)))
-    Y = np.linalg.cholesky(gram) @ Q.T
+    Y = Q @ np.linalg.cholesky(gram).T  # (n, d) rows
     p = _zero_params(4, d)
 
     def term(s):

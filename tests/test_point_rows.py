@@ -1,14 +1,18 @@
 """Points are rows from file to code: every reader returns the same (N, D)
 C-ordered matrix for the same points, so a model does not depend on the
-file format its points came from."""
+file format its points came from, and training keeps one row per point
+and per tangent direction."""
 
 import struct
 
 import numpy as np
 import pytest
 
-from autojacobin import matrix_io
+from autojacobin import matrix_io, variants
+from autojacobin.checks import random_instance
 from autojacobin.cli import main
+from autojacobin.network import forward_batch
+from autojacobin.tangent import estimate_all_tangents
 
 
 def _records(path, fmt, points):
@@ -54,3 +58,22 @@ def test_the_same_points_train_the_same_model_from_any_file_format(tmp_path, met
         models.append(model.read_bytes())
     assert models[1] == models[0], "bvecs and fvecs"
     assert models[2] == models[0], "txt and fvecs"
+
+
+def test_training_holds_points_and_tangent_directions_as_rows():
+    p, batch, _ = random_instance(9, 4, 50, seed=3)
+    for out, width in zip(forward_batch(p, batch), (4, 9)):
+        assert out.shape == (50, width) and out.flags.c_contiguous
+    rng = np.random.default_rng(4)
+    X = rng.standard_normal((120, 6)) * np.linspace(1.0, 1e-2, 6)
+    ts = estimate_all_tangents(X, 3)
+    assert ts.factors.shape == (120, max(ts.ranks), 6) and ts.factors.flags.c_contiguous
+    for i, t in enumerate(ts):
+        np.testing.assert_array_equal(t.basis, ts.factors[i, :ts.ranks[i]].T)
+    # a mask of several blocks of rows reads the draws of one (N, D) array
+    N, D = 1000, 100
+    assert N * D > 3 * variants._MASK_DRAWS
+    rng, ref = np.random.default_rng(5), np.random.default_rng(5)
+    mask = variants.draw_mask((N, D), 0.3, rng)
+    np.testing.assert_array_equal(mask, ref.uniform(size=(N, D)) <= 0.3)
+    assert rng.random() == ref.random()

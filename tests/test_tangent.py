@@ -410,7 +410,7 @@ def _serial_tangents(X, d):
     blocks = [tangent._pca_block(X, nbr[lo:lo + tangent._BLOCK], d)
               for lo in range(0, len(X), tangent._BLOCK)]
     factors, ranks, variance = (np.concatenate(a) for a in zip(*blocks))
-    return factors[:, :, :max(1, ranks.max())], ranks, variance
+    return factors[:, :max(1, ranks.max())], ranks, variance
 
 
 @pytest.mark.parametrize("workers", [1, 5])
@@ -434,7 +434,7 @@ def test_tangent_set_stack_holds_each_basis_zero_padded():
     X = (rng.standard_normal((5, 60)) * np.array([1.0, 1.0, 1e-3, 1e-3, 1e-3])[:, None]).T
     X[40:] = 0.5  # rank 0 points
     ts = estimate_all_tangents(X, 4)
-    assert len(ts) == 60 and ts.factors.shape == (60, 5, max(ts.ranks))
+    assert len(ts) == 60 and ts.factors.shape == (60, max(ts.ranks), 5)
     assert [t.rank for t in ts] == ts.ranks.tolist()
     assert 0 in ts.ranks and max(ts.ranks) < 4  # ragged, cut below d
     def row(t):  # the row of the stack that item t views
@@ -443,7 +443,7 @@ def test_tangent_set_stack_holds_each_basis_zero_padded():
 
     for i, t in enumerate(ts):
         assert row(t) == i
-        np.testing.assert_array_equal(ts.factors[i, :, t.rank:], 0.0)
+        np.testing.assert_array_equal(ts.factors[i, t.rank:], 0.0)
     assert row(ts[-1]) == 59 and [row(t) for t in ts[57:]] == [57, 58, 59]
     with pytest.raises(IndexError):
         ts[60]

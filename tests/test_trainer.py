@@ -528,16 +528,16 @@ def test_mini_batch_epoch_costs_sum_the_accepted_batch_costs(monkeypatch):
 
 
 def test_train_holds_one_copy_of_the_tangent_factors():
-    # train reads the TangentSet's (N, D, r) stack in place: each 64-point
+    # train reads the TangentSet's (N, r, D) stack in place: each 64-point
     # chunk of the Jacobian term gathers only its own rows. The peak is
-    # the batch's gathered columns, forward pass and work arrays (0.03x
+    # the batch's gathered rows, forward pass and work arrays (0.03x
     # each) and the chunks' work arrays: 0.22x on numpy 2.4, above the
     # 1/r of init_params' centred copy of the data. A batch-sized gather
     # of the stack's rows (0.25x) would pass 0.4x, a whole-stack copy 1x
     rng = np.random.default_rng(6)
     N, D, r = 8000, 16, 8
     X = rng.standard_normal((D, N)).T
-    Q = np.linalg.qr(rng.standard_normal((N, D, r)))[0]
+    Q = np.linalg.qr(rng.standard_normal((N, D, r)))[0].transpose(0, 2, 1).copy()
     bases = tangent.TangentSet(Q, np.full(N, r), region_variance=0.01)
     cfg = TrainConfig(bits=4, epochs=1, batch_size=N // 4, seed=6,
                       total_iterations=2, method=VariantConfig(kind="auto-jacobin"))
@@ -602,28 +602,28 @@ def test_train_takes_a_tangent_set_or_one_factor_array_only():
     bases = tangent.estimate_all_tangents(Xn, 3)
     cfg = TrainConfig(bits=3, epochs=1, batch_size=60)
     for bad in (list(bases), [np.eye(4)] * 60, projs[:59]):
-        with pytest.raises(ValueError, match=r"shape \(N, D, r\) = \(60, 3, r\)"):
+        with pytest.raises(ValueError, match=r"shape \(N, r, D\) = \(60, r, 3\)"):
             train(Xn, bad, cfg)
 
 
 @pytest.mark.filterwarnings("ignore:training data rank below bit count")
 def test_train_names_the_shape_for_a_ragged_list_of_factors():
     Xn, _ = _toy_setup(n=60)
-    ragged = [np.eye(3)[:, :1 + i % 2] for i in range(60)]  # (3, 1), (3, 2), ...
+    ragged = [np.eye(3)[:1 + i % 2] for i in range(60)]  # (1, 3), (2, 3), ...
     cfg = TrainConfig(bits=3, epochs=1, batch_size=60)
-    with pytest.raises(ValueError, match=r"shape \(N, D, r\) = \(60, 3, r\), "
+    with pytest.raises(ValueError, match=r"shape \(N, r, D\) = \(60, r, 3\), "
                                          "got factors of unequal shapes"):
         train(Xn, ragged, cfg)
 
 
 def test_train_makes_no_batch_sized_copy_of_the_tangent_factors(with_workers):
     # each 64-point chunk of the Jacobian term gathers its own rows of the
-    # stack, so no batch's (1000, 64, 32) gather of it, 16.4 MB, is made;
+    # stack, so no batch's (1000, 32, 64) gather of it, 16.4 MB, is made;
     # with one, the traced peak above the inputs was 34 MB
     rng = np.random.default_rng(9)
     N, D, r, batch = 2000, 64, 32, 1000
     X = 0.3 * rng.standard_normal((D, N)).T
-    Q = np.linalg.qr(rng.standard_normal((N, D, r)))[0]
+    Q = np.linalg.qr(rng.standard_normal((N, D, r)))[0].transpose(0, 2, 1).copy()
     bases = tangent.TangentSet(Q, np.full(N, r), region_variance=0.01)
     cfg = TrainConfig(bits=32, epochs=1, batch_size=batch, seed=9,
                       total_iterations=2, method=VariantConfig(kind="auto-jacobin"))

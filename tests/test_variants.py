@@ -49,17 +49,17 @@ def test_draw_mask_extremes():
 
 
 def test_corruption_mask_keeps_the_order_of_the_uniform_draws():
-    # one row at a time, the mask reads the draws of one (D, N) uniform
+    # in blocks of rows, the mask reads the draws of one (N, D) uniform
     # array in the same order, and leaves the stream where it left it:
     # the trainer's next epoch permutation is the same
     D, N, t = 7, 300, 0.3
     rng, ref = np.random.default_rng(21), np.random.default_rng(21)
-    mask = VariantConfig(kind="dautobin", corruption_t=t).corrupt((D, N), rng)
-    assert mask.dtype == np.bool_ and mask.shape == (D, N)
-    np.testing.assert_array_equal(mask, ref.uniform(0.0, 1.0, size=(D, N)) <= t)
+    mask = VariantConfig(kind="dautobin", corruption_t=t).corrupt((N, D), rng)
+    assert mask.dtype == np.bool_ and mask.shape == (N, D)
+    np.testing.assert_array_equal(mask, ref.uniform(0.0, 1.0, size=(N, D)) <= t)
     np.testing.assert_array_equal(rng.permutation(N), ref.permutation(N))
     # and methods without corruption draw nothing
-    assert VariantConfig(kind="autobin").corrupt((D, N), rng) is None
+    assert VariantConfig(kind="autobin").corrupt((N, D), rng) is None
     np.testing.assert_array_equal(rng.permutation(N), ref.permutation(N))
 
 
