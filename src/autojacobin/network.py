@@ -45,12 +45,10 @@ each gradient is one more product of these rows:
 The cross term's products T W1' and T diag(c) W2, and their gradient
 contractions, run on the chunk's factors read as (m r, D) rows, so no
 array of (m, D, d) is formed. The term is computed in chunks of
-64 points on a thread pool (see the parallel module). The trainer
-passes the whole (N, r, D) stack and a batch's row indices (FactorRows),
-and each chunk gathers only its own rows, so no batch-sized copy of the
-factors is made. The chunks' values and gradients are summed in chunk
-order, so the objective has the same bits at any worker count. One
-converter, _factor_rows, reads and checks every form of the factors.
+64 points. The trainer passes the whole (N, r, D) stack and a batch's
+row indices (FactorRows), and each chunk gathers only its own rows, so
+no batch-sized copy of the factors is made. One converter, _factor_rows,
+reads and checks every form of the factors.
 
 The comparison models are the same objective with the middle term
 changed: AutoBin drops it, CAutoBin puts the contractive term
@@ -60,11 +58,27 @@ reconstructing the clean one. objective() builds the terms from its
 arguments and returns value, parts and gradient from one forward pass;
 variants.VariantConfig says which arguments each method passes. The
 pass forms the tanh slopes 1 - y^2 and 1 - z^2 once (Forward), and every
-term and Jacobian chunk reads them; each term allocates each of its
-(n, D) and (n, d) work arrays once and updates it in place, in the order
-of the out-of-place expression, so the bits are that expression's. The
-gradient is one vector laid out like pack_params, and each term adds
-into views of only the blocks it reaches.
+term and Jacobian chunk reads them; each term updates its work arrays in
+place, in the order of the out-of-place expression, so the bits are that
+expression's. The gradient is one vector laid out like pack_params, and
+each term adds into views of only the blocks it reaches.
+
+The whole objective runs on the thread pool (see the parallel module)
+in chunks of the batch's rows: the fewest chunks whose (rows, D) input
+takes at most 512 KiB each, of ceil(n / chunks) rows and a shorter last
+one, so the chunking depends on the shape alone (a 1000 x 64 batch is
+one chunk, 1000 x 128 two of 500 rows). Pass 1 writes each chunk's rows
+of the Forward arrays, which the calling thread allocates, then the
+chunk's recon value and gradient, its contractive part and its part of
+Y'Y. The calling thread sums Y'Y and forms S, R and G once; the
+Jacobian term then runs its 64-point chunks, and pass 2 each row chunk's
+binary gradient dU = (Y 2G) o (1 - Y^2) and dU' X. Every map sums its
+chunks' values and gradients in chunk order through one helper
+(_chunk_sum), so the objective has the same bits at any worker count
+and in any process, and a batch of one chunk has the bits of the
+out-of-place expressions added into one zeroed gradient in the order
+recon, middle, binary. Each worker's (rows, D) and (rows, d) work arrays
+come from the pool's buffers, made on the calling thread.
 
 The Jacobian-term weight w follows from the noise-removing map g that
 the auto-encoder f stands in for. Near the manifold, g is taken to first
@@ -90,6 +104,7 @@ differences of the objective (see checks).
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
@@ -145,13 +160,20 @@ def forward_batch(p: NetworkParams, X: np.ndarray):
     """(Y, Z) for an (n, D) batch of rows: the hidden rows Y (n, d) and the
     output rows Z (n, D). Each is allocated once and has its bias and tanh
     applied in place."""
-    Y = X @ p.w1.T
+    Y, Z = np.empty((len(X), p.bits)), np.empty((len(X), p.dims))
+    _layers(p, X, Y, Z)
+    return Y, Z
+
+
+def _layers(p: NetworkParams, X, Y, Z):
+    """Write the hidden rows Y and the output rows Z of the input rows X
+    into Y and Z, with bias and tanh applied in place."""
+    np.matmul(X, p.w1.T, out=Y)
     Y += p.b1
     np.tanh(Y, out=Y)
-    Z = Y @ p.w2.T
+    np.matmul(Y, p.w2.T, out=Z)
     Z += p.b2
     np.tanh(Z, out=Z)
-    return Y, Z
 
 
 class Forward(NamedTuple):
@@ -168,46 +190,162 @@ class Forward(NamedTuple):
         return Forward(*(a[lo:hi] for a in self))
 
 
+def _empty_forward(n: int, p: NetworkParams) -> Forward:
+    """The Forward arrays of n rows, allocated and not yet written."""
+    return Forward(*(np.empty((n, w)) for w in (p.bits, p.dims, p.bits, p.dims)))
+
+
+def _forward_rows(p: NetworkParams, X, f: Forward):
+    """Write the Forward pass of the input rows X into f, arrays of as
+    many rows: _layers, then the slopes in place."""
+    _layers(p, X, f.Y, f.Z)
+    np.multiply(f.Y, f.Y, out=f.A)
+    np.subtract(1.0, f.A, out=f.A)
+    np.multiply(f.Z, f.Z, out=f.C)
+    np.subtract(1.0, f.C, out=f.C)
+
+
 def _forward(p: NetworkParams, X: np.ndarray) -> Forward:
-    """The Forward pass of X: forward_batch, then the slopes in place."""
-    Y, Z = forward_batch(p, X)
-    A, C = Y * Y, Z * Z
-    np.subtract(1.0, A, out=A)
-    np.subtract(1.0, C, out=C)
-    return Forward(Y, Z, A, C)
+    """The Forward pass of the (n, D) rows X, written row chunk by row
+    chunk as objective writes it."""
+    f = _empty_forward(len(X), p)
+    step = _row_chunks(*X.shape).step
+    for lo in range(0, len(X), step):
+        _forward_rows(p, X[lo:lo + step], f.rows(lo, lo + step))
+    return f
+
+
+# --- row chunks ---
+
+# the most bytes of (rows, D) input in one row chunk of the objective: a
+# 1000 x 64 batch (the criterion-8 proxy's) is one chunk, 1000 x 128 two
+_ROW_CHUNK_BYTES = 1 << 19
+
+
+def _row_chunks(n: int, D: int) -> range:
+    """The first rows of the row chunks of an (n, D) batch, whose step is
+    the rows per chunk: the fewest chunks whose input rows take at most
+    _ROW_CHUNK_BYTES each, of ceil(n / chunks) rows, the last taking what
+    is left. It depends on the shape alone, never on the worker count."""
+    most = max(1, _ROW_CHUNK_BYTES // (8 * D))
+    chunks = max(1, -(-n // most))
+    return range(0, n, max(1, -(-n // chunks)))
+
+
+def _row_work(m: int, d: int, D: int):
+    """The buffers factory of row chunks of at most m rows: one worker's
+    work arrays, two (m, D) and two (m, d), made on the calling thread
+    (see the parallel module)."""
+    return lambda: tuple(np.empty((m, w)) for w in (D, D, d, d))
+
+
+def _chunk_sum(chunk, starts, block_bytes: int, buffers=None) -> list:
+    """Item by item, the sums of the tuples chunk(lo[, buf]) returns for
+    the chunks that start at starts, run on the pool (parallel.ordered_map)
+    and summed in chunk order, so the sums have the same bits at any
+    worker count. Every chunked map of the objective runs through here."""
+    return [sum(items) for items in
+            zip(*parallel.ordered_map(chunk, starts, block_bytes, buffers))]
+
+
+class _Term(NamedTuple):
+    """One term of the objective, in the two steps _evaluate runs.
+
+    rows(p, s, f, g, work), if given, runs in pass 1 on each row chunk: s
+    is the chunk's slice of the batch, f its rows of the Forward pass and
+    work its worker's _row_work arrays; it adds into the chunk's gradient
+    g and returns what the chunks sum to. after(p, f, total, grad), if
+    given, then runs on the calling thread with that sum (None without
+    rows), adds into grad and returns the term's value; without it the
+    value is the sum itself. term(p, f, grad) -> value evaluates the term
+    alone on the written Forward pass f of its batch.
+    """
+    rows: Callable | None = None
+    after: Callable | None = None
+
+    def __call__(self, p, f: Forward, grad):
+        return _evaluate(p, f, grad, [self])[0]
+
+
+def _evaluate(p: NetworkParams, f: Forward, grad, terms, X=None) -> list:
+    """The values of terms, in order, on the batch of the Forward arrays f,
+    each term adding its gradient into grad; with the input rows X given,
+    each chunk of pass 1 first writes its rows of f from them.
+
+    Pass 1 runs the terms' rows in order on each row chunk (_row_chunks),
+    each chunk adding into a zeroed gradient of its own; the chunks'
+    gradients and items are summed in chunk order (_chunk_sum) and the
+    gradient added into grad. Then the terms' after run in order.
+    """
+    pass1 = [t.rows for t in terms if t.rows is not None]
+    starts = _row_chunks(len(f.Y), p.dims)
+    m = starts.step
+    own = np.zeros((len(starts), grad.size))  # each chunk's gradient
+
+    def chunk(lo, work):
+        s, fc, g = slice(lo, lo + m), f.rows(lo, lo + m), own[lo // m]
+        if X is not None:
+            _forward_rows(p, X[s], fc)
+        return (g, *(rows(p, s, fc, g, work) for rows in pass1))
+
+    g, *sums = _chunk_sum(chunk, starts, 8 * m * p.dims, _row_work(m, p.bits, p.dims))
+    grad += g
+    sums = iter(sums)
+    values = []
+    for t in terms:
+        total = next(sums) if t.rows is not None else None
+        values.append(total if t.after is None else t.after(p, f, total, grad))
+    return values
 
 
 # --- per-term values and gradients ---
-# Each (n, D) or (n, d) work array is allocated once and updated in
-# place, in the order of the out-of-place expression in its comment, so
-# the bits are those of that expression.
+# Each chunk's (m, D) and (m, d) work arrays are its worker's _row_work
+# arrays, updated in place in the order of the out-of-place expression in
+# its comment, so the bits are those of that expression.
 
 
-def _recon_term(p, Xin, Xtarget, f: Forward, grad):
-    diff = f.Z - Xtarget
-    sq = diff * diff
+def _recon_rows(p, X, target, f: Forward, g, work):
+    m = len(X)
+    diff = np.subtract(f.Z, target, out=work[0][:m])
+    sq = np.multiply(diff, diff, out=work[1][:m])
     value = float(np.sum(sq))
     d2 = np.multiply(2.0, diff, out=sq)
     d2 *= f.C  # 2 (Z - X) o (1 - Z^2)
-    d1 = d2 @ p.w2
+    d1 = np.matmul(d2, p.w2, out=work[2][:m])
     d1 *= f.A  # (d2 W2) o (1 - Y^2)
-    for g, dg in zip(_blocks(grad, p), (d1.T @ Xin, d2.T @ f.Y, d1.sum(axis=0),
-                                         d2.sum(axis=0))):
-        g += dg
+    for gb, dg in zip(_blocks(g, p), (d1.T @ X, d2.T @ f.Y, d1.sum(axis=0),
+                                      d2.sum(axis=0))):
+        gb += dg
     return value
 
 
-def _binary_term(p, Xin, f: Forward, alpha, eps, n_target, grad):
-    d = f.Y.shape[1]
-    S = f.Y.T @ f.Y - n_target * np.eye(d)
+def _gram_rows(p, s, f: Forward, g, work):
+    """A chunk's part of Y'Y, for the binary term."""
+    return f.Y.T @ f.Y
+
+
+def _binary_term(p, X, f: Forward, YtY, alpha, eps, n_target, grad):
+    """alpha S(Y'Y - n I) from YtY, the chunks' sum of Y'Y, with its
+    gradient added into grad: G = alpha S / sqrt(S^2 + eps) is formed
+    once, and pass 2 runs dU = (Y 2G) o (1 - Y^2) and dU' X on the row
+    chunks of the input rows X."""
+    S = YtY - n_target * np.eye(len(YtY))
     R = np.sqrt(S * S + eps)
     value = float(alpha * np.sum(R))
-    G = alpha * S / R
-    dU = f.Y @ (2.0 * G)
-    dU *= f.A  # (Y 2G) o (1 - Y^2)
+    G2 = 2.0 * (alpha * S / R)
+    starts = _row_chunks(*X.shape)
+    m = starts.step
+
+    def chunk(lo, work):
+        s = slice(lo, lo + m)
+        dU = np.matmul(f.Y[s], G2, out=work[:len(X[s])])
+        dU *= f.A[s]  # (Y 2G) o (1 - Y^2)
+        return dU.T @ X[s], dU.sum(axis=0)
+
+    dw1, db1 = _chunk_sum(chunk, starts, 8 * m * p.dims, lambda: np.empty((m, p.bits)))
     gw1, _, gb1, _ = _blocks(grad, p)
-    gw1 += dU.T @ Xin
-    gb1 += dU.sum(axis=0)
+    gw1 += dw1
+    gb1 += db1
     return value
 
 
@@ -323,23 +461,24 @@ def _jacobian_term(p, Xin, f: Forward, t: FactorRows, weight, grad):
 
     # a chunk's largest work arrays, (m, d^2) and (m r, D)
     block_bytes = 8 * _JAC_CHUNK * max(p.bits ** 2, p.dims * t.stack.shape[1])
-    results = parallel.ordered_map(chunk, range(0, n, _JAC_CHUNK), block_bytes)
-    grad += sum(g for _, g in results)
-    return sum(v for v, _ in results)
+    value, g = _chunk_sum(chunk, range(0, n, _JAC_CHUNK), block_bytes)
+    grad += g
+    return value
 
 
-def _contractive_term(p, Xin, f: Forward, lam, grad):
+def _contractive_rows(p, X, f: Forward, lam, g, work):
+    m = len(X)
     s = np.sum(p.w1 * p.w1, axis=1)  # hidden-row norms squared
-    A2 = f.A * f.A
+    A2 = np.multiply(f.A, f.A, out=work[2][:m])
     dw1 = 2.0 * lam * np.sum(A2, axis=0)[:, None] * p.w1
     A2 *= s  # (1 - Y^2)^2 o s
     value = float(lam * np.sum(A2))
-    gu = np.multiply(-4.0 * lam, f.A)
+    gu = np.multiply(-4.0 * lam, f.A, out=work[3][:m])
     gu *= f.A
     gu *= f.Y
     gu *= s  # -4 lam (1 - Y^2)^2 o Y o s
-    dw1 += gu.T @ Xin
-    gw1, _, gb1, _ = _blocks(grad, p)
+    dw1 += gu.T @ X
+    gw1, _, gb1, _ = _blocks(g, p)
     gw1 += dw1
     gb1 += gu.sum(axis=0)
     return value
@@ -347,8 +486,9 @@ def _contractive_term(p, Xin, f: Forward, lam, grad):
 
 def _terms(batch, tangents, cfg: ObjectiveConfig, lambda_c, corrupted):
     """(network input, [(name, term)]) in accumulation order: recon, the
-    middle term if any, binary. term(p, f, grad) -> value takes the
-    Forward pass f of the network input and adds into grad.
+    middle term if any, binary. Each term is a _Term: objective runs them
+    together, and term(p, f, grad) -> value alone takes the Forward pass
+    f of the network input and adds into grad.
     """
     n, D = batch.shape
     Xin = batch
@@ -358,16 +498,17 @@ def _terms(batch, tangents, cfg: ObjectiveConfig, lambda_c, corrupted):
         Xin = corrupted
     if tangents is not None and lambda_c is not None:
         raise ValueError("give tangents or lambda_c, not both: each is a middle term")
-    terms = [("recon", lambda p, f, g: _recon_term(p, Xin, batch, f, g))]
+    terms = [("recon", _Term(rows=lambda p, s, f, g, work: _recon_rows(
+        p, Xin[s], batch[s], f, g, work)))]
     if tangents is not None:
         rows = _factor_rows(tangents, n, D)
-        terms.append(("jacobian", lambda p, f, g: _jacobian_term(
-            p, Xin, f, rows, cfg.jacobian_weight, g)))
+        terms.append(("jacobian", _Term(after=lambda p, f, _, grad: _jacobian_term(
+            p, Xin, f, rows, cfg.jacobian_weight, grad))))
     if lambda_c is not None:
-        terms.append(("contractive", lambda p, f, g: _contractive_term(
-            p, Xin, f, lambda_c, g)))
-    terms.append(("binary", lambda p, f, g: _binary_term(
-        p, Xin, f, cfg.alpha, cfg.epsilon, n, g)))
+        terms.append(("contractive", _Term(rows=lambda p, s, f, g, work: (
+            _contractive_rows(p, Xin[s], f, lambda_c, g, work)))))
+    terms.append(("binary", _Term(rows=_gram_rows, after=lambda p, f, YtY, grad: (
+        _binary_term(p, Xin, f, YtY, cfg.alpha, cfg.epsilon, n, grad)))))
     return Xin, terms
 
 
@@ -389,9 +530,9 @@ def objective(p: NetworkParams, batch: np.ndarray, tangents, cfg: ObjectiveConfi
     stays the reconstruction target.
     """
     Xin, terms = _terms(batch, tangents, cfg, lambda_c, corrupted)
-    f = _forward(p, Xin)
     grad = np.zeros(2 * p.w1.size + p.bits + p.dims)
-    recon, *middle, binary = [term(p, f, grad) for _, term in terms]
+    recon, *middle, binary = _evaluate(p, _empty_forward(len(Xin), p), grad,
+                                       [term for _, term in terms], Xin)
     parts = ObjectiveParts(recon=recon, jacobian=middle[0] if middle else 0.0,
                            binary=binary)
     return parts.total, parts, grad

@@ -1,8 +1,9 @@
 """The thread pools of the blocked numpy loops, and their size.
 
-Exact kNN (neighbors), local PCA (tangent), the Jacobian term (network),
-encoding and the recall curve's query blocks (hamming) split their work
-into fixed-size blocks that do not depend on each other, run them here,
+Exact kNN (neighbors), local PCA (tangent), the objective's row chunks
+and Jacobian chunks (network), encoding and the recall curve's query
+blocks (hamming) split their work into blocks that do not depend on each
+other and whose sizes do not depend on the worker count, run them here,
 and combine the results in block order, so their output has the same
 bits at any worker count. numpy releases the interpreter lock inside
 the products, the partitions and sorts, the `eigh`, the comparisons and
@@ -10,7 +11,8 @@ the copies that dominate the blocks, so each block holds it only for a
 few numpy calls.
 
 Blocks that need work arrays (the kNN's distances, encode's tiles, the
-recall curve's keys) get them from ordered_map's `buffers` factory: one
+recall curve's keys, the objective's row-chunk arrays) get them from
+ordered_map's `buffers` factory: one
 set per worker, allocated on the calling thread, because memory a worker
 thread allocates stays with that thread's heap. Each block takes a free
 set and gives it back when it returns or raises.
@@ -72,6 +74,8 @@ def workers(tasks: int, block_bytes: int) -> int:
     On that box the Jacobian term ran 1.1-1.3x slower on two threads at
     D x d <= 256 and 1.1-1.6x faster at D x d >= 512; its gate bytes are
     those of the larger of a chunk's (64, d^2) and (64 r, D) work arrays.
+    The objective's row chunks gate on their (rows, D) input, which a
+    batch of two or more chunks always takes past the gate.
     """
     if block_bytes < _MIN_BLOCK_BYTES:
         return 1

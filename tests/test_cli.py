@@ -901,8 +901,8 @@ def test_outputs_have_the_same_bytes_in_any_process_and_at_any_worker_count(tmp_
     # every blocked loop of train, eval and encode runs on 2 workers at
     # these shapes (their blocks pass the pool's 256 KiB gate) and on 1
     # in a child pinned to one CPU; each command runs in a process of
-    # its own, and the encode/eval sequence again in one interpreter,
-    # whose pools live across its commands
+    # its own, but for the 128-D baselines, and the encode/eval sequence
+    # again in one interpreter, whose pools live across its commands
     one = min(_CPUS)
     rng = np.random.default_rng(0)
     # 600 training points: the tangent kNN's blocks of 60 queries against
@@ -925,6 +925,21 @@ def test_outputs_have_the_same_bytes_in_any_process_and_at_any_worker_count(tmp_
                            "--out", tmp_path / f"{method}-{run}.ajb"])
         _same_bytes(*(tmp_path / f"{method}-{run}.ajb" for run, _ in runs))
     model = tmp_path / "auto-jacobin-a.ajb"
+
+    # the baselines on a 1200 x 128 set taken as one batch: the objective's
+    # three row chunks of 400 points; the three trainings of a run share
+    # one child
+    wide = tmp_path / "cm128.fvecs"
+    matrix_io.write_fvecs(wide, synth.curved_manifold(1200, 8, 128,
+                                                      np.random.default_rng(1))[0])
+    baselines = ("autobin", "dautobin", "cautobin")
+    for run, cpu in runs:
+        _run_cli(cpu, *[["train", "--input", wide, "--bits", 16, "--epochs", 2,
+                         "--batch", 1200, "--method", method,
+                         "--out", tmp_path / f"{method}-128-{run}.ajb"]
+                        for method in baselines])
+    for method in baselines:
+        _same_bytes(*(tmp_path / f"{method}-128-{run}.ajb" for run, _ in runs))
 
     # the same ground truth and recall curves at any worker count, cold
     # and warm: the ground truth's tiled query blocks and the recall

@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 
@@ -287,37 +289,90 @@ def test_fd_gradient_on_zero_padded_bases():
         assert _fd_error(p, batch, factors, ObjectiveConfig(jacobian_weight=0.5)) < 1e-6
 
 
-@pytest.mark.parametrize("workers", [1, 5])
-@pytest.mark.parametrize("kind", ["stack", "projectors", "ragged"])
-def test_objective_has_the_same_bits_at_any_worker_count(workers, kind, with_workers):
-    n = 300  # 5 chunks, the last one short
-    p, batch, factors = random_instance(8, 4, n, seed=16)
+def _chunk_loop_objective(p, batch, factors, cfg, lambda_c=None, corrupted=None):
+    """(parts, gradient) of objective from a plain loop on this thread over
+    its row chunks (pass 1, then pass 2) and its Jacobian chunks, the items
+    of each loop summed in chunk order from 0, as the pool's are."""
+    Xin = batch if corrupted is None else corrupted
+    n, D = batch.shape
+    starts = network._row_chunks(n, D)
+    m = starts.step
+    f = network._empty_forward(n, p)
+    work = network._row_work(m, p.bits, D)()
+    grad = np.zeros_like(pack_params(p))
+    recon = middle = YtY = rows_g = 0
+    for lo in starts:
+        s, fc, g = slice(lo, lo + m), f.rows(lo, lo + m), np.zeros_like(grad)
+        network._forward_rows(p, Xin[s], fc)
+        recon += network._recon_rows(p, Xin[s], batch[s], fc, g, work)
+        if lambda_c is not None:
+            middle += network._contractive_rows(p, Xin[s], fc, lambda_c, g, work)
+        YtY += fc.Y.T @ fc.Y
+        rows_g += g
+    grad += rows_g
+    if factors is not None:
+        rows, kron, jac_g = _factor_rows(factors, n, D), _kron_rows(p), 0
+        for lo in range(0, n, _JAC_CHUNK):
+            hi = lo + _JAC_CHUNK
+            v, g = _jacobian_chunk(p, kron, Xin[lo:hi], f.rows(lo, hi),
+                                   rows._replace(rows=rows.rows[lo:hi]),
+                                   cfg.jacobian_weight)
+            middle += v
+            jac_g += g
+        grad += jac_g
+    S = YtY - n * np.eye(p.bits)
+    R = np.sqrt(S * S + cfg.epsilon)
+    G2 = 2.0 * (cfg.alpha * S / R)
+    dw1 = db1 = 0
+    for lo in starts:
+        s = slice(lo, lo + m)
+        dU = (f.Y[s] @ G2) * f.A[s]
+        dw1 += dU.T @ Xin[s]
+        db1 += dU.sum(axis=0)
+    gw1, _, gb1, _ = network._blocks(grad, p)
+    gw1 += dw1
+    gb1 += db1
+    return network.ObjectiveParts(recon, middle, float(cfg.alpha * np.sum(R))), grad
+
+
+@functools.cache
+def _chunked_instance(kind):
+    """An instance whose 10000 x 16 batch spans 3 row chunks, the last one
+    short, and 157 Jacobian chunks, with its factors in the given form."""
+    p, batch, factors = random_instance(16, 4, 10000, seed=16)
     if kind == "projectors":
         factors = _projectors(factors)
     elif kind == "ragged":
-        ranks = np.random.default_rng(17).integers(0, 5, size=n)
-        factors = _ragged_bases(8, ranks, seed=18).factors
-    cfg = ObjectiveConfig(jacobian_weight=0.5)
-    # the reference: a plain loop over the chunks, summed in order
-    f = network._forward(p, batch)
-    kron = _kron_rows(p)
-    gram = gram_norms(factors)
-    ref_value, ref_g = 0.0, np.zeros_like(pack_params(p))
-    for lo in range(0, n, _JAC_CHUNK):
-        hi = lo + _JAC_CHUNK
-        v, g = _jacobian_chunk(p, kron, batch[lo:hi], f.rows(lo, hi),
-                               FactorRows(factors, np.arange(lo, min(hi, n)), gram), 0.5)
-        ref_value += v
-        ref_g += g
-    value, g = with_workers(
-        workers, lambda: _jacobian_value_and_grad(p, batch, factors, 0.5))
-    assert value == ref_value
-    assert g.tobytes() == ref_g.tobytes()
-    total, parts, grad = with_workers(workers, lambda: objective(p, batch, factors, cfg))
-    assert parts.jacobian == ref_value
-    total1, _, grad1 = with_workers(1, lambda: objective(p, batch, factors, cfg))
-    assert total == total1
-    assert grad.tobytes() == grad1.tobytes()
+        ranks = np.random.default_rng(17).integers(0, 5, size=len(batch))
+        factors = _ragged_bases(16, ranks, seed=18).factors
+    return p, batch, factors
+
+
+@pytest.mark.parametrize("workers", [1, 5])
+@pytest.mark.parametrize("kind", ["autobin", "dautobin", "cautobin",
+                                  "stack", "projectors", "ragged"])
+def test_objective_has_the_same_bits_at_any_worker_count(workers, kind, with_workers):
+    # every method; auto-jacobin with its factors as a zero-padded stack,
+    # as D x D projectors and at ragged ranks
+    p, batch, factors = _chunked_instance(kind)
+    starts = network._row_chunks(*batch.shape)
+    assert len(starts) == 3 and len(batch) - starts[-1] < starts.step
+    method = VariantConfig(kind=kind if kind.endswith("autobin") else "auto-jacobin",
+                           corruption_t=0.3)
+    mask = method.corrupt(batch.shape, np.random.default_rng(19))
+    inputs = dict(lambda_c=method.contraction,
+                  corrupted=None if mask is None else np.where(mask, 0.0, batch))
+    factors = factors if method.needs_tangents else None
+    cfg = ObjectiveConfig(alpha=0.2, jacobian_weight=0.5)
+    ref_parts, ref_grad = _chunk_loop_objective(p, batch, factors, cfg, **inputs)
+    total, parts, grad = with_workers(
+        workers, lambda: objective(p, batch, factors, cfg, **inputs))
+    assert parts == ref_parts and total == ref_parts.total
+    assert grad.tobytes() == ref_grad.tobytes()
+    # the sums of other chunks round differently, and no more
+    value, g = _out_of_place_objective(p, batch, factors, cfg, **inputs)
+    assert total == pytest.approx(value, rel=1e-12)
+    np.testing.assert_allclose(grad, g, rtol=1e-12, atol=1e-12 * np.max(np.abs(g)))
 
 
 def _out_of_place_objective(p, batch, factors, cfg, lambda_c=None, corrupted=None):
@@ -460,6 +515,16 @@ def test_frobenius_gap_transpose_invariant_for_symmetric_target():
     assert np.sum((J - A) ** 2) == pytest.approx(np.sum((J.T - A) ** 2), rel=1e-12)
 
 
+@pytest.mark.parametrize("kind", ["auto-jacobin", "autobin", "dautobin", "cautobin"])
+def test_gradients_match_finite_differences_on_a_batch_of_two_row_chunks(kind):
+    # every term and the total, as criterion 1 checks them on one chunk
+    assert len(network._row_chunks(4500, 16)) == 2
+    errors = check_gradients(kind, D=16, d=2, n=4500)
+    middle = {"auto-jacobin": {"jacobian"}, "cautobin": {"contractive"}}.get(kind, set())
+    assert set(errors) == {"recon", "binary", "total"} | middle
+    assert max(errors.values()) < 1e-6, errors
+
+
 def test_grad_check_passes_on_correct_gradients():
     p, batch, factors = random_instance(8, 4, 5, seed=9)
     assert _fd_error(p, batch, factors, ObjectiveConfig()) < 1e-6
@@ -540,10 +605,11 @@ def test_binary_term_grows_with_the_scale_of_y_past_cosine_one_over_d_minus_1(c,
     Q, _ = np.linalg.qr(rng.standard_normal((n, d)))
     Y = Q @ np.linalg.cholesky(gram).T  # (n, d) rows
     p = _zero_params(4, d)
+    _, terms = network._terms(np.zeros((n, 4)), None, ObjectiveConfig(alpha=1.0), None, None)
 
     def term(s):
-        f = network.Forward(s * Y, None, 1.0 - (s * Y) ** 2, None)
+        f = network.Forward(s * Y, np.zeros((n, 4)), 1.0 - (s * Y) ** 2, np.ones((n, 4)))
         grad = np.zeros_like(pack_params(p))
-        return network._binary_term(p, np.zeros((n, 4)), f, 1.0, 1e-4, n, grad)
+        return dict(terms)["binary"](p, f, grad)
 
     assert (term(1.01) > term(1.0)) == rises

@@ -402,28 +402,25 @@ def test_train_variants_run():
 ])
 def test_train_runs_one_forward_pass_per_evaluation(monkeypatch, kind, batch_size):
     # value and gradient come from one pass: one per iteration start and
-    # one per line-search evaluation; the search returns its accepted
-    # point, and no epoch runs a pass of its own
+    # one per line-search evaluation, writing each row chunk of the batch
+    # once (these batches are one chunk each); the search returns its
+    # accepted point, and no epoch runs a pass of its own
     Xn, projs = _toy_setup(seed=3, n=120)
     calls = []
-    forward_batch = network.forward_batch
+    forward_rows = network._forward_rows
 
-    def counting(p, X):
+    def counting(p, X, f):
         calls.append(len(X))
-        return forward_batch(p, X)
+        return forward_rows(p, X, f)
 
-    # every module that bound the function by name
-    for name, mod in list(sys.modules.items()):
-        if (name.startswith("autojacobin")
-                and getattr(mod, "forward_batch", None) is forward_batch):
-            monkeypatch.setattr(mod, "forward_batch", counting)
+    monkeypatch.setattr(network, "_forward_rows", counting)
     cfg = TrainConfig(bits=3, epochs=3, batch_size=batch_size, seed=3,
                       method=VariantConfig(kind=kind))
     _, report = train(Xn, projs if kind == "auto-jacobin" else None, cfg)
     evals = sum(r.evals for r in report.cost_trace)
     iterations = len(report.cost_trace)
     assert iterations == 3 * (120 // batch_size) and evals > iterations
-    assert len(calls) == evals + iterations
+    assert calls == [batch_size] * (evals + iterations)
 
 
 def test_train_objective_finite_only_at_start_raises_after_one_search(monkeypatch):
