@@ -311,6 +311,68 @@ def test_hamming_topk_matches_full_stable_argsort(bits):
             np.testing.assert_array_equal(hamming_topk(base, q, i), full[:i])
 
 
+def _assert_topk_is_the_stable_argsort(base, q, ranks):
+    full = np.argsort(_naive_hamming(base.packed, q, base.bits), kind="stable")
+    for i in ranks:
+        np.testing.assert_array_equal(hamming_topk(base, q, i), full[:i],
+                                      err_msg=f"i={i}")
+
+
+def test_hamming_topk_gallops_past_a_lone_nearest_code():
+    # one code at distance 0 and every other at 40 or more of 64 bits: the
+    # window grows through 0, 1, 3, 7, 15 and 31 before it holds 2 codes
+    rng = np.random.default_rng(20)
+    n, bits = 200, 64
+    query = rng.integers(0, 2, size=bits).astype(bool)
+    far = np.tile(~query, (n, 1))
+    for row in far:
+        row[rng.choice(bits, size=rng.integers(0, 25), replace=False)] ^= True
+    far[77] = query
+    base = BinaryCodes(bits=bits, count=n, packed=pack_bits(far))
+    q = pack_bits(query[None, :])[0]
+    d = _naive_hamming(base.packed, q, bits)
+    assert d[77] == 0 and np.delete(d, 77).min() >= 40
+    _assert_topk_is_the_stable_argsort(base, q, (1, 2, n))
+
+
+@pytest.mark.parametrize("bits", (7, 64, 300))
+def test_hamming_topk_of_a_base_of_one_code_or_its_complement(bits):
+    # every code at distance 0, then every code at distance `bits`
+    rng = np.random.default_rng(40 + bits)
+    n = 50
+    query = rng.integers(0, 2, size=(1, bits)).astype(bool)
+    q = pack_bits(query)[0]
+    for rows in (query, ~query):
+        base = BinaryCodes(bits=bits, count=n, packed=pack_bits(np.repeat(rows, n, 0)))
+        _assert_topk_is_the_stable_argsort(base, q, (1, 2, n // 2, n))
+
+
+@pytest.mark.parametrize("bits", RANKING_BITS)
+def test_hamming_topk_at_each_window_boundary(bits):
+    # i equal to the count within lo, lo + 1, lo + 3 and lo + 7 of the
+    # nearest distance lo, one past it, and the whole base
+    rng = np.random.default_rng(50 + bits)
+    n = 400
+    base, queries = _planted_ties(rng, n, bits, 6)
+    for q in queries.packed:
+        d = _naive_hamming(base.packed, q, bits)
+        counts = [np.count_nonzero(d <= d.min() + w) for w in (0, 1, 3, 7)]
+        ranks = sorted({min(c + extra, n) for c in counts for extra in (0, 1)} | {n})
+        _assert_topk_is_the_stable_argsort(base, q, ranks)
+
+
+@pytest.mark.parametrize("i", [True, 10.0])
+def test_hamming_topk_rejects_an_i_that_is_not_an_integer(i):
+    codes, _ = _random_codes(np.random.default_rng(60), 20, 16)
+    with pytest.raises(ValueError, match=re.escape(f"i={i!r} is not an integer")):
+        hamming_topk(codes, codes.packed[0], i)
+
+
+def test_hamming_topk_takes_a_numpy_integer_i():
+    codes, _ = _random_codes(np.random.default_rng(61), 20, 16)
+    _assert_topk_is_the_stable_argsort(codes, codes.packed[3], (np.int64(10), np.uint8(20)))
+
+
 @pytest.mark.parametrize("bits", RANKING_BITS)
 def test_recall_curve_matches_reference(bits):
     rng = np.random.default_rng(200 + bits)
