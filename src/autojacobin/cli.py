@@ -58,6 +58,29 @@ def write_matrix(path, X: np.ndarray) -> None:
         matrix_io.write_txt(path, X)
 
 
+def available_memory() -> int | None:
+    """Bytes this process can still take: the least of MemAvailable in
+    /proc/meminfo and, where readable, its cgroup v2 memory.max less
+    memory.current; None where neither can be read."""
+    found = []
+    try:
+        with open("/proc/meminfo") as f:
+            found += [int(line.split()[1]) * 1024 for line in f
+                      if line.startswith("MemAvailable:")]
+    except (OSError, ValueError, IndexError):
+        pass
+    try:
+        with open("/proc/self/cgroup") as f:
+            group = next(line[3:].strip() for line in f if line.startswith("0::"))
+        where = Path("/sys/fs/cgroup") / group.lstrip("/")
+        limit = (where / "memory.max").read_text().strip()
+        if limit != "max":
+            found.append(int(limit) - int((where / "memory.current").read_text()))
+    except (OSError, ValueError, StopIteration):
+        pass
+    return min(found, default=None)
+
+
 def _flags(args) -> dict:
     return {k: v for k, v in vars(args).items() if k not in ("func", "config")}
 
@@ -89,12 +112,20 @@ def cmd_train(args) -> int:
     if method.trained and N < least:
         raise SystemExit(f"--method {args.method} --bits {args.bits} needs at least "
                          f"{least} training points, {args.input} has {N}")
+    if method.needs_tangents:
+        stack, free = N * D * min(args.bits, D) * 8, available_memory()
+        if free is not None and stack > free:
+            raise SystemExit(f"{args.input}: the tangent stack of {N} points takes "
+                             f"{stack / 1e6:,.2f} MB, but only {free / 1e6:,.2f} MB "
+                             f"of memory is available")
     cfg = TrainConfig(bits=args.bits, epsilon=args.epsilon, epochs=args.epochs,
                       batch_size=args.batch, total_iterations=args.iterations,
                       seed=args.seed, method=method)
+    handed = [X_raw]  # fit pops it and drops the matrix once normalized
+    del X_raw
     failed = None
     try:
-        params, report = fit(X_raw, cfg)
+        params, report = fit(handed.pop, cfg)
     except matrix_io.DegenerateScaleError as err:
         raise SystemExit(f"{args.input}: {err}") from None
     except LineSearchError as err:

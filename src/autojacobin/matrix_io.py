@@ -20,13 +20,17 @@ one for, in order: a foreign magic, a cut header, a version other than
 model values, set padding bits. Binary writes are atomic: a temporary
 file renamed over the target.
 
-A record file is one (N, record bytes) matrix in memory, its payloads a
-view of it, so the points are its rows as they are.
+A record file is read a block of records at a time into one reused
+(rows, record bytes) matrix, its payloads a view of it, so the points
+are its rows as they are and the file's bytes are never all in memory
+beside the (N, D) result. The finiteness test and the normalizer's row
+norms also walk the rows in blocks, so no N x D temporary is formed.
 """
 
 from __future__ import annotations
 
 import math
+import mmap
 import os
 import struct
 from dataclasses import dataclass
@@ -40,15 +44,34 @@ class FormatError(ValueError):
 
 
 class DegenerateScaleError(ValueError):
-    """Normalizer fit on an all-zero matrix."""
+    """Normalizer fit on a matrix whose largest row norm is zero or does
+    not come out of float64: all-zero rows, or squares that overflow or
+    underflow."""
+
+
+# a block of rows spans this many bytes of the float64 matrix; the loops
+# over blocks of rows (the readers, the finiteness test, the row norms)
+# hold work arrays of at most about this size
+_BLOCK_BYTES = 1 << 20
+
+
+def _block_rows(D: int) -> int:
+    """Rows in a block of an (N, D) float64 matrix: at least one."""
+    return max(1, _BLOCK_BYTES // (8 * max(1, D)))
+
+
+def _row_blocks(X: np.ndarray):
+    """Consecutive views of X's rows, _block_rows of them each."""
+    step = _block_rows(X.shape[1])
+    return (X[lo:lo + step] for lo in range(0, len(X), step))
 
 
 def _check_matrix(X: np.ndarray) -> np.ndarray:
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2:
         raise ValueError(f"expected 2-D matrix, got ndim={X.ndim}")
-    if not np.isfinite(X).all():
-        bad = np.count_nonzero(~np.isfinite(X))
+    if not all(np.isfinite(b).all() for b in _row_blocks(X)):
+        bad = sum(b.size - np.count_nonzero(np.isfinite(b)) for b in _row_blocks(X))
         raise ValueError(f"matrix has {bad} non-finite entries (NaN or inf)")
     return X
 
@@ -61,49 +84,61 @@ def _checked_read(path, X: np.ndarray) -> np.ndarray:
 
 
 def _read_records(path, payload_dtype):
-    """Parse a file of [int32 dim][dim payload values] records in one pass.
+    """Parse a file of [int32 dim][dim payload values] records.
 
-    The file is read once and reshaped to one row per record; the headers
-    are checked together and the payloads, viewed in place, are widened
-    into the (N, D) float64 result. A file that does not split into equal
-    records is walked record by record to name its first fault.
+    The first header gives the record length. The records are then read
+    a block of rows at a time into one reused byte matrix, one row per
+    record; each block's headers are checked together and its payloads,
+    viewed in place, are widened into their rows of the (N, D) float64
+    result. A file that does not split into equal records is walked
+    record by record to name its first fault.
     """
-    raw = np.fromfile(path, dtype=np.uint8)
-    if not raw.size:
-        return np.zeros((0, 0))
-    dim = int(raw[:4].view("<i4")[0]) if raw.size >= 4 else 0
-    record = 4 + dim * payload_dtype.itemsize
-    if dim <= 0 or raw.size % record:
-        raise _first_fault(path, raw, payload_dtype.itemsize)
-    records = raw.reshape(-1, record)
-    if np.any(records[:, :4].view("<i4") != dim):
-        raise _first_fault(path, raw, payload_dtype.itemsize)
-    return _checked_read(path, records[:, 4:].view(payload_dtype).astype(np.float64))
+    with open(path, "rb") as f:
+        size = os.fstat(f.fileno()).st_size
+        if not size:
+            return np.zeros((0, 0))
+        head = f.read(4)
+        dim = int.from_bytes(head, "little", signed=True) if len(head) == 4 else 0
+        record = 4 + dim * payload_dtype.itemsize
+        if dim <= 0 or size % record:
+            raise _first_fault(path, payload_dtype.itemsize)
+        X = np.empty((size // record, dim))
+        buf = np.empty((min(_block_rows(dim), len(X)), record), dtype=np.uint8)
+        f.seek(0)
+        for rows in _row_blocks(X):
+            records = buf[:len(rows)]
+            if (f.readinto(records) != records.nbytes
+                    or np.any(records[:, :4].view("<i4") != dim)):
+                raise _first_fault(path, payload_dtype.itemsize)
+            rows[:] = records[:, 4:].view(payload_dtype)
+    return _checked_read(path, X)
 
 
-def _first_fault(path, raw, payload_itemsize) -> FormatError:
-    """The error for the first record of raw that breaks the layout.
+def _first_fault(path, payload_itemsize) -> FormatError:
+    """The error for the first record of the file at path that breaks the
+    layout, walked through a read-only map of the file.
 
-    Only called on a file that is not whole records of one dimension, so
-    the walk always stops at a fault.
+    Only called on a non-empty file that is not whole records of one
+    dimension, so the walk always stops at a fault.
     """
-    dim = None
-    off = 0
-    while True:
-        if off + 4 > len(raw):
-            return FormatError(f"{path}: truncated dimension header at byte {off}")
-        (d,) = struct.unpack_from("<i", raw, off)
-        if d <= 0:
-            return FormatError(f"{path}: non-positive record dim {d}")
-        if dim is None:
-            dim = d
-        elif d != dim:
-            return FormatError(f"{path}: inconsistent dims {dim} vs {d}")
-        off += 4
-        nbytes = d * payload_itemsize
-        if off + nbytes > len(raw):
-            return FormatError(f"{path}: truncated record payload at byte {off}")
-        off += nbytes
+    with open(path, "rb") as f, mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_READ) as raw:
+        dim = None
+        off = 0
+        while True:
+            if off + 4 > len(raw):
+                return FormatError(f"{path}: truncated dimension header at byte {off}")
+            (d,) = struct.unpack_from("<i", raw, off)
+            if d <= 0:
+                return FormatError(f"{path}: non-positive record dim {d}")
+            if dim is None:
+                dim = d
+            elif d != dim:
+                return FormatError(f"{path}: inconsistent dims {dim} vs {d}")
+            off += 4
+            nbytes = d * payload_itemsize
+            if off + nbytes > len(raw):
+                return FormatError(f"{path}: truncated record payload at byte {off}")
+            off += nbytes
 
 
 def read_fvecs(path) -> np.ndarray:
@@ -170,14 +205,32 @@ class Normalizer:
 
 
 def fit_normalizer(train: np.ndarray) -> Normalizer:
-    """scale = 0.8 / max row norm of the training matrix."""
+    """scale = 0.8 / max row norm of the training matrix.
+
+    Each norm is sqrt(add.reduce(x * x)) of its row, the bits of
+    np.linalg.norm(train, axis=1), over one block of rows at a time. A
+    norm whose square overflows float64, or a matrix with a nonzero entry
+    whose every square underflows to zero, raises DegenerateScaleError
+    naming it, as an all-zero matrix does.
+    """
     train = _check_matrix(train)
     if train.size == 0:
         raise ValueError("cannot fit normalizer on an empty matrix")
-    max_norm = float(np.linalg.norm(train, axis=1).max())
-    if max_norm <= 0.0:
-        raise DegenerateScaleError("all-zero training matrix")
-    return Normalizer(scale=0.8 / max_norm)
+    with np.errstate(over="ignore", under="ignore"):  # told apart below
+        max_norm = max(float(np.sqrt(np.add.reduce(b * b, axis=1)).max())
+                       for b in _row_blocks(train))
+    if 0.0 < max_norm < math.inf:
+        return Normalizer(scale=0.8 / max_norm)
+    largest = float(max(train.max(), -train.min()))
+    if max_norm == math.inf:
+        raise DegenerateScaleError(
+            f"the squared row norms overflow float64 (largest entry magnitude "
+            f"{largest:.3g}); scale the data down")
+    if largest > 0.0:
+        raise DegenerateScaleError(
+            f"the squared row norms underflow float64 to zero (largest entry "
+            f"magnitude {largest:.3g}); scale the data up")
+    raise DegenerateScaleError("all-zero training matrix")
 
 
 def apply_normalizer(nz: Normalizer, X: np.ndarray) -> np.ndarray:

@@ -126,7 +126,14 @@ def estimate_all_tangents(X: np.ndarray, d: int) -> TangentSet:
     parallel.ordered_map(block, range(0, N, _BLOCK), 8 * _BLOCK * D * (D + d))
     width = max(1, int(ranks.max()))
     if width < factors.shape[1]:
-        factors = np.ascontiguousarray(factors[:, :width])
+        # each point's first width rows move forward inside the buffer, a
+        # block of points at a time (a block never lands past the start of
+        # the next one's rows), and the buffer shrinks: no second stack
+        for lo in range(0, N, _BLOCK):
+            hi = min(lo + _BLOCK, N)
+            factors.reshape(-1)[lo * width * D:hi * width * D] = \
+                factors[lo:hi, :width].reshape(-1)
+        factors.resize((N, width, D))
     return TangentSet(factors, ranks, float(np.mean(variance)))
 
 

@@ -409,14 +409,26 @@ def train(X_train: np.ndarray, tangents, cfg: TrainConfig):
     return unpack_params(theta, report.initial), report
 
 
-def fit(X_raw: np.ndarray, cfg: TrainConfig):
+def fit(X_raw, cfg: TrainConfig):
     """(params, report) from raw (N, D) data: normalize, then the LSH
     projection (report None) or train, the batch clamped to N, on tangents
-    at cfg.bits; the scale is set on every NetworkParams that leaves."""
+    at cfg.bits; the scale is set on every NetworkParams that leaves.
+
+    X_raw is the matrix, or a function of no arguments that returns it,
+    such as the pop of a one-item list: a caller that keeps no other
+    reference so hands the matrix over, and fit drops it once the
+    normalized copy is made, so the PCA start and training run beside one
+    copy of the points. A matrix passed as an argument stays referenced
+    until the call returns (on CPython 3.10 by the caller's stack). fit
+    never writes into the matrix.
+    """
+    if callable(X_raw):
+        X_raw = X_raw()
     nz = fit_normalizer(X_raw)
     if not cfg.method.trained:
         return var.lsh_generate(X_raw.shape[1], cfg.bits, cfg.seed, scale=nz.scale), None
     Xn = apply_normalizer(nz, X_raw)
+    del X_raw
     cfg = replace(cfg, batch_size=min(cfg.batch_size, len(Xn)))
     try:
         # passed, not kept: train holds the only reference to the tangents

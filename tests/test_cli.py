@@ -249,6 +249,70 @@ def test_train_on_all_zero_input_is_one_line_and_writes_no_model(tmp_path, metho
     assert not model.exists()
 
 
+@pytest.mark.parametrize("method", ["lsh", "autobin"])
+@pytest.mark.parametrize("value,what", [("1e200", "overflow"), ("1e-200", "underflow")])
+def test_train_on_norms_past_float64_is_one_line_and_writes_no_model(
+        tmp_path, capsys, method, value, what):
+    # overflowing norms gave an LSH model of scale 0.0 and an autobin
+    # model trained on zeros; underflowing ones read as all-zero
+    data = tmp_path / "far.txt"
+    data.write_text("".join(" ".join([value] * 8) + "\n" for _ in range(200)))
+    model = tmp_path / "m.ajb"
+    with pytest.raises(SystemExit) as exc:
+        main(["train", "--input", str(data), "--bits", "4", "--method", method,
+              "--out", str(model)])
+    assert str(exc.value).startswith(f"{data}: the squared row norms {what} float64")
+    assert "\n" not in str(exc.value)
+    assert capsys.readouterr().out == ""
+    assert not model.exists()
+
+
+@pytest.mark.parametrize("method", ["autobin", "dautobin", "cautobin"])
+def test_train_holds_one_copy_of_the_points_beside_the_pca_start(tmp_path, method):
+    # train hands the matrix it read to fit, which drops it once the
+    # normalized copy is made, so init_params' centred copy is the only
+    # other full-size array: 2.03-2.06x N x D x 8 on numpy 2.4. Kept
+    # beside them, the matrix read made it 3.03-3.06x
+    N, D = 20000, 32
+    path, _ = _write_data(tmp_path, "big.fvecs", D=D, n=N, seed=11)
+    argv = ["train", "--input", str(path), "--bits", "8", "--method", method,
+            "--epochs", "1", "--batch", "1000", "--iterations", "2",
+            "--out", str(tmp_path / "m.ajb")]
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    points = 8 * N * D
+    assert peak < 2.5 * points, (peak, points)
+
+
+def test_train_ends_when_the_tangent_stack_does_not_fit(tmp_path, monkeypatch):
+    path, _ = _write_data(tmp_path, "s.fvecs", D=6, n=80, seed=12)
+    model = tmp_path / "m.ajb"
+    argv = ["train", "--input", str(path), "--bits", "4", "--epochs", "1",
+            "--out", str(model)]
+    stack = 80 * 6 * 4 * 8  # N x D x min(d, D) float64
+    monkeypatch.setattr(cli, "available_memory", lambda: stack // 2)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert str(exc.value) == (f"{path}: the tangent stack of 80 points takes 0.02 MB, "
+                              f"but only 0.01 MB of memory is available")
+    assert not model.exists()
+    # the check is made only for the stack, and only where memory can be read
+    for available in (stack, None):
+        monkeypatch.setattr(cli, "available_memory", lambda: available)
+        assert main(argv) == 0
+    monkeypatch.setattr(cli, "available_memory", lambda: 0)
+    assert main(argv[:-2] + ["--method", "autobin", "--out", str(model)]) == 0
+
+
+def test_available_memory_is_a_positive_count_of_bytes_or_unknown():
+    free = cli.available_memory()
+    assert free is None or (isinstance(free, int) and free > 0)
+
+
 def test_train_lsh_takes_more_bits_than_dimensions(tmp_path):
     base_path, _ = _write_data(tmp_path, "b.fvecs", D=8, n=100, seed=3)
     model = tmp_path / "m.ajb"

@@ -1,4 +1,5 @@
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -98,6 +99,74 @@ def test_read_whole_records_with_one_bad_header(tmp_path, reader, payload,
                   + struct.pack("<i", header) + struct.pack(payload, 5, 6))
     with pytest.raises(FormatError, match=message):
         reader(p)
+
+
+@pytest.mark.parametrize("header,message", [(5, "inconsistent dims 4 vs 5"),
+                                            (-1, "non-positive record dim -1")])
+def test_a_bad_header_past_the_first_block_is_named(tmp_path, header, message):
+    # the records are read a block at a time, and the walk that names the
+    # fault starts from the file's first byte
+    D = 4
+    rows = matrix_io._block_rows(D)
+    records = np.zeros((2 * rows + 3, 4 + 4 * D), dtype=np.uint8)
+    records[:, :4].view("<i4")[:] = D
+    records[rows + 7, :4].view("<i4")[:] = header
+    p = tmp_path / "bad.fvecs"
+    records.tofile(p)
+    with pytest.raises(FormatError, match=message):
+        matrix_io.read_fvecs(p)
+
+
+def _traced_peak(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("write,read", [(matrix_io.write_fvecs, matrix_io.read_fvecs),
+                                        (matrix_io.write_bvecs, matrix_io.read_bvecs)])
+def test_readers_hold_the_result_and_one_block(tmp_path, write, read):
+    # the records are widened a block of rows at a time from one reused
+    # byte matrix, and the finiteness test takes a block of flags; reading
+    # the whole file beside the result, with an N x D bool, took 1.63x the
+    # result for fvecs
+    N, D = 20000, 64
+    p = tmp_path / "a.vecs"
+    write(p, np.random.default_rng(4).integers(0, 256, size=(N, D)).astype(float))
+    peak = _traced_peak(read, p)
+    result = 8 * N * D
+    assert peak < result + matrix_io._BLOCK_BYTES, (peak, result)
+
+
+@pytest.mark.parametrize("fn", [matrix_io.fit_normalizer, matrix_io._check_matrix])
+def test_norms_and_finiteness_test_hold_one_block(fn):
+    # the norms' squares take one block (and its rows' sums 1/D of it), the
+    # finiteness flags 1/8; over the whole matrix they took 2.03x of it
+    X = np.random.default_rng(5).standard_normal((20000, 64))
+    assert X.nbytes > 4 * matrix_io._BLOCK_BYTES
+    assert _traced_peak(fn, X) < 1.1 * matrix_io._BLOCK_BYTES
+
+
+def test_normalizer_scale_has_the_bits_of_linalg_norm():
+    X = np.random.default_rng(6).standard_normal((20011, 128)) * 3.0
+    X[12345] *= 2.0  # the largest norm well past the first block
+    assert fit_normalizer(X).scale == 0.8 / float(np.linalg.norm(X, axis=1).max())
+
+
+@pytest.mark.parametrize("value,message", [
+    (1e200, r"the squared row norms overflow float64 \(largest entry magnitude 1e\+200\)"),
+    (1e-200, r"the squared row norms underflow float64 to zero \(largest entry "
+             r"magnitude 1e-200\)")])
+def test_normalizer_names_norms_past_float64(value, message):
+    # the scale read 0.0 for overflowing norms, and underflowing ones were
+    # called an all-zero matrix
+    X = np.full((20, 8), value)
+    X[3, 2] = -value
+    with pytest.raises(DegenerateScaleError, match=message):
+        fit_normalizer(X)
 
 
 def test_read_bvecs_values(tmp_path):

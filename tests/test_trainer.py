@@ -1,6 +1,7 @@
 import sys
 import tracemalloc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -712,6 +713,31 @@ def test_fit_sets_the_scale_on_the_model_and_its_untrained_start(kind):
                    TrainConfig(bits=3, epochs=1, batch_size=120, seed=3,
                                method=VariantConfig(kind=kind)))
     np.testing.assert_array_equal(params.w1, ref.w1)
+
+
+@pytest.mark.parametrize("kind", ["autobin", "lsh"])
+def test_fit_drops_a_handed_over_matrix_once_normalized(monkeypatch, kind):
+    # the pop of a one-item list hands the matrix over: fit empties the
+    # list, and with no reference left the matrix is gone before
+    # init_params runs, on any CPython; a matrix passed as itself is left
+    # as it was
+    X = np.random.default_rng(4).standard_normal((6, 200)).T
+    before = X.copy()
+    cfg = TrainConfig(bits=4, epochs=1, batch_size=100, seed=4,
+                      method=VariantConfig(kind=kind))
+    kept, _ = fit(X, cfg)
+    np.testing.assert_array_equal(X, before)
+
+    alive, init = [], trainer.init_params
+    monkeypatch.setattr(trainer, "init_params",
+                        lambda *args: alive.append(raw() is not None) or init(*args))
+    handed, raw = [X], weakref.ref(X)
+    del X
+    params, _ = fit(handed.pop, cfg)
+    assert handed == [] and raw() is None
+    assert alive == ([False] if kind == "autobin" else [])
+    for name in ("w1", "w2", "b1", "b2", "scale"):
+        np.testing.assert_array_equal(getattr(params, name), getattr(kept, name))
 
 
 def test_fit_lsh_is_the_scaled_random_projection():
