@@ -1,10 +1,12 @@
 """Finite-difference validation of the objective's analytic gradient.
 
 Used by the gradcheck CLI command and the test suite. Each term of a
-method's objective is checked on its own, then the total, on random
-instances in the objective's layout: an (n, D) batch of rows, (n, r, D)
-tangent factors and DAutoBin's (n, D) mask. Reported errors are max over
-parameters of |analytic - fd| / max(1, |fd|).
+method's objective is checked on its own, by calling that term's function
+on the whole instance as one row chunk; then the total, through
+objective and its row chunks. Instances are random and in the
+objective's layout: an (n, D) batch of rows, (n, r, D) tangent factors
+and DAutoBin's (n, D) mask. Reported errors are max over parameters of
+|analytic - fd| / max(1, |fd|).
 """
 
 from __future__ import annotations
@@ -14,8 +16,13 @@ import numpy as np
 from .network import (
     NetworkParams,
     ObjectiveConfig,
+    _binary_term,
+    _contractive_rows,
     _forward,
-    _terms,
+    _inputs,
+    _jacobian_term,
+    _recon_rows,
+    _row_work,
     objective,
     pack_params,
     unpack_params,
@@ -81,14 +88,26 @@ def check_gradients(kind: str, D: int = 8, d: int = 4, n: int = 5,
         lambda_c=method.contraction,
         corrupted=None if mask is None else np.where(mask, 0.0, batch),
     )
-    Xin, terms = _terms(batch, cfg=cfg, **inputs)
+    Xin, rows = _inputs(batch, **inputs)
+    work = _row_work(n, d, D)()
+    # name: term(params, forward pass of Xin, gradient) -> value, in the
+    # objective's order
+    terms = {"recon": lambda q, f, g: _recon_rows(q, Xin, batch, f, g, work)}
+    if rows is not None:
+        terms["jacobian"] = lambda q, f, g: _jacobian_term(
+            q, Xin, f, rows, cfg.jacobian_weight, g)
+    if method.contraction is not None:
+        terms["contractive"] = lambda q, f, g: _contractive_rows(
+            q, Xin, f, method.contraction, g, work)
+    terms["binary"] = lambda q, f, g: _binary_term(
+        q, Xin, f, f.Y.T @ f.Y, cfg.alpha, cfg.epsilon, n, g)
 
     def term_value_and_grad(term, q):
         grad = np.zeros_like(pack_params(q))
         return term(q, _forward(q, Xin), grad), grad
 
     errors: dict[str, float] = {}
-    for name, term in terms:
+    for name, term in terms.items():
         errors[name] = _check(lambda q: term_value_and_grad(term, q), p, h)
     errors["total"] = _check(
         lambda q: objective(q, batch, cfg=cfg, **inputs)[::2], p, h)

@@ -54,8 +54,8 @@ The comparison models are the same objective with the middle term
 changed: AutoBin drops it, CAutoBin puts the contractive term
 lambda_c sum_i ||d y_i / d x_i||_F^2 in its place, and DAutoBin drops it
 and feeds the network a corrupted copy of the batch while still
-reconstructing the clean one. objective() builds the terms from its
-arguments and returns value, parts and gradient from one forward pass;
+reconstructing the clean one. objective() calls each term's function in
+turn and returns value, parts and gradient from one forward pass;
 variants.VariantConfig says which arguments each method passes. The
 pass forms the tanh slopes 1 - y^2 and 1 - z^2 once (Forward), and every
 term and Jacobian chunk reads them; each term updates its work arrays in
@@ -67,12 +67,15 @@ The whole objective runs on the thread pool (see the parallel module)
 in chunks of the batch's rows: the fewest chunks whose (rows, D) input
 takes at most 512 KiB each, of ceil(n / chunks) rows and a shorter last
 one, so the chunking depends on the shape alone (a 1000 x 64 batch is
-one chunk, 1000 x 128 two of 500 rows). Pass 1 writes each chunk's rows
-of the Forward arrays, which the calling thread allocates, then the
-chunk's recon value and gradient, its contractive part and its part of
-Y'Y. The calling thread sums Y'Y and forms S, R and G once; the
-Jacobian term then runs its 64-point chunks, and pass 2 each row chunk's
-binary gradient dU = (Y 2G) o (1 - Y^2) and dU' X. Every map sums its
+one chunk, 1000 x 128 two of 500 rows). objective() runs four steps in
+order. An input step (_inputs) checks the arguments and reads the
+factors. Pass 1, one map over the row chunks, writes each chunk's rows of
+the Forward arrays, which the calling thread allocates, adds the chunk's
+recon and contractive parts into a zeroed gradient of its own, and
+returns them with its part of Y'Y. The Jacobian term then runs its
+64-point chunks. Last, the binary term forms S, R and G once from the
+summed Y'Y, and pass 2 runs each row chunk's binary gradient
+dU = (Y 2G) o (1 - Y^2) and dU' X. Every map sums its
 chunks' values and gradients in chunk order through one helper
 (_chunk_sum), so the objective has the same bits at any worker count
 and in any process, and a batch of one chunk has the bits of the
@@ -104,7 +107,6 @@ differences of the objective (see checks).
 
 from __future__ import annotations
 
-from collections.abc import Callable
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
@@ -248,56 +250,6 @@ def _chunk_sum(chunk, starts, block_bytes: int, buffers=None) -> list:
             zip(*parallel.ordered_map(chunk, starts, block_bytes, buffers))]
 
 
-class _Term(NamedTuple):
-    """One term of the objective, in the two steps _evaluate runs.
-
-    rows(p, s, f, g, work), if given, runs in pass 1 on each row chunk: s
-    is the chunk's slice of the batch, f its rows of the Forward pass and
-    work its worker's _row_work arrays; it adds into the chunk's gradient
-    g and returns what the chunks sum to. after(p, f, total, grad), if
-    given, then runs on the calling thread with that sum (None without
-    rows), adds into grad and returns the term's value; without it the
-    value is the sum itself. term(p, f, grad) -> value evaluates the term
-    alone on the written Forward pass f of its batch.
-    """
-    rows: Callable | None = None
-    after: Callable | None = None
-
-    def __call__(self, p, f: Forward, grad):
-        return _evaluate(p, f, grad, [self])[0]
-
-
-def _evaluate(p: NetworkParams, f: Forward, grad, terms, X=None) -> list:
-    """The values of terms, in order, on the batch of the Forward arrays f,
-    each term adding its gradient into grad; with the input rows X given,
-    each chunk of pass 1 first writes its rows of f from them.
-
-    Pass 1 runs the terms' rows in order on each row chunk (_row_chunks),
-    each chunk adding into a zeroed gradient of its own; the chunks'
-    gradients and items are summed in chunk order (_chunk_sum) and the
-    gradient added into grad. Then the terms' after run in order.
-    """
-    pass1 = [t.rows for t in terms if t.rows is not None]
-    starts = _row_chunks(len(f.Y), p.dims)
-    m = starts.step
-    own = np.zeros((len(starts), grad.size))  # each chunk's gradient
-
-    def chunk(lo, work):
-        s, fc, g = slice(lo, lo + m), f.rows(lo, lo + m), own[lo // m]
-        if X is not None:
-            _forward_rows(p, X[s], fc)
-        return (g, *(rows(p, s, fc, g, work) for rows in pass1))
-
-    g, *sums = _chunk_sum(chunk, starts, 8 * m * p.dims, _row_work(m, p.bits, p.dims))
-    grad += g
-    sums = iter(sums)
-    values = []
-    for t in terms:
-        total = next(sums) if t.rows is not None else None
-        values.append(total if t.after is None else t.after(p, f, total, grad))
-    return values
-
-
 # --- per-term values and gradients ---
 # Each chunk's (m, D) and (m, d) work arrays are its worker's _row_work
 # arrays, updated in place in the order of the out-of-place expression in
@@ -319,13 +271,8 @@ def _recon_rows(p, X, target, f: Forward, g, work):
     return value
 
 
-def _gram_rows(p, s, f: Forward, g, work):
-    """A chunk's part of Y'Y, for the binary term."""
-    return f.Y.T @ f.Y
-
-
 def _binary_term(p, X, f: Forward, YtY, alpha, eps, n_target, grad):
-    """alpha S(Y'Y - n I) from YtY, the chunks' sum of Y'Y, with its
+    """alpha S(Y'Y - n I) from YtY = Y'Y (pass 1's chunk sum), with its
     gradient added into grad: G = alpha S / sqrt(S^2 + eps) is formed
     once, and pass 2 runs dU = (Y 2G) o (1 - Y^2) and dU' X on the row
     chunks of the input rows X."""
@@ -484,32 +431,17 @@ def _contractive_rows(p, X, f: Forward, lam, g, work):
     return value
 
 
-def _terms(batch, tangents, cfg: ObjectiveConfig, lambda_c, corrupted):
-    """(network input, [(name, term)]) in accumulation order: recon, the
-    middle term if any, binary. Each term is a _Term: objective runs them
-    together, and term(p, f, grad) -> value alone takes the Forward pass
-    f of the network input and adds into grad.
-    """
-    n, D = batch.shape
-    Xin = batch
-    if corrupted is not None:
-        if corrupted.shape != batch.shape:
-            raise ValueError("clean/corrupted batch shape mismatch")
-        Xin = corrupted
+def _inputs(batch, tangents, lambda_c, corrupted):
+    """(network input, FactorRows or None) of objective's arguments: the
+    corrupted rows if given, else the batch, and the tangent factors read
+    by _factor_rows if given. A corrupted batch of another shape, or both
+    middle terms, raises a ValueError."""
+    if corrupted is not None and corrupted.shape != batch.shape:
+        raise ValueError("clean/corrupted batch shape mismatch")
     if tangents is not None and lambda_c is not None:
         raise ValueError("give tangents or lambda_c, not both: each is a middle term")
-    terms = [("recon", _Term(rows=lambda p, s, f, g, work: _recon_rows(
-        p, Xin[s], batch[s], f, g, work)))]
-    if tangents is not None:
-        rows = _factor_rows(tangents, n, D)
-        terms.append(("jacobian", _Term(after=lambda p, f, _, grad: _jacobian_term(
-            p, Xin, f, rows, cfg.jacobian_weight, grad))))
-    if lambda_c is not None:
-        terms.append(("contractive", _Term(rows=lambda p, s, f, g, work: (
-            _contractive_rows(p, Xin[s], f, lambda_c, g, work)))))
-    terms.append(("binary", _Term(rows=_gram_rows, after=lambda p, f, YtY, grad: (
-        _binary_term(p, Xin, f, YtY, cfg.alpha, cfg.epsilon, n, grad)))))
-    return Xin, terms
+    rows = None if tangents is None else _factor_rows(tangents, *batch.shape)
+    return (batch if corrupted is None else corrupted), rows
 
 
 def objective(p: NetworkParams, batch: np.ndarray, tangents, cfg: ObjectiveConfig,
@@ -525,16 +457,33 @@ def objective(p: NetworkParams, batch: np.ndarray, tangents, cfg: ObjectiveConfi
     its own factor) or as FactorRows, n rows of a larger stack read in
     place, and adds the Jacobian term with target T'T (any other shape
     raises a ValueError naming (N, r, D)); lambda_c adds the contractive
-    term instead; None leaves it
-    out. corrupted, when given, is the (n, D) network input and batch
-    stays the reconstruction target.
+    term instead; None leaves it out. corrupted, when given, is the (n, D)
+    network input and batch stays the reconstruction target.
+
+    In order (module docstring): the input step, pass 1's row chunks with
+    the forward pass, recon, contractive and Y'Y, then the Jacobian term,
+    then the binary term.
     """
-    Xin, terms = _terms(batch, tangents, cfg, lambda_c, corrupted)
-    grad = np.zeros(2 * p.w1.size + p.bits + p.dims)
-    recon, *middle, binary = _evaluate(p, _empty_forward(len(Xin), p), grad,
-                                       [term for _, term in terms], Xin)
-    parts = ObjectiveParts(recon=recon, jacobian=middle[0] if middle else 0.0,
-                           binary=binary)
+    Xin, rows = _inputs(batch, tangents, lambda_c, corrupted)
+    (n, D), d = Xin.shape, p.bits
+    f = _empty_forward(n, p)
+    starts = _row_chunks(n, D)
+    m = starts.step
+    own = np.zeros((len(starts), 2 * p.w1.size + d + D))  # each chunk's gradient
+
+    def chunk(lo, work):
+        s, fc, g = slice(lo, lo + m), f.rows(lo, lo + m), own[lo // m]
+        _forward_rows(p, Xin[s], fc)
+        recon = _recon_rows(p, Xin[s], batch[s], fc, g, work)
+        middle = 0.0 if lambda_c is None else _contractive_rows(
+            p, Xin[s], fc, lambda_c, g, work)
+        return g, recon, middle, fc.Y.T @ fc.Y
+
+    grad, recon, middle, YtY = _chunk_sum(chunk, starts, 8 * m * D, _row_work(m, d, D))
+    if rows is not None:
+        middle = _jacobian_term(p, Xin, f, rows, cfg.jacobian_weight, grad)
+    binary = _binary_term(p, Xin, f, YtY, cfg.alpha, cfg.epsilon, n, grad)
+    parts = ObjectiveParts(recon=recon, jacobian=middle, binary=binary)
     return parts.total, parts, grad
 
 

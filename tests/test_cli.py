@@ -763,7 +763,8 @@ def test_gradcheck_exit_codes(capsys):
     out = capsys.readouterr().out
     assert "ok" in out and "FAIL" not in out
     assert main(["gradcheck", "--method", "cautobin"]) == 0
-    assert "contractive" in capsys.readouterr().out
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[1] for line in lines] == ["recon", "contractive", "binary", "total"]
 
 
 def test_toy_small_run(tmp_path):

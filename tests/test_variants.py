@@ -85,13 +85,13 @@ def test_dautobin_fully_corrupted_zero_params():
 
 def test_dautobin_shape_mismatch():
     p, batch, _ = random_instance(4, 2, 3, seed=6)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="clean/corrupted batch shape mismatch"):
         objective(p, batch, None, ObjectiveConfig(), corrupted=batch[:-1])
 
 
 def test_objective_rejects_two_middle_terms():
     p, batch, factors = random_instance(4, 2, 3, seed=9)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="not both"):
         objective(p, batch, factors, ObjectiveConfig(), lambda_c=0.01)
 
 
