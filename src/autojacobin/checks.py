@@ -18,11 +18,11 @@ from .network import (
     ObjectiveConfig,
     _binary_term,
     _contractive_rows,
-    _forward,
     _inputs,
     _jacobian_term,
     _recon_rows,
     _row_work,
+    forward_batch,
     objective,
     pack_params,
     unpack_params,
@@ -104,7 +104,7 @@ def check_gradients(kind: str, D: int = 8, d: int = 4, n: int = 5,
 
     def term_value_and_grad(term, q):
         grad = np.zeros_like(pack_params(q))
-        return term(q, _forward(q, Xin), grad), grad
+        return term(q, forward_batch(q, Xin), grad), grad
 
     errors: dict[str, float] = {}
     for name, term in terms.items():

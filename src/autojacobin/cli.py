@@ -286,8 +286,8 @@ def cmd_toy(args) -> int:
 
 
 def _load_series(path):
-    """(label, xs, ys) from a recall or trace CSV; summary rows skipped, and
-    a data row without a numeric second field ends the command."""
+    """(label, xs, ys) from a recall or trace CSV, summary rows skipped; a
+    data row without a numeric second field or finite values ends it."""
     xs, ys = [], []
     with open(path) as f:
         header = f.readline().strip()
@@ -304,6 +304,8 @@ def _load_series(path):
             except (IndexError, ValueError):
                 raise SystemExit(f"{path}:{n}: a data row needs a numeric second "
                                  f"field, got {line.strip()!r}") from None
+            if not (math.isfinite(x) and math.isfinite(ys[-1])):
+                raise SystemExit(f"{path}:{n}: non-finite value in row {line.strip()!r}")
             xs.append(x)
     if not xs:
         raise SystemExit(f"{path}: no data rows")

@@ -23,7 +23,7 @@ file renamed over the target.
 A record file is read a block of records at a time into one reused
 (rows, record bytes) matrix, its payloads a view of it, so the points
 are its rows as they are and the file's bytes are never all in memory
-beside the (N, D) result. The finiteness test and the normalizer's row
+beside the (N, D) result. The finiteness test and fit_normalizer's row
 norms also walk the rows in blocks, so no N x D temporary is formed.
 """
 
@@ -33,7 +33,6 @@ import math
 import mmap
 import os
 import struct
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -44,7 +43,7 @@ class FormatError(ValueError):
 
 
 class DegenerateScaleError(ValueError):
-    """Normalizer fit on a matrix whose largest row norm is zero or does
+    """fit_normalizer on a matrix whose largest row norm is zero or does
     not come out of float64: all-zero rows, or squares that overflow or
     underflow."""
 
@@ -162,7 +161,12 @@ def _write_records(path, X: np.ndarray, payload_dtype) -> None:
 
 
 def write_fvecs(path, X: np.ndarray) -> None:
-    _write_records(path, _check_matrix(X), np.dtype("<f4"))
+    try:  # an entry the float32 cast makes infinite raises before a byte is written
+        with np.errstate(over="raise"):
+            _write_records(path, _check_matrix(X), np.dtype("<f4"))
+    except FloatingPointError:
+        raise ValueError("fvecs entries must lie in float32's range "
+                         "[-3.4028235e+38, 3.4028235e+38]") from None
 
 
 def write_bvecs(path, X: np.ndarray) -> None:
@@ -197,15 +201,8 @@ def write_txt(path, X: np.ndarray) -> None:
             f.write(" ".join(repr(float(v)) for v in x) + "\n")
 
 
-@dataclass(frozen=True)
-class Normalizer:
-    """Scale factor bringing the max training-point norm to 0.8."""
-
-    scale: float
-
-
-def fit_normalizer(train: np.ndarray) -> Normalizer:
-    """scale = 0.8 / max row norm of the training matrix.
+def fit_normalizer(train: np.ndarray) -> float:
+    """The scale 0.8 / max row norm of the training matrix.
 
     Each norm is sqrt(add.reduce(x * x)) of its row, the bits of
     np.linalg.norm(train, axis=1), over one block of rows at a time. A
@@ -220,7 +217,7 @@ def fit_normalizer(train: np.ndarray) -> Normalizer:
         max_norm = max(float(np.sqrt(np.add.reduce(b * b, axis=1)).max())
                        for b in _row_blocks(train))
     if 0.0 < max_norm < math.inf:
-        return Normalizer(scale=0.8 / max_norm)
+        return 0.8 / max_norm
     largest = float(max(train.max(), -train.min()))
     if max_norm == math.inf:
         raise DegenerateScaleError(
@@ -233,9 +230,9 @@ def fit_normalizer(train: np.ndarray) -> Normalizer:
     raise DegenerateScaleError("all-zero training matrix")
 
 
-def apply_normalizer(nz: Normalizer, X: np.ndarray) -> np.ndarray:
-    """Multiply every entry by nz.scale. Norms above 0.8 are allowed."""
-    return _check_matrix(X) * nz.scale
+def apply_normalizer(scale: float, X: np.ndarray) -> np.ndarray:
+    """Multiply every entry by scale. Norms above 0.8 are allowed."""
+    return _check_matrix(X) * scale
 
 
 # --- binary files: (magic, name, header format and fields, payload dtype) ---

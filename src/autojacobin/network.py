@@ -57,9 +57,10 @@ and feeds the network a corrupted copy of the batch while still
 reconstructing the clean one. objective() calls each term's function in
 turn and returns value, parts and gradient from one forward pass;
 variants.VariantConfig says which arguments each method passes. The
-pass forms the tanh slopes 1 - y^2 and 1 - z^2 once (Forward), and every
-term and Jacobian chunk reads them; each term updates its work arrays in
-place, in the order of the out-of-place expression, so the bits are that
+pass forms the tanh slopes 1 - y^2 and 1 - z^2 once (Forward, which
+forward_batch returns with objective's bits), and every term and
+Jacobian chunk reads them; each term updates its work arrays in place,
+in the order of the out-of-place expression, so the bits are that
 expression's. The gradient is one vector laid out like pack_params, and
 each term adds into views of only the blocks it reaches.
 
@@ -158,26 +159,6 @@ class ObjectiveParts:
         return self.recon + self.jacobian + self.binary
 
 
-def forward_batch(p: NetworkParams, X: np.ndarray):
-    """(Y, Z) for an (n, D) batch of rows: the hidden rows Y (n, d) and the
-    output rows Z (n, D). Each is allocated once and has its bias and tanh
-    applied in place."""
-    Y, Z = np.empty((len(X), p.bits)), np.empty((len(X), p.dims))
-    _layers(p, X, Y, Z)
-    return Y, Z
-
-
-def _layers(p: NetworkParams, X, Y, Z):
-    """Write the hidden rows Y and the output rows Z of the input rows X
-    into Y and Z, with bias and tanh applied in place."""
-    np.matmul(X, p.w1.T, out=Y)
-    Y += p.b1
-    np.tanh(Y, out=Y)
-    np.matmul(Y, p.w2.T, out=Z)
-    Z += p.b2
-    np.tanh(Z, out=Z)
-
-
 class Forward(NamedTuple):
     """One evaluation's forward pass of an (n, D) batch: the activation
     rows Y (n, d) and Z (n, D), and their tanh slopes A = 1 - Y^2 and
@@ -199,17 +180,23 @@ def _empty_forward(n: int, p: NetworkParams) -> Forward:
 
 def _forward_rows(p: NetworkParams, X, f: Forward):
     """Write the Forward pass of the input rows X into f, arrays of as
-    many rows: _layers, then the slopes in place."""
-    _layers(p, X, f.Y, f.Z)
-    np.multiply(f.Y, f.Y, out=f.A)
-    np.subtract(1.0, f.A, out=f.A)
-    np.multiply(f.Z, f.Z, out=f.C)
-    np.subtract(1.0, f.C, out=f.C)
+    many rows, in place: each layer's product, bias and tanh, then A, C."""
+    Y, Z, A, C = f
+    np.matmul(X, p.w1.T, out=Y)
+    Y += p.b1
+    np.tanh(Y, out=Y)
+    np.matmul(Y, p.w2.T, out=Z)
+    Z += p.b2
+    np.tanh(Z, out=Z)
+    np.multiply(Y, Y, out=A)
+    np.subtract(1.0, A, out=A)
+    np.multiply(Z, Z, out=C)
+    np.subtract(1.0, C, out=C)
 
 
-def _forward(p: NetworkParams, X: np.ndarray) -> Forward:
-    """The Forward pass of the (n, D) rows X, written row chunk by row
-    chunk as objective writes it."""
+def forward_batch(p: NetworkParams, X: np.ndarray) -> Forward:
+    """The Forward pass (Y, Z, A, C) of the (n, D) rows X, written row
+    chunk by row chunk as objective writes it."""
     f = _empty_forward(len(X), p)
     step = _row_chunks(*X.shape).step
     for lo in range(0, len(X), step):

@@ -22,9 +22,10 @@ while they run: ordered_map calls its `meanwhile` there once the blocks
 are queued, so eval hashes its ground-truth cache name on the calling
 thread while the base's encode tiles run.
 
-There is one pool per worker count, kept for the life of the process,
-with all its threads started when it is made; a forked child makes its
-own, as the parent's threads do not run in it.
+There is one pool per worker count, whatever a call's block count, kept
+for the life of the process, with all its threads started when it is
+made; a forked child makes its own, as the parent's threads do not run
+in it.
 There is no setting of the program's own (see workers()). A block must
 not run a blocked loop of its own: every thread of the fixed pool could
 then wait on blocks queued behind it. No block does. When a block
@@ -37,6 +38,7 @@ from __future__ import annotations
 import functools
 import os
 import queue
+import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
@@ -99,16 +101,18 @@ def _blas_threads(cpus: int) -> int:
 def ordered_map(fn, starts, block_bytes: int, buffers=None, meanwhile=None) -> list:
     """[fn(s) for s in starts], in order; block_bytes as in workers().
 
-    The calls run on the pool of workers(len(starts), block_bytes)
-    threads; with one worker they run on the calling thread. buffers, if
-    given, is called with no arguments on the calling thread once per
-    worker, and each call is fn(s, buf) with a buf that no other running
-    call holds. meanwhile, if given, is called with no arguments on the
-    calling thread once every call is queued on the pool (before the
-    first call, with one worker), so the calling thread works while the
-    pool does. An error raised in a call is raised here.
+    The calls run on the pool of workers(sys.maxsize, block_bytes)
+    threads, at most min(that, len(starts)) at a time; with one worker
+    or one start they run on the calling thread. buffers, if given, is
+    called with no arguments on the calling thread once per worker, and
+    each call is fn(s, buf) with a buf that no other running call holds.
+    meanwhile, if given, is called with no arguments on the calling
+    thread once every call is queued on the pool (before the first call,
+    with one worker), so the calling thread works while the pool does.
+    An error raised in a call is raised here.
     """
-    n = workers(len(starts), block_bytes)
+    size = workers(sys.maxsize, block_bytes)  # the pool, whatever len(starts)
+    n = min(size, len(starts))
     call = fn
     if buffers is not None:
         free = queue.SimpleQueue()
@@ -123,7 +127,7 @@ def ordered_map(fn, starts, block_bytes: int, buffers=None, meanwhile=None) -> l
                 free.put(buf)
 
     # map is lazy: with one worker, meanwhile runs before the first call
-    results = map(call, starts) if n == 1 else _pool(n).map(call, starts)
+    results = map(call, starts) if n <= 1 else _pool(size).map(call, starts)
     if meanwhile is not None:
         meanwhile()
     return list(results)

@@ -424,10 +424,10 @@ def fit(X_raw, cfg: TrainConfig):
     """
     if callable(X_raw):
         X_raw = X_raw()
-    nz = fit_normalizer(X_raw)
+    scale = fit_normalizer(X_raw)
     if not cfg.method.trained:
-        return var.lsh_generate(X_raw.shape[1], cfg.bits, cfg.seed, scale=nz.scale), None
-    Xn = apply_normalizer(nz, X_raw)
+        return var.lsh_generate(X_raw.shape[1], cfg.bits, cfg.seed, scale=scale), None
+    Xn = apply_normalizer(scale, X_raw)
     del X_raw
     cfg = replace(cfg, batch_size=min(cfg.batch_size, len(Xn)))
     try:
@@ -435,7 +435,7 @@ def fit(X_raw, cfg: TrainConfig):
         params, report = train(Xn, estimate_all_tangents(Xn, cfg.bits)
                                if cfg.method.needs_tangents else None, cfg)
     except LineSearchError as err:
-        err.params.scale = err.report.initial.scale = nz.scale
+        err.params.scale = err.report.initial.scale = scale
         raise
-    params.scale = report.initial.scale = nz.scale
+    params.scale = report.initial.scale = scale
     return params, report

@@ -17,8 +17,9 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 
 @pytest.fixture
 def with_workers(monkeypatch):
-    """run(count, fn) -> fn() with every blocked loop on `count` threads,
-    whatever the block size and the machine's cores, while the
+    """run(count, fn) -> fn() with every blocked loop on a pool of `count`
+    threads (at most one per block, so a loop of one block runs on fn's
+    thread), whatever the block size and the machine's cores, while the
     interpreter switches threads every microsecond; fn runs on a thread
     of its own and must finish within a minute."""
 

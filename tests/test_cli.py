@@ -510,10 +510,27 @@ def _plot_csv_non_numeric_y(tmp_path):
     return argv, f"{bad}:2: a data row needs a numeric second field, got '1,high'"
 
 
+def _convert_to_fvecs_past_float32(tmp_path):
+    src = tmp_path / "big.txt"
+    src.write_text("1 1e39\n")
+    argv = ["convert", "--input", str(src), "--output", str(tmp_path / "big.fvecs")]
+    return argv, (f"{src}: fvecs entries must lie in float32's range "
+                  f"[-3.4028235e+38, 3.4028235e+38]")
+
+
+def _plot_csv_non_finite(tmp_path):
+    bad = tmp_path / "nan.csv"
+    bad.write_text("i,recall\n1,0.5\n2,nan\n3,inf\n")
+    argv = ["plot", "--out", str(tmp_path / "x.svg"), str(bad)]
+    return argv, f"{bad}:3: non-finite value in row '2,nan'"
+
+
 @pytest.mark.parametrize("case", [_malformed_encode_input, _malformed_eval_query,
                                   _malformed_model, _malformed_train_text,
-                                  _convert_to_bvecs_out_of_range, _missing_plot_csv,
-                                  _plot_csv_row_with_one_field, _plot_csv_non_numeric_y])
+                                  _convert_to_bvecs_out_of_range,
+                                  _convert_to_fvecs_past_float32, _missing_plot_csv,
+                                  _plot_csv_row_with_one_field, _plot_csv_non_numeric_y,
+                                  _plot_csv_non_finite])
 def test_a_malformed_input_file_is_one_line_without_a_traceback(tmp_path, case):
     argv, message = case(tmp_path)
     before = set(tmp_path.rglob("*"))

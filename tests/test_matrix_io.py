@@ -8,6 +8,8 @@ from autojacobin import matrix_io
 from autojacobin.matrix_io import DegenerateScaleError, FormatError, fit_normalizer, apply_normalizer
 from autojacobin.network import NetworkParams
 
+F32_MAX = float(np.finfo(np.float32).max)
+
 
 def test_read_fvecs_single_record(tmp_path):
     p = tmp_path / "a.fvecs"
@@ -153,7 +155,7 @@ def test_norms_and_finiteness_test_hold_one_block(fn):
 def test_normalizer_scale_has_the_bits_of_linalg_norm():
     X = np.random.default_rng(6).standard_normal((20011, 128)) * 3.0
     X[12345] *= 2.0  # the largest norm well past the first block
-    assert fit_normalizer(X).scale == 0.8 / float(np.linalg.norm(X, axis=1).max())
+    assert fit_normalizer(X) == 0.8 / float(np.linalg.norm(X, axis=1).max())
 
 
 @pytest.mark.parametrize("value,message", [
@@ -167,6 +169,20 @@ def test_normalizer_names_norms_past_float64(value, message):
     X[3, 2] = -value
     with pytest.raises(DegenerateScaleError, match=message):
         fit_normalizer(X)
+
+
+@pytest.mark.parametrize("value", [1e39, -1e39, F32_MAX + 2.0 ** 103])
+def test_write_fvecs_rejects_entries_past_float32_before_writing(tmp_path, value):
+    path = tmp_path / "big.fvecs"
+    with pytest.raises(ValueError, match=r"fvecs entries must lie in float32's range "
+                                         r"\[-3.4028235e\+38, 3.4028235e\+38\]"):
+        matrix_io.write_fvecs(path, np.array([[1.0, value]]))
+    assert not path.exists()
+    # entries that round to float32's largest, to a subnormal or to zero are written
+    held = np.array([[F32_MAX + 2.0 ** 102, 1e-40, 1e-50]])
+    matrix_io.write_fvecs(path, held)
+    np.testing.assert_array_equal(matrix_io.read_fvecs(path),
+                                  [[F32_MAX, float(np.float32(1e-40)), 0.0]])
 
 
 def test_read_bvecs_values(tmp_path):
@@ -245,10 +261,8 @@ def test_txt_ragged_rows_rejected(tmp_path):
 
 
 def test_fit_normalizer_values():
-    nz = fit_normalizer(np.array([[3.0, 4.0]]))
-    assert nz.scale == pytest.approx(0.16)
-    nz = fit_normalizer(np.array([[1.0, 0.0], [0.0, 2.0]]))
-    assert nz.scale == pytest.approx(0.4)
+    assert fit_normalizer(np.array([[3.0, 4.0]])) == pytest.approx(0.16)
+    assert fit_normalizer(np.array([[1.0, 0.0], [0.0, 2.0]])) == pytest.approx(0.4)
 
 
 def test_normalized_max_norm_is_08():
@@ -264,8 +278,8 @@ def test_normalizer_degenerate_and_round_trip():
         fit_normalizer(np.zeros((4, 3)))
     rng = np.random.default_rng(7)
     X = rng.standard_normal((3, 5)).T
-    nz = fit_normalizer(X)
-    np.testing.assert_allclose(apply_normalizer(nz, X) / nz.scale, X, atol=1e-12)
+    scale = fit_normalizer(X)
+    np.testing.assert_allclose(apply_normalizer(scale, X) / scale, X, atol=1e-12)
 
 
 def _random_params(rng, D, d):

@@ -36,7 +36,7 @@ def _zero_params(D, d):
 
 def _forward(p, x):
     """(y, z) of one point: forward_batch on one row."""
-    Y, Z = forward_batch(p, np.asarray(x, dtype=np.float64)[None, :])
+    Y, Z, _, _ = forward_batch(p, np.asarray(x, dtype=np.float64)[None, :])
     return Y[0], Z[0]
 
 
@@ -82,7 +82,7 @@ def test_forward_linearizes_at_small_weights():
 def test_forward_batch_matches_single():
     # each row of a batch is computed as if it were alone
     p, batch, _ = random_instance(5, 3, 7, seed=1)
-    Y, Z = forward_batch(p, batch)
+    Y, Z, _, _ = forward_batch(p, batch)
     assert Y.shape == (7, 3) and Z.shape == (7, 5)
     for j in range(7):
         y, z = _forward(p, batch[j])
@@ -190,13 +190,13 @@ def _dense_jacobian_term(p, Xin, Y, Z, targets, weight):
 def _jacobian_value_and_grad(p, X, factors, weight):
     """(value, gradient laid out like pack_params) of _jacobian_term alone."""
     grad = np.zeros_like(pack_params(p))
-    value = _jacobian_term(p, X, network._forward(p, X),
+    value = _jacobian_term(p, X, forward_batch(p, X),
                            _factor_rows(factors, *X.shape), weight, grad)
     return value, grad
 
 
 def _assert_factored_matches_dense(p, X, factors, targets, weight):
-    Y, Z = forward_batch(p, X)
+    Y, Z, _, _ = forward_batch(p, X)
     value, g = _jacobian_value_and_grad(p, X, factors, weight)
     ref_value, ref_g = _dense_jacobian_term(p, X.T, Y.T, Z.T, targets, weight)
     assert value == pytest.approx(ref_value, rel=1e-12)
@@ -373,6 +373,24 @@ def test_objective_has_the_same_bits_at_any_worker_count(workers, kind, with_wor
     value, g = _out_of_place_objective(p, batch, factors, cfg, **inputs)
     assert total == pytest.approx(value, rel=1e-12)
     np.testing.assert_allclose(grad, g, rtol=1e-12, atol=1e-12 * np.max(np.abs(g)))
+
+
+@pytest.mark.parametrize("workers", [1, 2, 5])
+@pytest.mark.parametrize("D", [64, 128])
+def test_forward_batch_is_the_pass_objective_writes(D, workers, with_workers, monkeypatch):
+    # 1000 x 64 is one row chunk, 1000 x 128 two; the arrays objective
+    # allocates hold its pass once it returns
+    p, batch, _ = random_instance(D, 16, 1000, seed=D)
+    assert len(network._row_chunks(*batch.shape)) == D // 64
+    made, empty = [], network._empty_forward
+    monkeypatch.setattr(network, "_empty_forward",
+                        lambda n, q: made.append(empty(n, q)) or made[-1])
+    with_workers(workers, lambda: objective(p, batch, None, ObjectiveConfig()))
+    (written,) = made
+    f = forward_batch(p, batch)
+    assert isinstance(f, network.Forward)
+    for a, b in zip(f, written, strict=True):
+        assert a.tobytes() == b.tobytes()
 
 
 def _out_of_place_objective(p, batch, factors, cfg, lambda_c=None, corrupted=None):

@@ -145,13 +145,37 @@ def _threads_of(count):
 
 
 def test_pooled_calls_reuse_the_threads_of_their_worker_count(four_cpus):
+    # a call of fewer blocks than workers runs on the same pool's threads
     four_cpus.setenv("OMP_NUM_THREADS", "1")
     four = _threads_of(4)
     assert len(four) == 4 and threading.current_thread() not in four
     assert _threads_of(4) == four
     two = _threads_of(2)
-    assert len(two) == 2 and not two & four
-    assert _threads_of(2) == two
+    assert len(two) == 2 and two <= four
+    assert _threads_of(3) <= four
+
+
+def test_calls_of_any_block_count_share_one_pool(monkeypatch):
+    # 8 CPUs and one BLAS thread: 8 workers, so one pool of 8 threads
+    # whatever the calls' block counts, not one pool per count
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+    monkeypatch.setenv("OMP_NUM_THREADS", "1")
+    for var in ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.delenv(var, raising=False)
+    made, make = [], parallel._pool.__wrapped__
+
+    def pool(n):
+        made.append(make(n))
+        return made[-1]
+
+    monkeypatch.setattr(parallel, "_pool", functools.cache(pool))
+    try:
+        for tasks in (2, 3, 5, 7, 8, 20):
+            assert parallel.ordered_map(lambda s: s, range(tasks), BIG) == list(range(tasks))
+        assert [len(p._threads) for p in made] == [8]
+    finally:
+        for p in made:
+            p.shutdown()
 
 
 def _encode_into(conn, p, X):

@@ -697,12 +697,12 @@ def test_trace_csv_format(tmp_path):
 @pytest.mark.parametrize("kind", ["auto-jacobin", "autobin"])
 def test_fit_sets_the_scale_on_the_model_and_its_untrained_start(kind):
     X = 5.0 * synth.simplex_points(120, np.random.default_rng(3))
-    nz = matrix_io.fit_normalizer(X)
-    Xn = matrix_io.apply_normalizer(nz, X)
+    scale = matrix_io.fit_normalizer(X)
+    Xn = matrix_io.apply_normalizer(scale, X)
     cfg = TrainConfig(bits=3, epochs=1, batch_size=500, seed=3,
                       method=VariantConfig(kind=kind))
     params, report = fit(X, cfg)
-    assert params.scale == report.initial.scale == nz.scale != 1.0
+    assert params.scale == report.initial.scale == scale != 1.0
     # report.initial is train's start: init_params from the seed's stream
     p0 = init_params(Xn, 3, 3)
     for name in ("w1", "w2", "b1", "b2"):
@@ -743,7 +743,7 @@ def test_fit_drops_a_handed_over_matrix_once_normalized(monkeypatch, kind):
 def test_fit_lsh_is_the_scaled_random_projection():
     X = np.random.default_rng(1).standard_normal((7, 40)).T
     params, report = fit(X, TrainConfig(bits=5, seed=9, method=VariantConfig(kind="lsh")))
-    ref = lsh_generate(7, 5, 9, scale=matrix_io.fit_normalizer(X).scale)
+    ref = lsh_generate(7, 5, 9, scale=matrix_io.fit_normalizer(X))
     assert report is None
     assert params.scale == ref.scale
     for name in ("w1", "w2", "b1", "b2"):
@@ -753,7 +753,7 @@ def test_fit_lsh_is_the_scaled_random_projection():
 @pytest.mark.filterwarnings("ignore:training data rank below bit count")
 def test_fit_sets_the_scale_on_the_parameters_of_a_failed_search(monkeypatch):
     X = 5.0 * synth.simplex_points(60, np.random.default_rng(2))
-    nz = matrix_io.fit_normalizer(X)
+    scale = matrix_io.fit_normalizer(X)
 
     def non_finite(*args, **kwargs):
         total, parts, g = objective(*args, **kwargs)
@@ -763,4 +763,4 @@ def test_fit_sets_the_scale_on_the_parameters_of_a_failed_search(monkeypatch):
     with pytest.raises(LineSearchError) as exc:
         fit(X, TrainConfig(bits=3, epochs=1, batch_size=60,
                            method=VariantConfig(kind="autobin")))
-    assert exc.value.params.scale == nz.scale != 1.0
+    assert exc.value.params.scale == scale != 1.0

@@ -32,7 +32,7 @@ def test_autobin_alpha_zero_is_plain_autoencoder():
     p, batch, _ = random_instance(5, 3, 4, seed=1)
     total, parts, _ = objective(p, batch, None, ObjectiveConfig(alpha=0.0))
     from autojacobin.network import forward_batch
-    _, Z = forward_batch(p, batch)
+    _, Z, _, _ = forward_batch(p, batch)
     assert total == pytest.approx(float(np.sum((batch - Z) ** 2)), rel=1e-12)
     assert parts.binary == 0.0
 
@@ -109,7 +109,7 @@ def test_cautobin_contractive_value():
     lam = 0.01
     _, parts, _ = objective(p, batch, None, ObjectiveConfig(alpha=0.0), lambda_c=lam)
     from autojacobin.network import forward_batch
-    Y, _ = forward_batch(p, batch)
+    Y, _, _, _ = forward_batch(p, batch)
     ref = 0.0
     for j in range(5):
         Jh = (p.w1 * (1.0 - Y[j] ** 2)[:, None]).T  # (D, d), entry (i,k)
