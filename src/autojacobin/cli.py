@@ -121,11 +121,9 @@ def cmd_train(args) -> int:
     cfg = TrainConfig(bits=args.bits, epsilon=args.epsilon, epochs=args.epochs,
                       batch_size=args.batch, total_iterations=args.iterations,
                       seed=args.seed, method=method)
-    handed = [X_raw]  # fit pops it and drops the matrix once normalized
-    del X_raw
     failed = None
     try:
-        params, report = fit(handed.pop, cfg)
+        params, report = fit(X_raw, cfg)  # scales X_raw in place
     except matrix_io.DegenerateScaleError as err:
         raise SystemExit(f"{args.input}: {err}") from None
     except LineSearchError as err:
@@ -266,8 +264,8 @@ def cmd_toy(args) -> int:
 
     cfg = TrainConfig(bits=3, epochs=args.epochs, batch_size=args.batch, seed=args.seed,
                       method=VariantConfig(kind="auto-jacobin", alpha=args.alpha))
-    params, report = fit(X_raw, cfg)
-    Xn = X_raw * params.scale  # the network's input; encode scales its own
+    Xn = X_raw.copy()  # fit scales it in place into the network's input
+    params, report = fit(Xn, cfg)
 
     summary = out_dir / "toy_summary.csv"
     with open(summary, "w") as f:

@@ -230,11 +230,6 @@ def fit_normalizer(train: np.ndarray) -> float:
     raise DegenerateScaleError("all-zero training matrix")
 
 
-def apply_normalizer(scale: float, X: np.ndarray) -> np.ndarray:
-    """Multiply every entry by scale. Norms above 0.8 are allowed."""
-    return _check_matrix(X) * scale
-
-
 # --- binary files: (magic, name, header format and fields, payload dtype) ---
 _AJB = b"AJBN", "model", "<IIId", ("version", "D", "d", "scale"), "<f8"
 _AJBC = b"AJBC", "codes", "<IQ", ("bits", "count"), np.uint8

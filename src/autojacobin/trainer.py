@@ -45,12 +45,11 @@ the hidden layer (mean |y| 0.99 or more); steepest descent stopped at
 
 The training set is an (N, D) matrix, one point per row. Each
 mini-batch's rows are gathered from it when the batch is used, so no
-shuffled copy of the set is formed. For the denoising variant the
-epoch's corruption is one boolean (N, D) mask, row k for the k-th
-point of the permutation, one byte per entry; a batch's network input
-is a copy of the batch with the entries of its rows of the mask
-zeroed. Each example is still corrupted on its own draws, as in
-Vincent et al. (ICML 2008).
+shuffled copy of the set is formed. For the denoising variant a batch's
+network input is a copy of the batch with the entries of its boolean
+corruption mask zeroed, the mask drawn as the batch is used, one row
+per point. Each example is corrupted on its own draws, as in Vincent
+et al. (ICML 2008).
 
 An epoch's cost is the sum of its accepted batch costs. With one batch
 that is the full-set cost at the epoch's end; with mini-batches it is
@@ -63,9 +62,9 @@ larger than a chunk is ever copied.
 
 One seeded RNG stream drives everything, consumed in a fixed order:
 the init rotation first, then per epoch the permutation and (for the
-denoising variant) the corruption mask, drawn in blocks of rows with
-the uniform draws of one (N, D) array in the same order
-(variants.draw_mask).
+denoising variant) each batch's corruption mask in batch order. The
+masks' uniform draws are consecutive, so an epoch's masks are the rows
+of variants.draw_mask((N, D), ...) drawn right after its permutation.
 
 fit is the one path from raw data to a scaled model.
 """
@@ -88,7 +87,7 @@ from .network import (
     pack_params,
     unpack_params,
 )
-from .matrix_io import _check_matrix, apply_normalizer, fit_normalizer
+from .matrix_io import _check_matrix, _row_blocks, fit_normalizer
 from .tangent import TangentSet, estimate_all_tangents
 
 
@@ -174,8 +173,12 @@ def init_params(train: np.ndarray, d: int, seed) -> NetworkParams:
     if N <= d:
         raise ValueError(f"need more than d={d} training points, got {N}")
     mu = train.mean(axis=0)
-    centered = train - mu
-    cov = centered.T @ centered / N
+    cov = np.zeros((D, D))
+    for rows in _row_blocks(train):
+        c = rows - mu
+        cov += c.T @ c
+        del c  # one centred block of rows alive at a time
+    cov /= N
     evals, evecs = np.linalg.eigh(cov)
     evals, evecs = evals[::-1], evecs[:, ::-1]  # eigh's are ascending
     if evals[d - 1] <= 1e-12 * max(evals[0], 1e-300):
@@ -336,13 +339,13 @@ def train(X_train: np.ndarray, tangents, cfg: TrainConfig):
     pairs = deque(maxlen=LBFGS_MEMORY)  # (s, y, 1 / s'y), oldest first
     for epoch in range(cfg.epochs):
         perm = rng.permutation(N)
-        mask = cfg.method.corrupt((N, D), rng)  # row k corrupts point perm[k]
         epoch_cost = 0.0
         for j in range(m):
             lo, hi = bounds[j], bounds[j + 1]
             batch = X_train[perm[lo:hi]]
             batch_rows = rows._replace(rows=perm[lo:hi]) if rows is not None else None
-            corrupted = np.where(mask[lo:hi], 0.0, batch) if mask is not None else None
+            mask = cfg.method.corrupt(batch.shape, rng)
+            corrupted = np.where(mask, 0.0, batch) if mask is not None else None
 
             def f(theta):
                 value, parts, grad = objective(
@@ -398,7 +401,7 @@ def train(X_train: np.ndarray, tangents, cfg: TrainConfig):
             # the cap, or a search of the whole uncorrupted set that lowered
             # nothing: the next would repeat it from the same point
             done = (iteration == cfg.total_iterations
-                    or (not f_new < parts.total and m == 1 and mask is None))
+                    or (not f_new < parts.total and m == 1 and corrupted is None))
             if done:
                 break
         report.epoch_costs.append((epoch + 1, epoch_cost))
@@ -409,26 +412,22 @@ def train(X_train: np.ndarray, tangents, cfg: TrainConfig):
     return unpack_params(theta, report.initial), report
 
 
-def fit(X_raw, cfg: TrainConfig):
+def fit(X, cfg: TrainConfig):
     """(params, report) from raw (N, D) data: normalize, then the LSH
     projection (report None) or train, the batch clamped to N, on tangents
     at cfg.bits; the scale is set on every NetworkParams that leaves.
 
-    X_raw is the matrix, or a function of no arguments that returns it,
-    such as the pop of a one-item list: a caller that keeps no other
-    reference so hands the matrix over, and fit drops it once the
-    normalized copy is made, so the PCA start and training run beside one
-    copy of the points. A matrix passed as an argument stays referenced
-    until the call returns (on CPython 3.10 by the caller's stack). fit
-    never writes into the matrix.
+    X is converted by np.asarray(X, float64). For a trained method that
+    array becomes the normalized data: it is scaled in place, to the bits
+    of X * scale, so the PCA start and training run on the one copy of
+    the points. A float64 X is therefore changed, and an X of another
+    dtype is left as it was. The LSH projection leaves X untouched.
     """
-    if callable(X_raw):
-        X_raw = X_raw()
-    scale = fit_normalizer(X_raw)
+    Xn = np.asarray(X, dtype=np.float64)
+    scale = fit_normalizer(Xn)
     if not cfg.method.trained:
-        return var.lsh_generate(X_raw.shape[1], cfg.bits, cfg.seed, scale=scale), None
-    Xn = apply_normalizer(scale, X_raw)
-    del X_raw
+        return var.lsh_generate(Xn.shape[1], cfg.bits, cfg.seed, scale=scale), None
+    np.multiply(Xn, scale, out=Xn)
     cfg = replace(cfg, batch_size=min(cfg.batch_size, len(Xn)))
     try:
         # passed, not kept: train holds the only reference to the tangents

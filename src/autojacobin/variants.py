@@ -5,10 +5,9 @@ maps a method to that function's optional inputs. Auto-JacoBin passes
 tangent bases (the Jacobian term), AutoBin passes none, CAutoBin
 passes lambda_c (the contractive term), and DAutoBin passes a copy of
 the input with the entries of a corruption mask (draw_mask) zeroed.
-The trainer draws one boolean (N, D) mask over the training set per
-epoch, one row per point, and zeroes each mini-batch's points by their
-rows of it as the batch is used, so no corrupted copy of the whole set
-is formed. LSH is a random projection and is not trained.
+The trainer draws each mini-batch's boolean mask, one row per point, as
+the batch is used, so no mask or corrupted copy of the whole set is
+formed. LSH is a random projection and is not trained.
 """
 
 from __future__ import annotations

@@ -148,7 +148,7 @@ def test_criterion_5_cost_behavior():
     rng = np.random.default_rng(0)
     X_raw = synth.simplex_points(1000, rng)
     nz = matrix_io.fit_normalizer(X_raw)
-    Xn = matrix_io.apply_normalizer(nz, X_raw)
+    Xn = X_raw * nz
     projs = [projector(t) for t in tangent.estimate_all_tangents(Xn, 3)]
     cfg = TrainConfig(bits=3, epochs=300, batch_size=1000, seed=0,
                       method=VariantConfig(kind="auto-jacobin", alpha=0.1))

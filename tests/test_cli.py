@@ -75,7 +75,7 @@ def test_train_summary_reports_tangent_ranks_and_weight(tmp_path, capsys):
                  "--out", str(tmp_path / "t.ajb")]) == 0
     line = capsys.readouterr().out.strip().splitlines()[-1]
     Xn = matrix_io.read_fvecs(base_path)
-    Xn = matrix_io.apply_normalizer(matrix_io.fit_normalizer(Xn), Xn)
+    Xn = Xn * matrix_io.fit_normalizer(Xn)
     bases = tangent.estimate_all_tangents(Xn, 4)
     ranks = [t.rank for t in bases]
     assert line.startswith("trained auto-jacobin: ")
@@ -92,9 +92,9 @@ def test_train_summary_reports_tangent_ranks_and_weight(tmp_path, capsys):
 def test_train_holds_the_tangent_bases_once():
     # the bases are estimated into the (N, r, D) stack that training
     # reads in place, and no list of them is kept beside it; with one, the
-    # peak passed 2x the bases. The rest is the normalized data (1/r),
-    # the kNN's indices and block distances and the Jacobian term's
-    # 64-point chunk arrays: 1.41x on numpy 2.4. A batch-sized gather of
+    # peak passed 2x the bases. The rest is the kNN's indices and block
+    # distances and the Jacobian term's 64-point chunk arrays (fit scales
+    # the data in place): 1.28x on numpy 2.4. A batch-sized gather of
     # the stack's rows (0.25x) would pass 1.6x
     N, D, bits = 8000, 16, 8
     X = np.random.default_rng(8).standard_normal((D, N)).T
@@ -269,10 +269,10 @@ def test_train_on_norms_past_float64_is_one_line_and_writes_no_model(
 
 @pytest.mark.parametrize("method", ["autobin", "dautobin", "cautobin"])
 def test_train_holds_one_copy_of_the_points_beside_the_pca_start(tmp_path, method):
-    # train hands the matrix it read to fit, which drops it once the
-    # normalized copy is made, so init_params' centred copy is the only
-    # other full-size array: 2.03-2.06x N x D x 8 on numpy 2.4. Kept
-    # beside them, the matrix read made it 3.03-3.06x
+    # fit scales the matrix train read in place and init_params centres
+    # one block of rows at a time, so the matrix is the one full-size
+    # array. A normalized copy of it made the peak 2.03-2.06x N x D x 8,
+    # and the matrix read kept beside that copy 3.03-3.06x
     N, D = 20000, 32
     path, _ = _write_data(tmp_path, "big.fvecs", D=D, n=N, seed=11)
     argv = ["train", "--input", str(path), "--bits", "8", "--method", method,
@@ -285,7 +285,7 @@ def test_train_holds_one_copy_of_the_points_beside_the_pca_start(tmp_path, metho
     finally:
         tracemalloc.stop()
     points = 8 * N * D
-    assert peak < 2.5 * points, (peak, points)
+    assert peak < 1.6 * points, (peak, points)
 
 
 def test_train_ends_when_the_tangent_stack_does_not_fit(tmp_path, monkeypatch):
@@ -801,7 +801,7 @@ def test_toy_init_row_is_the_untrained_start_of_training(tmp_path):
     assert main(["toy", "--points", "120", "--epochs", "2", "--batch", "60",
                  "--seed", "4", "--out-dir", str(out_dir)]) == 0
     X = synth.simplex_points(120, np.random.default_rng(4))
-    Xn = matrix_io.apply_normalizer(matrix_io.fit_normalizer(X), X)
+    Xn = X * matrix_io.fit_normalizer(X)
     p0 = trainer.init_params(Xn, 3, 4)
     codes = hamming.encode(p0, Xn)
     distinct = len({bytes(row) for row in codes.packed})

@@ -217,7 +217,7 @@ def _ragged_bases(D, ranks, seed):
 @pytest.mark.filterwarnings("ignore:training data rank below bit count")
 def test_factored_jacobian_term_matches_dense_on_proxy_tangents():
     X, _ = synth.curved_manifold(2000, 8, 64, np.random.default_rng(7), noise=0.01)
-    Xn = matrix_io.apply_normalizer(matrix_io.fit_normalizer(X), X)
+    Xn = X * matrix_io.fit_normalizer(X)
     bases = tangent.estimate_all_tangents(Xn, 32)
     factors, weight = bases.factors, bases.region_variance
     assert factors.shape == (2000, max(t.rank for t in bases), 64)

@@ -1,12 +1,11 @@
 import sys
 import tracemalloc
 import warnings
-import weakref
 
 import numpy as np
 import pytest
 
-from autojacobin import network, synth, tangent, matrix_io, trainer
+from autojacobin import network, synth, tangent, matrix_io, trainer, variants
 from autojacobin.network import ObjectiveConfig, objective, pack_params
 from autojacobin.trainer import (
     LineSearchError,
@@ -25,7 +24,7 @@ def _toy_setup(seed=0, n=200):
     rng = np.random.default_rng(seed)
     X = synth.simplex_points(n, rng)
     nz = matrix_io.fit_normalizer(X)
-    Xn = matrix_io.apply_normalizer(nz, X)
+    Xn = X * nz
     projs = [tangent.projector(t) for t in tangent.estimate_all_tangents(Xn, 3)]
     return Xn, projs
 
@@ -63,6 +62,33 @@ def test_init_params_deterministic():
     a, b = init_params(X, 3, 7), init_params(X, 3, 7)
     assert a.w1.tobytes() == b.w1.tobytes()
     assert a.b1.tobytes() == b.b1.tobytes()
+
+
+def _start_of_one_centred_copy(monkeypatch, X, d, seed):
+    # init_params with the covariance of one centred N x D copy of X
+    centered = X - X.mean(axis=0)
+    eigh = np.linalg.eigh
+    with monkeypatch.context() as m:
+        m.setattr(np.linalg, "eigh", lambda cov: eigh(centered.T @ centered / len(X)))
+        return init_params(X, d, seed)
+
+
+@pytest.mark.parametrize("N", [2000, 9000])
+def test_init_params_sums_the_covariance_over_blocks_of_rows(monkeypatch, N):
+    # 2000 x 64 is one block of rows, so the start keeps the bits of one
+    # centred copy; 9000 x 64 is five, and the sum over them moved the
+    # start by at most 1.1e-14 on a spectrum of distinct variances
+    D = 64
+    X = np.random.default_rng(5).standard_normal((N, D)) * np.linspace(0.5, 2.0, D)
+    assert (N <= matrix_io._block_rows(D)) == (N == 2000)
+    p = init_params(X, 32, 3)
+    ref = _start_of_one_centred_copy(monkeypatch, X, 32, 3)
+    for name in ("w1", "w2", "b1", "b2"):
+        if N == 2000:
+            np.testing.assert_array_equal(getattr(p, name), getattr(ref, name))
+        else:
+            np.testing.assert_allclose(getattr(p, name), getattr(ref, name),
+                                       rtol=0, atol=1e-12)
 
 
 def test_init_params_low_rank_warns():
@@ -329,7 +355,7 @@ def test_train_reaches_autobin_minimum_on_toy():
     # equal costs may differ by summation-order rounding.
     rng = np.random.default_rng(0)
     X = synth.simplex_points(1000, rng)
-    Xn = matrix_io.apply_normalizer(matrix_io.fit_normalizer(X), X)
+    Xn = X * matrix_io.fit_normalizer(X)
     cfg = TrainConfig(bits=3, epochs=300, batch_size=1000, seed=0,
                       method=VariantConfig(kind="autobin"))
     _, report = train(Xn, None, cfg)
@@ -349,7 +375,7 @@ def test_full_batch_run_stops_once_no_step_lowers_the_cost():
     # whole line-search budget each time.
     rng = np.random.default_rng(0)
     X = synth.simplex_points(30, rng)
-    Xn = matrix_io.apply_normalizer(matrix_io.fit_normalizer(X), X)
+    Xn = X * matrix_io.fit_normalizer(X)
     cfg = TrainConfig(bits=3, epochs=400, batch_size=30, seed=0,
                       method=VariantConfig(kind="autobin"))
     _, report = train(Xn, None, cfg)
@@ -370,7 +396,7 @@ def test_train_weights_jacobian_term_by_region_variance():
     # Jacobian term; plain projectors get the unit weight of objective()
     rng = np.random.default_rng(1)
     X = synth.simplex_points(80, rng)
-    Xn = matrix_io.apply_normalizer(matrix_io.fit_normalizer(X), X)
+    Xn = X * matrix_io.fit_normalizer(X)
     bases = tangent.estimate_all_tangents(Xn, 3)
     projs = [tangent.projector(t) for t in bases]
     cfg = TrainConfig(bits=3, epochs=1, batch_size=80, seed=3,
@@ -550,24 +576,15 @@ def test_train_holds_one_copy_of_the_tangent_factors():
 
 
 @pytest.mark.parametrize("kind", ["autobin", "dautobin", "cautobin"])
-def test_train_epochs_hold_no_copy_of_the_training_data(monkeypatch, kind):
-    # each mini-batch is gathered when it is used, and DAutoBin's epoch
-    # corruption is a one-byte mask, so past init_params (whose centered
-    # copy of X is its own) the peak is the permutation, the 0.125x mask
-    # and the batch's work arrays: 0.23x for autobin and cautobin, 0.38x
-    # for dautobin on numpy 2.4. A shuffled copy of X per epoch read 1.2x,
-    # and DAutoBin's float draws and corrupted copy beside it 3.2x
+def test_train_epochs_hold_no_copy_of_the_training_data(kind):
+    # init_params centres one block of rows at a time, each mini-batch is
+    # gathered when it is used and DAutoBin draws each batch's one-byte
+    # mask with it, so the whole of train peaks at a centred block of
+    # rows, the permutation and the batch's work arrays. A centred copy
+    # of X read 1.02x, and the shuffled copy of X an epoch once made 1.2x
     rng = np.random.default_rng(10)
     D, N = 32, 16000
     X = np.ascontiguousarray(rng.standard_normal((D, N)).T)
-    init = trainer.init_params
-
-    def init_then_reset_peak(*args):
-        params = init(*args)
-        tracemalloc.reset_peak()
-        return params
-
-    monkeypatch.setattr(trainer, "init_params", init_then_reset_peak)
     cfg = TrainConfig(bits=8, epochs=1, batch_size=500, seed=10, total_iterations=3,
                       method=VariantConfig(kind=kind))
     tracemalloc.start()
@@ -576,7 +593,35 @@ def test_train_epochs_hold_no_copy_of_the_training_data(monkeypatch, kind):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 0.5 * X.nbytes, (peak, X.nbytes)
+    assert peak < 0.4 * X.nbytes, (peak, X.nbytes)
+
+
+def test_dautobin_draws_each_batch_mask_as_the_epoch_mask_it_replaces(monkeypatch):
+    # a batch's mask is drawn when the batch is used; the draws are
+    # consecutive, so in batch order the zeroed entries are the rows of one
+    # (N, D) draw_mask drawn after the init rotation and the permutation.
+    # 1000-row batches, the last 1500, cross the mask's 1024-row blocks
+    N, D, t = 3500, 32, 0.3
+    X = np.random.default_rng(12).standard_normal((N, D)) + 5.0  # no zero entry
+    seen = []
+
+    def spy(*args, **kwargs):
+        if not any(c is kwargs["corrupted"] for c in seen):
+            seen.append(kwargs["corrupted"])
+        return objective(*args, **kwargs)
+
+    monkeypatch.setattr(trainer, "objective", spy)
+    cfg = TrainConfig(bits=4, epochs=1, batch_size=1000, seed=12,
+                      method=VariantConfig(kind="dautobin", corruption_t=t))
+    train(X, None, cfg)
+    rng = np.random.default_rng(12)
+    init_params(X, 4, rng)
+    perm = rng.permutation(N)
+    mask = variants.draw_mask((N, D), t, rng)
+    assert [len(c) for c in seen] == [1000, 1000, 1500]
+    corrupted = np.concatenate(seen)
+    np.testing.assert_array_equal(corrupted == 0.0, mask)
+    np.testing.assert_array_equal(corrupted[~mask], X[perm][~mask])
 
 
 def test_train_batch_size_validation():
@@ -650,7 +695,7 @@ def test_train_from_bases_forms_no_projector(monkeypatch):
     # the Jacobian term reads the (D, r) bases; no D x D projector is built
     rng = np.random.default_rng(4)
     X = synth.simplex_points(90, rng)
-    Xn = matrix_io.apply_normalizer(matrix_io.fit_normalizer(X), X)
+    Xn = X * matrix_io.fit_normalizer(X)
     bases = tangent.estimate_all_tangents(Xn, 3)
     projector = tangent.projector
 
@@ -698,7 +743,7 @@ def test_trace_csv_format(tmp_path):
 def test_fit_sets_the_scale_on_the_model_and_its_untrained_start(kind):
     X = 5.0 * synth.simplex_points(120, np.random.default_rng(3))
     scale = matrix_io.fit_normalizer(X)
-    Xn = matrix_io.apply_normalizer(scale, X)
+    Xn = X * scale
     cfg = TrainConfig(bits=3, epochs=1, batch_size=500, seed=3,
                       method=VariantConfig(kind=kind))
     params, report = fit(X, cfg)
@@ -716,28 +761,35 @@ def test_fit_sets_the_scale_on_the_model_and_its_untrained_start(kind):
 
 
 @pytest.mark.parametrize("kind", ["autobin", "lsh"])
-def test_fit_drops_a_handed_over_matrix_once_normalized(monkeypatch, kind):
-    # the pop of a one-item list hands the matrix over: fit empties the
-    # list, and with no reference left the matrix is gone before
-    # init_params runs, on any CPython; a matrix passed as itself is left
-    # as it was
-    X = np.random.default_rng(4).standard_normal((6, 200)).T
-    before = X.copy()
+def test_fit_scales_the_matrix_it_is_given_in_place(monkeypatch, kind):
+    # a float64 matrix becomes the normalized data, to the bits of
+    # X * scale, and is the buffer init_params and train read; a float32
+    # matrix is converted into a new array and left as it was; the LSH
+    # projection scales nothing
+    before = np.random.default_rng(4).standard_normal((6, 200)).T
     cfg = TrainConfig(bits=4, epochs=1, batch_size=100, seed=4,
                       method=VariantConfig(kind=kind))
-    kept, _ = fit(X, cfg)
-    np.testing.assert_array_equal(X, before)
-
-    alive, init = [], trainer.init_params
+    ref, _ = fit(before.copy(), cfg)
+    seen, init = [], trainer.init_params
     monkeypatch.setattr(trainer, "init_params",
-                        lambda *args: alive.append(raw() is not None) or init(*args))
-    handed, raw = [X], weakref.ref(X)
-    del X
-    params, _ = fit(handed.pop, cfg)
-    assert handed == [] and raw() is None
-    assert alive == ([False] if kind == "autobin" else [])
+                        lambda *args: seen.append(args[0]) or init(*args))
+    X = before.copy()
+    params, _ = fit(X, cfg)
     for name in ("w1", "w2", "b1", "b2", "scale"):
-        np.testing.assert_array_equal(getattr(params, name), getattr(kept, name))
+        np.testing.assert_array_equal(getattr(params, name), getattr(ref, name))
+    if kind == "lsh":
+        np.testing.assert_array_equal(X, before)
+        assert seen == []
+        return
+    np.testing.assert_array_equal(X, before * params.scale)
+    assert len(seen) == 1 and np.shares_memory(seen[0], X)
+
+    X32 = before.astype(np.float32)
+    params32, _ = fit(X32, cfg)
+    np.testing.assert_array_equal(X32, before.astype(np.float32))
+    assert not np.shares_memory(seen[1], X32)
+    ref32, _ = fit(before.astype(np.float32).astype(np.float64), cfg)
+    np.testing.assert_array_equal(params32.w1, ref32.w1)
 
 
 def test_fit_lsh_is_the_scaled_random_projection():
